@@ -102,7 +102,7 @@ impl Family for CfgUnisonFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until(|gr, st| spec::safety_holds(gr, st, period))
+            .until_all(|u, view| spec::safety_holds_at(u, view, period))
             .run();
         bridge.collect_trace(&mut sim);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
@@ -218,7 +218,7 @@ impl Family for MonoResetFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until(|gr, st| check.is_normal_config(gr, st))
+            .until_all(|u, view| check.is_normal_at(u, view))
             .run();
         bridge.collect_trace(&mut sim);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);

@@ -126,9 +126,13 @@ impl<I: ResetInput> MonoReset<I> {
     /// All processes idle with consistent input states.
     pub fn is_normal_config(&self, graph: &Graph, states: &[MonoState<I::State>]) -> bool {
         let view = ssr_runtime::ConfigView::new(graph, states);
-        graph
-            .nodes()
-            .all(|u| states[u.index()].phase == Phase::Idle && self.p_icorrect_at(u, &view))
+        graph.nodes().all(|u| self.is_normal_at(u, &view))
+    }
+
+    /// Whether `u` is idle with a correct input state — the node-local
+    /// term of [`MonoReset::is_normal_config`]; reads `N[u]` only.
+    pub fn is_normal_at<V: StateView<MonoState<I::State>>>(&self, u: NodeId, view: &V) -> bool {
+        view.state(u).phase == Phase::Idle && self.p_icorrect_at(u, view)
     }
 
     /// The designated initial configuration: idle, input at `γ_init`.

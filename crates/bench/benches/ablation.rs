@@ -29,7 +29,7 @@ fn tear_repair(c: &mut Criterion) {
                 let out = sim
                     .execution()
                     .cap(50_000_000)
-                    .until(|gr, st| check.is_normal_config(gr, st))
+                    .until_all(|u, view| check.is_normal_at(u, view))
                     .run();
                 assert!(out.reached);
                 black_box(out.moves_at_hit)
@@ -44,7 +44,7 @@ fn tear_repair(c: &mut Criterion) {
                 let out = sim
                     .execution()
                     .cap(50_000_000)
-                    .until(|gr, st| spec::safety_holds(gr, st, k))
+                    .until_all(|u, view| spec::safety_holds_at(u, view, k))
                     .run();
                 assert!(out.reached);
                 black_box(out.moves_at_hit)

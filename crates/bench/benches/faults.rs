@@ -33,7 +33,7 @@ fn fault_recovery(c: &mut Criterion) {
                 let out = sim
                     .execution()
                     .cap(50_000_000)
-                    .until(|gr, st| check.is_normal_config(gr, st))
+                    .until_all(|u, view| check.is_normal_at(u, view))
                     .run();
                 assert!(out.reached);
                 black_box(out.moves_at_hit)

@@ -22,7 +22,7 @@ fn sdr_recovery(c: &mut Criterion) {
                 let out = sim
                     .execution()
                     .cap(10_000_000)
-                    .until(|gr, st| check.is_normal_config(gr, st))
+                    .until_all(|u, view| check.is_normal_at(u, view))
                     .run();
                 assert!(out.reached);
                 black_box(out.moves_at_hit)
@@ -54,7 +54,7 @@ fn sdr_daemons(c: &mut Criterion) {
                     let out = sim
                         .execution()
                         .cap(10_000_000)
-                        .until(|gr, st| check.is_normal_config(gr, st))
+                        .until_all(|u, view| check.is_normal_at(u, view))
                         .run();
                     assert!(out.reached);
                     black_box(out.rounds_at_hit)

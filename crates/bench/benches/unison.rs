@@ -23,7 +23,7 @@ fn unison_sdr_stabilization(c: &mut Criterion) {
                 let out = sim
                     .execution()
                     .cap(50_000_000)
-                    .until(|gr, st| check.is_normal_config(gr, st))
+                    .until_all(|u, view| check.is_normal_at(u, view))
                     .run();
                 assert!(out.reached);
                 black_box(out.moves_at_hit)
@@ -47,7 +47,7 @@ fn unison_cfg_stabilization(c: &mut Criterion) {
                 let out = sim
                     .execution()
                     .cap(50_000_000)
-                    .until(|gr, st| spec::safety_holds(gr, st, k))
+                    .until_all(|u, view| spec::safety_holds_at(u, view, k))
                     .run();
                 assert!(out.reached);
                 black_box(out.moves_at_hit)

@@ -1009,7 +1009,7 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
                 let out = sim
                     .execution()
                     .cap(sc.step_cap)
-                    .until(|gr, st| check.is_normal_config(gr, st))
+                    .until_all(|u, view| check.is_normal_at(u, view))
                     .run();
                 ctx.collect(&mut sim);
                 (out.reached, out.rounds_at_hit, out.moves_at_hit)
@@ -1028,7 +1028,7 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
                 let out = sim
                     .execution()
                     .cap(sc.step_cap)
-                    .until(|gr, st| spec::safety_holds(gr, st, k_cfg))
+                    .until_all(|u, view| spec::safety_holds_at(u, view, k_cfg))
                     .run();
                 ctx.collect(&mut sim);
                 (out.reached, out.rounds_at_hit, out.moves_at_hit)
@@ -1050,7 +1050,7 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
                 let out = sim
                     .execution()
                     .cap(sc.step_cap)
-                    .until(|gr, st| check.is_normal_config(gr, st))
+                    .until_all(|u, view| check.is_normal_at(u, view))
                     .run();
                 ctx.collect(&mut sim);
                 (out.reached, out.rounds_at_hit, out.moves_at_hit)

@@ -81,7 +81,7 @@ mod tests {
         let out = sim
             .execution()
             .cap(1_000_000)
-            .until(|gr, st| check.is_normal_config(gr, st))
+            .until_all(|u, view| check.is_normal_at(u, view))
             .run();
         assert!(out.reached);
         assert!(out.rounds_at_hit <= 3 * n as u64, "Corollary 5 violated");

@@ -180,7 +180,7 @@ where
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until(|gr, st| check.is_normal_config(gr, st))
+            .until_all(|u, view| check.is_normal_at(u, view))
             .run();
         bridge.collect_trace(&mut sim);
         let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);

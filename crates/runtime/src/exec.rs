@@ -86,7 +86,7 @@
 
 use ssr_graph::{Graph, NodeId};
 
-use crate::algorithm::{Algorithm, RuleId};
+use crate::algorithm::{Algorithm, ConfigView, RuleId};
 use crate::daemon::Daemon;
 use crate::simulator::{RunOutcome, Simulator, StepOutcome, TerminationReason};
 use crate::step::par::ParHooks;
@@ -272,6 +272,84 @@ impl_observer_tuple!(O1, O2, O3, O4);
 /// default type parameter).
 pub type NoPredicate<A> = fn(&Graph, &[<A as Algorithm>::State]) -> bool;
 
+/// When a run stops: the run loop asks once on the configuration it
+/// starts from and once after every step.
+///
+/// Two forms implement it. Every whole-configuration predicate
+/// `FnMut(&Graph, &[A::State]) -> bool` (what [`Execution::until`]
+/// takes) re-reads the whole configuration each time; [`AllNodes`]
+/// (what [`Execution::until_all`] builds) re-checks only the nodes the
+/// last step can have changed.
+pub trait StopCondition<A: Algorithm> {
+    /// Whether the run stops before its first step, on `sim`'s current
+    /// configuration.
+    fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool;
+
+    /// Whether the run stops after the step `sim` has just taken.
+    fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool;
+}
+
+impl<A, P> StopCondition<A> for P
+where
+    A: Algorithm,
+    P: FnMut(&Graph, &[A::State]) -> bool,
+{
+    fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool {
+        self(sim.graph(), sim.states())
+    }
+
+    fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool {
+        self(sim.graph(), sim.states())
+    }
+}
+
+/// The node-local stop condition of [`Execution::until_all`]: it holds
+/// once `term(u, view)` holds at every node `u`.
+///
+/// `term` must read the closed neighbourhood `N[u]` only, like a guard
+/// (§2.2). A step changes the states of its movers alone, so the only
+/// terms it can change are those of the movers and their neighbours —
+/// exactly the step's refresh set, [`Simulator::last_refreshed`]. The
+/// condition keeps the number of failing nodes: one full pass over the
+/// configuration a run starts from, then one re-check per node of each
+/// step's refresh set. That makes it exact, not an approximation: it
+/// stops on the same step as the whole-configuration predicate
+/// `∀u: term(u)`.
+pub struct AllNodes<T> {
+    term: T,
+    /// `holds[u]` = the last value of `term(u, _)`.
+    holds: Vec<bool>,
+    failing: usize,
+}
+
+impl<A, T> StopCondition<A> for AllNodes<T>
+where
+    A: Algorithm,
+    T: FnMut(NodeId, &ConfigView<'_, A::State>) -> bool,
+{
+    fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool {
+        // The full pass: the refresh set is stale here (before the first
+        // step, or after `Simulator::inject` between runs).
+        let view = sim.view();
+        self.holds.clear();
+        self.holds
+            .extend(sim.graph().nodes().map(|u| (self.term)(u, &view)));
+        self.failing = self.holds.iter().filter(|&&h| !h).count();
+        self.failing == 0
+    }
+
+    fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool {
+        let view = sim.view();
+        for &u in sim.last_refreshed() {
+            let now = (self.term)(u, &view);
+            let was = std::mem::replace(&mut self.holds[u.index()], now);
+            // A node that starts holding was counted as failing.
+            self.failing = self.failing + usize::from(was) - usize::from(now);
+        }
+        self.failing == 0
+    }
+}
+
 /// Where an [`Execution`] gets its simulator from.
 enum Source<'e, 'g, A: Algorithm> {
     /// Build a fresh simulator from the collected parameters.
@@ -300,22 +378,23 @@ enum Source<'e, 'g, A: Algorithm> {
 ///   owns — for warm-up phases, fault injection between runs, or
 ///   reading stats and states afterwards.
 ///
-/// The run stops at the first of: a terminal configuration, the
-/// [`until`](Execution::until) predicate holding (checked on the
-/// initial configuration too), or the step [`cap`](Execution::cap)
-/// running out — reported in [`RunOutcome::reason`]. Attach any number
-/// of probes with [`observe`](Execution::observe).
+/// The run stops at the first of: a terminal configuration, the stop
+/// condition holding (set with [`until`](Execution::until) or
+/// [`until_all`](Execution::until_all); checked on the initial
+/// configuration too), or the step [`cap`](Execution::cap) running out
+/// — reported in [`RunOutcome::reason`]. Attach any number of probes
+/// with [`observe`](Execution::observe).
 ///
 /// # Examples
 ///
 /// See the [module documentation](self) for a fresh run with a custom
 /// observer and a resumed run; [`RunReport`] for keeping the simulator
 /// after a fresh run.
-pub struct Execution<'e, 'g, A: Algorithm, O = NoObserver, P = NoPredicate<A>> {
+pub struct Execution<'e, 'g, A: Algorithm, O = NoObserver, S = NoPredicate<A>> {
     source: Source<'e, 'g, A>,
     cap: u64,
     observer: O,
-    predicate: Option<P>,
+    stop: Option<S>,
     /// `Some(hooks)` when [`Execution::intra_threads`] was called: the
     /// pre-built kernels to install (inner `None` = explicit sequential).
     intra: Option<Option<ParHooks<A>>>,
@@ -375,7 +454,7 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             },
             cap: u64::MAX,
             observer: NoObserver,
-            predicate: None,
+            stop: None,
             intra: None,
             trace: None,
         }
@@ -387,14 +466,14 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             source: Source::Resumed(sim),
             cap: u64::MAX,
             observer: NoObserver,
-            predicate: None,
+            stop: None,
             intra: None,
             trace: None,
         }
     }
 }
 
-impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
+impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
     fn fresh_mut(&mut self, what: &str) -> &mut Source<'e, 'g, A> {
         assert!(
             matches!(self.source, Source::Fresh { .. }),
@@ -497,12 +576,12 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
 
     /// Attaches a probe; repeated calls nest, so every attached
     /// observer sees every event (earlier attachments fire first).
-    pub fn observe<O2: Observer<A>>(self, observer: O2) -> Execution<'e, 'g, A, (O, O2), P> {
+    pub fn observe<O2: Observer<A>>(self, observer: O2) -> Execution<'e, 'g, A, (O, O2), S> {
         Execution {
             source: self.source,
             cap: self.cap,
             observer: (self.observer, observer),
-            predicate: self.predicate,
+            stop: self.stop,
             intra: self.intra,
             trace: self.trace,
         }
@@ -511,26 +590,86 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
     /// Stops the run once `predicate` holds (checked on the initial
     /// configuration too, like the classic `run_until`). A second call
     /// replaces the predicate.
+    ///
+    /// The predicate reads the whole configuration after every step.
+    /// When it is a conjunction of node-local terms, prefer
+    /// [`until_all`](Execution::until_all).
     pub fn until<Q>(self, predicate: Q) -> Execution<'e, 'g, A, O, Q>
     where
         Q: FnMut(&Graph, &[A::State]) -> bool,
     {
+        self.stop_when(predicate)
+    }
+
+    /// Stops the run once `term(u, view)` holds at every node `u`
+    /// (checked on the initial configuration too). A second call
+    /// replaces the condition, as does [`until`](Execution::until).
+    ///
+    /// `term` must read `u`'s closed neighbourhood `N[u]` only, like a
+    /// guard. After each step only the step's refresh set — the movers
+    /// and their neighbours ([`Simulator::last_refreshed`]) — is
+    /// re-checked, so a step costs time in its number of moves, not in
+    /// the size of the graph; the run stops on the same step as
+    /// `until(|g, s| ∀u: term(u, view))` would (see [`AllNodes`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use ssr_graph::generators;
+    /// # use ssr_runtime::{Algorithm, Daemon, NodeId, RuleId, RuleMask, Simulator, StateView};
+    /// # struct Flood;
+    /// # impl Algorithm for Flood {
+    /// #     type State = bool;
+    /// #     fn rule_count(&self) -> usize { 1 }
+    /// #     fn rule_name(&self, _: RuleId) -> &'static str { "flood" }
+    /// #     fn enabled_mask<V: StateView<bool>>(&self, u: NodeId, view: &V) -> RuleMask {
+    /// #         let infected = view.graph().neighbors(u).iter().any(|&v| *view.state(v));
+    /// #         RuleMask::from_bool(!*view.state(u) && infected)
+    /// #     }
+    /// #     fn apply<V: StateView<bool>>(&self, _: NodeId, _: &V, _: RuleId) -> bool { true }
+    /// # }
+    /// let g = generators::path(6);
+    /// let mut init = vec![false; 6];
+    /// init[0] = true;
+    /// let mut sim = Simulator::new(&g, Flood, init, Daemon::Central, 1);
+    /// // Stop once every node agrees with all of its neighbours.
+    /// let out = sim
+    ///     .execution()
+    ///     .until_all(|u, view| {
+    ///         let mine = *view.state(u);
+    ///         view.graph().neighbors(u).iter().all(|&v| *view.state(v) == mine)
+    ///     })
+    ///     .run();
+    /// assert!(out.reached && out.steps_used == 5);
+    /// ```
+    pub fn until_all<T>(self, term: T) -> Execution<'e, 'g, A, O, AllNodes<T>>
+    where
+        T: FnMut(NodeId, &ConfigView<'_, A::State>) -> bool,
+    {
+        self.stop_when(AllNodes {
+            term,
+            holds: Vec::new(),
+            failing: 0,
+        })
+    }
+
+    fn stop_when<S2>(self, stop: S2) -> Execution<'e, 'g, A, O, S2> {
         Execution {
             source: self.source,
             cap: self.cap,
             observer: self.observer,
-            predicate: Some(predicate),
+            stop: Some(stop),
             intra: self.intra,
             trace: self.trace,
         }
     }
 }
 
-impl<'e, 'g, A, O, P> Execution<'e, 'g, A, O, P>
+impl<'e, 'g, A, O, S> Execution<'e, 'g, A, O, S>
 where
     A: Algorithm,
     O: Observer<A>,
-    P: FnMut(&Graph, &[A::State]) -> bool,
+    S: StopCondition<A>,
 {
     fn build(source: Source<'e, 'g, A>) -> Simulator<'g, A> {
         let Source::Fresh {
@@ -567,7 +706,7 @@ where
             source,
             cap,
             mut observer,
-            mut predicate,
+            mut stop,
             intra,
             trace,
         } = self;
@@ -579,7 +718,7 @@ where
                 if let Some(sink) = trace {
                     sim.set_trace_sink(sink);
                 }
-                drive(sim, cap, &mut observer, predicate.as_mut())
+                drive(sim, cap, &mut observer, stop.as_mut())
             }
             fresh @ Source::Fresh { .. } => {
                 let mut sim = Self::build(fresh);
@@ -589,7 +728,7 @@ where
                 if let Some(sink) = trace {
                     sim.set_trace_sink(sink);
                 }
-                drive(&mut sim, cap, &mut observer, predicate.as_mut())
+                drive(&mut sim, cap, &mut observer, stop.as_mut())
             }
         }
     }
@@ -606,7 +745,7 @@ where
             source,
             cap,
             mut observer,
-            mut predicate,
+            mut stop,
             intra,
             trace,
         } = self;
@@ -622,27 +761,27 @@ where
         if let Some(sink) = trace {
             sim.set_trace_sink(sink);
         }
-        let outcome = drive(&mut sim, cap, &mut observer, predicate.as_mut());
+        let outcome = drive(&mut sim, cap, &mut observer, stop.as_mut());
         RunReport { outcome, sim }
     }
 }
 
-/// The canonical run loop: steps `sim` until the predicate holds, the
-/// configuration is terminal, or `cap` steps elapse, firing observer
-/// hooks along the way. Semantics match the classic
+/// The canonical run loop: steps `sim` until the stop condition holds,
+/// the configuration is terminal, or `cap` steps elapse, firing
+/// observer hooks along the way. Semantics match the classic
 /// `run_until`/`run_to_termination` exactly (same step sequence, same
 /// RNG draws, same counters) so migrated callers reproduce their
 /// pre-observer numbers byte for byte.
-pub(crate) fn drive<A, O, P>(
+pub(crate) fn drive<A, O, S>(
     sim: &mut Simulator<'_, A>,
     cap: u64,
     observer: &mut O,
-    mut predicate: Option<&mut P>,
+    mut stop: Option<&mut S>,
 ) -> RunOutcome
 where
     A: Algorithm,
     O: Observer<A> + ?Sized,
-    P: FnMut(&Graph, &[A::State]) -> bool + ?Sized,
+    S: StopCondition<A> + ?Sized,
 {
     let outcome = |sim: &Simulator<'_, A>, reached, steps_used, reason| RunOutcome {
         reached,
@@ -653,8 +792,8 @@ where
         reason,
     };
     let mut steps_used = 0u64;
-    if let Some(p) = predicate.as_mut() {
-        if p(sim.graph(), sim.states()) {
+    if let Some(s) = stop.as_mut() {
+        if s.holds_at_start(sim) {
             if sim.is_terminal() {
                 observer.on_terminal(sim);
             }
@@ -671,7 +810,7 @@ where
             // "reached" iff the final configuration happens to be
             // terminal. A configuration that went terminal on the very
             // last in-budget step still fires `on_terminal`.
-            let reached = predicate.is_none() && sim.is_terminal();
+            let reached = stop.is_none() && sim.is_terminal();
             let reason = if sim.is_terminal() {
                 observer.on_terminal(sim);
                 TerminationReason::Terminal
@@ -686,12 +825,7 @@ where
         match sim.step() {
             StepOutcome::Terminal => {
                 observer.on_terminal(sim);
-                let out = outcome(
-                    sim,
-                    predicate.is_none(),
-                    steps_used,
-                    TerminationReason::Terminal,
-                );
+                let out = outcome(sim, stop.is_none(), steps_used, TerminationReason::Terminal);
                 sim.emit_run_ended(&out);
                 observer.on_run_end(sim, &out);
                 return out;
@@ -707,8 +841,8 @@ where
                 if sim.last_step_completed_round() {
                     observer.on_round_complete(sim);
                 }
-                if let Some(p) = predicate.as_mut() {
-                    if p(sim.graph(), sim.states()) {
+                if let Some(s) = stop.as_mut() {
+                    if s.holds_after_step(sim) {
                         // The hook contract is about the configuration,
                         // not the stop cause: a predicate hit on a
                         // terminal configuration still reports it.

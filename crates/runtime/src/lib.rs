@@ -100,7 +100,7 @@ pub use analysis::{
     RuleStats, Severity, TrackedView,
 };
 pub use daemon::Daemon;
-pub use exec::{Execution, NoObserver, NoPredicate, Observer, RunReport};
+pub use exec::{AllNodes, Execution, NoObserver, NoPredicate, Observer, RunReport, StopCondition};
 pub use family::{
     AlgorithmSpec, Amount, Bounds, ExecBudget, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
     FamilyRunOutcome, InitPlan, RunSeeds, Verdict,

@@ -440,6 +440,16 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         &self.last_activated
     }
 
+    /// The refresh set of the most recent step: each mover, then its
+    /// neighbours, every node once, in the order the guard phase
+    /// re-evaluated them. These are exactly the nodes whose closed
+    /// neighbourhood the step changed (§2.2), which is what
+    /// [`Execution::until_all`] re-checks. Empty before the first step;
+    /// [`Simulator::inject`] leaves it as it was.
+    pub fn last_refreshed(&self) -> &[NodeId] {
+        &self.refresh_buf
+    }
+
     /// RNG draws consumed by the most recent step, split by phase as
     /// `[select, apply, guards]`. The pipeline's determinism contract
     /// is that apply and guards draw nothing — `ssr-analyze` audits

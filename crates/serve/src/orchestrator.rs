@@ -15,7 +15,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use ssr_campaign::{engine, output, CacheLayer, CampaignObs, CheckpointWriter, RecordCache};
-use ssr_obs::progress::Progress;
+use ssr_obs::progress::{Progress, ProgressBus};
 
 use crate::jobs::{Job, JobPhase};
 
@@ -58,8 +58,29 @@ impl Store {
     }
 }
 
+/// The job's bus as the engine sees it: every event but `finish`,
+/// which [`run_job`] emits itself once the artifacts are stored and
+/// the phase is `Done`. A reader that sees the stream end can then
+/// fetch the records at once.
+struct UntilStored(ProgressBus);
+
+impl Progress for UntilStored {
+    fn begin(&mut self, total: usize) {
+        self.0.begin(total);
+    }
+
+    fn item_started(&mut self, worker: usize, index: usize, label: &str) {
+        self.0.item_started(worker, index, label);
+    }
+
+    fn item_done(&mut self, index: usize, label: &str, ok: bool) {
+        self.0.item_done(index, label, ok);
+    }
+}
+
 /// Runs one job to completion against the store, updating its phase,
-/// artifacts, and counters. Called from the orchestrator loop and from
+/// artifacts, and counters; the bus ends only after that, on success
+/// and on panic alike. Called from the orchestrator loop and from
 /// tests that want synchronous execution.
 pub fn run_job(job: &Job, store: &Store, threads: usize) {
     job.set_phase(JobPhase::Running);
@@ -68,7 +89,7 @@ pub fn run_job(job: &Job, store: &Store, threads: usize) {
         checkpoint: store.checkpoint.as_ref(),
     };
     let campaign = job.campaign.clone();
-    let bus = job.bus.clone();
+    let bus = UntilStored(job.bus.clone());
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut obs = CampaignObs::new()
             .with_metrics()
@@ -98,11 +119,10 @@ pub fn run_job(job: &Job, store: &Store, threads: usize) {
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "campaign engine panicked".to_string());
             job.set_phase(JobPhase::Failed(msg));
-            // The engine never reached `finish`; release any readers
-            // blocked on the bus.
-            job.bus.clone().finish();
         }
     }
+    // Release the readers blocked on the bus: the phase is final.
+    job.bus.clone().finish();
 }
 
 /// The orchestrator loop: drains the queue until every sender is

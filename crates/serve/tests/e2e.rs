@@ -186,3 +186,49 @@ fn live_streaming_delivers_events_before_the_job_finishes() {
     let (_, _) = request(addr, "POST", "/shutdown", "");
     running.join().unwrap().unwrap();
 }
+
+#[test]
+fn records_are_served_as_soon_as_the_stream_ends() {
+    // The bus's `end` event follows the stored artifacts and the `done`
+    // phase, so a client that follows the SSE stream to its end gets
+    // the records on its first try and reads "done" — job after job.
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        checkpoint: None,
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let running = std::thread::spawn(move || server.run());
+
+    for seq in 1..=6u64 {
+        // A fresh seed per job keeps every job cold; 256 records make
+        // storing the artifacts take long enough that an `end` event
+        // sent before the store is caught by the first GET below.
+        let spec = format!(
+            r#"{{"schema":"ssr-campaign-spec/v1","id":"race",
+            "topologies":["ring","path"],"sizes":[6,8],
+            "algorithms":["unison-sdr"],"daemons":["central"],
+            "inits":["arbitrary"],"trials":64,"step_cap":500000,"seed":{seq}}}"#
+        );
+        let (status, raw) = request(addr, "POST", "/campaigns", &spec);
+        assert_eq!(status, 201, "{raw}");
+        let job = format!("{seq:04}-race");
+        let (status, sse) = request(addr, "GET", &format!("/campaigns/{job}/events"), "");
+        assert_eq!(status, 200);
+        assert!(sse.contains("\"progress\":\"end\""), "{sse}");
+        let (status, raw) = request(addr, "GET", &format!("/campaigns/{job}/records.jsonl"), "");
+        assert_eq!(
+            status, 200,
+            "{job}: records right after the stream ended: {raw}"
+        );
+        assert_eq!(body_of(&raw).lines().count(), 256);
+        let (status, raw) = request(addr, "GET", &format!("/campaigns/{job}"), "");
+        assert_eq!(status, 200);
+        assert!(body_of(&raw).contains("\"phase\":\"done\""), "{job}: {raw}");
+    }
+
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    running.join().unwrap().unwrap();
+}

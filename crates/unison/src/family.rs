@@ -119,7 +119,7 @@ impl Family for UnisonSdrFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until(|gr, st| check.is_normal_config(gr, st))
+            .until_all(|u, view| check.is_normal_at(u, view))
             .run();
         bridge.collect_trace(&mut sim);
         let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);
@@ -299,7 +299,7 @@ impl Family for UnisonFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until(|gr, st| spec::safety_holds(gr, st, period))
+            .until_all(|u, view| spec::safety_holds_at(u, view, period))
             .run();
         bridge.collect_trace(&mut sim);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);

@@ -1,15 +1,16 @@
 //! Executable unison specification (§5.1) and the paper's bounds.
 //!
 //! * **Safety** — "the difference between clocks of every two neighbors
-//!   is at most one increment at each instant": [`safety_holds`].
+//!   is at most one increment at each instant": [`safety_holds`], the
+//!   conjunction over all nodes of [`safety_holds_at`].
 //! * **Liveness** — "each process increments its clock infinitely
 //!   often": probed over finite windows by [`LivenessMonitor`].
 //! * **Bounds** — Theorem 6's move bound in closed form
 //!   ([`theorem6_move_bound`]) and Theorem 7's round bound
 //!   ([`theorem7_round_bound`]).
 
-use ssr_graph::Graph;
-use ssr_runtime::{Observer, Simulator, StepOutcome};
+use ssr_graph::{Graph, NodeId};
+use ssr_runtime::{Observer, Simulator, StateView, StepOutcome};
 
 use crate::unison::{Unison, UnisonSdr};
 
@@ -32,6 +33,33 @@ pub fn safety_holds(graph: &Graph, clocks: &[u64], period: u64) -> bool {
     graph
         .edges()
         .all(|(u, v)| unison.p_ok(clocks[u.index()], clocks[v.index()]))
+}
+
+/// Whether every edge at `u` satisfies `P_Ok` — `P_ICorrect(u)` of
+/// Algorithm U, the node-local term of [`safety_holds`]: safety holds
+/// exactly when this holds at every node. It reads `N[u]` only, which
+/// is the contract of `Execution::until_all`.
+///
+/// # Examples
+///
+/// ```
+/// use ssr_graph::generators;
+/// use ssr_runtime::{ConfigView, NodeId};
+/// use ssr_unison::spec::safety_holds_at;
+///
+/// let g = generators::path(3);
+/// let clocks = [4, 6, 5];
+/// let view = ConfigView::new(&g, &clocks);
+/// assert!(!safety_holds_at(NodeId(0), &view, 7)); // the 4–6 edge
+/// assert!(safety_holds_at(NodeId(2), &view, 7));
+/// ```
+pub fn safety_holds_at<V: StateView<u64>>(u: NodeId, view: &V, period: u64) -> bool {
+    let unison = Unison::new(period);
+    let cu = *view.state(u);
+    view.graph()
+        .neighbors(u)
+        .iter()
+        .all(|&v| unison.p_ok(cu, *view.state(v)))
 }
 
 /// Number of edges violating safety (for diagnostics).
