@@ -58,14 +58,6 @@ impl CfgUnison {
     pub fn initial_config(&self, graph: &Graph) -> Vec<u64> {
         vec![0; graph.node_count()]
     }
-
-    fn p_icorrect<V: StateView<u64>>(&self, u: NodeId, view: &V) -> bool {
-        let cu = *view.state(u);
-        view.graph()
-            .neighbors(u)
-            .iter()
-            .all(|&v| self.unison.p_ok(cu, *view.state(v)))
-    }
 }
 
 impl Algorithm for CfgUnison {
@@ -82,11 +74,26 @@ impl Algorithm for CfgUnison {
         }
     }
 
+    /// `inc` when `P_ICorrect(u) ∧ P_Up(u)`, `reset` when
+    /// `¬P_ICorrect(u) ∧ c_u ≠ 0`, decided in one scan of N(u): every
+    /// neighbour at `c_u` or `c_u + 1` keeps both predicates, one at
+    /// `c_u − 1` breaks `P_Up` only, and any other value breaks
+    /// `P_ICorrect`, which settles the mask.
     fn enabled_mask<V: StateView<u64>>(&self, u: NodeId, view: &V) -> RuleMask {
-        let correct = self.p_icorrect(u, view);
-        RuleMask::NONE
-            .with_if(RULE_CFG_INC, correct && self.unison.p_up(u, view))
-            .with_if(RULE_CFG_RESET, !correct && *view.state(u) != 0)
+        let cu = *view.state(u);
+        let (next, prev) = (self.unison.succ(cu), self.unison.pred(cu));
+        let mut up = true;
+        for &v in view.graph().neighbors(u) {
+            let cv = *view.state(v);
+            if cv == cu || cv == next {
+                continue;
+            }
+            if cv != prev {
+                return RuleMask::NONE.with_if(RULE_CFG_RESET, cu != 0);
+            }
+            up = false;
+        }
+        RuleMask::NONE.with_if(RULE_CFG_INC, up)
     }
 
     fn apply<V: StateView<u64>>(&self, u: NodeId, view: &V, rule: RuleId) -> u64 {

@@ -1,23 +1,37 @@
 //! Wall-clock benches for the staged step pipeline itself: the
 //! select → apply → guard-refresh phases at different intra-run thread
-//! counts, and the cost of the optional conflict-partition diagnostic.
+//! counts, the cost of the optional conflict-partition diagnostic, and
+//! the narrow single-move step.
 //!
-//! The workload is the composed `Agreement ∘ SDR` family on a ring —
-//! small constant-degree neighborhoods, so the kernels (not the cache)
-//! dominate — under the synchronous daemon, which maximizes the
+//! The wide workload is the composed `Agreement ∘ SDR` family on a
+//! ring — small constant-degree neighborhoods, so the kernels (not the
+//! cache) dominate — under the synchronous daemon, which maximizes the
 //! per-step selection and therefore the work the apply/guard kernels
-//! can fan out. `main` additionally runs an explicit byte-identity
-//! tripwire: the parallel pipeline must reproduce the sequential run
-//! exactly, state for state and stat for stat.
+//! can fan out. The narrow workload is `cfg-unison` on ring₆₄ from a
+//! half-n clock tear under the central daemon (E10's capped baseline
+//! cell): one mover and a three-node refresh set per step, so the
+//! per-step bookkeeping and the guard kernel set the cost. `main`
+//! reports its ns per step and ns per guard evaluation, then runs an
+//! explicit byte-identity tripwire: the parallel pipeline must
+//! reproduce the sequential run exactly, state for state and stat for
+//! stat.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use ssr_baselines::CfgUnison;
 use ssr_core::toys::Agreement;
 use ssr_core::Sdr;
 use ssr_graph::{generators, Graph};
-use ssr_runtime::{Daemon, Simulator, StepOutcome};
+use ssr_runtime::{Algorithm, ConfigView, Daemon, Simulator, StepOutcome};
+use ssr_unison::workloads::unison_tear_plain;
 
 const N: usize = 20_000;
 const STEPS: u64 = 10;
+
+/// Ring size and step budget of the narrow case (~0.05 s per run).
+const NARROW_N: usize = 64;
+const NARROW_STEPS: u64 = 200_000;
 
 fn sim_for(g: &Graph, threads: usize) -> Simulator<'_, Sdr<Agreement>> {
     let algo = Sdr::new(Agreement::new(8));
@@ -44,6 +58,41 @@ fn run_steps(g: &Graph, threads: usize, conflict_stats: bool) -> (u64, Vec<u64>)
     (sim.stats().moves, classes)
 }
 
+/// The narrow case's simulator: cfg-unison on ring₆₄ from the half-n
+/// tear, central daemon. It stays torn for the whole budget.
+fn narrow_sim(g: &Graph) -> Simulator<'_, CfgUnison> {
+    let algo = CfgUnison::for_graph(g);
+    let init = unison_tear_plain(g, algo.period(), NARROW_N as u64 / 2);
+    Simulator::new(g, algo, init, Daemon::Central, 7)
+}
+
+/// Runs the narrow case's budget; returns the simulator and the
+/// number of guard evaluations (refreshed nodes) it made.
+fn narrow_run(g: &Graph) -> (Simulator<'_, CfgUnison>, u64) {
+    let mut sim = narrow_sim(g);
+    let mut evals = 0u64;
+    for _ in 0..NARROW_STEPS {
+        if let StepOutcome::Terminal = sim.step() {
+            break;
+        }
+        evals += sim.last_refreshed().len() as u64;
+    }
+    (sim, evals)
+}
+
+/// The guard kernel alone: every node's mask on `states`, `rounds`
+/// times over. Returns a fold of the masks so nothing is optimized out.
+fn guard_kernel(g: &Graph, algo: &CfgUnison, states: &[u64], rounds: usize) -> u32 {
+    let view = ConfigView::new(g, states);
+    let mut acc = 0u32;
+    for _ in 0..rounds {
+        for u in g.nodes() {
+            acc = acc.wrapping_add(algo.enabled_mask(u, &view).0);
+        }
+    }
+    acc
+}
+
 fn bench_step_pipeline(c: &mut Criterion) {
     let g = generators::ring(N);
     let mut group = c.benchmark_group("step_pipeline");
@@ -58,7 +107,50 @@ fn bench_step_pipeline(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("conflict-stats"), |b| {
         b.iter(|| run_steps(&g, 1, true))
     });
+    let ring = generators::ring(NARROW_N);
+    group.bench_function(
+        BenchmarkId::from_parameter("narrow-cfg-unison-ring64"),
+        |b| b.iter(|| narrow_run(&ring).1),
+    );
     group.finish();
+}
+
+/// Median wall time of 15 runs of `f`, in nanoseconds.
+fn median_ns(f: &dyn Fn() -> u64) -> f64 {
+    let mut samples: Vec<u128> = (0..15)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_nanos()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64
+}
+
+/// The narrow case's per-step and per-guard-evaluation costs: the
+/// step loop over its whole budget, and the guard kernel over every
+/// node of the configuration the loop ends in.
+fn narrow_report() {
+    let g = generators::ring(NARROW_N);
+    let (sim, evals) = narrow_run(&g);
+    assert_eq!(
+        sim.stats().moves,
+        NARROW_STEPS,
+        "the tear must stay live for the budget"
+    );
+    let step_ns = median_ns(&|| narrow_run(&g).1) / NARROW_STEPS as f64;
+
+    let states = sim.states();
+    let algo = sim.algorithm();
+    let rounds = 4_096;
+    let kernel_ns = median_ns(&|| u64::from(guard_kernel(&g, algo, states, rounds)))
+        / (rounds * NARROW_N) as f64;
+    println!(
+        "step_pipeline/narrow: cfg-unison ring{NARROW_N} tear, central, {NARROW_STEPS} steps: \
+         {step_ns:.1} ns/step, {:.2} guard evals/step, {kernel_ns:.2} ns/guard eval",
+        evals as f64 / NARROW_STEPS as f64
+    );
 }
 
 /// The determinism tripwire: at every thread count the pipeline must
@@ -91,5 +183,6 @@ criterion_group!(benches, bench_step_pipeline);
 
 fn main() {
     benches();
+    narrow_report();
     byte_identity_check();
 }

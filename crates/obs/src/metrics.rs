@@ -191,45 +191,50 @@ impl MetricsSet {
     }
 
     /// Adds `v` to counter `key` (created at zero).
+    ///
+    /// Like [`MetricsSet::gauge_set`] and [`MetricsSet::observe`], this
+    /// allocates only when `key` is new: a per-step caller pays one map
+    /// lookup, not a `String` per event.
     pub fn inc(&mut self, key: &str, v: u64) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert(Metric::Counter(0))
-        {
-            Metric::Counter(c) => *c += v,
-            m => panic!("metric {key:?} is a {}, not a counter", m.kind()),
+        match self.metrics.get_mut(key) {
+            Some(Metric::Counter(c)) => *c += v,
+            Some(m) => panic!("metric {key:?} is a {}, not a counter", m.kind()),
+            None => {
+                self.metrics.insert(key.to_string(), Metric::Counter(v));
+            }
         }
     }
 
     /// Samples gauge `key` at level `v`.
     pub fn gauge_set(&mut self, key: &str, v: u64) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert(Metric::Gauge {
-                min: v,
-                max: v,
-                last: v,
-            }) {
-            Metric::Gauge { min, max, last } => {
+        match self.metrics.get_mut(key) {
+            Some(Metric::Gauge { min, max, last }) => {
                 *min = (*min).min(v);
                 *max = (*max).max(v);
                 *last = v;
             }
-            m => panic!("metric {key:?} is a {}, not a gauge", m.kind()),
+            Some(m) => panic!("metric {key:?} is a {}, not a gauge", m.kind()),
+            None => {
+                let gauge = Metric::Gauge {
+                    min: v,
+                    max: v,
+                    last: v,
+                };
+                self.metrics.insert(key.to_string(), gauge);
+            }
         }
     }
 
     /// Records `v` into histogram `key` (created empty).
     pub fn observe(&mut self, key: &str, v: u64) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.observe(v),
-            m => panic!("metric {key:?} is a {}, not a histogram", m.kind()),
+        match self.metrics.get_mut(key) {
+            Some(Metric::Histogram(h)) => h.observe(v),
+            Some(m) => panic!("metric {key:?} is a {}, not a histogram", m.kind()),
+            None => {
+                let mut h = Histogram::default();
+                h.observe(v);
+                self.metrics.insert(key.to_string(), Metric::Histogram(h));
+            }
         }
     }
 

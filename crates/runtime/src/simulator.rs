@@ -13,6 +13,7 @@ use crate::exec::Execution;
 use crate::rng::Xoshiro256StarStar;
 use crate::soa::StateColumns;
 use crate::step;
+use crate::step::guards::EnabledSet;
 use crate::step::par::ParHooks;
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
 
@@ -164,19 +165,9 @@ pub struct Simulator<'g, A: Algorithm> {
     rng: Xoshiro256StarStar,
     random_rule_choice: bool,
     states: Vec<A::State>,
-    masks: Vec<RuleMask>,
-    /// Enabled nodes as an indexed set (swap-remove list + position map).
-    enabled_list: Vec<NodeId>,
-    enabled_pos: Vec<u32>,
-    /// Enabled nodes as a bitset (SoA mirror of `enabled_pos != NOT_ENABLED`).
-    enabled_bits: Bitset,
-    /// Steps each process has been continuously enabled (for `Aging`;
-    /// empty unless the daemon needs it).
-    waits: Vec<u32>,
-    track_waits: bool,
-    /// Round front: processes enabled at round start, still pending.
-    front: Bitset,
-    front_count: usize,
+    /// Masks, enabled set, wait counters and round front, kept by the
+    /// guard phase.
+    enabled: EnabledSet,
     /// Whether the last step completed a round.
     round_just_completed: bool,
     rr_cursor: usize,
@@ -207,8 +198,6 @@ pub struct Simulator<'g, A: Algorithm> {
     stamp: u64,
 }
 
-const NOT_ENABLED: u32 = u32::MAX;
-
 impl<'g, A: Algorithm> Simulator<'g, A> {
     /// Creates a simulator over `graph` starting from configuration
     /// `init`, scheduled by `daemon`, seeded by `seed`.
@@ -226,22 +215,19 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         assert!(algo.rule_count() <= 32, "at most 32 rules are supported");
         let n = graph.node_count();
         let rules = algo.rule_count();
-        let track_waits = daemon.needs_wait_tracking();
-        let mut sim = Simulator {
+        let masks = {
+            let view = ConfigView::new(graph, &init);
+            graph.nodes().map(|u| algo.enabled_mask(u, &view)).collect()
+        };
+        let enabled = EnabledSet::new(masks, daemon.needs_wait_tracking());
+        Simulator {
             graph,
             algo,
             daemon,
             rng: Xoshiro256StarStar::seed_from_u64(seed),
             random_rule_choice: false,
             states: init,
-            masks: vec![RuleMask::NONE; n],
-            enabled_list: Vec::with_capacity(n),
-            enabled_pos: vec![NOT_ENABLED; n],
-            enabled_bits: Bitset::new(n),
-            waits: if track_waits { vec![0; n] } else { Vec::new() },
-            track_waits,
-            front: Bitset::new(n),
-            front_count: 0,
+            enabled,
             round_just_completed: false,
             rr_cursor: 0,
             stats: RunStats::new(rules),
@@ -259,10 +245,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             mask_buf: Vec::new(),
             touched_stamp: vec![0; n],
             stamp: 0,
-        };
-        sim.recompute_all();
-        sim.start_round();
-        sim
+        }
     }
 
     /// When set, a process with several enabled rules executes a
@@ -399,12 +382,12 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
 
     /// Whether no rule is enabled anywhere (terminal configuration).
     pub fn is_terminal(&self) -> bool {
-        self.enabled_list.is_empty()
+        self.enabled.list().is_empty()
     }
 
     /// Number of currently enabled processes.
     pub fn enabled_count(&self) -> usize {
-        self.enabled_list.len()
+        self.enabled.list().len()
     }
 
     /// Enabled processes in ascending index order (for tests/reports).
@@ -421,18 +404,18 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// `out` (cleared first), reusing its capacity.
     pub fn enabled_nodes_sorted_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
-        out.extend_from_slice(&self.enabled_list);
+        out.extend_from_slice(self.enabled.list());
         out.sort_unstable();
     }
 
     /// Enabled processes as a bitset (one bit per node).
     pub fn enabled_bits(&self) -> &Bitset {
-        &self.enabled_bits
+        self.enabled.bits()
     }
 
     /// The enabled-rule mask of `u` in the current configuration.
     pub fn enabled_mask_of(&self, u: NodeId) -> RuleMask {
-        self.masks[u.index()]
+        self.enabled.masks()[u.index()]
     }
 
     /// The `(process, rule)` pairs activated by the most recent step.
@@ -481,7 +464,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         for &v in self.graph.neighbors(u) {
             self.refresh_node(v, stamp);
         }
-        self.start_round();
+        self.enabled.start_round();
     }
 
     /// Zeroes all counters and restarts round tracking (useful to
@@ -489,14 +472,14 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     pub fn reset_stats(&mut self) {
         self.stats = RunStats::new(self.algo.rule_count());
         self.round_just_completed = false;
-        self.start_round();
+        self.enabled.start_round();
     }
 
     /// Executes one step of the pipeline: the daemon activates a
     /// non-empty subset of the enabled processes; each executes one
     /// enabled rule, all reading the pre-step configuration.
     pub fn step(&mut self) -> StepOutcome {
-        if self.enabled_list.is_empty() {
+        if self.enabled.list().is_empty() {
             return StepOutcome::Terminal;
         }
         // Tracing: sink taken out for the step (avoids aliasing the
@@ -508,7 +491,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         if let Some(t) = trace.as_deref_mut() {
             t.record(&TraceEvent::StepStarted {
                 step: step_idx,
-                enabled: self.enabled_list.len() as u32,
+                enabled: self.enabled.list().len() as u32,
             });
         }
         // The clock is read only for sinks that opted into (inherently
@@ -523,15 +506,15 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         let draws_at_start = self.rng.draws();
         let mut selected = std::mem::take(&mut self.selected);
         self.daemon.select(
-            &self.enabled_list,
-            &self.masks,
-            &self.waits,
+            self.enabled.list(),
+            self.enabled.masks(),
+            self.enabled.waits(),
             &mut self.rr_cursor,
             &mut self.rng,
             &mut selected,
         );
         step::select::resolve_rules(
-            &self.masks,
+            self.enabled.masks(),
             self.random_rule_choice,
             &mut self.rng,
             &selected,
@@ -574,6 +557,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
 
         // Merge: commit all writes in selection order (composite
         // atomicity — every read above saw the pre-step configuration).
+        // Each mover leaves the round front (§2.4).
         let rules = self.algo.rule_count();
         if self.detailed_stats && self.stats.moves_per_process.is_empty() {
             let n = self.graph.node_count();
@@ -582,6 +566,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         }
         for (&(u, rule), next_state) in self.last_activated.iter().zip(next.drain(..)) {
             self.states[u.index()] = next_state;
+            self.enabled.front_remove(u);
             self.stats.moves += 1;
             self.stats.moves_per_rule[rule.index()] += 1;
             if self.detailed_stats {
@@ -613,7 +598,9 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         let draws_after_apply = self.rng.draws();
 
         // Phase 3 (guards): re-evaluate movers and their neighbors —
-        // the only nodes whose guards can have changed (§2.2 locality).
+        // the only nodes whose guards can have changed (§2.2 locality)
+        // — and record each fresh mask (enabled set, waits, round
+        // front) as it is computed.
         self.stamp += 1;
         let stamp = self.stamp;
         let mut refresh = std::mem::take(&mut self.refresh_buf);
@@ -624,61 +611,28 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             stamp,
             &mut refresh,
         );
-        let mut new_masks = std::mem::take(&mut self.mask_buf);
         let par = self.par_if(refresh.len());
         let guards_par = par.is_some();
-        step::guards::compute_masks(
+        step::guards::refresh(
             self.graph,
             &self.algo,
             &self.states,
             &refresh,
-            &mut new_masks,
+            &mut self.enabled,
+            &mut self.mask_buf,
             par,
         );
-        // Sequential, list-ordered transition pass keeps the enabled
-        // set's internal order deterministic.
-        for (i, &u) in refresh.iter().enumerate() {
-            self.apply_mask(u, new_masks[i]);
-        }
 
-        // Wait tracking (only when the daemon needs it).
-        if self.track_waits {
-            for &u in &self.enabled_list {
-                self.waits[u.index()] = self.waits[u.index()].saturating_add(1);
-            }
-            for &(u, _) in &self.last_activated {
-                self.waits[u.index()] = 0;
-            }
-        }
+        self.enabled.count_waits(&self.last_activated);
 
-        // Round accounting: remove activated and neutralized processes
-        // from the front. (Front processes are enabled at round start;
-        // if one became disabled it did so in this step — earlier
-        // disabling would already have removed it.)
-        for i in 0..self.last_activated.len() {
-            let u = self.last_activated[i].0;
-            self.front_remove(u);
-        }
-        // Neutralized: in front but no longer enabled. Membership
-        // requires enabledness, so scanning the refreshed nodes covers
-        // every candidate.
-        if self.front_count > 0 {
-            for &u in &refresh {
-                if self.front.contains(u.index()) && self.masks[u.index()].is_empty() {
-                    self.front_count -= 1;
-                    self.front.remove(u.index());
-                }
-            }
-        }
         self.round_just_completed = false;
-        if self.front_count == 0 {
+        if self.enabled.round_done() {
             self.stats.completed_rounds += 1;
             self.round_just_completed = true;
-            self.start_round();
+            self.enabled.start_round();
         }
 
         self.refresh_buf = refresh;
-        self.mask_buf = new_masks;
         let draws_at_end = self.rng.draws();
         self.last_phase_draws = [
             draws_after_select - draws_at_start,
@@ -700,7 +654,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             }
             t.record(&TraceEvent::EnabledSetSize {
                 step: step_idx,
-                enabled: self.enabled_list.len() as u32,
+                enabled: self.enabled.list().len() as u32,
             });
             if self.round_just_completed {
                 t.record(&TraceEvent::RoundCompleted {
@@ -755,83 +709,14 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         }
     }
 
-    fn recompute_all(&mut self) {
-        let view = ConfigView::new(self.graph, &self.states);
-        for u in self.graph.nodes() {
-            let mask = self.algo.enabled_mask(u, &view);
-            self.masks[u.index()] = mask;
-        }
-        self.enabled_list.clear();
-        self.enabled_pos.fill(NOT_ENABLED);
-        self.enabled_bits.clear();
-        for u in self.graph.nodes() {
-            if !self.masks[u.index()].is_empty() {
-                self.enabled_pos[u.index()] = self.enabled_list.len() as u32;
-                self.enabled_list.push(u);
-                self.enabled_bits.insert(u.index());
-            }
-        }
-    }
-
     /// Re-evaluates `u`'s guards if not already refreshed at `stamp`.
     fn refresh_node(&mut self, u: NodeId, stamp: u64) {
         if self.touched_stamp[u.index()] == stamp {
             return;
         }
         self.touched_stamp[u.index()] = stamp;
-        let mask = {
-            let view = ConfigView::new(self.graph, &self.states);
-            self.algo.enabled_mask(u, &view)
-        };
-        self.apply_mask(u, mask);
-    }
-
-    /// Installs a freshly computed mask, maintaining the enabled-set
-    /// index (list + positions + bitset) and wait counters.
-    fn apply_mask(&mut self, u: NodeId, mask: RuleMask) {
-        let was = !self.masks[u.index()].is_empty();
-        let now = !mask.is_empty();
-        self.masks[u.index()] = mask;
-        match (was, now) {
-            (false, true) => {
-                self.enabled_pos[u.index()] = self.enabled_list.len() as u32;
-                self.enabled_list.push(u);
-                self.enabled_bits.insert(u.index());
-                if self.track_waits {
-                    self.waits[u.index()] = 0;
-                }
-            }
-            (true, false) => {
-                let pos = self.enabled_pos[u.index()] as usize;
-                let lastn = *self.enabled_list.last().expect("list non-empty");
-                self.enabled_list.swap_remove(pos);
-                if pos < self.enabled_list.len() {
-                    self.enabled_pos[lastn.index()] = pos as u32;
-                }
-                self.enabled_pos[u.index()] = NOT_ENABLED;
-                self.enabled_bits.remove(u.index());
-                if self.track_waits {
-                    self.waits[u.index()] = 0;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Begins a new round: the front is the set of enabled processes.
-    fn start_round(&mut self) {
-        self.front.clear();
-        self.front_count = self.enabled_list.len();
-        for &u in &self.enabled_list {
-            self.front.insert(u.index());
-        }
-    }
-
-    fn front_remove(&mut self, u: NodeId) {
-        if self.front.contains(u.index()) {
-            self.front.remove(u.index());
-            self.front_count -= 1;
-        }
+        let view = ConfigView::new(self.graph, &self.states);
+        self.enabled.update(u, self.algo.enabled_mask(u, &view));
     }
 }
 

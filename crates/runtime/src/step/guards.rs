@@ -3,17 +3,171 @@
 //! Guards read the closed neighborhood only (§2.2), so after a step
 //! exactly the movers and their neighbors can change enabledness. The
 //! refresh set is collected in the canonical order (each mover, then
-//! its neighbors in adjacency order, first touch wins) and the masks
-//! are evaluated as a kernel over that list — masks depend only on the
-//! already-committed states, never on other masks, so the evaluation
-//! is order-free and parallelizes; the simulator then applies the
-//! resulting transitions sequentially in list order, which keeps the
+//! its neighbors in adjacency order, first touch wins), and each of
+//! its nodes is evaluated and recorded once: [`EnabledSet::update`]
+//! installs a fresh mask into every structure that depends on it. The
+//! sequential pass calls it right after each `enabled_mask`; the
+//! parallel pass evaluates the whole list on the installed kernel
+//! (masks depend only on the already-committed states, never on other
+//! masks, so evaluation is order-free) and then calls it in list
+//! order. Both record the nodes in the same order, which keeps the
 //! enabled-set index byte-identical to the pre-pipeline engine.
 
-use ssr_graph::{Graph, NodeId};
+use ssr_graph::{Bitset, Graph, NodeId};
 
 use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
 use crate::step::par::ParHooks;
+
+const NOT_ENABLED: u32 = u32::MAX;
+
+/// Per-node guard bookkeeping: the mask cache, the enabled set, the
+/// wait counters and the round front, kept consistent with each other
+/// by [`EnabledSet::update`].
+pub(crate) struct EnabledSet {
+    /// `masks[u]` = the enabled rules of `u` in the current configuration.
+    masks: Vec<RuleMask>,
+    /// Enabled nodes as an indexed set (swap-remove list + position map).
+    list: Vec<NodeId>,
+    pos: Vec<u32>,
+    /// Enabled nodes as a bitset (mirror of `pos != NOT_ENABLED`).
+    bits: Bitset,
+    /// Steps each process has been continuously enabled (for `Aging`;
+    /// empty unless `track_waits`).
+    waits: Vec<u32>,
+    track_waits: bool,
+    /// Round front: processes enabled at round start, still pending.
+    /// Always a subset of the enabled set.
+    front: Bitset,
+    front_count: usize,
+}
+
+impl EnabledSet {
+    /// The set for a configuration whose masks are `masks` (`masks[u]`
+    /// for node `u`): enabled nodes listed in index order, wait counters
+    /// at zero, and a round starting.
+    pub fn new(masks: Vec<RuleMask>, track_waits: bool) -> Self {
+        let n = masks.len();
+        let mut set = EnabledSet {
+            masks,
+            list: Vec::with_capacity(n),
+            pos: vec![NOT_ENABLED; n],
+            bits: Bitset::new(n),
+            waits: if track_waits { vec![0; n] } else { Vec::new() },
+            track_waits,
+            front: Bitset::new(n),
+            front_count: 0,
+        };
+        for (i, mask) in set.masks.iter().enumerate() {
+            if !mask.is_empty() {
+                set.pos[i] = set.list.len() as u32;
+                set.list.push(NodeId(i as u32));
+                set.bits.insert(i);
+            }
+        }
+        set.start_round();
+        set
+    }
+
+    #[inline]
+    pub fn masks(&self) -> &[RuleMask] {
+        &self.masks
+    }
+
+    /// The enabled nodes, in the set's swap-remove order.
+    #[inline]
+    pub fn list(&self) -> &[NodeId] {
+        &self.list
+    }
+
+    #[inline]
+    pub fn bits(&self) -> &Bitset {
+        &self.bits
+    }
+
+    #[inline]
+    pub fn waits(&self) -> &[u32] {
+        &self.waits
+    }
+
+    /// Installs `u`'s freshly evaluated mask: the mask cache, the
+    /// enabled list, positions and bits, the wait counter on an
+    /// enabledness change, and the round front, which a node leaves
+    /// when it is neutralized (disabled without moving).
+    #[inline]
+    pub fn update(&mut self, u: NodeId, mask: RuleMask) {
+        let i = u.index();
+        let was = !self.masks[i].is_empty();
+        let now = !mask.is_empty();
+        self.masks[i] = mask;
+        match (was, now) {
+            (false, true) => {
+                self.pos[i] = self.list.len() as u32;
+                self.list.push(u);
+                self.bits.insert(i);
+                if self.track_waits {
+                    self.waits[i] = 0;
+                }
+            }
+            (true, false) => {
+                let pos = self.pos[i] as usize;
+                let last = *self.list.last().expect("list non-empty");
+                self.list.swap_remove(pos);
+                if pos < self.list.len() {
+                    self.pos[last.index()] = pos as u32;
+                }
+                self.pos[i] = NOT_ENABLED;
+                self.bits.remove(i);
+                if self.track_waits {
+                    self.waits[i] = 0;
+                }
+                // Front members are enabled, so only a node that is
+                // disabled right now can be neutralized.
+                self.front_remove(u);
+            }
+            _ => {}
+        }
+    }
+
+    /// Takes `u` out of the round front (a no-op when it is not in it).
+    #[inline]
+    pub fn front_remove(&mut self, u: NodeId) {
+        if self.front.contains(u.index()) {
+            self.front.remove(u.index());
+            self.front_count -= 1;
+        }
+    }
+
+    /// Counts one more step of waiting for every enabled process once a
+    /// step's masks are all recorded; the step's movers start over.
+    #[inline]
+    pub fn count_waits(&mut self, moves: &[(NodeId, RuleId)]) {
+        if !self.track_waits {
+            return;
+        }
+        for &u in &self.list {
+            self.waits[u.index()] = self.waits[u.index()].saturating_add(1);
+        }
+        for &(u, _) in moves {
+            self.waits[u.index()] = 0;
+        }
+    }
+
+    /// Whether every process of the round front has moved or been
+    /// neutralized.
+    #[inline]
+    pub fn round_done(&self) -> bool {
+        self.front_count == 0
+    }
+
+    /// Begins a new round: the front is the set of enabled processes.
+    pub fn start_round(&mut self) {
+        self.front.clear();
+        self.front_count = self.list.len();
+        for &u in &self.list {
+            self.front.insert(u.index());
+        }
+    }
+}
 
 /// Collects the deduplicated refresh set of a step into `out`
 /// (cleared first): each mover, then its neighbors in adjacency
@@ -35,31 +189,34 @@ pub(crate) fn collect_refresh_targets(
     };
     for &(u, _) in moves {
         touch(u, out);
-        let deg = graph.degree(u);
-        for k in 0..deg {
-            touch(graph.neighbor_at(u, k), out);
+        for &v in graph.neighbors(u) {
+            touch(v, out);
         }
     }
 }
 
-/// Evaluates the enabled mask of every node of `nodes` into `out`
-/// (cleared first; `out[i]` is the mask of `nodes[i]`). Runs on the
-/// installed kernel when `par` is set, else sequentially.
-pub(crate) fn compute_masks<A: Algorithm>(
+/// Re-evaluates the guards of every node of `nodes` and records each
+/// mask in `set`, in list order. With `par` set, the masks are first
+/// computed on the installed kernel into `mask_buf`; otherwise each
+/// node is evaluated and recorded in turn.
+pub(crate) fn refresh<A: Algorithm>(
     graph: &Graph,
     algo: &A,
     states: &[A::State],
     nodes: &[NodeId],
-    out: &mut Vec<RuleMask>,
+    set: &mut EnabledSet,
+    mask_buf: &mut Vec<RuleMask>,
     par: Option<ParHooks<A>>,
 ) {
     if let Some(hooks) = par {
-        (hooks.masks)(hooks.threads, graph, algo, states, nodes, out);
-        return;
-    }
-    out.clear();
-    let view = ConfigView::new(graph, states);
-    for &u in nodes {
-        out.push(algo.enabled_mask(u, &view));
+        (hooks.masks)(hooks.threads, graph, algo, states, nodes, mask_buf);
+        for (&u, &mask) in nodes.iter().zip(mask_buf.iter()) {
+            set.update(u, mask);
+        }
+    } else {
+        let view = ConfigView::new(graph, states);
+        for &u in nodes {
+            set.update(u, algo.enabled_mask(u, &view));
+        }
     }
 }

@@ -15,8 +15,9 @@
 //! 3. **guards** ([`guards`]) — only the movers and their neighbors
 //!    can change enabledness (§2.2 guard locality), so guard
 //!    re-evaluation is a kernel over that refresh set on the CSR
-//!    adjacency, followed by a sequential, order-preserving update of
-//!    the enabled-set index.
+//!    adjacency. Each fresh mask is recorded once, in refresh-list
+//!    order, by one update routine that keeps the mask cache, the
+//!    enabled set, the wait counters and the round front together.
 //!
 //! The parallel variants of the apply and guard kernels live in
 //! [`par`]; they run on a scoped thread pool and are **byte-identical**

@@ -11,7 +11,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request head (request line + headers).
-const MAX_HEAD: usize = 16 * 1024;
+pub const MAX_HEAD: usize = 16 * 1024;
 /// Upper bound on a request body (campaign specs are small).
 pub const MAX_BODY: usize = 1024 * 1024;
 
@@ -35,7 +35,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
     let mut head = String::new();
     // Request line.
-    read_line_limited(&mut reader, &mut head)?;
+    read_line_limited(&mut reader, &mut head, MAX_HEAD)?;
     let mut parts = head.split_whitespace();
     let method = parts
         .next()
@@ -54,11 +54,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut total = head.len();
     loop {
         let mut line = String::new();
-        read_line_limited(&mut reader, &mut line)?;
+        read_line_limited(&mut reader, &mut line, MAX_HEAD - total)?;
         total += line.len();
-        if total > MAX_HEAD {
-            return Err("request head too large".to_string());
-        }
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -82,18 +79,23 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     Ok(Request { method, path, body })
 }
 
+/// Reads one line into `out`, taking at most `budget + 1` bytes from
+/// the socket: a line that does not end within the head's remaining
+/// `budget` is rejected as soon as the budget is spent, not when the
+/// client finally sends `\n` or hangs up.
 fn read_line_limited(
     reader: &mut BufReader<&mut TcpStream>,
     out: &mut String,
+    budget: usize,
 ) -> Result<(), String> {
-    let n = reader
+    let n = Read::take(&mut *reader, budget as u64 + 1)
         .read_line(out)
         .map_err(|e| format!("cannot read request: {e}"))?;
     if n == 0 {
         return Err("connection closed mid-request".to_string());
     }
-    if out.len() > MAX_HEAD {
-        return Err("request line too large".to_string());
+    if n > budget {
+        return Err("request head too large".to_string());
     }
     Ok(())
 }

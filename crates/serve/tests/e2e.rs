@@ -4,8 +4,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ssr_serve::http::MAX_HEAD;
 use ssr_serve::{Server, ServerConfig};
 
 const SPEC: &str = r#"{"schema":"ssr-campaign-spec/v1","id":"e2e",
@@ -227,6 +228,46 @@ fn records_are_served_as_soon_as_the_stream_ends() {
         assert_eq!(status, 200);
         assert!(body_of(&raw).contains("\"phase\":\"done\""), "{job}: {raw}");
     }
+
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    running.join().unwrap().unwrap();
+}
+
+#[test]
+fn an_unterminated_oversized_head_is_rejected_without_waiting() {
+    // More than MAX_HEAD bytes of request line and no newline, with the
+    // socket left open: the server must answer 400 once the limit is
+    // read, not hold the bytes until the read timeout (10 s) fires. The
+    // overshoot is small, so the server's buffered reads take in every
+    // byte sent and its close is a clean FIN, not a reset.
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        checkpoint: None,
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let running = std::thread::spawn(move || server.run());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let started = Instant::now();
+    let line = format!("GET /{} HTTP/1.1", "a".repeat(MAX_HEAD + 64));
+    stream.write_all(line.as_bytes()).unwrap();
+    stream.flush().unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    let elapsed = started.elapsed();
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the 400 took {elapsed:?}: the head read is not bounded"
+    );
+    drop(stream);
 
     let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);

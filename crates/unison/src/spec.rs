@@ -9,6 +9,7 @@
 //!   ([`theorem6_move_bound`]) and Theorem 7's round bound
 //!   ([`theorem7_round_bound`]).
 
+use ssr_core::ResetInput;
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::{Observer, Simulator, StateView, StepOutcome};
 
@@ -54,12 +55,7 @@ pub fn safety_holds(graph: &Graph, clocks: &[u64], period: u64) -> bool {
 /// assert!(safety_holds_at(NodeId(2), &view, 7));
 /// ```
 pub fn safety_holds_at<V: StateView<u64>>(u: NodeId, view: &V, period: u64) -> bool {
-    let unison = Unison::new(period);
-    let cu = *view.state(u);
-    view.graph()
-        .neighbors(u)
-        .iter()
-        .all(|&v| unison.p_ok(cu, *view.state(v)))
+    Unison::new(period).p_icorrect(u, view)
 }
 
 /// Number of edges violating safety (for diagnostics).

@@ -77,6 +77,7 @@ impl Unison {
     /// # Panics
     ///
     /// Panics if `k < 2` (a periodic clock needs at least two values).
+    #[inline]
     pub fn new(k: u64) -> Self {
         assert!(k >= 2, "period must be at least 2");
         Unison { k }
@@ -108,16 +109,37 @@ impl Unison {
         }
     }
 
-    /// `(c + 1) % K`.
+    /// `c` itself for a clock in `0..K`; `c % K` otherwise. Clocks stay
+    /// in range in every run, so the division is off the hot path.
     #[inline]
-    pub fn succ(&self, c: u64) -> u64 {
-        (c + 1) % self.k
+    fn reduce(&self, c: u64) -> u64 {
+        if c < self.k {
+            c
+        } else {
+            c % self.k
+        }
     }
 
-    /// `(c − 1) % K`.
+    /// `(c + 1) % K`, by compare-and-wrap.
+    #[inline]
+    pub fn succ(&self, c: u64) -> u64 {
+        let c = self.reduce(c);
+        if c + 1 == self.k {
+            0
+        } else {
+            c + 1
+        }
+    }
+
+    /// `(c − 1) % K`, i.e. `(c + K − 1) % K`, by compare-and-wrap.
     #[inline]
     pub fn pred(&self, c: u64) -> u64 {
-        (c + self.k - 1) % self.k
+        let c = self.reduce(c);
+        if c == 0 {
+            self.k - 1
+        } else {
+            c - 1
+        }
     }
 
     /// `P_Ok(u, v) ≡ c_v ∈ {(c_u−1)%K, c_u, (c_u+1)%K}`.
@@ -130,10 +152,11 @@ impl Unison {
     /// or one increment late w.r.t. every neighbor.
     pub fn p_up<V: StateView<u64>>(&self, u: NodeId, view: &V) -> bool {
         let cu = *view.state(u);
+        let next = self.succ(cu);
         view.graph()
             .neighbors(u)
             .iter()
-            .all(|&v| *view.state(v) == cu || *view.state(v) == self.succ(cu))
+            .all(|&v| *view.state(v) == cu || *view.state(v) == next)
     }
 }
 
@@ -158,10 +181,11 @@ impl ResetInput for Unison {
 
     fn p_icorrect<V: StateView<u64>>(&self, u: NodeId, view: &V) -> bool {
         let cu = *view.state(u);
-        view.graph()
-            .neighbors(u)
-            .iter()
-            .all(|&v| self.p_ok(cu, *view.state(v)))
+        let (next, prev) = (self.succ(cu), self.pred(cu));
+        view.graph().neighbors(u).iter().all(|&v| {
+            let cv = *view.state(v);
+            cv == cu || cv == next || cv == prev
+        })
     }
 
     fn p_reset(&self, _: NodeId, state: &u64) -> bool {
