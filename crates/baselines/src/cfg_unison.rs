@@ -75,25 +75,26 @@ impl Algorithm for CfgUnison {
     }
 
     /// `inc` when `P_ICorrect(u) ∧ P_Up(u)`, `reset` when
-    /// `¬P_ICorrect(u) ∧ c_u ≠ 0`, decided in one scan of N(u): every
+    /// `¬P_ICorrect(u) ∧ c_u ≠ 0`, decided in one scan of N(u): a
     /// neighbour at `c_u` or `c_u + 1` keeps both predicates, one at
     /// `c_u − 1` breaks `P_Up` only, and any other value breaks
-    /// `P_ICorrect`, which settles the mask.
+    /// `P_ICorrect`. The scan folds each neighbour in with `&`/`|`
+    /// rather than an early exit: in a run, each evaluation lands on a
+    /// random mover's neighbourhood, where the exit branches mispredict.
+    #[inline]
     fn enabled_mask<V: StateView<u64>>(&self, u: NodeId, view: &V) -> RuleMask {
         let cu = *view.state(u);
         let (next, prev) = (self.unison.succ(cu), self.unison.pred(cu));
-        let mut up = true;
+        let (mut up, mut correct) = (true, true);
         for &v in view.graph().neighbors(u) {
             let cv = *view.state(v);
-            if cv == cu || cv == next {
-                continue;
-            }
-            if cv != prev {
-                return RuleMask::NONE.with_if(RULE_CFG_RESET, cu != 0);
-            }
-            up = false;
+            let keeps_up = (cv == cu) | (cv == next);
+            up &= keeps_up;
+            correct &= keeps_up | (cv == prev);
         }
-        RuleMask::NONE.with_if(RULE_CFG_INC, up)
+        RuleMask::NONE
+            .with_if(RULE_CFG_INC, correct & up)
+            .with_if(RULE_CFG_RESET, !correct & (cu != 0))
     }
 
     fn apply<V: StateView<u64>>(&self, u: NodeId, view: &V, rule: RuleId) -> u64 {

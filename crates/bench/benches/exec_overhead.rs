@@ -129,17 +129,22 @@ fn bench_exec_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median wall time of 15 runs of `f`, in nanoseconds.
-fn median_ns(f: &dyn Fn() -> u64) -> u128 {
-    let mut samples: Vec<u128> = (0..15)
-        .map(|_| {
+/// Median wall times of 15 runs of each of `fs`, in nanoseconds. The
+/// samples alternate (one run of each function per round), so a change
+/// in host speed lands on every path alike.
+fn medians_ns<const K: usize>(fs: [&dyn Fn() -> u64; K]) -> [u128; K] {
+    let mut samples = [(); K].map(|_| Vec::with_capacity(15));
+    for _ in 0..15 {
+        for (f, s) in fs.iter().zip(samples.iter_mut()) {
             let t = Instant::now();
             std::hint::black_box(f());
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+            s.push(t.elapsed().as_nanos());
+        }
+    }
+    samples.map(|mut s| {
+        s.sort_unstable();
+        s[s.len() / 2]
+    })
 }
 
 /// Times an `Execution` path against its raw loop (both warmed once,
@@ -147,8 +152,7 @@ fn median_ns(f: &dyn Fn() -> u64) -> u128 {
 /// over medians.
 fn check_ratio(name: &str, raw: &dyn Fn() -> u64, exec: &dyn Fn() -> u64) {
     assert_eq!(raw(), exec(), "{name}: both paths must do the same work");
-    let raw_ns = median_ns(raw);
-    let exec_ns = median_ns(exec);
+    let [raw_ns, exec_ns] = medians_ns([raw, exec]);
     let ratio = exec_ns as f64 / raw_ns as f64;
     println!("exec_overhead/{name}: raw {raw_ns}ns, execution {exec_ns}ns, ratio {ratio:.3}");
     assert!(

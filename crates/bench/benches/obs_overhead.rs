@@ -82,29 +82,26 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
 /// Times all three paths directly and asserts the instrumented loops
 /// are not measurably slower than the bare one (generous 1.5× tripwire
-/// over medians; all three should be within noise of each other).
+/// over medians; all three should be within noise of each other). The
+/// 15 samples of each path alternate (bare, no-op, metrics, bare, …),
+/// so a change in host speed lands on every path alike.
 fn overhead_check() {
     let (g, fga) = workload();
     assert_eq!(bare(&g, &fga), noop_sink(&g, &fga));
     assert_eq!(bare(&g, &fga), metrics_sink(&g, &fga));
-    let medianize = |f: &dyn Fn() -> u64| {
-        let mut samples: Vec<u128> = (0..15)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_nanos()
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2]
-    };
-    // Warm all paths once, then interleave-measure.
-    bare(&g, &fga);
-    noop_sink(&g, &fga);
-    metrics_sink(&g, &fga);
-    let base = medianize(&|| bare(&g, &fga));
-    let noop = medianize(&|| noop_sink(&g, &fga));
-    let metrics = medianize(&|| metrics_sink(&g, &fga));
+    let paths: [fn(&Graph, &ssr_alliance::Fga) -> u64; 3] = [bare, noop_sink, metrics_sink];
+    let mut samples = [(); 3].map(|_| Vec::with_capacity(15));
+    for _ in 0..15 {
+        for (f, s) in paths.iter().zip(samples.iter_mut()) {
+            let t = Instant::now();
+            std::hint::black_box(f(&g, &fga));
+            s.push(t.elapsed().as_nanos());
+        }
+    }
+    let [base, noop, metrics] = samples.map(|mut s| {
+        s.sort_unstable();
+        s[s.len() / 2]
+    });
     let noop_ratio = noop as f64 / base as f64;
     let metrics_ratio = metrics as f64 / base as f64;
     println!(

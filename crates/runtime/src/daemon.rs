@@ -11,7 +11,7 @@
 
 use ssr_graph::NodeId;
 
-use crate::algorithm::RuleMask;
+use crate::algorithm::{RuleId, RuleMask};
 use crate::rng::Xoshiro256StarStar;
 
 /// Scheduler choosing, at every step, which enabled processes move.
@@ -81,11 +81,16 @@ impl Daemon {
         matches!(self, Daemon::Aging { .. })
     }
 
-    /// Selects a non-empty subset of `enabled` into `out`.
+    /// Selects a non-empty subset of `enabled` into `out` (cleared
+    /// first) as moves: each picked process paired with its
+    /// lowest-index enabled rule, in selection order. The step's rule
+    /// pass may redraw that rule afterwards
+    /// ([`crate::step::select::draw_rules`]).
     ///
     /// `masks` is indexed by node, `waits` (same indexing) counts steps
     /// of continuous enabledness, `cursor` is scratch state for
-    /// [`Daemon::RoundRobin`].
+    /// [`Daemon::RoundRobin`] and [`Daemon::Script`].
+    #[inline]
     pub(crate) fn select(
         &self,
         enabled: &[NodeId],
@@ -93,16 +98,22 @@ impl Daemon {
         waits: &[u32],
         cursor: &mut usize,
         rng: &mut Xoshiro256StarStar,
-        out: &mut Vec<NodeId>,
+        out: &mut Vec<(NodeId, RuleId)>,
     ) {
         debug_assert!(
             !enabled.is_empty(),
             "daemon invoked with no enabled process"
         );
+        let mv = |u: NodeId| {
+            let rule = masks[u.index()]
+                .first()
+                .expect("daemon selected a disabled process");
+            (u, rule)
+        };
         out.clear();
         match self {
-            Daemon::Synchronous => out.extend_from_slice(enabled),
-            Daemon::Central => out.push(*rng.choose(enabled)),
+            Daemon::Synchronous => out.extend(enabled.iter().map(|&u| mv(u))),
+            Daemon::Central => out.push(mv(*rng.choose(enabled))),
             Daemon::RoundRobin => {
                 // Smallest enabled index at or after the cursor (wrapping).
                 let n = masks.len();
@@ -112,27 +123,27 @@ impl Daemon {
                     .find(|&i| !masks[i].is_empty())
                     .expect("some process is enabled");
                 *cursor = next + 1;
-                out.push(NodeId(next as u32));
+                out.push(mv(NodeId(next as u32)));
             }
             Daemon::RandomSubset { p } => {
                 for &u in enabled {
                     if rng.chance(*p) {
-                        out.push(u);
+                        out.push(mv(u));
                     }
                 }
                 if out.is_empty() {
-                    out.push(*rng.choose(enabled));
+                    out.push(mv(*rng.choose(enabled)));
                 }
             }
             Daemon::Aging { patience } => {
                 for &u in enabled {
                     if waits[u.index()] >= *patience {
-                        out.push(u);
+                        out.push(mv(u));
                     }
                 }
                 let extra = *rng.choose(enabled);
-                if !out.contains(&extra) {
-                    out.push(extra);
+                if !out.iter().any(|&(u, _)| u == extra) {
+                    out.push(mv(extra));
                 }
             }
             Daemon::PreferHighRules => {
@@ -144,7 +155,7 @@ impl Daemon {
                 let pick = pick_random_where(enabled, rng, |u| {
                     masks[u.index()].last().expect("non-empty").0 == best
                 });
-                out.push(pick);
+                out.push(mv(pick));
             }
             Daemon::PreferLowRules => {
                 let best = enabled
@@ -155,10 +166,10 @@ impl Daemon {
                 let pick = pick_random_where(enabled, rng, |u| {
                     masks[u.index()].first().expect("non-empty").0 == best
                 });
-                out.push(pick);
+                out.push(mv(pick));
             }
             Daemon::LexMin => {
-                out.push(*enabled.iter().min().expect("non-empty"));
+                out.push(mv(*enabled.iter().min().expect("non-empty")));
             }
             Daemon::Script { steps } => {
                 let i = *cursor;
@@ -170,7 +181,7 @@ impl Daemon {
                     )
                 });
                 *cursor = i + 1;
-                out.extend_from_slice(step);
+                out.extend(step.iter().map(|&u| mv(u)));
             }
         }
         debug_assert!(!out.is_empty(), "daemon must activate at least one process");
@@ -260,7 +271,6 @@ fn pick_random_where(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::RuleId;
 
     fn setup(masks: &[RuleMask]) -> (Vec<NodeId>, Vec<u32>) {
         let enabled: Vec<NodeId> = masks
@@ -274,13 +284,26 @@ mod tests {
 
     #[test]
     fn synchronous_takes_everyone() {
-        let masks = vec![RuleMask::from_bool(true); 4];
+        let masks = vec![
+            RuleMask::just(RuleId(2)).with(RuleId(1)),
+            RuleMask::NONE,
+            RuleMask::just(RuleId(0)).with(RuleId(3)),
+            RuleMask::just(RuleId(4)),
+        ];
         let (enabled, waits) = setup(&masks);
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let mut out = Vec::new();
         let mut cursor = 0;
         Daemon::Synchronous.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-        assert_eq!(out.len(), 4);
+        assert_eq!(
+            out,
+            vec![
+                (NodeId(0), RuleId(1)),
+                (NodeId(2), RuleId(0)),
+                (NodeId(3), RuleId(4))
+            ]
+        );
+        assert_eq!(rng.draws(), 0);
     }
 
     #[test]
@@ -306,7 +329,7 @@ mod tests {
         let mut picked = Vec::new();
         for _ in 0..6 {
             Daemon::RoundRobin.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-            picked.push(out[0].index());
+            picked.push(out[0].0.index());
         }
         assert_eq!(picked, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -325,7 +348,7 @@ mod tests {
         let mut picked = Vec::new();
         for _ in 0..4 {
             Daemon::RoundRobin.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-            picked.push(out[0].index());
+            picked.push(out[0].0.index());
         }
         assert_eq!(picked, vec![0, 2, 0, 2]);
     }
@@ -366,8 +389,8 @@ mod tests {
             &mut rng,
             &mut out,
         );
-        assert!(out.contains(&NodeId(0)));
-        assert!(out.contains(&NodeId(2)));
+        assert!(out.contains(&(NodeId(0), RuleId(0))));
+        assert!(out.contains(&(NodeId(2), RuleId(0))));
     }
 
     #[test]
@@ -382,7 +405,7 @@ mod tests {
         let mut out = Vec::new();
         let mut cursor = 0;
         Daemon::PreferHighRules.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-        assert_eq!(out, vec![NodeId(1)]);
+        assert_eq!(out, vec![(NodeId(1), RuleId(3))]);
     }
 
     #[test]
@@ -397,7 +420,7 @@ mod tests {
         let mut out = Vec::new();
         let mut cursor = 0;
         Daemon::PreferLowRules.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-        assert_eq!(out, vec![NodeId(2)]);
+        assert_eq!(out, vec![(NodeId(2), RuleId(1))]);
     }
 
     #[test]
@@ -412,7 +435,7 @@ mod tests {
         let mut out = Vec::new();
         let mut cursor = 0;
         Daemon::LexMin.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-        assert_eq!(out, vec![NodeId(1)]);
+        assert_eq!(out, vec![(NodeId(1), RuleId(0))]);
     }
 
     #[test]
@@ -428,7 +451,8 @@ mod tests {
         let mut cursor = 0;
         for step in &schedule {
             daemon.select(&enabled, &masks, &waits, &mut cursor, &mut rng, &mut out);
-            assert_eq!(&out, step);
+            let nodes: Vec<NodeId> = out.iter().map(|&(u, _)| u).collect();
+            assert_eq!(&nodes, step);
         }
         assert_eq!(cursor, 2);
     }

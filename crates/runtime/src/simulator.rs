@@ -178,8 +178,9 @@ pub struct Simulator<'g, A: Algorithm> {
     par: Option<ParHooks<A>>,
     /// Minimum kernel input length before `par` is used.
     par_threshold: usize,
-    /// Conflict-partition diagnostics (enabled via `set_conflict_stats`).
-    conflict: Option<ConflictPartitioner>,
+    /// Conflict-partition diagnostics (enabled via `set_conflict_stats`)
+    /// and the node list of the step's moves they partition.
+    conflict: Option<(ConflictPartitioner, Vec<NodeId>)>,
     last_conflict_classes: Option<u32>,
     /// Installed trace sink (`None` = tracing disabled, the default;
     /// see [`crate::trace`] for the zero-cost contract).
@@ -189,7 +190,6 @@ pub struct Simulator<'g, A: Algorithm> {
     /// "all draws happen in select" determinism contract.
     last_phase_draws: [u64; 3],
     // Scratch buffers (reused across steps).
-    selected: Vec<NodeId>,
     last_activated: Vec<(NodeId, RuleId)>,
     next_buf: Vec<A::State>,
     refresh_buf: Vec<NodeId>,
@@ -238,7 +238,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             last_conflict_classes: None,
             trace: None,
             last_phase_draws: [0; 3],
-            selected: Vec::new(),
             last_activated: Vec::new(),
             next_buf: Vec::new(),
             refresh_buf: Vec::new(),
@@ -302,7 +301,8 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     pub fn set_conflict_stats(&mut self, enabled: bool) {
         if enabled {
             if self.conflict.is_none() {
-                self.conflict = Some(ConflictPartitioner::new(self.graph.node_count()));
+                let p = ConflictPartitioner::new(self.graph.node_count());
+                self.conflict = Some((p, Vec::new()));
             }
         } else {
             self.conflict = None;
@@ -495,68 +495,84 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             });
         }
         // The clock is read only for sinks that opted into (inherently
-        // nondeterministic) phase timing.
+        // nondeterministic) phase timing. At each phase boundary it
+        // restarts after the sink has returned, so the sink's own time
+        // is billed to no phase.
         let mut phase_clock = match trace.as_deref() {
             Some(t) if t.wants_phase_timing() => Some(Instant::now()),
             _ => None,
         };
 
-        // Phase 1 (select): daemon choice + rule resolution. Owns every
-        // RNG draw of the step; always sequential.
+        // Phase 1 (select): the daemon emits the moves, then the rule
+        // pass redraws multi-rule movers' rules. Owns every RNG draw of
+        // the step; always sequential.
         let draws_at_start = self.rng.draws();
-        let mut selected = std::mem::take(&mut self.selected);
         self.daemon.select(
             self.enabled.list(),
             self.enabled.masks(),
             self.enabled.waits(),
             &mut self.rr_cursor,
             &mut self.rng,
-            &mut selected,
-        );
-        step::select::resolve_rules(
-            self.enabled.masks(),
-            self.random_rule_choice,
-            &mut self.rng,
-            &selected,
             &mut self.last_activated,
         );
-        if let Some(p) = self.conflict.as_mut() {
-            let k = p.partition(self.graph, &selected);
+        if self.random_rule_choice {
+            step::select::draw_rules(
+                self.enabled.masks(),
+                &mut self.rng,
+                &mut self.last_activated,
+            );
+        }
+        if let Some((p, nodes)) = self.conflict.as_mut() {
+            nodes.clear();
+            nodes.extend(self.last_activated.iter().map(|&(u, _)| u));
+            let k = p.partition(self.graph, nodes);
             debug_assert!(
-                ssr_graph::coloring::is_conflict_free(self.graph, &selected, &p.classes(&selected)),
+                ssr_graph::coloring::is_conflict_free(self.graph, nodes, &p.classes(nodes)),
                 "conflict partition must split the selection into independent sets"
             );
             self.last_conflict_classes = Some(k);
         }
-        if let Some(clock) = phase_clock.as_mut() {
-            let now = Instant::now();
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(&TraceEvent::PhaseTimed {
-                    step: step_idx,
-                    phase: TracePhase::Select,
-                    nanos: now.duration_since(*clock).as_nanos() as u64,
-                    par: false,
-                });
-            }
-            *clock = now;
+        if let (Some(clock), Some(t)) = (phase_clock.as_mut(), trace.as_deref_mut()) {
+            t.record(&TraceEvent::PhaseTimed {
+                step: step_idx,
+                phase: TracePhase::Select,
+                nanos: clock.elapsed().as_nanos() as u64,
+                par: false,
+            });
+            *clock = Instant::now();
         }
         let draws_after_select = self.rng.draws();
 
-        // Phase 2 (apply): next states against the *old* configuration.
-        let mut next = std::mem::take(&mut self.next_buf);
+        // Phase 2 (apply): next states against the *old* configuration,
+        // committed in selection order (composite atomicity — every
+        // read saw the pre-step configuration).
         let par = self.par_if(self.last_activated.len());
         let apply_par = par.is_some();
-        step::apply::compute_next_states(
-            self.graph,
-            &self.algo,
-            &self.states,
-            &self.last_activated,
-            &mut next,
-            par,
-        );
-
-        // Merge: commit all writes in selection order (composite
-        // atomicity — every read above saw the pre-step configuration).
+        match (self.last_activated.as_slice(), par) {
+            // One move: no other move reads the mover's old state, so
+            // its next state, computed against the current
+            // configuration, is written in place.
+            (&[(u, rule)], None) => {
+                let view = ConfigView::new(self.graph, &self.states);
+                let next = self.algo.apply(u, &view, rule);
+                self.states[u.index()] = next;
+            }
+            (moves, par) => {
+                let mut next = std::mem::take(&mut self.next_buf);
+                step::apply::compute_next_states(
+                    self.graph,
+                    &self.algo,
+                    &self.states,
+                    moves,
+                    &mut next,
+                    par,
+                );
+                for (&(u, _), next_state) in moves.iter().zip(next.drain(..)) {
+                    self.states[u.index()] = next_state;
+                }
+                self.next_buf = next;
+            }
+        }
         // Each mover leaves the round front (§2.4).
         let rules = self.algo.rule_count();
         if self.detailed_stats && self.stats.moves_per_process.is_empty() {
@@ -564,8 +580,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             self.stats.moves_per_process = vec![0; n];
             self.stats.moves_per_process_rule = vec![0; n * rules];
         }
-        for (&(u, rule), next_state) in self.last_activated.iter().zip(next.drain(..)) {
-            self.states[u.index()] = next_state;
+        for &(u, rule) in &self.last_activated {
             self.enabled.front_remove(u);
             self.stats.moves += 1;
             self.stats.moves_per_rule[rule.index()] += 1;
@@ -574,26 +589,24 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                 self.stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
             }
         }
-        self.next_buf = next;
         self.stats.steps += 1;
-        if let Some(clock) = phase_clock.as_mut() {
-            let now = Instant::now();
-            if let Some(t) = trace.as_deref_mut() {
+        if let Some(t) = trace.as_deref_mut() {
+            if let Some(clock) = phase_clock.as_ref() {
                 t.record(&TraceEvent::PhaseTimed {
                     step: step_idx,
                     phase: TracePhase::Apply,
-                    nanos: now.duration_since(*clock).as_nanos() as u64,
+                    nanos: clock.elapsed().as_nanos() as u64,
                     par: apply_par,
                 });
             }
-            *clock = now;
-        }
-        if let Some(t) = trace.as_deref_mut() {
             t.record(&TraceEvent::MovesApplied {
                 step: step_idx,
                 moves: self.last_activated.len() as u32,
                 conflict_classes: self.last_conflict_classes,
             });
+            if let Some(clock) = phase_clock.as_mut() {
+                *clock = Instant::now();
+            }
         }
         let draws_after_apply = self.rng.draws();
 
@@ -604,24 +617,48 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.stamp += 1;
         let stamp = self.stamp;
         let mut refresh = std::mem::take(&mut self.refresh_buf);
-        step::guards::collect_refresh_targets(
-            self.graph,
-            &self.last_activated,
-            &mut self.touched_stamp,
-            stamp,
-            &mut refresh,
-        );
-        let par = self.par_if(refresh.len());
-        let guards_par = par.is_some();
-        step::guards::refresh(
-            self.graph,
-            &self.algo,
-            &self.states,
-            &refresh,
-            &mut self.enabled,
-            &mut self.mask_buf,
-            par,
-        );
+        let guards_par = if self.par.is_none() {
+            let view = ConfigView::new(self.graph, &self.states);
+            let (algo, enabled) = (&self.algo, &mut self.enabled);
+            step::guards::collect_refresh_targets(
+                self.graph,
+                &self.last_activated,
+                &mut self.touched_stamp,
+                stamp,
+                &mut refresh,
+                |u| step::guards::refresh_one(algo, &view, enabled, u),
+            );
+            false
+        } else {
+            // The parallel kernel needs the whole list before it starts;
+            // whether it runs depends on the list's length.
+            step::guards::collect_refresh_targets(
+                self.graph,
+                &self.last_activated,
+                &mut self.touched_stamp,
+                stamp,
+                &mut refresh,
+                |_| {},
+            );
+            if let Some(hooks) = self.par_if(refresh.len()) {
+                step::guards::refresh_par(
+                    hooks,
+                    self.graph,
+                    &self.algo,
+                    &self.states,
+                    &refresh,
+                    &mut self.enabled,
+                    &mut self.mask_buf,
+                );
+                true
+            } else {
+                let view = ConfigView::new(self.graph, &self.states);
+                for &u in &refresh {
+                    step::guards::refresh_one(&self.algo, &view, &mut self.enabled, u);
+                }
+                false
+            }
+        };
 
         self.enabled.count_waits(&self.last_activated);
 
@@ -640,8 +677,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             draws_at_end - draws_after_apply,
         ];
         let activated = self.last_activated.len();
-        selected.clear();
-        self.selected = selected;
 
         if let Some(t) = trace.as_deref_mut() {
             if let Some(clock) = phase_clock {
@@ -716,7 +751,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         }
         self.touched_stamp[u.index()] = stamp;
         let view = ConfigView::new(self.graph, &self.states);
-        self.enabled.update(u, self.algo.enabled_mask(u, &view));
+        step::guards::refresh_one(&self.algo, &view, &mut self.enabled, u);
     }
 }
 
@@ -1149,6 +1184,50 @@ mod tests {
                 (0, TracePhase::Guards)
             ]
         );
+    }
+
+    #[test]
+    fn phase_timing_bills_the_sink_to_no_phase() {
+        use crate::trace::{TraceEvent, TraceSink};
+        use std::time::Duration;
+
+        /// Opts into timing and busy-waits in every `record`.
+        #[derive(Default)]
+        struct Slow(Vec<u64>);
+        impl TraceSink for Slow {
+            fn record(&mut self, e: &TraceEvent) {
+                if let TraceEvent::PhaseTimed { nanos, .. } = e {
+                    self.0.push(*nanos);
+                }
+                let t = Instant::now();
+                while t.elapsed() < SINK_WAIT {}
+            }
+            fn wants_phase_timing(&self) -> bool {
+                true
+            }
+            fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+                Some(self)
+            }
+        }
+        const SINK_WAIT: Duration = Duration::from_millis(2);
+
+        let (init, g) = flood_path(3);
+        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
+        sim.set_trace_sink(Box::new(Slow::default()));
+        sim.step();
+        let mut sink = sim.take_trace_sink().expect("sink installed");
+        let nanos = &sink
+            .as_any_mut()
+            .and_then(|a| a.downcast_mut::<Slow>())
+            .expect("concrete sink")
+            .0;
+        assert_eq!(nanos.len(), 3, "one PhaseTimed per phase");
+        for &n in nanos {
+            assert!(
+                n < SINK_WAIT.as_nanos() as u64,
+                "a phase was billed the sink's time: {nanos:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //!
 //! Guards read the closed neighborhood only (§2.2), so after a step
 //! exactly the movers and their neighbors can change enabledness. The
-//! refresh set is collected in the canonical order (each mover, then
-//! its neighbors in adjacency order, first touch wins), and each of
-//! its nodes is evaluated and recorded once: [`EnabledSet::update`]
-//! installs a fresh mask into every structure that depends on it. The
-//! sequential pass calls it right after each `enabled_mask`; the
-//! parallel pass evaluates the whole list on the installed kernel
-//! (masks depend only on the already-committed states, never on other
-//! masks, so evaluation is order-free) and then calls it in list
-//! order. Both record the nodes in the same order, which keeps the
+//! refresh set is walked in the canonical order (each mover, then its
+//! neighbors in adjacency order, first touch wins), and each of its
+//! nodes is evaluated and recorded once: [`EnabledSet::update`]
+//! installs a fresh mask into every structure that depends on it.
+//! [`refresh_one`] is the one sequential kernel (evaluate, then
+//! update). Without parallel kernels, one walk does it all: each node
+//! is passed to it on its first touch. With kernels installed, the walk
+//! only collects the list; then either [`refresh_par`] evaluates the
+//! whole list on the kernel (masks depend only on the
+//! already-committed states, never on other masks, so evaluation is
+//! order-free) and records the masks in list order, or, below the
+//! parallel threshold, the list goes through [`refresh_one`] in turn.
+//! All three record the nodes in the same order, which keeps the
 //! enabled-set index byte-identical to the pre-pipeline engine.
 
 use ssr_graph::{Bitset, Graph, NodeId};
@@ -93,7 +97,7 @@ impl EnabledSet {
     /// enabled list, positions and bits, the wait counter on an
     /// enabledness change, and the round front, which a node leaves
     /// when it is neutralized (disabled without moving).
-    #[inline]
+    #[inline(always)]
     pub fn update(&mut self, u: NodeId, mask: RuleMask) {
         let i = u.index();
         let was = !self.masks[i].is_empty();
@@ -172,51 +176,60 @@ impl EnabledSet {
 /// Collects the deduplicated refresh set of a step into `out`
 /// (cleared first): each mover, then its neighbors in adjacency
 /// order; `touched_stamp` entries are set to `stamp` as nodes are
-/// first seen.
+/// first seen, and `first_touch` is called on each node right after it
+/// is recorded. The sequential guard pass evaluates and records each
+/// mask there, so one walk does the whole phase.
+#[inline]
 pub(crate) fn collect_refresh_targets(
     graph: &Graph,
     moves: &[(NodeId, RuleId)],
     touched_stamp: &mut [u64],
     stamp: u64,
     out: &mut Vec<NodeId>,
+    mut first_touch: impl FnMut(NodeId),
 ) {
     out.clear();
-    let mut touch = |u: NodeId, out: &mut Vec<NodeId>| {
-        if touched_stamp[u.index()] != stamp {
-            touched_stamp[u.index()] = stamp;
-            out.push(u);
-        }
-    };
     for &(u, _) in moves {
-        touch(u, out);
-        for &v in graph.neighbors(u) {
-            touch(v, out);
+        // One loop body for the mover and its neighbours, so the
+        // inlined `first_touch` (a whole guard evaluation) is emitted
+        // once.
+        for v in std::iter::once(u).chain(graph.neighbors(u).iter().copied()) {
+            if touched_stamp[v.index()] != stamp {
+                touched_stamp[v.index()] = stamp;
+                out.push(v);
+                first_touch(v);
+            }
         }
     }
 }
 
-/// Re-evaluates the guards of every node of `nodes` and records each
-/// mask in `set`, in list order. With `par` set, the masks are first
-/// computed on the installed kernel into `mask_buf`; otherwise each
-/// node is evaluated and recorded in turn.
-pub(crate) fn refresh<A: Algorithm>(
+/// Evaluates `u`'s guards against `view` and records the mask in
+/// `set`: the one sequential guard kernel. The one-walk refresh, the
+/// below-threshold pass over a collected list and `inject` all run it.
+#[inline(always)]
+pub(crate) fn refresh_one<A: Algorithm>(
+    algo: &A,
+    view: &ConfigView<'_, A::State>,
+    set: &mut EnabledSet,
+    u: NodeId,
+) {
+    set.update(u, algo.enabled_mask(u, view));
+}
+
+/// The parallel guard pass: computes the masks of every node of
+/// `nodes` on the installed kernel into `mask_buf`, then records them
+/// in `set` in list order.
+pub(crate) fn refresh_par<A: Algorithm>(
+    hooks: ParHooks<A>,
     graph: &Graph,
     algo: &A,
     states: &[A::State],
     nodes: &[NodeId],
     set: &mut EnabledSet,
     mask_buf: &mut Vec<RuleMask>,
-    par: Option<ParHooks<A>>,
 ) {
-    if let Some(hooks) = par {
-        (hooks.masks)(hooks.threads, graph, algo, states, nodes, mask_buf);
-        for (&u, &mask) in nodes.iter().zip(mask_buf.iter()) {
-            set.update(u, mask);
-        }
-    } else {
-        let view = ConfigView::new(graph, states);
-        for &u in nodes {
-            set.update(u, algo.enabled_mask(u, &view));
-        }
+    (hooks.masks)(hooks.threads, graph, algo, states, nodes, mask_buf);
+    for (&u, &mask) in nodes.iter().zip(mask_buf.iter()) {
+        set.update(u, mask);
     }
 }

@@ -1,40 +1,34 @@
-//! Phase 1: rule resolution for the daemon's selected set.
+//! Phase 1: the step's moves.
 //!
-//! Daemon selection itself lives in [`crate::daemon`]; this module
-//! resolves which enabled rule each selected process fires. Both are
-//! the sequential head of the pipeline: they own every RNG draw of the
-//! step, so the random stream is identical no matter how the later
-//! phases are parallelized.
+//! The daemon ([`crate::daemon`]) emits the move list itself: each
+//! process it picks, paired with its lowest-index enabled rule, in
+//! selection order. With random rule choice on, [`draw_rules`] then
+//! redraws the rule of every mover with several enabled rules, in
+//! place and in selection order. Both are the sequential head of the
+//! pipeline and own every RNG draw of the step: first all of the
+//! daemon's draws, then one per multi-rule mover. So the random stream
+//! is identical no matter how the later phases are parallelized.
 
 use ssr_graph::NodeId;
 
 use crate::algorithm::{RuleId, RuleMask};
 use crate::rng::Xoshiro256StarStar;
 
-/// Resolves the fired rule of every selected process, in selection
-/// order, into `out` (cleared first).
-///
-/// With `random_rule_choice`, a process whose mask holds several rules
-/// draws one uniformly (one RNG draw per such process, in selection
-/// order — part of the determinism contract); otherwise the
-/// lowest-index enabled rule fires.
-pub(crate) fn resolve_rules(
+/// Replaces the rule of every move whose process has several enabled
+/// rules by a uniformly drawn one: one RNG draw per such move, in
+/// selection order (part of the determinism contract). Moves with a
+/// single enabled rule keep it and draw nothing.
+#[inline]
+pub(crate) fn draw_rules(
     masks: &[RuleMask],
-    random_rule_choice: bool,
     rng: &mut Xoshiro256StarStar,
-    selected: &[NodeId],
-    out: &mut Vec<(NodeId, RuleId)>,
+    moves: &mut [(NodeId, RuleId)],
 ) {
-    out.clear();
-    for &u in selected {
+    for (u, rule) in moves {
         let mask = masks[u.index()];
-        debug_assert!(!mask.is_empty(), "daemon selected a disabled process");
-        let rule = if random_rule_choice && mask.count() > 1 {
-            let k = rng.below(mask.count() as u64) as u32;
-            mask.iter().nth(k as usize).expect("mask has k-th rule")
-        } else {
-            mask.first().expect("mask non-empty")
-        };
-        out.push((u, rule));
+        if mask.count() > 1 {
+            let k = rng.below(u64::from(mask.count()));
+            *rule = mask.iter().nth(k as usize).expect("mask has k-th rule");
+        }
     }
 }

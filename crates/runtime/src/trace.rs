@@ -92,7 +92,8 @@ pub enum TraceEvent {
         step: u64,
         /// Which phase.
         phase: TracePhase,
-        /// Wall time in nanoseconds.
+        /// Wall time in nanoseconds, excluding the time spent in the
+        /// sink itself.
         nanos: u64,
         /// Whether the installed parallel kernels ran this phase
         /// (always `false` for `Select`, which is sequential by

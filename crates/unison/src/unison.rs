@@ -179,12 +179,17 @@ impl ResetInput for Unison {
         self.succ(*view.state(u))
     }
 
+    /// `P_ICorrect(u) ≡ ∀v ∈ N(u), P_Ok(u, v)`, folded with `&`/`|`
+    /// rather than an early exit: it runs on random movers'
+    /// neighbourhoods (the SDR input guard, the `until_all` stop term),
+    /// where the exit branches mispredict.
+    #[inline]
     fn p_icorrect<V: StateView<u64>>(&self, u: NodeId, view: &V) -> bool {
         let cu = *view.state(u);
         let (next, prev) = (self.succ(cu), self.pred(cu));
-        view.graph().neighbors(u).iter().all(|&v| {
+        view.graph().neighbors(u).iter().fold(true, |ok, &v| {
             let cv = *view.state(v);
-            cv == cu || cv == next || cv == prev
+            ok & ((cv == cu) | (cv == next) | (cv == prev))
         })
     }
 
