@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 
+use ssr_obs::metrics::json_string;
 use ssr_runtime::analysis::{Finding, GraphAnalysis, RngAudit, Severity};
 
 use crate::{AnalysisReport, FamilyReport, SCHEMA};
@@ -17,34 +18,16 @@ use crate::{AnalysisReport, FamilyReport, SCHEMA};
 // Writer
 // ---------------------------------------------------------------------
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt_str(s: &Option<String>) -> String {
     match s {
-        Some(s) => format!("\"{}\"", escape(s)),
+        Some(s) => json_string(s),
         None => "null".to_string(),
     }
 }
 
 fn finding_json(f: &Finding) -> String {
     format!(
-        "{{\"kind\":\"{}\",\"severity\":\"{}\",\"rule\":{},\"graph\":{},\"detail\":\"{}\"}}",
+        "{{\"kind\":\"{}\",\"severity\":\"{}\",\"rule\":{},\"graph\":{},\"detail\":{}}}",
         f.kind.code(),
         match f.kind.severity() {
             Severity::Error => "error",
@@ -52,7 +35,7 @@ fn finding_json(f: &Finding) -> String {
         },
         opt_str(&f.rule),
         opt_str(&f.graph),
-        escape(&f.detail),
+        json_string(&f.detail),
     )
 }
 
@@ -67,10 +50,10 @@ fn graph_json(g: &GraphAnalysis) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"name\":\"{}\",\"enabled\":{},\"fired_first\":{},\"applies\":{},\
+                "{{\"name\":{},\"enabled\":{},\"fired_first\":{},\"applies\":{},\
                  \"changed\":{},\"guard_read_dist_max\":{},\"action_read_dist_max\":{},\
                  \"guard_reads_max\":{},\"action_reads_max\":{}}}",
-                escape(&r.name),
+                json_string(&r.name),
                 r.enabled,
                 r.fired_first,
                 r.applies,
@@ -93,9 +76,9 @@ fn graph_json(g: &GraphAnalysis) -> String {
         })
         .collect();
     format!(
-        "{{\"graph\":\"{}\",\"nodes\":{},\"configs\":{},\"truncated\":{},\
+        "{{\"graph\":{},\"nodes\":{},\"configs\":{},\"truncated\":{},\
          \"rules\":[{}],\"overlaps\":[{}],\"findings\":{}}}",
-        escape(&g.graph),
+        json_string(&g.graph),
         g.nodes,
         g.configs,
         g.truncated,
@@ -120,15 +103,11 @@ fn audit_json(a: &RngAudit) -> String {
 
 fn family_json(f: &FamilyReport) -> String {
     let graphs: Vec<String> = f.graphs.iter().map(graph_json).collect();
-    let skipped: Vec<String> = f
-        .skipped
-        .iter()
-        .map(|s| format!("\"{}\"", escape(s)))
-        .collect();
+    let skipped: Vec<String> = f.skipped.iter().map(|s| json_string(s)).collect();
     format!(
-        "{{\"family\":\"{}\",\"certified\":{},\"analyzable\":{},\"errors\":{},\
+        "{{\"family\":{},\"certified\":{},\"analyzable\":{},\"errors\":{},\
          \"warnings\":{},\"skipped\":[{}],\"graphs\":[{}],\"audit\":{},\"hygiene\":{}}}",
-        escape(&f.family),
+        json_string(&f.family),
         f.certified(),
         f.analyzable,
         f.error_count(),

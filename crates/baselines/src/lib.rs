@@ -38,11 +38,9 @@
 #![forbid(unsafe_code)]
 
 mod cfg_unison;
-pub mod columns;
 pub mod family;
 mod mono_reset;
 
 pub use cfg_unison::{CfgUnison, RULE_CFG_INC, RULE_CFG_RESET};
-pub use columns::MonoColumns;
 pub use family::{CfgUnisonFamily, MonoResetFamily};
 pub use mono_reset::{MonoReset, MonoState, Phase};

@@ -1,7 +1,6 @@
 //! Wall-clock benches for the staged step pipeline itself: the
 //! select → apply → guard-refresh phases at different intra-run thread
-//! counts, the cost of the optional conflict-partition diagnostic, and
-//! the narrow single-move step.
+//! counts, and the narrow single-move step.
 //!
 //! The wide workload is the composed `Agreement ∘ SDR` family on a
 //! ring — small constant-degree neighborhoods, so the kernels (not the
@@ -43,19 +42,14 @@ fn sim_for(g: &Graph, threads: usize) -> Simulator<'_, Sdr<Agreement>> {
     sim
 }
 
-fn run_steps(g: &Graph, threads: usize, conflict_stats: bool) -> (u64, Vec<u64>) {
+fn run_steps(g: &Graph, threads: usize) -> u64 {
     let mut sim = sim_for(g, threads);
-    sim.set_conflict_stats(conflict_stats);
-    let mut classes = Vec::new();
     for _ in 0..STEPS {
         if let StepOutcome::Terminal = sim.step() {
             break;
         }
-        if let Some(c) = sim.last_conflict_classes() {
-            classes.push(u64::from(c));
-        }
     }
-    (sim.stats().moves, classes)
+    sim.stats().moves
 }
 
 /// The narrow case's simulator: cfg-unison on ring₆₄ from the half-n
@@ -101,12 +95,9 @@ fn bench_step_pipeline(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &threads,
-            |b, &threads| b.iter(|| run_steps(&g, threads, false)),
+            |b, &threads| b.iter(|| run_steps(&g, threads)),
         );
     }
-    group.bench_function(BenchmarkId::from_parameter("conflict-stats"), |b| {
-        b.iter(|| run_steps(&g, 1, true))
-    });
     let ring = generators::ring(NARROW_N);
     group.bench_function(
         BenchmarkId::from_parameter("narrow-cfg-unison-ring64"),

@@ -27,23 +27,21 @@
 //! any divergence or non-convergence.
 //!
 //! Each measured run carries a timed `PipelineMetrics` trace sink, so
-//! `BENCH_SCALE.json` (schema `bench-scale-v2`) reports where the wall
+//! `BENCH_SCALE.json` (schema `bench-scale-v3`) reports where the wall
 //! time went per phase (`select`/`apply`/`guards` nanos) and how often
 //! the parallel kernels engaged. `--trace DIR` is intended for
 //! `--smoke`-sized runs — a full 10⁶-node sweep traces gigabytes.
 
 use std::time::Instant;
 
-use ssr_core::columns::ComposedColumns;
 use ssr_core::toys::Agreement;
 use ssr_core::Sdr;
 use ssr_graph::{generators, Graph};
 use ssr_obs::metrics::MetricsSet;
-use ssr_obs::observers::{ConflictObserver, ConflictSummary};
 use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::{Progress, StderrProgress};
 use ssr_obs::trace::JsonlSink;
-use ssr_runtime::{Daemon, ScalarColumns, Simulator, StateColumns, StepOutcome};
+use ssr_runtime::{Daemon, Simulator, StepOutcome};
 
 /// One measured run.
 struct RunResult {
@@ -55,8 +53,6 @@ struct RunResult {
     rounds: u64,
     seconds: f64,
     converged: bool,
-    conflict_classes_avg: f64,
-    soa_heap_bytes: usize,
     /// Per-phase wall time of the measured run, from the pipeline's
     /// timed trace events.
     phase_select_nanos: u64,
@@ -78,26 +74,22 @@ fn build(topology: &str, n: usize) -> Graph {
     }
 }
 
-/// Runs the composition to termination (or the Cor. 5 step bound under
-/// the synchronous daemon) and reports throughput plus diagnostics.
 type SdrAgreementState = ssr_core::Composed<u32>;
 
 fn histogram_sum(m: &MetricsSet, key: &str) -> u64 {
     m.histogram(key).map(|h| h.sum()).unwrap_or(0)
 }
 
+/// Runs the composition to termination (or the Cor. 5 step bound under
+/// the synchronous daemon) and reports throughput, the per-phase
+/// metrics and the final configuration.
 fn run_cell(
     g: &Graph,
     topology: &'static str,
     n: usize,
     threads: usize,
     trace_dir: Option<&str>,
-) -> (
-    RunResult,
-    Vec<SdrAgreementState>,
-    MetricsSet,
-    ConflictSummary,
-) {
+) -> (RunResult, Vec<SdrAgreementState>, MetricsSet) {
     let algo = Sdr::new(Agreement::new(8));
     let init = algo.arbitrary_config(g, 0x5CA1E);
     let mut sim = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
@@ -134,20 +126,6 @@ fn run_cell(
             cell_metrics = folded;
         }
     }
-    // Conflict-partition diagnostic on a short replay: how many
-    // greedy classes the per-step selections induce.
-    let algo = Sdr::new(Agreement::new(8));
-    let init = algo.arbitrary_config(g, 0x5CA1E);
-    let mut diag = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
-    diag.set_conflict_stats(true);
-    let mut conflicts = ConflictObserver::new();
-    diag.execution().cap(10).observe(&mut conflicts).run();
-    let summary = conflicts.summary();
-    conflicts.merge_into(&mut cell_metrics);
-    // SoA snapshot: flat columns of the final configuration.
-    let mut cols: ComposedColumns<ScalarColumns<u32>> = ComposedColumns::default();
-    sim.snapshot_columns(&mut cols);
-    assert_eq!(cols.len(), g.node_count());
     let result = RunResult {
         topology,
         n,
@@ -157,8 +135,6 @@ fn run_cell(
         rounds: sim.stats().completed_rounds,
         seconds,
         converged,
-        conflict_classes_avg: summary.mean_classes().unwrap_or(0.0),
-        soa_heap_bytes: cols.heap_bytes(),
         phase_select_nanos: histogram_sum(&cell_metrics, "phase.select.nanos"),
         phase_apply_nanos: histogram_sum(&cell_metrics, "phase.apply.nanos"),
         phase_guards_nanos: histogram_sum(&cell_metrics, "phase.guards.nanos"),
@@ -172,7 +148,7 @@ fn run_cell(
     // The full final configuration, compared exactly across thread
     // counts.
     let fingerprint = sim.states().to_vec();
-    (result, fingerprint, cell_metrics, summary)
+    (result, fingerprint, cell_metrics)
 }
 
 fn json_escape_free(r: &RunResult) -> String {
@@ -180,7 +156,6 @@ fn json_escape_free(r: &RunResult) -> String {
         "{{\"topology\":\"{}\",\"n\":{},\"threads\":{},\"steps\":{},\"moves\":{},\
          \"rounds\":{},\"seconds\":{:.6},\"steps_per_sec\":{:.1},\
          \"moves_per_sec\":{:.1},\"converged\":{},\
-         \"conflict_classes_avg\":{:.2},\"soa_heap_bytes\":{},\
          \"phase_nanos\":{{\"select\":{},\"apply\":{},\"guards\":{}}},\
          \"kernel_par_steps\":{{\"apply\":{},\"guards\":{}}}}}",
         r.topology,
@@ -193,8 +168,6 @@ fn json_escape_free(r: &RunResult) -> String {
         r.steps as f64 / r.seconds.max(1e-9),
         r.moves as f64 / r.seconds.max(1e-9),
         r.converged,
-        r.conflict_classes_avg,
-        r.soa_heap_bytes,
         r.phase_select_nanos,
         r.phase_apply_nanos,
         r.phase_guards_nanos,
@@ -255,10 +228,10 @@ fn main() {
             if let Some(p) = progress.as_mut() {
                 p.item_started(0, item, &label);
             }
-            let (r, fingerprint, cell_metrics, conflicts) =
+            let (r, fingerprint, cell_metrics) =
                 run_cell(&g, topology, n, threads, trace_dir.as_deref());
             println!(
-                "{:>6} n={:<9} threads={} steps={:<8} {:>10.0} steps/s {:>10.0} moves/s converged={} classes≈{:.1} phase s/a/g = {:.2}/{:.2}/{:.2}s",
+                "{:>6} n={:<9} threads={} steps={:<8} {:>10.0} steps/s {:>10.0} moves/s converged={} phase s/a/g = {:.2}/{:.2}/{:.2}s",
                 topology,
                 n,
                 threads,
@@ -266,12 +239,10 @@ fn main() {
                 r.steps as f64 / r.seconds.max(1e-9),
                 r.moves as f64 / r.seconds.max(1e-9),
                 r.converged,
-                r.conflict_classes_avg,
                 r.phase_select_nanos as f64 / 1e9,
                 r.phase_apply_nanos as f64 / 1e9,
                 r.phase_guards_nanos as f64 / 1e9,
             );
-            println!("         {conflicts}");
             let mut ok = true;
             if !r.converged {
                 eprintln!("FAIL: {topology} n={n} threads={threads} did not converge");
@@ -302,8 +273,6 @@ fn main() {
         p.finish();
     }
 
-    // Coloring stats of the conflict partitions, via the serde-free
-    // summary pretty-printer (merged over all cells' diagnostics).
     let snapshot = merged.snapshot();
     if let Some(path) = &metrics_out {
         std::fs::write(path, format!("{}\n", snapshot.to_json())).expect("write --metrics file");
@@ -312,7 +281,7 @@ fn main() {
     }
 
     let doc = format!(
-        "{{\n  \"schema\": \"bench-scale-v2\",\n  \"smoke\": {smoke},\n  \"runs\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bench-scale-v3\",\n  \"smoke\": {smoke},\n  \"runs\": [\n    {}\n  ]\n}}\n",
         lines.join(",\n    ")
     );
     std::fs::write(&out, &doc).expect("write BENCH_SCALE.json");

@@ -116,23 +116,13 @@ pub fn run_in(
 /// merged pipeline metrics, and per-scenario trace files, per
 /// whatever `obs` enables. Records are identical to a bare [`run`] —
 /// the channels observe, they never steer.
-pub fn run_obs(campaign: &Campaign, threads: usize, obs: &mut CampaignObs) -> Vec<ScenarioRecord> {
-    run_in_obs(crate::families::default_registry(), campaign, threads, obs)
-}
-
-/// [`run_obs`] against a caller-supplied registry.
 ///
 /// Scheduling of the side channels: progress notifications go through
 /// one mutex (coarse, per scenario — never per step); each worker owns
 /// a private [`MetricsSet`] and submits it to the hub once, on
 /// retirement, so the metrics hot path takes no lock at all.
-pub fn run_in_obs(
-    registry: &FamilyRegistry,
-    campaign: &Campaign,
-    threads: usize,
-    obs: &mut CampaignObs,
-) -> Vec<ScenarioRecord> {
-    run_core(registry, campaign, threads, obs, None)
+pub fn run_obs(campaign: &Campaign, threads: usize, obs: &mut CampaignObs) -> Vec<ScenarioRecord> {
+    run_core(campaign, threads, obs, None)
 }
 
 /// [`run_obs`] with a [`CacheLayer`] consulted per scenario: hits are
@@ -146,33 +136,16 @@ pub fn run_obs_cached(
     obs: &mut CampaignObs,
     layer: CacheLayer<'_>,
 ) -> Vec<ScenarioRecord> {
-    run_in_obs_cached(
-        crate::families::default_registry(),
-        campaign,
-        threads,
-        obs,
-        layer,
-    )
-}
-
-/// [`run_obs_cached`] against a caller-supplied registry.
-pub fn run_in_obs_cached(
-    registry: &FamilyRegistry,
-    campaign: &Campaign,
-    threads: usize,
-    obs: &mut CampaignObs,
-    layer: CacheLayer<'_>,
-) -> Vec<ScenarioRecord> {
-    run_core(registry, campaign, threads, obs, Some(layer))
+    run_core(campaign, threads, obs, Some(layer))
 }
 
 fn run_core(
-    registry: &FamilyRegistry,
     campaign: &Campaign,
     threads: usize,
     obs: &mut CampaignObs,
     layer: Option<CacheLayer<'_>>,
 ) -> Vec<ScenarioRecord> {
+    let registry = crate::families::default_registry();
     let total = campaign.len();
     if let Some(p) = obs.progress.as_deref_mut() {
         p.begin(total);

@@ -210,11 +210,7 @@ mod tests {
             step: 0,
             enabled: 2,
         });
-        sink.record(&TraceEvent::MovesApplied {
-            step: 0,
-            moves: 2,
-            conflict_classes: None,
-        });
+        sink.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
         probe.collect_trace_sink(sink);
         assert_eq!(worker.counter_value("pipeline.steps"), Some(1));
         assert_eq!(worker.counter_value("pipeline.moves"), Some(2));

@@ -1,104 +1,19 @@
-//! Hand-rolled structured-result writers (JSONL / CSV / JSON values).
+//! Structured-result writers (JSONL / CSV / JSON values).
 //!
-//! The build is offline, so instead of serde this module carries a
-//! tiny JSON value tree with deterministic rendering — enough for the
-//! campaign records and the experiment harness's `BENCH_`-style result
-//! files, and reusable by anything else that needs machine-readable
-//! output.
-
-use std::fmt;
+//! The build is offline, so instead of serde the records render
+//! through [`Json`] — the workspace's one JSON value type,
+//! [`ssr_obs::json::Value`], whose deterministic `Display` (insertion
+//! ordered keys, shortest round-trip floats) fixes the byte layout of
+//! the campaign records, the checkpoint journal and the experiment
+//! harness's `BENCH_`-style result files.
 
 use crate::runner::ScenarioRecord;
 
-/// A JSON value with deterministic rendering (object keys keep their
-/// insertion order; floats use Rust's shortest round-trip formatting).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float (`null` when not finite).
-    F64(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for object members.
-    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
-        Json::Obj(
-            members
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Convenience constructor for strings.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::U64(v) => write!(f, "{v}"),
-            Json::I64(v) => write!(f, "{v}"),
-            Json::F64(v) if v.is_finite() => write!(f, "{v}"),
-            Json::F64(_) => write!(f, "null"),
-            Json::Str(s) => write!(f, "\"{}\"", escape_json(s)),
-            Json::Arr(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(members) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "\"{}\":{v}", escape_json(k))?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The JSON value the writers render (the parser's [`Value`] type;
+/// the name is kept for the writers' callers).
+///
+/// [`Value`]: ssr_obs::json::Value
+pub use ssr_obs::json::Value as Json;
 
 fn opt_u64(v: Option<u64>) -> Json {
     v.map_or(Json::Null, Json::U64)
@@ -206,9 +121,10 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert_eq!(escape_json("plain"), "plain");
+        let render = |s: &str| Json::str(s).to_string();
+        assert_eq!(render("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(render("\u{1}"), "\"\\u0001\"");
+        assert_eq!(render("plain"), "\"plain\"");
     }
 
     #[test]

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
-pub mod columns;
 pub mod family;
 mod input;
 mod sdr;
@@ -56,7 +55,6 @@ pub use analysis::{
     alive_roots, dead_roots, max_branch_depth, reset_children, reset_parents, RuleKind,
     SegmentObserver, SegmentReport, SegmentTracker,
 };
-pub use columns::{ComposedColumns, SdrColumns};
 pub use family::{composed, ComposedFamily};
 pub use input::{ResetInput, Standalone};
 pub use sdr::{Sdr, RULE_C, RULE_R, RULE_RB, RULE_RF, SDR_RULE_COUNT};

@@ -1,22 +1,32 @@
-//! A small shared recursive-descent JSON parser for reading the
-//! stack's own artifacts back in.
+//! The workspace's one JSON value type: a recursive-descent parser
+//! and a deterministic renderer.
 //!
-//! The workspace is serde-free by policy (the build is offline), so
-//! every machine-readable artifact — campaign JSONL, `ssr-metrics-v1`
-//! snapshots, trace JSONL, `BENCH_RESULTS.json`, `BENCH_SCALE.json`,
-//! `BENCH_HISTORY.jsonl`, `ANALYSIS.json` — is written by hand-rolled
-//! emitters. This module is the one read-side counterpart: the parser
-//! that used to live privately inside the `ssr-analyze` validator and
-//! the shallow key scan in [`crate::trace::validate_jsonl_line`] now
-//! share this home, and `ssr-report` builds its typed readers on it.
+//! The workspace is serde-free by policy (the build is offline).
+//! [`Value`] is what every reader parses into — `ssr-report`'s typed
+//! readers, the `ssr-analyze` validator, checkpoint replay, the
+//! service's campaign specs — and, re-exported as
+//! `ssr_campaign::output::Json`, what the campaign records, the
+//! checkpoint journal and the experiment result files are rendered
+//! from. The remaining hand-rolled emitters (metrics snapshots, trace
+//! lines, history lines, `ANALYSIS.json`) share its string escaper,
+//! [`crate::metrics::json_string`].
 //!
 //! Integers are preserved exactly: a numeric token without `.`/`e`
 //! parses into [`Value::U64`]/[`Value::I64`], so 64-bit seeds and
 //! nano counters survive a write→parse round trip bit-for-bit
 //! (pinned by proptests in `ssr-report`). Objects keep insertion
 //! order, matching the deterministic key order of the writers.
+//!
+//! The parser takes outside input (the service parses every request
+//! body with it), so it never recurses deeper than [`MAX_DEPTH`]
+//! arrays and objects — a deeper document is an `Err`, not a stack
+//! overflow — and its cost is linear in the input's length.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest document the stack writes (`ANALYSIS.json`) nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +50,21 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` members, in the given order.
+    pub fn obj<const N: usize>(members: [(&str, Value); N]) -> Value {
+        Value::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Value {
+        Value::Str(s.into())
+    }
+
     /// The member of an object under `key`, if this is an object and
     /// the key is present.
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -117,8 +142,11 @@ impl Value {
 }
 
 impl fmt::Display for Value {
-    /// Debug-oriented rendering; artifact *writers* stay hand-rolled
-    /// in their home crates so their byte layouts never depend on this.
+    /// Compact, deterministic JSON: no whitespace, object members in
+    /// insertion order, floats in Rust's shortest round-trip form
+    /// (`null` when not finite), strings escaped by
+    /// [`crate::metrics::json_string`]. Campaign records are rendered
+    /// here, so the campaign golden files pin this layout.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => write!(f, "null"),
@@ -237,6 +265,8 @@ pub fn u64_field(v: &Value, key: &str, what: &str) -> Result<u64, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -244,6 +274,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -277,8 +308,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -286,6 +317,18 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
@@ -317,9 +360,10 @@ impl<'a> Parser<'a> {
         if integral {
             // Exact integers: u64 for non-negative, i64 for negative —
             // seeds and counters round-trip without f64 truncation.
+            // `-0` has no integer form, so it stays the float it was.
             if let Some(rest) = s.strip_prefix('-') {
                 if let Ok(v) = rest.parse::<u64>() {
-                    if v <= i64::MAX as u64 + 1 {
+                    if (1..=i64::MAX as u64 + 1).contains(&v) {
                         return Ok(Value::I64((v as i128).wrapping_neg() as i64));
                     }
                 }
@@ -369,12 +413,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unsplit.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // The run up to the next quote or backslash, in one
+                    // piece: both are ASCII, so the run ends on a char
+                    // boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -497,6 +545,43 @@ mod tests {
         assert!(field(&v, "gone", "doc").unwrap_err().contains("`gone`"));
         assert!(obj(&Value::Null, "doc").is_err());
         assert!(arr(&Value::Null, "doc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
+        // Far past the bound, on a thread with the default spawned-thread
+        // stack (the service's connection threads): an error, not a
+        // stack overflow.
+        std::thread::spawn(|| {
+            assert!(parse(&"[".repeat(100_000)).is_err());
+            assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        })
+        .join()
+        .expect("deep documents must not overflow the stack");
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // A string as long as the service's body cap: re-validating the
+        // rest of the input at every character costs seconds per MiB.
+        let text = format!("\"{}\"", "a".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        assert_eq!(v.as_str().map(str::len), Some(1 << 20));
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs() < 2, "a 1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn negative_zero_stays_a_float() {
+        let v = parse("-0").unwrap();
+        assert!(matches!(v, Value::F64(z) if z == 0.0 && z.is_sign_negative()));
+        assert_eq!(v.to_string(), "-0");
+        assert_eq!(parse("-1"), Ok(Value::I64(-1)));
     }
 
     #[test]

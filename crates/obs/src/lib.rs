@@ -50,7 +50,7 @@ pub mod trace;
 
 pub use json::Value as JsonValue;
 pub use metrics::{Histogram, Metric, MetricsHub, MetricsSet, MetricsSnapshot};
-pub use observers::{ConflictObserver, ConflictSummary, MetricsObserver, TimelineObserver};
+pub use observers::{MetricsObserver, TimelineObserver};
 pub use pipeline::{CompositeSink, PipelineMetrics};
 pub use progress::{BusSnapshot, JsonlProgress, NoProgress, Progress, ProgressBus, StderrProgress};
 pub use timeline::{RunTimeline, TimelineStep};

@@ -456,8 +456,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// Escapes `s` as a JSON string literal (shared by the trace and
-/// progress writers).
+/// Escapes `s` as a JSON string literal, quotes included: the
+/// workspace's one JSON string escaper, behind
+/// [`crate::json::Value`]'s rendering and every hand-rolled writer
+/// (metrics, traces, progress, history, `ANALYSIS.json`).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

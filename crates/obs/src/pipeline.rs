@@ -23,9 +23,7 @@ use crate::trace::JsonlSink;
 ///   on, the default for this sink);
 /// * `kernel.{apply,guards}.par_steps` / `.seq_steps` — counters
 ///   splitting each parallelizable phase by whether the installed
-///   kernels engaged (intra-thread utilization);
-/// * `pipeline.conflict_classes` — histogram, only when the simulator
-///   has conflict diagnostics on.
+///   kernels engaged (intra-thread utilization).
 ///
 /// # Examples
 ///
@@ -35,7 +33,7 @@ use crate::trace::JsonlSink;
 ///
 /// let mut pm = PipelineMetrics::new();
 /// pm.record(&TraceEvent::StepStarted { step: 0, enabled: 4 });
-/// pm.record(&TraceEvent::MovesApplied { step: 0, moves: 2, conflict_classes: None });
+/// pm.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
 /// let m = pm.into_metrics();
 /// assert_eq!(m.counter_value("pipeline.steps"), Some(1));
 /// assert_eq!(m.counter_value("pipeline.moves"), Some(2));
@@ -102,17 +100,10 @@ impl TraceSink for PipelineMetrics {
                     self.metrics.inc(&format!("kernel.{phase}.{kind}"), 1);
                 }
             }
-            TraceEvent::MovesApplied {
-                moves,
-                conflict_classes,
-                ..
-            } => {
+            TraceEvent::MovesApplied { moves, .. } => {
                 self.metrics.inc("pipeline.moves", *moves as u64);
                 self.metrics
                     .observe("pipeline.moves_per_step", *moves as u64);
-                if let Some(k) = conflict_classes {
-                    self.metrics.observe("pipeline.conflict_classes", *k as u64);
-                }
             }
             TraceEvent::EnabledSetSize { .. } => {}
             TraceEvent::RoundCompleted { .. } => {
@@ -223,11 +214,7 @@ mod tests {
             nanos: 300,
             par: false,
         });
-        pm.record(&TraceEvent::MovesApplied {
-            step: 0,
-            moves: 3,
-            conflict_classes: Some(2),
-        });
+        pm.record(&TraceEvent::MovesApplied { step: 0, moves: 3 });
         pm.record(&TraceEvent::EnabledSetSize {
             step: 0,
             enabled: 2,
@@ -248,10 +235,6 @@ mod tests {
         assert_eq!(m.counter_value("kernel.guards.seq_steps"), Some(1));
         assert_eq!(m.counter_value("kernel.select.seq_steps"), None);
         assert_eq!(m.histogram("phase.select.nanos").unwrap().sum(), 100);
-        assert_eq!(
-            m.histogram("pipeline.conflict_classes").unwrap().max(),
-            Some(2)
-        );
     }
 
     #[test]
@@ -271,11 +254,7 @@ mod tests {
             step: 0,
             enabled: 2,
         });
-        boxed.record(&TraceEvent::MovesApplied {
-            step: 0,
-            moves: 2,
-            conflict_classes: None,
-        });
+        boxed.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
         let composite = boxed
             .as_any_mut()
             .and_then(|a| a.downcast_mut::<CompositeSink>())

@@ -7,7 +7,7 @@
 //! ```json
 //! {"event":"step-started","step":0,"enabled":3}
 //! {"event":"phase-timed","step":0,"phase":"select","nanos":1200,"par":false}
-//! {"event":"moves-applied","step":0,"moves":2,"conflict_classes":null}
+//! {"event":"moves-applied","step":0,"moves":2}
 //! {"event":"enabled-set-size","step":0,"enabled":2}
 //! {"event":"round-completed","step":0,"rounds":1}
 //! {"event":"run-ended","steps":10,"moves":12,"rounds":3,"reason":"terminal"}
@@ -46,21 +46,8 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 ",\"step\":{step},\"phase\":\"{phase}\",\"nanos\":{nanos},\"par\":{par}"
             );
         }
-        TraceEvent::MovesApplied {
-            step,
-            moves,
-            conflict_classes,
-        } => {
-            let _ = write!(
-                s,
-                ",\"step\":{step},\"moves\":{moves},\"conflict_classes\":"
-            );
-            match conflict_classes {
-                Some(k) => {
-                    let _ = write!(s, "{k}");
-                }
-                None => s.push_str("null"),
-            }
+        TraceEvent::MovesApplied { step, moves } => {
+            let _ = write!(s, ",\"step\":{step},\"moves\":{moves}");
         }
         TraceEvent::EnabledSetSize { step, enabled } => {
             let _ = write!(s, ",\"step\":{step},\"enabled\":{enabled}");
@@ -91,7 +78,7 @@ fn required_keys(event_name: &str) -> Option<&'static [&'static str]> {
     Some(match event_name {
         "step-started" | "enabled-set-size" => &["step", "enabled"],
         "phase-timed" => &["step", "phase", "nanos", "par"],
-        "moves-applied" => &["step", "moves", "conflict_classes"],
+        "moves-applied" => &["step", "moves"],
         "round-completed" => &["step", "rounds"],
         "run-ended" => &["steps", "moves", "rounds", "reason"],
         _ => return None,
@@ -282,16 +269,7 @@ mod tests {
                 nanos: 12,
                 par: false,
             },
-            TraceEvent::MovesApplied {
-                step: 0,
-                moves: 2,
-                conflict_classes: Some(1),
-            },
-            TraceEvent::MovesApplied {
-                step: 1,
-                moves: 2,
-                conflict_classes: None,
-            },
+            TraceEvent::MovesApplied { step: 0, moves: 2 },
             TraceEvent::EnabledSetSize {
                 step: 0,
                 enabled: 2,

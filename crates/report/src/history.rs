@@ -5,7 +5,7 @@
 //! from the outside — git SHA and a host fingerprint are caller-passed
 //! flags, never ambient state — so a history file is reproducible and
 //! the store stays deterministic. Per-cell figures are distilled from a
-//! `bench-scale-v2` sweep by [`entry_from_scale`].
+//! `bench-scale-v2`/`-v3` sweep by [`entry_from_scale`].
 //!
 //! [`check`] is a pure function from `(baseline, current, tolerance)`
 //! to a list of [`Regression`]s: throughput may not fall below
@@ -66,7 +66,7 @@ pub struct HistoryEntry {
     pub cells: Vec<HistoryCell>,
 }
 
-/// Distills a parsed `bench-scale-v2` sweep into one history entry.
+/// Distills a parsed `bench-scale` sweep into one history entry.
 pub fn entry_from_scale(doc: &ScaleDoc, sha: &str, host: &str, source: &str) -> HistoryEntry {
     HistoryEntry {
         sha: sha.to_string(),

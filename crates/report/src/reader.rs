@@ -1,7 +1,7 @@
 //! Typed readers for the artifacts the stack writes: campaign
 //! JSONL/CSV, `ssr-metrics-v1` snapshots, trace JSONL (`DESIGN.md`
 //! §10), `BENCH_RESULTS.json` (`ssr-bench-results/v1`), and
-//! `BENCH_SCALE.json` (`bench-scale-v2`).
+//! `BENCH_SCALE.json` (`bench-scale-v2`/`-v3`).
 //!
 //! Every reader is the exact inverse of a hand-rolled writer elsewhere
 //! in the workspace, built on the shared recursive-descent parser in
@@ -385,8 +385,6 @@ pub struct TraceRow {
     pub nanos: Option<u64>,
     /// Termination reason (for `run-ended`).
     pub reason: Option<String>,
-    /// Conflict classes of the applied selection, when measured.
-    pub conflict_classes: Option<u64>,
 }
 
 /// Parses a trace JSONL file; every line is also validated against the
@@ -414,7 +412,6 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceRow>, String> {
             phase: v.get("phase").and_then(Value::as_str).map(str::to_string),
             nanos: opt("nanos"),
             reason: v.get("reason").and_then(Value::as_str).map(str::to_string),
-            conflict_classes: opt("conflict_classes"),
         });
     }
     Ok(out)
@@ -495,10 +492,10 @@ pub fn parse_bench_results(text: &str) -> Result<BenchResultsDoc, String> {
 }
 
 // ---------------------------------------------------------------------
-// BENCH_SCALE.json (bench-scale-v2)
+// BENCH_SCALE.json (bench-scale-v2 / v3)
 // ---------------------------------------------------------------------
 
-/// One measured cell of a `bench-scale-v2` sweep.
+/// One measured cell of a `bench-scale-v2`/`-v3` sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleRun {
     /// Topology (`ring` / `torus`).
@@ -521,10 +518,6 @@ pub struct ScaleRun {
     pub moves_per_sec: f64,
     /// Whether the run converged within the bound.
     pub converged: bool,
-    /// Mean greedy conflict classes per step (diagnostic replay).
-    pub conflict_classes_avg: f64,
-    /// Heap bytes of the SoA snapshot.
-    pub soa_heap_bytes: u64,
     /// Select-phase wall nanos.
     pub phase_select_nanos: u64,
     /// Apply-phase wall nanos.
@@ -544,7 +537,7 @@ impl ScaleRun {
     }
 }
 
-/// A parsed `bench-scale-v2` document.
+/// A parsed `bench-scale-v2`/`-v3` document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleDoc {
     /// Whether this was a `--smoke` run.
@@ -554,19 +547,22 @@ pub struct ScaleDoc {
 }
 
 /// Parses (and thereby validates) a `BENCH_SCALE.json` document.
-/// Rejects the retired `bench-scale-v1` schema by name.
+/// Keys are read by name, so `bench-scale-v2` (which also carries the
+/// retired `conflict_classes_avg` and `soa_heap_bytes`) and
+/// `bench-scale-v3` read alike. Rejects the retired `bench-scale-v1`
+/// schema by name.
 pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
     let root = json::parse(text)?;
     let schema = json::str_field(&root, "schema", "document")?;
     if schema == "bench-scale-v1" {
         return Err(
             "schema is `bench-scale-v1` (no phase/kernel metrics) — re-run the `scale` bin to \
-             regenerate a `bench-scale-v2` file"
+             regenerate a `bench-scale-v3` file"
                 .to_string(),
         );
     }
-    if schema != "bench-scale-v2" {
-        return Err(format!("schema is `{schema}`, expected `bench-scale-v2`"));
+    if schema != "bench-scale-v2" && schema != "bench-scale-v3" {
+        return Err(format!("schema is `{schema}`, expected `bench-scale-v3`"));
     }
     let mut runs = Vec::new();
     for (i, r) in json::arr(json::field(&root, "runs", "document")?, "runs")?
@@ -589,8 +585,6 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
             steps_per_sec: json::num_field(r, "steps_per_sec", &what)?,
             moves_per_sec: json::num_field(r, "moves_per_sec", &what)?,
             converged: json::bool_field(r, "converged", &what)?,
-            conflict_classes_avg: json::num_field(r, "conflict_classes_avg", &what)?,
-            soa_heap_bytes: json::u64_field(r, "soa_heap_bytes", &what)?,
             phase_select_nanos: json::u64_field(phase, "select", &pwhat)?,
             phase_apply_nanos: json::u64_field(phase, "apply", &pwhat)?,
             phase_guards_nanos: json::u64_field(phase, "guards", &pwhat)?,

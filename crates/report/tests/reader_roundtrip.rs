@@ -198,13 +198,10 @@ proptest! {
         enabled in 0u32..u32::MAX,
         moves in 0u32..u32::MAX,
         rounds in 0u64..u64::MAX,
-        classes_seed in 0u64..1_000_000,
     ) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(classes_seed);
-        let conflict_classes = rng.chance(0.5).then(|| rng.next_u64() as u32);
         let events = [
             TraceEvent::StepStarted { step, enabled },
-            TraceEvent::MovesApplied { step, moves, conflict_classes },
+            TraceEvent::MovesApplied { step, moves },
             TraceEvent::EnabledSetSize { step, enabled },
             TraceEvent::RoundCompleted { step, rounds },
             TraceEvent::RunEnded {
@@ -223,7 +220,6 @@ proptest! {
         prop_assert_eq!(rows[0].step, Some(step));
         prop_assert_eq!(rows[0].enabled, Some(u64::from(enabled)));
         prop_assert_eq!(rows[1].moves, Some(u64::from(moves)));
-        prop_assert_eq!(rows[1].conflict_classes, conflict_classes.map(u64::from));
         prop_assert_eq!(rows[3].rounds, Some(rounds));
         prop_assert_eq!(rows[4].reason.as_deref(), Some("terminal"));
     }

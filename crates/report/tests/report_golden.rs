@@ -75,30 +75,18 @@ fn build_artifact_dir(dir: &Path, threads: usize) {
             step: 0,
             enabled: 6,
         },
-        TraceEvent::MovesApplied {
-            step: 0,
-            moves: 4,
-            conflict_classes: Some(2),
-        },
+        TraceEvent::MovesApplied { step: 0, moves: 4 },
         TraceEvent::StepStarted {
             step: 1,
             enabled: 3,
         },
-        TraceEvent::MovesApplied {
-            step: 1,
-            moves: 3,
-            conflict_classes: Some(1),
-        },
+        TraceEvent::MovesApplied { step: 1, moves: 3 },
         TraceEvent::RoundCompleted { step: 1, rounds: 1 },
         TraceEvent::StepStarted {
             step: 2,
             enabled: 1,
         },
-        TraceEvent::MovesApplied {
-            step: 2,
-            moves: 1,
-            conflict_classes: Some(1),
-        },
+        TraceEvent::MovesApplied { step: 2, moves: 1 },
         TraceEvent::RunEnded {
             steps: 3,
             moves: 8,

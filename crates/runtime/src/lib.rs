@@ -88,7 +88,6 @@ pub mod fingerprint;
 pub mod report;
 pub mod rng;
 mod simulator;
-pub mod soa;
 mod step;
 pub mod trace;
 
@@ -107,7 +106,6 @@ pub use family::{
 };
 pub use fingerprint::{Canon, Fingerprint, FpEncoder};
 pub use simulator::{RunOutcome, RunStats, Simulator, StepOutcome, TerminationReason};
-pub use soa::{AosColumns, ScalarColumns, StateColumns};
 pub use trace::{NoTrace, TraceEvent, TracePhase, TraceSink};
 
 // Re-export the graph handle: every API in this crate speaks `NodeId`.

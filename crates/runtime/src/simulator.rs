@@ -4,14 +4,12 @@
 use std::fmt;
 use std::time::Instant;
 
-use ssr_graph::coloring::ConflictPartitioner;
 use ssr_graph::{Bitset, Graph, NodeId};
 
 use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
 use crate::daemon::Daemon;
 use crate::exec::Execution;
 use crate::rng::Xoshiro256StarStar;
-use crate::soa::StateColumns;
 use crate::step;
 use crate::step::guards::EnabledSet;
 use crate::step::par::ParHooks;
@@ -20,12 +18,11 @@ use crate::trace::{TraceEvent, TracePhase, TraceSink};
 /// Execution counters (§2.4 time measures).
 ///
 /// The per-node vectors (`moves_per_process`, `moves_per_process_rule`)
-/// are allocated **lazily** on the first counted move, and not at all
-/// when detailed stats are disabled ([`Simulator::set_detailed_stats`])
-/// — a million-node run does not pay `O(n · rules)` memory for
-/// accounting nothing reads. Use [`RunStats::moves_of`] and
-/// [`RunStats::max_moves_per_process`] rather than indexing the vectors
-/// directly; they treat the unallocated vectors as all-zero.
+/// are allocated **lazily** on the first counted move, so a simulator
+/// that never steps pays no `O(n · rules)` memory for them. Use
+/// [`RunStats::moves_of`] and [`RunStats::max_moves_per_process`]
+/// rather than indexing the vectors directly; they treat the
+/// unallocated vectors as all-zero.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Steps taken (configuration transitions).
@@ -172,16 +169,10 @@ pub struct Simulator<'g, A: Algorithm> {
     round_just_completed: bool,
     rr_cursor: usize,
     stats: RunStats,
-    /// Whether per-node move counters are maintained (lazily allocated).
-    detailed_stats: bool,
     /// Installed parallel kernels (`None` = sequential).
     par: Option<ParHooks<A>>,
     /// Minimum kernel input length before `par` is used.
     par_threshold: usize,
-    /// Conflict-partition diagnostics (enabled via `set_conflict_stats`)
-    /// and the node list of the step's moves they partition.
-    conflict: Option<(ConflictPartitioner, Vec<NodeId>)>,
-    last_conflict_classes: Option<u32>,
     /// Installed trace sink (`None` = tracing disabled, the default;
     /// see [`crate::trace`] for the zero-cost contract).
     trace: Option<Box<dyn TraceSink>>,
@@ -231,11 +222,8 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             round_just_completed: false,
             rr_cursor: 0,
             stats: RunStats::new(rules),
-            detailed_stats: true,
             par: None,
             par_threshold: DEFAULT_PAR_THRESHOLD,
-            conflict: None,
-            last_conflict_classes: None,
             trace: None,
             last_phase_draws: [0; 3],
             last_activated: Vec::new(),
@@ -287,35 +275,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.par = hooks;
     }
 
-    /// Enables or disables per-node move counters (`moves_per_process`,
-    /// `moves_per_process_rule`). On by default; switch off for scale
-    /// runs where nothing reads them — aggregate counters (steps,
-    /// moves, rounds, per-rule moves) are always maintained.
-    pub fn set_detailed_stats(&mut self, detailed: bool) {
-        self.detailed_stats = detailed;
-    }
-
-    /// Enables conflict-partition diagnostics: each step greedily
-    /// colors the selected set's induced subgraph and records the
-    /// class count ([`Simulator::last_conflict_classes`]).
-    pub fn set_conflict_stats(&mut self, enabled: bool) {
-        if enabled {
-            if self.conflict.is_none() {
-                let p = ConflictPartitioner::new(self.graph.node_count());
-                self.conflict = Some((p, Vec::new()));
-            }
-        } else {
-            self.conflict = None;
-            self.last_conflict_classes = None;
-        }
-    }
-
-    /// Conflict-free class count of the most recent step's selected
-    /// set, when diagnostics are on ([`Simulator::set_conflict_stats`]).
-    pub fn last_conflict_classes(&self) -> Option<u32> {
-        self.last_conflict_classes
-    }
-
     /// Installs a [`TraceSink`]: every subsequent step emits the typed
     /// event stream documented in [`crate::trace`]. Replaces any
     /// previously installed sink.
@@ -361,18 +320,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// Read-only view of the current configuration.
     pub fn view(&self) -> ConfigView<'_, A::State> {
         ConfigView::new(self.graph, &self.states)
-    }
-
-    /// Transposes the current configuration into struct-of-arrays
-    /// columns (see [`crate::soa`]); `cols` is cleared first.
-    pub fn snapshot_columns<C>(&self, cols: &mut C)
-    where
-        C: StateColumns<State = A::State>,
-    {
-        cols.clear();
-        for s in &self.states {
-            cols.push(s);
-        }
     }
 
     /// Execution counters so far.
@@ -522,16 +469,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                 &mut self.last_activated,
             );
         }
-        if let Some((p, nodes)) = self.conflict.as_mut() {
-            nodes.clear();
-            nodes.extend(self.last_activated.iter().map(|&(u, _)| u));
-            let k = p.partition(self.graph, nodes);
-            debug_assert!(
-                ssr_graph::coloring::is_conflict_free(self.graph, nodes, &p.classes(nodes)),
-                "conflict partition must split the selection into independent sets"
-            );
-            self.last_conflict_classes = Some(k);
-        }
         if let (Some(clock), Some(t)) = (phase_clock.as_mut(), trace.as_deref_mut()) {
             t.record(&TraceEvent::PhaseTimed {
                 step: step_idx,
@@ -575,7 +512,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         }
         // Each mover leaves the round front (§2.4).
         let rules = self.algo.rule_count();
-        if self.detailed_stats && self.stats.moves_per_process.is_empty() {
+        if self.stats.moves_per_process.is_empty() {
             let n = self.graph.node_count();
             self.stats.moves_per_process = vec![0; n];
             self.stats.moves_per_process_rule = vec![0; n * rules];
@@ -584,10 +521,8 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             self.enabled.front_remove(u);
             self.stats.moves += 1;
             self.stats.moves_per_rule[rule.index()] += 1;
-            if self.detailed_stats {
-                self.stats.moves_per_process[u.index()] += 1;
-                self.stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
-            }
+            self.stats.moves_per_process[u.index()] += 1;
+            self.stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
         }
         self.stats.steps += 1;
         if let Some(t) = trace.as_deref_mut() {
@@ -602,7 +537,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             t.record(&TraceEvent::MovesApplied {
                 step: step_idx,
                 moves: self.last_activated.len() as u32,
-                conflict_classes: self.last_conflict_classes,
             });
             if let Some(clock) = phase_clock.as_mut() {
                 *clock = Instant::now();
@@ -908,21 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn detailed_stats_can_be_disabled() {
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        sim.set_detailed_stats(false);
-        sim.execution().cap(100).run();
-        // Aggregates still tracked; per-node vectors never allocated.
-        assert_eq!(sim.stats().moves, 3);
-        assert_eq!(sim.stats().moves_per_rule, vec![3]);
-        assert!(sim.stats().moves_per_process.is_empty());
-        assert!(sim.stats().moves_per_process_rule.is_empty());
-        assert_eq!(sim.stats().moves_of(NodeId(2), RuleId(0), 1), 0);
-        assert_eq!(sim.stats().max_moves_per_process(), 0);
-    }
-
-    #[test]
     fn per_node_stats_allocate_lazily() {
         let (init, g) = flood_path(3);
         let sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
@@ -962,17 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_columns_round_trips_configuration() {
-        use crate::soa::{AosColumns, StateColumns};
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        sim.step();
-        let mut cols = AosColumns::default();
-        sim.snapshot_columns(&mut cols);
-        assert_eq!(cols.to_states(), sim.states());
-    }
-
-    #[test]
     fn intra_threads_run_is_byte_identical_to_sequential() {
         let g = generators::random_connected(40, 60, 21);
         let mut init = vec![false; 40];
@@ -988,19 +896,6 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), seq, "divergence at {threads} threads");
         }
-    }
-
-    #[test]
-    fn conflict_stats_report_partition_classes() {
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        assert_eq!(sim.last_conflict_classes(), None);
-        sim.set_conflict_stats(true);
-        sim.step();
-        // One mover per flood step: a single conflict-free class.
-        assert_eq!(sim.last_conflict_classes(), Some(1));
-        sim.set_conflict_stats(false);
-        assert_eq!(sim.last_conflict_classes(), None);
     }
 
     #[test]
@@ -1117,11 +1012,7 @@ mod tests {
                     step: 0,
                     enabled: 1
                 },
-                TraceEvent::MovesApplied {
-                    step: 0,
-                    moves: 1,
-                    conflict_classes: None
-                },
+                TraceEvent::MovesApplied { step: 0, moves: 1 },
                 TraceEvent::EnabledSetSize {
                     step: 0,
                     enabled: 1

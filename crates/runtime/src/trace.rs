@@ -106,10 +106,6 @@ pub enum TraceEvent {
         step: u64,
         /// Number of `(process, rule)` moves in the step.
         moves: u32,
-        /// Greedy conflict-partition class count of the selection,
-        /// when diagnostics are on
-        /// ([`Simulator::set_conflict_stats`](crate::Simulator::set_conflict_stats)).
-        conflict_classes: Option<u32>,
     },
     /// Enabled-set size after the step's guard refresh.
     EnabledSetSize {

@@ -273,3 +273,29 @@ fn an_unterminated_oversized_head_is_rejected_without_waiting() {
     assert_eq!(status, 200);
     running.join().unwrap().unwrap();
 }
+
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_server_lives() {
+    // 100 KB of `[`: far under the body cap, far over the parser's
+    // nesting bound. Unbounded recursion would overflow the connection
+    // thread's stack and abort the whole server.
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        checkpoint: None,
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let running = std::thread::spawn(move || server.run());
+
+    let (status, raw) = request(addr, "POST", "/campaigns", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{raw}");
+    assert!(body_of(&raw).contains("nesting"), "{raw}");
+    let (status, raw) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body_of(&raw).starts_with("ok"));
+
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    running.join().unwrap().unwrap();
+}

@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod columns;
 pub mod family;
 pub mod spec;
 mod unison;
