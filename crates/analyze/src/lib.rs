@@ -42,6 +42,7 @@ use ssr_runtime::analysis::{
     AnalyzeOptions, Finding, FindingKind, GraphAnalysis, OverlapStat, RngAudit, RuleStats, Severity,
 };
 use ssr_runtime::family::{Family, FamilyRegistry};
+use ssr_runtime::pool::par_map;
 
 pub mod fixtures;
 pub mod report;
@@ -275,7 +276,7 @@ fn hygiene_lints(graphs: &[GraphAnalysis]) -> Vec<Finding> {
 
 /// Analyzes every label of `registry` on up to `threads` workers.
 ///
-/// Work is partitioned by label index and merged back in label order,
+/// Labels are handed out one at a time and merged back in label order,
 /// so the report — and its JSON rendering — is byte-identical at any
 /// thread count. A label that fails to resolve is reported as an
 /// unanalyzable family (it should be impossible for a well-formed
@@ -286,7 +287,6 @@ pub fn analyze_registry(
     threads: usize,
 ) -> AnalysisReport {
     let labels = registry.labels();
-    let threads = threads.clamp(1, labels.len().max(1));
     let one = |label: &str| -> FamilyReport {
         match registry.resolve_label(label) {
             Some(family) => analyze_family(family.as_ref(), opts),
@@ -305,40 +305,8 @@ pub fn analyze_registry(
             },
         }
     };
-
-    let mut reports: Vec<Option<FamilyReport>> = (0..labels.len()).map(|_| None).collect();
-    if threads <= 1 {
-        for (i, label) in labels.iter().enumerate() {
-            reports[i] = Some(one(label));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let labels = &labels;
-                let one = &one;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = t;
-                    while i < labels.len() {
-                        out.push((i, one(&labels[i])));
-                        i += threads;
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                for (i, r) in h.join().expect("analysis worker panicked") {
-                    reports[i] = Some(r);
-                }
-            }
-        });
-    }
     AnalysisReport {
-        families: reports
-            .into_iter()
-            .map(|r| r.expect("every label analyzed"))
-            .collect(),
+        families: par_map(labels.len(), threads, 1, |_| (), |_, i| one(&labels[i])).0,
     }
 }
 

@@ -1,5 +1,5 @@
-//! The batch execution engine: scoped worker threads draining the
-//! campaign grid through an atomic cursor.
+//! The batch execution engine: the campaign grid mapped over the
+//! [`par_map`] worker pool, one scenario at a time.
 //!
 //! # Determinism contract
 //!
@@ -13,12 +13,12 @@
 //!
 //! The property test in `tests/determinism.rs` pins this down.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ssr_obs::metrics::MetricsSet;
 use ssr_obs::progress::Progress;
 use ssr_runtime::family::FamilyRegistry;
+use ssr_runtime::pool::par_map;
 
 use crate::cache::RecordCache;
 use crate::checkpoint::CheckpointWriter;
@@ -50,42 +50,14 @@ where
     R: Send,
     F: Fn(Scenario) -> R + Sync,
 {
-    let total = campaign.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, total);
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let runner = &runner;
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(total);
-    slots.resize_with(total, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        done.push((i, runner(campaign.scenario(i))));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("campaign worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every scenario index was drained"))
-        .collect()
+    par_map(
+        campaign.len(),
+        threads,
+        1,
+        |_| (),
+        |_, i| runner(campaign.scenario(i)),
+    )
+    .0
 }
 
 /// Runs the campaign with the default runner
@@ -119,8 +91,8 @@ pub fn run_in(
 ///
 /// Scheduling of the side channels: progress notifications go through
 /// one mutex (coarse, per scenario — never per step); each worker owns
-/// a private [`MetricsSet`] and submits it to the hub once, on
-/// retirement, so the metrics hot path takes no lock at all.
+/// a private [`MetricsSet`], submitted to the hub once the pool
+/// returns, so the metrics hot path takes no lock at all.
 pub fn run_obs(campaign: &Campaign, threads: usize, obs: &mut CampaignObs) -> Vec<ScenarioRecord> {
     run_core(campaign, threads, obs, None)
 }
@@ -146,111 +118,89 @@ fn run_core(
     layer: Option<CacheLayer<'_>>,
 ) -> Vec<ScenarioRecord> {
     let registry = crate::families::default_registry();
-    let total = campaign.len();
     if let Some(p) = obs.progress.as_deref_mut() {
-        p.begin(total);
+        p.begin(campaign.len());
     }
-    let mut records = if total == 0 {
-        Vec::new()
-    } else {
-        let workers = threads.clamp(1, total);
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let wants_probe = obs.wants_probe();
-        let phase_timing = obs.phase_timing;
-        let trace_dir = obs.trace_dir.clone();
-        let trace_dir = &trace_dir;
-        let hub = obs.metrics.as_ref();
-        let progress: Mutex<Option<&mut dyn Progress>> = Mutex::new(obs.progress.as_deref_mut());
-        let progress = &progress;
-        let mut slots: Vec<Option<ScenarioRecord>> = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut local = hub.map(|_| MetricsSet::new());
-                        let mut done = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            let sc = campaign.scenario(i);
-                            let label = scenario_label(&sc);
-                            if let Some(p) = progress.lock().unwrap().as_deref_mut() {
-                                p.item_started(w, i, &label);
-                            }
-                            let fp = layer.map(|_| sc.fingerprint());
-                            let cached = match (layer, fp) {
-                                (Some(layer), Some(fp)) => layer.cache.lookup(fp, &sc),
-                                _ => None,
-                            };
-                            let hit = cached.is_some();
-                            let rec = if let Some(rec) = cached {
-                                // Cache hit: the simulator (and the
-                                // probe feeding pipeline.* metrics)
-                                // never runs.
-                                rec
-                            } else {
-                                let rec = if wants_probe {
-                                    let path = trace_dir
-                                        .as_ref()
-                                        .map(|d| d.join(format!("trace-{i:05}.jsonl")));
-                                    let mut probe =
-                                        ObsProbe::new(local.as_mut(), path, phase_timing);
-                                    runner::run_scenario_probed(registry, sc, Some(&mut probe))
-                                } else {
-                                    runner::run_scenario_in(registry, sc)
-                                };
-                                if let (Some(layer), Some(fp)) = (layer, fp) {
-                                    layer.cache.insert(fp, &rec);
-                                    if let Some(journal) = layer.checkpoint {
-                                        if let Err(e) = journal.append(fp, &rec) {
-                                            eprintln!("checkpoint append failed: {e}");
-                                        }
-                                    }
-                                }
-                                rec
-                            };
-                            if let Some(m) = local.as_mut() {
-                                m.inc("campaign.scenarios", 1);
-                                if layer.is_some() {
-                                    let key = if hit {
-                                        "campaign.cache_hits"
-                                    } else {
-                                        "campaign.cache_misses"
-                                    };
-                                    m.inc(key, 1);
-                                }
-                                if !rec.verdict.ok() {
-                                    m.inc("campaign.failed", 1);
-                                }
-                            }
-                            if let Some(p) = progress.lock().unwrap().as_deref_mut() {
-                                p.item_done(i, &label, rec.verdict.ok());
-                            }
-                            done.push((i, rec));
+    let wants_probe = obs.wants_probe();
+    let phase_timing = obs.phase_timing;
+    let trace_dir = obs.trace_dir.as_deref();
+    let hub = obs.metrics.as_ref();
+    let progress: Mutex<Option<&mut dyn Progress>> = Mutex::new(obs.progress.as_deref_mut());
+    // Each worker carries its id and a private `MetricsSet`, merged
+    // into the hub once the pool returns.
+    let (mut records, workers) = par_map(
+        campaign.len(),
+        threads,
+        1,
+        |w| (w, hub.map(|_| MetricsSet::new())),
+        |(w, local), i| {
+            let sc = campaign.scenario(i);
+            let label = scenario_label(&sc);
+            if let Some(p) = progress
+                .lock()
+                .expect("progress lock poisoned")
+                .as_deref_mut()
+            {
+                p.item_started(*w, i, &label);
+            }
+            let fp = layer.map(|_| sc.fingerprint());
+            let cached = match (layer, fp) {
+                (Some(layer), Some(fp)) => layer.cache.lookup(fp, &sc),
+                _ => None,
+            };
+            let hit = cached.is_some();
+            let rec = if let Some(rec) = cached {
+                // Cache hit: the simulator (and the probe feeding
+                // pipeline.* metrics) never runs.
+                rec
+            } else {
+                let rec = if wants_probe {
+                    let path = trace_dir.map(|d| d.join(format!("trace-{i:05}.jsonl")));
+                    let mut probe = ObsProbe::new(local.as_mut(), path, phase_timing);
+                    runner::run_scenario_probed(registry, sc, Some(&mut probe))
+                } else {
+                    runner::run_scenario_in(registry, sc)
+                };
+                if let (Some(layer), Some(fp)) = (layer, fp) {
+                    layer.cache.insert(fp, &rec);
+                    if let Some(journal) = layer.checkpoint {
+                        if let Err(e) = journal.append(fp, &rec) {
+                            eprintln!("checkpoint append failed: {e}");
                         }
-                        if let (Some(hub), Some(local)) = (hub, local) {
-                            hub.submit(&local);
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("campaign worker panicked") {
-                    slots[i] = Some(r);
+                    }
+                }
+                rec
+            };
+            if let Some(m) = local.as_mut() {
+                m.inc("campaign.scenarios", 1);
+                if layer.is_some() {
+                    let key = if hit {
+                        "campaign.cache_hits"
+                    } else {
+                        "campaign.cache_misses"
+                    };
+                    m.inc(key, 1);
+                }
+                if !rec.verdict.ok() {
+                    m.inc("campaign.failed", 1);
                 }
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every scenario index was drained"))
-            .collect()
-    };
-    if let Some(p) = obs.progress.as_deref_mut() {
+            if let Some(p) = progress
+                .lock()
+                .expect("progress lock poisoned")
+                .as_deref_mut()
+            {
+                p.item_done(i, &label, rec.verdict.ok());
+            }
+            rec
+        },
+    );
+    if let Some(hub) = hub {
+        for local in workers.iter().filter_map(|(_, local)| local.as_ref()) {
+            hub.submit(local);
+        }
+    }
+    if let Some(p) = progress.into_inner().expect("progress lock poisoned") {
         p.finish();
     }
     for rec in &mut records {

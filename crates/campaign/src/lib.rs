@@ -5,8 +5,9 @@
 //! configuration-space sweeps: topology × size × algorithm family ×
 //! daemon × fault plan × seed. This crate turns one such sweep into a
 //! [`Campaign`] — a lazily-expanded cartesian grid of [`Scenario`]s —
-//! and drains it with scoped worker threads via an atomic cursor
-//! ([`engine::run`]), no dependencies beyond `std`.
+//! and maps it over the workspace's one worker pool,
+//! [`ssr_runtime::pool::par_map`] ([`engine::run`]), no dependencies
+//! beyond `std`.
 //!
 //! Results come back as flat [`ScenarioRecord`]s with the paper's
 //! closed-form bounds checked where they exist, ready for aggregation

@@ -41,12 +41,6 @@ pub trait Progress: Send {
     fn finish(&mut self) {}
 }
 
-/// The zero-cost default: every notification is a no-op.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoProgress;
-
-impl Progress for NoProgress {}
-
 /// Renders `done/total`, percent, elapsed, ETA, and the busy workers'
 /// current labels as a single stderr line per (rate-limited) update.
 #[derive(Debug)]
@@ -463,7 +457,6 @@ impl ssr_runtime::trace::TraceSink for ProgressBus {
 #[allow(dead_code)]
 fn assert_send() {
     fn is_send<T: Send>() {}
-    is_send::<NoProgress>();
     is_send::<StderrProgress>();
     is_send::<JsonlProgress<BufWriter<File>>>();
     is_send::<ProgressBus>();

@@ -1,5 +1,5 @@
-//! Concrete [`TraceSink`]s: in-memory ring buffer, JSONL writer, and
-//! the JSONL serialization/validation of the event schema.
+//! The JSONL [`TraceSink`] writer and the JSONL
+//! serialization/validation of the event schema.
 //!
 //! The schema (documented normatively in `DESIGN.md` §10) is one JSON
 //! object per line with a mandatory `"event"` discriminator:
@@ -17,7 +17,6 @@
 //! the seeded run: two traces of the same run are byte-identical.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -106,79 +105,6 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// An in-memory sink keeping the **last** `capacity` events (older
-/// events fall off the front) — the flight recorder for interactive
-/// debugging and tests.
-///
-/// # Examples
-///
-/// ```
-/// use ssr_obs::trace::RingSink;
-/// use ssr_runtime::trace::{TraceEvent, TraceSink};
-///
-/// let mut ring = RingSink::new(2);
-/// for step in 0..5 {
-///     ring.record(&TraceEvent::StepStarted { step, enabled: 1 });
-/// }
-/// assert_eq!(ring.events().len(), 2);
-/// let oldest = ring.events().next().unwrap();
-/// assert!(matches!(oldest, TraceEvent::StepStarted { step: 3, .. }));
-/// ```
-#[derive(Debug)]
-pub struct RingSink {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-    timing: bool,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            buf: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            dropped: 0,
-            timing: false,
-        }
-    }
-
-    /// Opts into per-phase wall-time events (nondeterministic values).
-    #[must_use]
-    pub fn with_phase_timing(mut self, timing: bool) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of events that fell off the front.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*event);
-    }
-
-    fn wants_phase_timing(&self) -> bool {
-        self.timing
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        Some(self)
-    }
 }
 
 /// A sink writing one JSON line per event to any buffered writer —
@@ -314,22 +240,5 @@ mod tests {
         for l in lines {
             validate_jsonl_line(l).unwrap();
         }
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let mut ring = RingSink::new(3);
-        for step in 0..10 {
-            ring.record(&TraceEvent::StepStarted { step, enabled: 1 });
-        }
-        assert_eq!(ring.dropped(), 7);
-        let steps: Vec<u64> = ring
-            .events()
-            .map(|e| match e {
-                TraceEvent::StepStarted { step, .. } => *step,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(steps, vec![7, 8, 9]);
     }
 }

@@ -547,7 +547,7 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
     }
 
     /// Runs the step pipeline's apply and guard kernels on `threads`
-    /// scoped worker threads (1 or 0 = sequential; the default). Works
+    /// pool workers (1 or 0 = sequential; the default). Works
     /// on fresh and resumed executions alike, and is byte-identical to
     /// sequential at any thread count — see
     /// [`Simulator::set_intra_threads`].

@@ -41,8 +41,8 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::pool::par_map;
 use crate::{Algorithm, ConfigView};
 use ssr_graph::{Graph, NodeId};
 
@@ -480,49 +480,16 @@ where
     A: Algorithm + Sync,
     A::State: ExploreState + Send + Sync,
 {
-    let total = layer.len();
-    let workers = opts.threads.clamp(1, total);
-    if workers == 1 {
-        let mut scratch = Vec::new();
-        return layer
-            .iter()
-            .map(|&id| expand_state(graph, algo, opts, space, id, &mut scratch))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let mut slots: Vec<Option<Result<Proposal<A::State>, ExploreError>>> = Vec::new();
-    slots.resize_with(total, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    let mut scratch = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        done.push((
-                            i,
-                            expand_state(graph, algo, opts, space, layer[i], &mut scratch),
-                        ));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("explorer worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every layer position was expanded"))
-        .collect()
+    par_map(
+        layer.len(),
+        opts.threads,
+        1,
+        |_| Vec::new(),
+        |scratch, i| expand_state(graph, algo, opts, space, layer[i], scratch),
+    )
+    .0
+    .into_iter()
+    .collect()
 }
 
 /// Computes all successor proposals of one state: one per daemon

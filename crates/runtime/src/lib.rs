@@ -36,8 +36,8 @@
 //! its state are `Send`.
 //!
 //! Within one run, the [`step`](crate::Simulator::step) pipeline can
-//! additionally fan its apply and guard kernels out over a scoped
-//! thread pool ([`Simulator::set_intra_threads`] /
+//! additionally fan its apply and guard kernels out over the
+//! [`pool::par_map`] worker pool ([`Simulator::set_intra_threads`] /
 //! [`Execution::intra_threads`], `ExecBudget::with_intra_threads` for
 //! families). Intra-run parallelism is **deterministic by
 //! construction**: all daemon and rule-choice RNG draws happen in the
@@ -85,6 +85,7 @@ pub mod exhaustive;
 pub mod family;
 pub mod faults;
 pub mod fingerprint;
+pub mod pool;
 pub mod report;
 pub mod rng;
 mod simulator;

@@ -139,9 +139,11 @@ pub struct RunOutcome {
     pub reason: TerminationReason,
 }
 
-/// Minimum kernel input length before the installed parallel kernels
-/// kick in; below it, fork/join overhead dwarfs the work.
-const DEFAULT_PAR_THRESHOLD: usize = 2048;
+/// Minimum moves per step before the installed parallel kernels run;
+/// below it, fork/join overhead outweighs the work split off. On
+/// `scale`'s workload (synchronous `Sdr<Agreement>`), two threads break
+/// even at about 11,000 to 15,000 moves per step (DESIGN.md §9).
+const DEFAULT_PAR_THRESHOLD: usize = 16_384;
 
 /// Composite-atomicity execution engine.
 ///
@@ -151,10 +153,11 @@ const DEFAULT_PAR_THRESHOLD: usize = 2048;
 /// re-evaluation over the movers' closed neighborhoods (incremental:
 /// only nodes whose guards can have changed are re-evaluated).
 ///
-/// The apply and guard phases optionally run on a scoped thread pool
-/// ([`Simulator::set_intra_threads`]); results are merged in a
-/// deterministic order, so a run is **byte-identical** at any thread
-/// count. See the crate-level documentation for an end-to-end example.
+/// The apply and guard phases optionally run on the
+/// [`crate::pool::par_map`] pool ([`Simulator::set_intra_threads`]);
+/// results come back in index order, so a run is **byte-identical** at
+/// any thread count. See the crate-level documentation for an
+/// end-to-end example.
 pub struct Simulator<'g, A: Algorithm> {
     graph: &'g Graph,
     algo: A,
@@ -171,7 +174,7 @@ pub struct Simulator<'g, A: Algorithm> {
     stats: RunStats,
     /// Installed parallel kernels (`None` = sequential).
     par: Option<ParHooks<A>>,
-    /// Minimum kernel input length before `par` is used.
+    /// Minimum moves per step before `par` is used.
     par_threshold: usize,
     /// Installed trace sink (`None` = tracing disabled, the default;
     /// see [`crate::trace`] for the zero-cost contract).
@@ -184,7 +187,6 @@ pub struct Simulator<'g, A: Algorithm> {
     last_activated: Vec<(NodeId, RuleId)>,
     next_buf: Vec<A::State>,
     refresh_buf: Vec<NodeId>,
-    mask_buf: Vec<RuleMask>,
     touched_stamp: Vec<u64>,
     stamp: u64,
 }
@@ -229,7 +231,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             last_activated: Vec::new(),
             next_buf: Vec::new(),
             refresh_buf: Vec::new(),
-            mask_buf: Vec::new(),
             touched_stamp: vec![0; n],
             stamp: 0,
         }
@@ -242,13 +243,13 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.random_rule_choice = random;
     }
 
-    /// Runs the apply and guard kernels on `threads` scoped worker
-    /// threads (1 or 0 restores sequential execution). Runs are
-    /// byte-identical at any thread count: same states, counters, RNG
-    /// stream, and observer event order.
+    /// Runs the apply and guard kernels on `threads` workers, the
+    /// stepping thread among them (1 or 0 restores sequential
+    /// execution). Runs are byte-identical at any thread count: same
+    /// states, counters, RNG stream, and observer event order.
     ///
-    /// Kernels only engage when a step's work exceeds the threshold
-    /// ([`Simulator::set_par_threshold`]).
+    /// Kernels only engage on a step with at least the threshold's
+    /// number of moves ([`Simulator::set_par_threshold`]).
     pub fn set_intra_threads(&mut self, threads: usize)
     where
         A: Sync,
@@ -262,9 +263,9 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.par.map_or(1, |h| h.threads)
     }
 
-    /// Minimum kernel input length (selected moves, refresh-set size)
-    /// before the installed parallel kernels are used; below it the
-    /// sequential path runs. Set 0 to force the parallel path (tests).
+    /// Minimum number of moves in a step before the installed parallel
+    /// kernels run its apply and guard phases; below it the sequential
+    /// path runs. Set 0 to force the parallel path (tests).
     pub fn set_par_threshold(&mut self, threshold: usize) {
         self.par_threshold = threshold;
     }
@@ -484,7 +485,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         // committed in selection order (composite atomicity — every
         // read saw the pre-step configuration).
         let par = self.par_if(self.last_activated.len());
-        let apply_par = par.is_some();
         match (self.last_activated.as_slice(), par) {
             // One move: no other move reads the mover's old state, so
             // its next state, computed against the current
@@ -531,7 +531,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                     step: step_idx,
                     phase: TracePhase::Apply,
                     nanos: clock.elapsed().as_nanos() as u64,
-                    par: apply_par,
+                    par: par.is_some(),
                 });
             }
             t.record(&TraceEvent::MovesApplied {
@@ -551,7 +551,25 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.stamp += 1;
         let stamp = self.stamp;
         let mut refresh = std::mem::take(&mut self.refresh_buf);
-        let guards_par = if self.par.is_none() {
+        if let Some(hooks) = par {
+            // The parallel kernel needs the whole list before it starts.
+            step::guards::collect_refresh_targets(
+                self.graph,
+                &self.last_activated,
+                &mut self.touched_stamp,
+                stamp,
+                &mut refresh,
+                |_| {},
+            );
+            step::guards::refresh_par(
+                hooks,
+                self.graph,
+                &self.algo,
+                &self.states,
+                &refresh,
+                &mut self.enabled,
+            );
+        } else {
             let view = ConfigView::new(self.graph, &self.states);
             let (algo, enabled) = (&self.algo, &mut self.enabled);
             step::guards::collect_refresh_targets(
@@ -562,37 +580,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                 &mut refresh,
                 |u| step::guards::refresh_one(algo, &view, enabled, u),
             );
-            false
-        } else {
-            // The parallel kernel needs the whole list before it starts;
-            // whether it runs depends on the list's length.
-            step::guards::collect_refresh_targets(
-                self.graph,
-                &self.last_activated,
-                &mut self.touched_stamp,
-                stamp,
-                &mut refresh,
-                |_| {},
-            );
-            if let Some(hooks) = self.par_if(refresh.len()) {
-                step::guards::refresh_par(
-                    hooks,
-                    self.graph,
-                    &self.algo,
-                    &self.states,
-                    &refresh,
-                    &mut self.enabled,
-                    &mut self.mask_buf,
-                );
-                true
-            } else {
-                let view = ConfigView::new(self.graph, &self.states);
-                for &u in &refresh {
-                    step::guards::refresh_one(&self.algo, &view, &mut self.enabled, u);
-                }
-                false
-            }
-        };
+        }
 
         self.enabled.count_waits(&self.last_activated);
 
@@ -618,7 +606,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                     step: step_idx,
                     phase: TracePhase::Guards,
                     nanos: clock.elapsed().as_nanos() as u64,
-                    par: guards_par,
+                    par: par.is_some(),
                 });
             }
             t.record(&TraceEvent::EnabledSetSize {

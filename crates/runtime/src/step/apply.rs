@@ -3,7 +3,7 @@
 //! Composite atomicity means every move of a step reads the pre-step
 //! configuration; writes land only at the mover itself. The phase is
 //! therefore a pure map over the move list — the sequential loop and
-//! the chunked scoped-thread kernel produce the same vector, and the
+//! the chunked `par_map` kernel produce the same vector, and the
 //! commit (done by the simulator, in selection order) is identical
 //! either way.
 
@@ -24,7 +24,7 @@ pub(crate) fn compute_next_states<A: Algorithm>(
     par: Option<ParHooks<A>>,
 ) {
     if let Some(hooks) = par {
-        (hooks.next)(hooks.threads, graph, algo, states, moves, out);
+        *out = (hooks.next)(hooks.threads, graph, algo, states, moves);
         return;
     }
     out.clear();

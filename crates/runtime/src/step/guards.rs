@@ -7,15 +7,14 @@
 //! nodes is evaluated and recorded once: [`EnabledSet::update`]
 //! installs a fresh mask into every structure that depends on it.
 //! [`refresh_one`] is the one sequential kernel (evaluate, then
-//! update). Without parallel kernels, one walk does it all: each node
-//! is passed to it on its first touch. With kernels installed, the walk
-//! only collects the list; then either [`refresh_par`] evaluates the
-//! whole list on the kernel (masks depend only on the
-//! already-committed states, never on other masks, so evaluation is
-//! order-free) and records the masks in list order, or, below the
-//! parallel threshold, the list goes through [`refresh_one`] in turn.
-//! All three record the nodes in the same order, which keeps the
-//! enabled-set index byte-identical to the pre-pipeline engine.
+//! update). On a sequential step, one walk does it all: each node is
+//! passed to it on its first touch. On a parallel step, the walk only
+//! collects the list; then [`refresh_par`] evaluates the whole list on
+//! the kernel (masks depend only on the already-committed states,
+//! never on other masks, so evaluation is order-free) and records the
+//! masks in list order. Both record the nodes in the same order, which
+//! keeps the enabled-set index byte-identical to the pre-pipeline
+//! engine.
 
 use ssr_graph::{Bitset, Graph, NodeId};
 
@@ -204,8 +203,8 @@ pub(crate) fn collect_refresh_targets(
 }
 
 /// Evaluates `u`'s guards against `view` and records the mask in
-/// `set`: the one sequential guard kernel. The one-walk refresh, the
-/// below-threshold pass over a collected list and `inject` all run it.
+/// `set`: the one sequential guard kernel. The one-walk refresh and
+/// `inject` both run it.
 #[inline(always)]
 pub(crate) fn refresh_one<A: Algorithm>(
     algo: &A,
@@ -217,8 +216,8 @@ pub(crate) fn refresh_one<A: Algorithm>(
 }
 
 /// The parallel guard pass: computes the masks of every node of
-/// `nodes` on the installed kernel into `mask_buf`, then records them
-/// in `set` in list order.
+/// `nodes` on the installed kernel, then records them in `set` in list
+/// order.
 pub(crate) fn refresh_par<A: Algorithm>(
     hooks: ParHooks<A>,
     graph: &Graph,
@@ -226,10 +225,9 @@ pub(crate) fn refresh_par<A: Algorithm>(
     states: &[A::State],
     nodes: &[NodeId],
     set: &mut EnabledSet,
-    mask_buf: &mut Vec<RuleMask>,
 ) {
-    (hooks.masks)(hooks.threads, graph, algo, states, nodes, mask_buf);
-    for (&u, &mask) in nodes.iter().zip(mask_buf.iter()) {
+    let masks = (hooks.masks)(hooks.threads, graph, algo, states, nodes);
+    for (&u, mask) in nodes.iter().zip(masks) {
         set.update(u, mask);
     }
 }

@@ -27,10 +27,10 @@
 //!    first touch.
 //!
 //! The parallel variants of the apply and guard kernels live in
-//! [`par`]; they run on a scoped thread pool and are **byte-identical**
-//! to the sequential path at any thread count: same states, same
-//! counters, same RNG stream, same observer event order. The
-//! commutativity argument (moves at non-adjacent processes commute;
+//! [`par`]; they run on the [`crate::pool::par_map`] pool and are
+//! **byte-identical** to the sequential path at any thread count: same
+//! states, same counters, same RNG stream, same observer event order.
+//! The commutativity argument (moves at non-adjacent processes commute;
 //! our pipeline never interleaves reads and writes at all) is spelled
 //! out in `DESIGN.md` §9.
 

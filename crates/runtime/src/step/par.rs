@@ -1,33 +1,31 @@
-//! Scoped-thread kernels for the apply and guard phases.
+//! The apply and guard kernels on the [`crate::pool::par_map`] pool.
 //!
 //! [`ParHooks`] carries plain `fn` pointers so that installing
 //! parallelism is the only place that needs `A: Sync` bounds
 //! ([`hooks`]); [`crate::Simulator::step`] calls through the pointers
 //! without any extra bounds on its own signature. The pointers are
-//! instantiations of [`par_masks`] and [`par_next_states`], which
-//! split their input into `threads` contiguous chunks, evaluate each
-//! chunk on a scoped thread against the shared read-only
-//! configuration, and write results back **in chunk order** — so the
-//! output vector is byte-identical to the sequential loop for any
-//! thread count.
+//! instantiations of [`par_masks`] and [`par_next_states`], which map
+//! their input in `threads` contiguous chunks against the shared
+//! read-only configuration; `par_map` returns the results in index
+//! order, so the output is byte-identical to the sequential loop for
+//! any thread count.
 
 use ssr_graph::{Graph, NodeId};
 
 use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
+use crate::pool::par_map;
 
-/// Guard kernel: `(threads, graph, algo, states, nodes, out)`.
-type MaskKernel<A> =
-    fn(usize, &Graph, &A, &[<A as Algorithm>::State], &[NodeId], &mut Vec<RuleMask>);
+/// Guard kernel: `(threads, graph, algo, states, nodes) -> masks`.
+type MaskKernel<A> = fn(usize, &Graph, &A, &[<A as Algorithm>::State], &[NodeId]) -> Vec<RuleMask>;
 
-/// Apply kernel: `(threads, graph, algo, states, moves, out)`.
+/// Apply kernel: `(threads, graph, algo, states, moves) -> next states`.
 type NextKernel<A> = fn(
     usize,
     &Graph,
     &A,
     &[<A as Algorithm>::State],
     &[(NodeId, RuleId)],
-    &mut Vec<<A as Algorithm>::State>,
-);
+) -> Vec<<A as Algorithm>::State>;
 
 /// Installed parallel kernels plus the worker count.
 pub(crate) struct ParHooks<A: Algorithm> {
@@ -59,73 +57,57 @@ where
     })
 }
 
-/// Evaluates `enabled_mask` for every node of `nodes` into `out`
-/// (cleared first; `out[i]` is the mask of `nodes[i]`).
+/// The `enabled_mask` of every node of `nodes` (entry `i` is the mask
+/// of `nodes[i]`).
 pub(crate) fn par_masks<A>(
     threads: usize,
     graph: &Graph,
     algo: &A,
     states: &[A::State],
     nodes: &[NodeId],
-    out: &mut Vec<RuleMask>,
-) where
+) -> Vec<RuleMask>
+where
     A: Algorithm + Sync,
     A::State: Sync,
 {
-    out.clear();
-    if nodes.is_empty() {
-        return;
-    }
-    out.resize(nodes.len(), RuleMask::NONE);
-    let chunk = nodes.len().div_ceil(threads.max(1));
-    std::thread::scope(|s| {
-        for (node_chunk, out_chunk) in nodes.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                let view = ConfigView::new(graph, states);
-                for (&u, slot) in node_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = algo.enabled_mask(u, &view);
-                }
-            });
-        }
-    });
+    let view = ConfigView::new(graph, states);
+    let chunk = nodes.len().div_ceil(threads);
+    par_map(
+        nodes.len(),
+        threads,
+        chunk,
+        |_| (),
+        |_, i| algo.enabled_mask(nodes[i], &view),
+    )
+    .0
 }
 
-/// Computes the next state of every move of `moves` against the frozen
-/// configuration `states`, into `out` (cleared first; `out[i]` is the
-/// next state of `moves[i]`). Workers return per-chunk vectors that
-/// are appended in chunk order, preserving the sequential layout.
+/// The next state of every move of `moves` against the frozen
+/// configuration `states` (entry `i` is the next state of `moves[i]`).
 pub(crate) fn par_next_states<A>(
     threads: usize,
     graph: &Graph,
     algo: &A,
     states: &[A::State],
     moves: &[(NodeId, RuleId)],
-    out: &mut Vec<A::State>,
-) where
+) -> Vec<A::State>
+where
     A: Algorithm + Sync,
     A::State: Send + Sync,
 {
-    out.clear();
-    if moves.is_empty() {
-        return;
-    }
-    let chunk = moves.len().div_ceil(threads.max(1));
-    std::thread::scope(|s| {
-        let handles: Vec<_> = moves
-            .chunks(chunk)
-            .map(|mv| {
-                s.spawn(move || {
-                    let view = ConfigView::new(graph, states);
-                    mv.iter()
-                        .map(|&(u, rule)| algo.apply(u, &view, rule))
-                        .collect::<Vec<A::State>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.append(&mut h.join().expect("apply worker panicked"));
-        }
-    });
+    let view = ConfigView::new(graph, states);
+    let chunk = moves.len().div_ceil(threads);
+    par_map(
+        moves.len(),
+        threads,
+        chunk,
+        |_| (),
+        |_, i| {
+            let (u, rule) = moves[i];
+            algo.apply(u, &view, rule)
+        },
+    )
+    .0
 }
 
 #[cfg(test)]
@@ -176,11 +158,9 @@ mod tests {
             .collect();
 
         for threads in [1, 2, 3, 4, 8, 64] {
-            let mut masks = Vec::new();
-            par_masks(threads, &g, &NeighborSum, &states, &nodes, &mut masks);
+            let masks = par_masks(threads, &g, &NeighborSum, &states, &nodes);
             assert_eq!(masks, seq_masks, "masks differ at {threads} threads");
-            let mut next = Vec::new();
-            par_next_states(threads, &g, &NeighborSum, &states, &moves, &mut next);
+            let next = par_next_states(threads, &g, &NeighborSum, &states, &moves);
             assert_eq!(next, seq_next, "next states differ at {threads} threads");
         }
     }
@@ -189,12 +169,8 @@ mod tests {
     fn empty_inputs_yield_empty_outputs() {
         let g = generators::path(3);
         let states = vec![0u64; 3];
-        let mut masks = vec![RuleMask::just(RuleId(0))];
-        par_masks(4, &g, &NeighborSum, &states, &[], &mut masks);
-        assert!(masks.is_empty());
-        let mut next = vec![7u64];
-        par_next_states(4, &g, &NeighborSum, &states, &[], &mut next);
-        assert!(next.is_empty());
+        assert!(par_masks(4, &g, &NeighborSum, &states, &[]).is_empty());
+        assert!(par_next_states(4, &g, &NeighborSum, &states, &[]).is_empty());
     }
 
     #[test]

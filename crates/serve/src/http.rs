@@ -26,12 +26,13 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads and parses one request from `stream`.
+/// Reads and parses one request from `stream` (the server passes its
+/// `TcpStream`; any reader works).
 ///
 /// Returns `Err` on malformed syntax, oversized head/body, or a closed
 /// socket; the caller answers with 400 where a response is still
 /// possible.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+pub fn read_request(stream: impl Read) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
     let mut head = String::new();
     // Request line.
@@ -84,7 +85,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
 /// `budget` is rejected as soon as the budget is spent, not when the
 /// client finally sends `\n` or hangs up.
 fn read_line_limited(
-    reader: &mut BufReader<&mut TcpStream>,
+    reader: &mut BufReader<impl Read>,
     out: &mut String,
     budget: usize,
 ) -> Result<(), String> {

@@ -102,16 +102,17 @@ impl Server {
         self.shared.store.replayed
     }
 
-    /// Serves until shutdown completes. Every accepted connection is
-    /// handled on a scoped thread; the orchestrator drains the queue
-    /// after the accept loop stops, so queued work always finishes.
+    /// Serves until shutdown completes. Every accepted connection, and
+    /// every job's engine run, gets a scoped thread; the orchestrator
+    /// drains the queue after the accept loop stops, so queued work
+    /// always finishes.
     pub fn run(self) -> Result<(), String> {
         let (tx, rx) = orchestrator::queue();
         *self.shared.queue.lock().unwrap() = Some(tx);
         let shared = &self.shared;
         std::thread::scope(|scope| {
-            let orchestrator = scope.spawn(|| {
-                orchestrator::run_loop(rx, &shared.store, shared.threads);
+            let orchestrator = scope.spawn(move || {
+                orchestrator::run_loop(scope, rx, &shared.store, shared.threads);
             });
             for stream in self.listener.incoming() {
                 if shared.draining.load(Ordering::SeqCst) {

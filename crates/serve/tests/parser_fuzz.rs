@@ -1,8 +1,9 @@
-//! Fuzzing the parsers that take outside input: the JSON parser, the
-//! campaign spec the service accepts, checkpoint journals (audited and
-//! replayed), trace and history lines, and `BENCH_SCALE.json`. Every
-//! call must return `Ok` or `Err` — never panic, never overflow the
-//! stack — and the valid documents the mutations start from must
+//! Fuzzing the parsers that take outside input: the service's HTTP
+//! request reader (fed from byte slices, no socket), the JSON parser,
+//! the campaign spec the service accepts, checkpoint journals (audited
+//! and replayed), trace and history lines, and `BENCH_SCALE.json`.
+//! Every call must return `Ok` or `Err` — never panic, never overflow
+//! the stack — and the valid documents the mutations start from must
 //! still parse.
 //!
 //! The vendored proptest samples primitive ranges only, so the byte
@@ -26,7 +27,7 @@ use ssr_report::reader::parse_scale_json;
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::trace::TraceEvent;
 use ssr_runtime::{Daemon, TerminationReason};
-use ssr_serve::spec;
+use ssr_serve::{http, spec};
 
 const SPEC: &str = r#"{"schema":"ssr-campaign-spec/v1","id":"fuzz",
     "topologies":["ring","gnp(250e-3)"],"sizes":[6,8],
@@ -60,6 +61,15 @@ fn feed_str_parsers(bytes: &[u8]) {
     let _ = validate_history_line(&text);
     let _ = parse_scale_json(&text);
 }
+
+/// The HTTP request reader, on one input. Only a panic can fail this.
+fn feed_http(bytes: &[u8]) {
+    let _ = http::read_request(bytes);
+}
+
+/// A request line that gets noise past the reader's first check, into
+/// the headers and the body.
+const REQUEST_LINE: &[u8] = b"POST /campaigns HTTP/1.1\r\n";
 
 /// A temp journal that checkpoint replay reads. It is overwritten in
 /// place and then cut to length for each input: re-creating or
@@ -137,9 +147,9 @@ fn noise(rng: &mut Xoshiro256StarStar) -> Vec<u8> {
 }
 
 /// The valid documents the prefix and mutation sweeps start from: a
-/// campaign spec, a two-record checkpoint journal (written through a
-/// temp file named by `tag`, one per test), two trace lines and a
-/// history line.
+/// campaign spec, a POST of that spec (head plus body), a two-record
+/// checkpoint journal (written through a temp file named by `tag`, one
+/// per test), two trace lines and a history line.
 fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
     let campaign = Campaign::new("fuzz")
         .topologies(vec![TopologySpec::Ring])
@@ -187,8 +197,14 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
             phase_guards_nanos: 252129,
         }],
     });
+    let post = format!(
+        "POST /campaigns HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{SPEC}",
+        SPEC.len()
+    );
     vec![
         ("spec", SPEC.as_bytes().to_vec()),
+        ("http", post.into_bytes()),
         ("checkpoint", journal_bytes),
         ("trace", trace.into_bytes()),
         ("history", history.into_bytes()),
@@ -203,6 +219,12 @@ fn valid_documents_parse() {
         String::from_utf8(bytes.clone()).expect("utf-8")
     };
     assert!(spec::parse(&text("spec")).is_ok());
+    let request = http::read_request(text("http").as_bytes()).expect("valid POST");
+    assert_eq!(
+        (request.method.as_str(), request.path.as_str()),
+        ("POST", "/campaigns")
+    );
+    assert_eq!(request.body, SPEC.as_bytes());
     assert_eq!(checkpoint::validate(&text("checkpoint")), Ok(2));
     let mut journal = Journal::new("valid-load");
     journal.feed(text("checkpoint").as_bytes());
@@ -218,10 +240,10 @@ fn valid_documents_parse() {
 fn every_prefix_and_single_byte_mutation_is_handled() {
     let mut journal = Journal::new("sweep");
     for (name, doc) in valid_documents("sweep-source") {
-        if name == "checkpoint" {
-            prefixes_and_mutants(&doc, |bytes| journal.feed(bytes));
-        } else {
-            prefixes_and_mutants(&doc, feed_str_parsers);
+        match name {
+            "checkpoint" => prefixes_and_mutants(&doc, |bytes| journal.feed(bytes)),
+            "http" => prefixes_and_mutants(&doc, feed_http),
+            _ => prefixes_and_mutants(&doc, feed_str_parsers),
         }
     }
     // The scale document is large; its prefixes alone cover the reader.
@@ -236,7 +258,10 @@ proptest! {
         let mut journal = Journal::new(&format!("noise-{seed}"));
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         for _ in 0..32 {
-            journal.feed(&noise(&mut rng));
+            let bytes = noise(&mut rng);
+            journal.feed(&bytes);
+            feed_http(&bytes);
+            feed_http(&[REQUEST_LINE, &bytes].concat());
         }
     }
 }

@@ -18,7 +18,7 @@
 //! | [`baselines`] | `ssr-baselines` | CFG unison, mono-initiator reset |
 //! | [`campaign`] | `ssr-campaign` | scenario campaigns, parallel batch engine, standard family registry (`campaign::families`), JSONL/CSV results |
 //! | [`explore`] | `ssr-explore` | exhaustive schedule-space explorer, exact worst-case bounds, witness traces |
-//! | [`obs`] | `ssr-obs` | zero-cost tracing sinks, metrics registry, campaign progress, run timelines |
+//! | [`obs`] | `ssr-obs` | zero-cost tracing sinks, metrics registry, campaign progress |
 //! | [`analyze`] | `ssr-analyze` | static soundness certification: footprint analysis, locality/commutativity audit, rule-table lints, `ANALYSIS.json` |
 //! | [`report`] | `ssr-report` | typed artifact readers, self-contained HTML/SVG campaign reports, perf-history store + regression tripwire |
 //! | [`serve`] | `ssr-serve` | long-running campaign service: HTTP/1.1 API, content-addressed result cache, resumable checkpoints, SSE progress |
