@@ -185,6 +185,34 @@ mod tests {
         assert!(monitor.all_incremented_at_least(3));
     }
 
+    /// E10's baseline on paths, after a tear of gap ⌊n/2⌋ under the
+    /// central daemon: the local resets restore safety. (On rings the
+    /// reset waves can chase each other past any cap; see E10.)
+    #[test]
+    fn repairs_a_half_n_tear_on_paths() {
+        for n in [16usize, 32, 64] {
+            let g = generators::path(n);
+            let algo = CfgUnison::for_graph(&g);
+            let k = algo.period();
+            let init = ssr_unison::workloads::unison_tear_plain(&g, k, n as u64 / 2);
+            assert!(
+                !spec::safety_holds(&g, &init, k),
+                "n={n}: the tear breaks safety"
+            );
+            let mut sim = Simulator::new(&g, algo, init, Daemon::Central, 5);
+            let out = sim
+                .execution()
+                .cap(50_000_000)
+                .until_all(|u, view| spec::safety_holds_at(u, view, k))
+                .run();
+            assert!(
+                out.reached,
+                "n={n}: no safety after {} moves",
+                out.moves_at_hit
+            );
+        }
+    }
+
     #[test]
     fn from_gamma_init_no_resets_needed() {
         let g = generators::grid(3, 3);

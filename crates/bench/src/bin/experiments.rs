@@ -269,7 +269,7 @@ fn main() {
         ctx = ctx.with_progress();
     }
     if cli.metrics.is_some() {
-        ctx = ctx.with_metrics(true);
+        ctx = ctx.with_metrics();
     }
     if let Some(dir) = &cli.trace {
         ctx = ctx.with_trace_dir(dir);

@@ -32,15 +32,15 @@
 //! the parallel kernels engaged. `--trace DIR` is intended for
 //! `--smoke`-sized runs — a full 10⁶-node sweep traces gigabytes.
 
+use std::path::Path;
 use std::time::Instant;
 
 use ssr_core::toys::Agreement;
 use ssr_core::Sdr;
 use ssr_graph::{generators, Graph};
 use ssr_obs::metrics::MetricsSet;
-use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
+use ssr_obs::pipeline::CompositeSink;
 use ssr_obs::progress::{Progress, StderrProgress};
-use ssr_obs::trace::JsonlSink;
 use ssr_runtime::{Daemon, Simulator, StepOutcome};
 
 /// One measured run.
@@ -94,16 +94,11 @@ fn run_cell(
     let init = algo.arbitrary_config(g, 0x5CA1E);
     let mut sim = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
     sim.set_intra_threads(threads);
-    // Phase-timed metrics on the measured run; optionally a JSONL
-    // event trace (timing stays out of the file so traces of the same
-    // cell are byte-identical).
-    let file = trace_dir.and_then(|dir| {
-        JsonlSink::create(format!("{dir}/trace-{topology}-{n}-t{threads}.jsonl")).ok()
-    });
-    sim.set_trace_sink(Box::new(CompositeSink::new(
-        Some(PipelineMetrics::new()),
-        file,
-    )));
+    // Phase-timed metrics on the measured run, and optionally a JSONL
+    // event trace.
+    let trace = trace_dir.map(|dir| format!("{dir}/trace-{topology}-{n}-t{threads}.jsonl"));
+    let sink = CompositeSink::open(Some(true), trace.as_deref().map(Path::new));
+    sim.set_trace_sink(sink.expect("the metrics channel is on"));
     // Synchronous steps are rounds, so Cor. 5 bounds convergence.
     let cap = 3 * g.node_count() as u64 + 16;
     let started = Instant::now();
@@ -115,17 +110,10 @@ fn run_cell(
         }
     }
     let seconds = started.elapsed().as_secs_f64();
-    let mut cell_metrics = MetricsSet::new();
-    if let Some(mut sink) = sim.take_trace_sink() {
-        sink.flush();
-        if let Some(folded) = sink
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<CompositeSink>())
-            .and_then(CompositeSink::take_metrics)
-        {
-            cell_metrics = folded;
-        }
-    }
+    let cell_metrics = sim
+        .take_trace_sink()
+        .and_then(CompositeSink::drain)
+        .unwrap_or_default();
     let result = RunResult {
         topology,
         n,

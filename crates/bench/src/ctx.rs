@@ -1,39 +1,37 @@
 //! [`ExpCtx`]: the execution context threaded through every experiment
 //! group — worker count plus the observability channels selected on
 //! the `experiments` command line (`--progress`, `--metrics`,
-//! `--trace`, `--report`).
+//! `--trace`, `--report`, `--checkpoint`).
 //!
-//! The context is shared (`&ExpCtx`) across concurrently-running
-//! scenario closures, so its channels are engineered for that shape:
-//! progress goes through one coarse mutex (per scenario, never per
-//! step), metrics accumulate per measured run and merge under a mutex
-//! once per run, and trace files are independent per scenario. With no
-//! channel enabled every method degrades to the bare engine call —
-//! experiments pay nothing for the seam.
+//! Campaigns drain through one [`Sweep`] each, carrying whatever
+//! channels the context enables; custom runners that drive a
+//! [`Simulator`] directly attach the same trace and metrics channels
+//! with [`ExpCtx::attach`] / [`ExpCtx::collect`]. The context is shared
+//! (`&ExpCtx`) across concurrently-running scenario closures, so the
+//! metrics aggregate merges under a mutex once per campaign or measured
+//! run, never per step. With no channel enabled every method degrades
+//! to the bare sweep — experiments pay nothing for the seam.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ssr_campaign::obs::scenario_label;
+use ssr_campaign::obs::trace_path;
 use ssr_campaign::{
-    engine, CacheLayer, Campaign, CampaignObs, CheckpointWriter, RecordCache, Scenario,
-    ScenarioRecord,
+    checkpoint, Campaign, CheckpointWriter, RecordCache, Scenario, ScenarioRecord, Sweep,
 };
 use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
-use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
-use ssr_obs::progress::{Progress, StderrProgress};
-use ssr_obs::trace::JsonlSink;
+use ssr_obs::pipeline::CompositeSink;
+use ssr_obs::progress::StderrProgress;
 use ssr_runtime::{Algorithm, Simulator};
 
 /// Execution context for one `experiments` invocation.
 pub struct ExpCtx {
     threads: usize,
     progress: bool,
+    /// The aggregate of every campaign's and measured run's metrics,
+    /// per-phase wall time included (the phase breakdown is the point
+    /// of `--metrics`).
     metrics: Option<Mutex<MetricsSet>>,
-    /// Whether folded metrics include per-phase wall time
-    /// (nondeterministic values; the default for `--metrics`, since
-    /// phase breakdown is its point).
-    phase_timing: bool,
     trace_dir: Option<PathBuf>,
     report_dir: Option<PathBuf>,
     /// The content-addressed store behind `--checkpoint`: fingerprint
@@ -54,7 +52,6 @@ impl ExpCtx {
             threads,
             progress: false,
             metrics: None,
-            phase_timing: false,
             trace_dir: None,
             report_dir: None,
             store: None,
@@ -74,19 +71,17 @@ impl ExpCtx {
         self
     }
 
-    /// Accumulates pipeline metrics across all experiment groups;
-    /// `timed` additionally folds `phase.*.nanos` wall-time
-    /// histograms.
+    /// Accumulates pipeline metrics, `phase.*.nanos` wall-time
+    /// histograms included, across all experiment groups.
     #[must_use]
-    pub fn with_metrics(mut self, timed: bool) -> Self {
+    pub fn with_metrics(mut self) -> Self {
         self.metrics = Some(Mutex::new(MetricsSet::new()));
-        self.phase_timing = timed;
         self
     }
 
     /// Writes per-scenario JSONL traces under
-    /// `dir/<campaign-id>/trace-<index>.jsonl` (deterministic: no
-    /// timing events in the files).
+    /// `dir/<campaign-id>/trace-<index>.jsonl` (deterministic, unless
+    /// metrics are on too: their phase timings reach the files).
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl AsRef<Path>) -> Self {
         self.trace_dir = Some(dir.as_ref().to_path_buf());
@@ -112,12 +107,9 @@ impl ExpCtx {
     /// A torn final line (killed process) is dropped and healed — the
     /// crash-resume path is the normal path.
     pub fn with_checkpoint(mut self, path: impl AsRef<Path>) -> Result<Self, String> {
-        let path = path.as_ref();
         let cache = RecordCache::new();
-        let replayed = ssr_campaign::checkpoint::replay_into(path, &cache)?;
-        let writer = CheckpointWriter::open(path)
-            .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))?;
-        self.store = Some((cache, writer, replayed));
+        let (journal, replayed) = checkpoint::resume(path.as_ref(), &cache)?;
+        self.store = Some((cache, journal, replayed));
         Ok(self)
     }
 
@@ -125,17 +117,6 @@ impl ExpCtx {
     /// `--checkpoint` is off).
     pub fn replayed(&self) -> Option<usize> {
         self.store.as_ref().map(|(_, _, n)| *n)
-    }
-
-    fn cache_layer(&self) -> Option<CacheLayer<'_>> {
-        self.store.as_ref().map(|(cache, writer, _)| CacheLayer {
-            cache,
-            checkpoint: Some(writer),
-        })
-    }
-
-    fn wants_obs(&self) -> bool {
-        self.progress || self.metrics.is_some() || self.trace_dir.is_some()
     }
 
     fn campaign_trace_dir(&self, campaign_id: &str) -> Option<PathBuf> {
@@ -158,67 +139,50 @@ impl ExpCtx {
         ));
     }
 
-    /// Drains `campaign` through the standard registry —
-    /// [`engine::run`] with whatever channels this context enables.
-    pub fn run(&self, campaign: &Campaign) -> Vec<ScenarioRecord> {
-        let layer = self.cache_layer();
-        if !self.wants_obs() && layer.is_none() {
-            let records = engine::run(campaign, self.threads);
-            self.note_report(campaign.id(), &records);
-            return records;
-        }
-        let mut obs = CampaignObs::new();
+    /// A sweep of `campaign` on this context's workers, reporting to
+    /// `progress` when `--progress` is on.
+    fn sweep<'a>(&self, campaign: &'a Campaign, progress: &'a mut StderrProgress) -> Sweep<'a> {
+        let sweep = Sweep::of(campaign).threads(self.threads);
         if self.progress {
-            obs = obs.with_progress(Box::new(StderrProgress::new()));
+            sweep.progress(progress)
+        } else {
+            sweep
         }
-        if self.metrics.is_some() {
-            obs = if self.phase_timing {
-                obs.with_timed_metrics()
-            } else {
-                obs.with_metrics()
-            };
-        }
-        if let Some(dir) = self.campaign_trace_dir(campaign.id()) {
-            obs = obs.with_trace_dir(dir);
-        }
-        let records = match layer {
-            Some(layer) => engine::run_obs_cached(campaign, self.threads, &mut obs, layer),
-            None => engine::run_obs(campaign, self.threads, &mut obs),
-        };
-        if let (Some(agg), Some(folded)) = (&self.metrics, obs.take_metrics()) {
-            agg.lock().expect("metrics poisoned").merge(&folded);
-        }
-        self.note_report(campaign.id(), &records);
-        records
     }
 
-    /// Drains `campaign` through a custom runner — [`engine::run_with`]
-    /// plus progress reporting. Runners that drive a [`Simulator`]
-    /// directly attach the per-scenario trace/metrics channels with
-    /// [`ExpCtx::attach`] / [`ExpCtx::collect`].
+    /// Drains `campaign` through the standard registry with every
+    /// channel this context enables.
+    pub fn run(&self, campaign: &Campaign) -> Vec<ScenarioRecord> {
+        let mut progress = StderrProgress::new();
+        let mut sweep = self.sweep(campaign, &mut progress);
+        if self.metrics.is_some() {
+            sweep = sweep.timed_metrics();
+        }
+        if let Some(dir) = self.campaign_trace_dir(campaign.id()) {
+            sweep = sweep.trace_dir(dir);
+        }
+        if let Some((cache, journal, _)) = &self.store {
+            sweep = sweep.cache(cache, Some(journal));
+        }
+        let report = sweep.run_report();
+        if let Some(agg) = &self.metrics {
+            agg.lock().expect("metrics poisoned").merge(&report.metrics);
+        }
+        self.note_report(campaign.id(), &report.records);
+        report.records
+    }
+
+    /// Drains `campaign` through a custom runner, with progress when
+    /// it is on. Runners that drive a [`Simulator`] directly attach
+    /// the per-scenario trace/metrics channels with [`ExpCtx::attach`]
+    /// / [`ExpCtx::collect`].
     pub fn run_with<R, F>(&self, campaign: &Campaign, runner: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Scenario) -> R + Sync,
     {
-        if !self.progress {
-            return engine::run_with(campaign, self.threads, runner);
-        }
-        let mut reporter = StderrProgress::new();
-        reporter.begin(campaign.len());
-        let progress = Mutex::new(&mut reporter);
-        let out = engine::run_with(campaign, self.threads, |sc| {
-            let index = sc.index;
-            let label = scenario_label(&sc);
-            let r = runner(sc);
-            progress
-                .lock()
-                .expect("progress poisoned")
-                .item_done(index, &label, true);
-            r
-        });
-        reporter.finish();
-        out
+        let mut progress = StderrProgress::new();
+        self.sweep(campaign, &mut progress).map(runner)
     }
 
     /// Installs this context's trace/metrics channels on a directly
@@ -230,19 +194,12 @@ impl ExpCtx {
         index: usize,
         sim: &mut Simulator<'_, A>,
     ) {
-        let metrics = self.metrics.as_ref().map(|_| {
-            if self.phase_timing {
-                PipelineMetrics::new()
-            } else {
-                PipelineMetrics::without_timing()
-            }
-        });
-        let file = self
+        let trace = self
             .campaign_trace_dir(campaign_id)
-            .and_then(|dir| JsonlSink::create(dir.join(format!("trace-{index:05}.jsonl"))).ok());
-        let sink = CompositeSink::new(metrics, file);
-        if !sink.is_empty() {
-            sim.set_trace_sink(Box::new(sink));
+            .map(|dir| trace_path(&dir, index));
+        let metrics = self.metrics.as_ref().map(|_| true);
+        if let Some(sink) = CompositeSink::open(metrics, trace.as_deref()) {
+            sim.set_trace_sink(sink);
         }
     }
 
@@ -250,17 +207,8 @@ impl ExpCtx {
     /// metrics into the context aggregate. No-op when nothing was
     /// attached.
     pub fn collect<A: Algorithm>(&self, sim: &mut Simulator<'_, A>) {
-        let Some(mut sink) = sim.take_trace_sink() else {
-            return;
-        };
-        sink.flush();
-        let Some(composite) = sink
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<CompositeSink>())
-        else {
-            return;
-        };
-        if let (Some(folded), Some(agg)) = (composite.take_metrics(), &self.metrics) {
+        let folded = sim.take_trace_sink().and_then(CompositeSink::drain);
+        if let (Some(folded), Some(agg)) = (folded, &self.metrics) {
             agg.lock().expect("metrics poisoned").merge(&folded);
         }
     }
@@ -324,16 +272,16 @@ mod tests {
     fn bare_context_matches_the_engine() {
         let c = tiny("ctx-bare");
         let ctx = ExpCtx::new(2);
-        assert_eq!(ctx.run(&c), engine::run(&c, 2));
+        assert_eq!(ctx.run(&c), Sweep::of(&c).threads(2).run());
         assert_eq!(ctx.metrics_snapshot(), None);
     }
 
     #[test]
     fn metrics_context_aggregates_without_changing_records() {
         let c = tiny("ctx-metrics");
-        let ctx = ExpCtx::new(2).with_metrics(false);
+        let ctx = ExpCtx::new(2).with_metrics();
         let records = ctx.run(&c);
-        assert_eq!(records, engine::run(&c, 2));
+        assert_eq!(records, Sweep::of(&c).threads(2).run());
         let snap = ctx.metrics_snapshot().unwrap();
         assert!(snap.get("pipeline.steps").is_some(), "{}", snap.to_json());
         // A second campaign folds into the same aggregate.
@@ -364,7 +312,7 @@ mod tests {
         // and the rerun never touches the simulator (zero pipeline
         // steps in the metrics it folds).
         let warm_ctx = ExpCtx::new(2)
-            .with_metrics(false)
+            .with_metrics()
             .with_checkpoint(&path)
             .unwrap();
         assert_eq!(warm_ctx.replayed(), Some(c.len()));
@@ -381,7 +329,7 @@ mod tests {
         use ssr_graph::generators;
 
         let dir = std::env::temp_dir().join(format!("ssr-ctx-test-{}", std::process::id()));
-        let ctx = ExpCtx::new(1).with_metrics(false).with_trace_dir(&dir);
+        let ctx = ExpCtx::new(1).with_metrics().with_trace_dir(&dir);
         let g = generators::ring(8);
         let algo = Sdr::new(Agreement::new(4));
         let init = algo.arbitrary_config(&g, 1);

@@ -1,12 +1,8 @@
-//! Workload generators shared by the experiments and benches.
+//! Topology and daemon suites swept by the experiments. The adversarial
+//! initial configurations live in `ssr_campaign::workloads`.
 
 use ssr_graph::{generators, Graph};
 use ssr_runtime::Daemon;
-
-// The adversarial init workloads migrated to the campaign layer (the
-// tears back its `InitPlan::Tear`, the broadcast chain seeds the
-// explorer's init sets); re-exported here for the benches.
-pub use ssr_campaign::workloads::{sdr_broadcast_chain, unison_tear, unison_tear_plain};
 
 /// Topology families swept by the experiments (label, builder).
 pub fn topology_suite(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
@@ -36,6 +32,7 @@ pub fn daemon_suite() -> Vec<Daemon> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_campaign::workloads::{sdr_broadcast_chain, unison_tear, unison_tear_plain};
     use ssr_core::{toys::Agreement, Sdr, Status};
     use ssr_runtime::Simulator;
 

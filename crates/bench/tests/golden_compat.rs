@@ -21,9 +21,7 @@
 
 use ssr_bench::ctx::ExpCtx;
 use ssr_bench::experiments::{self, Profile};
-use ssr_campaign::{
-    engine, families, output, Amount, Campaign, InitPlan, PresetSpec, TopologySpec,
-};
+use ssr_campaign::{families, output, Amount, Campaign, InitPlan, PresetSpec, Sweep, TopologySpec};
 use ssr_runtime::Daemon;
 
 /// `cargo run -p ssr-bench --bin experiments --release -- --quick --threads 2`
@@ -72,7 +70,7 @@ fn golden_campaign() -> Campaign {
 fn campaign_jsonl_and_csv_are_byte_identical_pre_and_post_redesign() {
     let campaign = golden_campaign();
     for threads in [1, 4] {
-        let records = engine::run(&campaign, threads);
+        let records = Sweep::of(&campaign).threads(threads).run();
         assert_eq!(
             output::jsonl(&records),
             GOLDEN_JSONL,

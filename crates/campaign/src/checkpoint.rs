@@ -13,11 +13,11 @@
 //! rejects corruption anywhere else. [`validate`] is the *audit* path
 //! used by `obs_validate --kind checkpoint`: every line must parse.
 //!
-//! Replayed records go through [`replay_into`] straight into a
-//! [`RecordCache`], which is how the serve orchestrator (and the
-//! `experiments --checkpoint` batch path) resumes: cache hits skip the
-//! simulator entirely, so a restarted sweep recomputes only what the
-//! journal is missing.
+//! [`resume`] replays the records straight into a [`RecordCache`]
+//! ([`replay_into`]) and opens the writer, which is how the serve
+//! orchestrator and the `experiments --checkpoint` batch path resume:
+//! cache hits skip the simulator entirely, so a restarted sweep
+//! recomputes only what the journal is missing.
 
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -190,6 +190,17 @@ pub fn replay_into(path: &Path, cache: &RecordCache) -> Result<usize, String> {
         cache.insert(fp, &rec);
     }
     Ok(n)
+}
+
+/// Opens (or creates) the journal at `path` for a resumed sweep:
+/// replays its entries into `cache`, then opens the writer, which heals
+/// a torn final line. Returns the writer and how many entries were
+/// replayed.
+pub fn resume(path: &Path, cache: &RecordCache) -> Result<(CheckpointWriter, usize), String> {
+    let replayed = replay_into(path, cache)?;
+    let writer = CheckpointWriter::open(path)
+        .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))?;
+    Ok((writer, replayed))
 }
 
 fn check_header(line: &str) -> Result<(), String> {

@@ -1,5 +1,18 @@
-//! The batch execution engine: the campaign grid mapped over the
-//! [`par_map`] worker pool, one scenario at a time.
+//! The batch execution engine: [`Sweep`], the one way to map a campaign
+//! grid over the [`par_map`] worker pool, one scenario at a time.
+//!
+//! A sweep mirrors [`ssr_runtime::Execution`]: start from
+//! [`Sweep::of`], set worker [`threads`](Sweep::threads), the family
+//! [`registry`](Sweep::registry) and any side channel —
+//! [`progress`](Sweep::progress), [`metrics`](Sweep::metrics) or
+//! [`timed_metrics`](Sweep::timed_metrics),
+//! [`trace_dir`](Sweep::trace_dir), and a record
+//! [`cache`](Sweep::cache) with an optional checkpoint journal — then
+//! finish with [`run`](Sweep::run) (the records),
+//! [`run_report`](Sweep::run_report) (the records plus the merged
+//! metrics) or [`map`](Sweep::map) (a custom runner). Every channel is
+//! off by default, and a channel that is off does no work per
+//! scenario.
 //!
 //! # Determinism contract
 //!
@@ -11,8 +24,12 @@
 //! 3. results are placed back by index, so the returned vector is in
 //!    grid order regardless of which worker finished first.
 //!
-//! The property test in `tests/determinism.rs` pins this down.
+//! The property test in `tests/determinism.rs` pins this down. The
+//! channels observe, they never steer: records are identical with any
+//! combination of them on (`tests/obs_equivalence.rs`,
+//! `tests/cache_equivalence.rs`).
 
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ssr_obs::metrics::MetricsSet;
@@ -23,157 +40,163 @@ use ssr_runtime::pool::par_map;
 use crate::cache::RecordCache;
 use crate::checkpoint::CheckpointWriter;
 use crate::grid::Campaign;
-use crate::obs::{scenario_label, CampaignObs, ObsProbe};
+use crate::obs::{scenario_label, trace_path, ObsProbe};
 use crate::runner::{self, ScenarioRecord};
 use crate::scenario::Scenario;
 
-/// The optional content-addressed layer of a cached run: the record
-/// cache consulted before every scenario, plus an optional checkpoint
-/// journal appended after every fresh run.
-#[derive(Clone, Copy)]
-pub struct CacheLayer<'a> {
-    /// Fingerprint → record store; hits skip the simulator entirely.
-    pub cache: &'a RecordCache,
-    /// Journal for crash-resumable sweeps (`ssr-checkpoint/v1`).
-    pub checkpoint: Option<&'a CheckpointWriter>,
-}
-
-/// Runs every scenario of `campaign` through `runner` on up to
-/// `threads` workers (clamped to `[1, campaign.len()]`), returning the
-/// results in grid order.
+/// A configured run of one campaign; see the [module docs](self).
 ///
-/// The runner must be a pure function of the scenario for the
-/// determinism contract to hold; it is invoked concurrently from
-/// multiple threads, hence `Sync`.
-pub fn run_with<R, F>(campaign: &Campaign, threads: usize, runner: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Scenario) -> R + Sync,
-{
-    par_map(
-        campaign.len(),
-        threads,
-        1,
-        |_| (),
-        |_, i| runner(campaign.scenario(i)),
-    )
-    .0
-}
-
-/// Runs the campaign with the default runner
-/// ([`runner::run_scenario`]) and stamps the campaign id into each
-/// record.
-pub fn run(campaign: &Campaign, threads: usize) -> Vec<ScenarioRecord> {
-    run_in(crate::families::default_registry(), campaign, threads)
-}
-
-/// Like [`run`], but resolves algorithm families against a
-/// caller-supplied registry — the entry point for campaigns over
-/// user-registered families (see `examples/custom_family.rs`).
-pub fn run_in(
-    registry: &FamilyRegistry,
-    campaign: &Campaign,
-    threads: usize,
-) -> Vec<ScenarioRecord> {
-    let mut records = run_with(campaign, threads, |sc| {
-        runner::run_scenario_in(registry, sc)
-    });
-    for rec in &mut records {
-        rec.campaign = campaign.id().to_string();
-    }
-    records
-}
-
-/// [`run`] with observability channels attached: live progress,
-/// merged pipeline metrics, and per-scenario trace files, per
-/// whatever `obs` enables. Records are identical to a bare [`run`] —
-/// the channels observe, they never steer.
+/// # Examples
 ///
-/// Scheduling of the side channels: progress notifications go through
-/// one mutex (coarse, per scenario — never per step); each worker owns
-/// a private [`MetricsSet`], submitted to the hub once the pool
-/// returns, so the metrics hot path takes no lock at all.
-pub fn run_obs(campaign: &Campaign, threads: usize, obs: &mut CampaignObs) -> Vec<ScenarioRecord> {
-    run_core(campaign, threads, obs, None)
+/// ```
+/// use ssr_campaign::engine::Sweep;
+/// use ssr_campaign::{families, Campaign, RecordCache, TopologySpec};
+///
+/// let campaign = Campaign::new("sweep-demo")
+///     .topologies(vec![TopologySpec::Ring])
+///     .sizes(vec![6])
+///     .algorithms(vec![families::unison_sdr()])
+///     .trials(2);
+/// let cache = RecordCache::new();
+/// let cold = Sweep::of(&campaign).threads(2).metrics().cache(&cache, None).run_report();
+/// assert!(cold.metrics.counter_value("pipeline.steps").is_some());
+/// // The second pass is all cache hits: the simulator never runs.
+/// let warm = Sweep::of(&campaign).metrics().cache(&cache, None).run_report();
+/// assert_eq!(warm.records, cold.records);
+/// assert_eq!(warm.metrics.counter_value("campaign.cache_hits"), Some(2));
+/// assert_eq!(warm.metrics.counter_value("pipeline.steps"), None);
+/// ```
+pub struct Sweep<'a> {
+    campaign: &'a Campaign,
+    threads: usize,
+    registry: &'a FamilyRegistry,
+    progress: Option<&'a mut dyn Progress>,
+    /// `Some(timed)` when metrics are on; `timed` adds the wall-clock
+    /// `phase.*.nanos` histograms.
+    metrics: Option<bool>,
+    trace_dir: Option<PathBuf>,
+    cache: Option<&'a RecordCache>,
+    journal: Option<&'a CheckpointWriter>,
 }
 
-/// [`run_obs`] with a [`CacheLayer`] consulted per scenario: hits are
-/// served from the cache (zero simulator steps — the probe is never
-/// even built), misses run normally, then feed the cache and the
-/// checkpoint journal. Records are byte-identical to an uncached run
-/// (pinned by `tests/cache_equivalence.rs`).
-pub fn run_obs_cached(
-    campaign: &Campaign,
-    threads: usize,
-    obs: &mut CampaignObs,
-    layer: CacheLayer<'_>,
-) -> Vec<ScenarioRecord> {
-    run_core(campaign, threads, obs, Some(layer))
+/// What [`Sweep::run_report`] returns.
+pub struct SweepReport {
+    /// The records, in grid order.
+    pub records: Vec<ScenarioRecord>,
+    /// The metrics merged across workers; empty unless
+    /// [`Sweep::metrics`] or [`Sweep::timed_metrics`] was set.
+    pub metrics: MetricsSet,
 }
 
-fn run_core(
-    campaign: &Campaign,
-    threads: usize,
-    obs: &mut CampaignObs,
-    layer: Option<CacheLayer<'_>>,
-) -> Vec<ScenarioRecord> {
-    let registry = crate::families::default_registry();
-    if let Some(p) = obs.progress.as_deref_mut() {
-        p.begin(campaign.len());
+impl<'a> Sweep<'a> {
+    /// A sequential sweep of `campaign` against the standard registry,
+    /// every channel off.
+    pub fn of(campaign: &'a Campaign) -> Self {
+        Sweep {
+            campaign,
+            threads: 1,
+            registry: crate::families::default_registry(),
+            progress: None,
+            metrics: None,
+            trace_dir: None,
+            cache: None,
+            journal: None,
+        }
     }
-    let wants_probe = obs.wants_probe();
-    let phase_timing = obs.phase_timing;
-    let trace_dir = obs.trace_dir.as_deref();
-    let hub = obs.metrics.as_ref();
-    let progress: Mutex<Option<&mut dyn Progress>> = Mutex::new(obs.progress.as_deref_mut());
-    // Each worker carries its id and a private `MetricsSet`, merged
-    // into the hub once the pool returns.
-    let (mut records, workers) = par_map(
-        campaign.len(),
-        threads,
-        1,
-        |w| (w, hub.map(|_| MetricsSet::new())),
-        |(w, local), i| {
-            let sc = campaign.scenario(i);
-            let label = scenario_label(&sc);
-            if let Some(p) = progress
-                .lock()
-                .expect("progress lock poisoned")
-                .as_deref_mut()
-            {
-                p.item_started(*w, i, &label);
-            }
-            let fp = layer.map(|_| sc.fingerprint());
-            let cached = match (layer, fp) {
-                (Some(layer), Some(fp)) => layer.cache.lookup(fp, &sc),
-                _ => None,
-            };
+
+    /// Runs on up to `threads` workers (clamped to
+    /// `[1, campaign.len()]`); the records do not depend on it.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Resolves algorithm families against `registry` — how campaigns
+    /// run user-registered families (see `examples/custom_family.rs`).
+    pub fn registry(mut self, registry: &'a FamilyRegistry) -> Self {
+        self.registry = registry;
+        self
+    }
+
+    /// Reports each scenario's start and completion to `progress`,
+    /// between one `begin` and one `finish`.
+    pub fn progress(mut self, progress: &'a mut dyn Progress) -> Self {
+        self.progress = Some(progress);
+        self
+    }
+
+    /// Merges pipeline and `campaign.*` metrics into the report
+    /// (deterministic keys only).
+    pub fn metrics(mut self) -> Self {
+        self.metrics = Some(false);
+        self
+    }
+
+    /// Like [`Sweep::metrics`], plus the per-phase wall-time histograms
+    /// (`phase.*.nanos`, nondeterministic).
+    pub fn timed_metrics(mut self) -> Self {
+        self.metrics = Some(true);
+        self
+    }
+
+    /// Writes one JSONL trace per simulated scenario into `dir`, named
+    /// by [`trace_path`].
+    pub fn trace_dir(mut self, dir: impl AsRef<Path>) -> Self {
+        self.trace_dir = Some(dir.as_ref().to_path_buf());
+        self
+    }
+
+    /// Serves scenarios from `cache` when it holds their fingerprint
+    /// (the simulator never runs), and inserts every fresh record —
+    /// also appending it to `journal`, when given.
+    pub fn cache(mut self, cache: &'a RecordCache, journal: Option<&'a CheckpointWriter>) -> Self {
+        self.cache = Some(cache);
+        self.journal = journal;
+        self
+    }
+
+    /// Runs every scenario through the default runner and returns the
+    /// records in grid order, each stamped with the campaign id.
+    pub fn run(self) -> Vec<ScenarioRecord> {
+        self.run_report().records
+    }
+
+    /// [`Sweep::run`], plus the merged metrics.
+    pub fn run_report(mut self) -> SweepReport {
+        let (registry, cache, journal) = (self.registry, self.cache, self.journal);
+        let timed = self.metrics.unwrap_or(false);
+        let trace_dir = self.trace_dir.take();
+        let campaign = self.campaign;
+        let id = campaign.id();
+        let (records, metrics) = self.drive(|sc, mut local| {
+            let fp = cache.map(|_| sc.fingerprint());
+            let cached = cache.zip(fp).and_then(|(cache, fp)| cache.lookup(fp, &sc));
             let hit = cached.is_some();
-            let rec = if let Some(rec) = cached {
-                // Cache hit: the simulator (and the probe feeding
-                // pipeline.* metrics) never runs.
-                rec
-            } else {
-                let rec = if wants_probe {
-                    let path = trace_dir.map(|d| d.join(format!("trace-{i:05}.jsonl")));
-                    let mut probe = ObsProbe::new(local.as_mut(), path, phase_timing);
-                    runner::run_scenario_probed(registry, sc, Some(&mut probe))
-                } else {
-                    runner::run_scenario_in(registry, sc)
-                };
-                if let (Some(layer), Some(fp)) = (layer, fp) {
-                    layer.cache.insert(fp, &rec);
-                    if let Some(journal) = layer.checkpoint {
-                        if let Err(e) = journal.append(fp, &rec) {
-                            eprintln!("checkpoint append failed: {e}");
+            let mut rec = match cached {
+                Some(rec) => rec,
+                None => {
+                    let index = sc.index;
+                    let rec = if local.is_some() || trace_dir.is_some() {
+                        let path = trace_dir.as_deref().map(|dir| trace_path(dir, index));
+                        let mut probe = ObsProbe::new(local.as_deref_mut(), path, timed);
+                        runner::run_scenario_probed(registry, sc, Some(&mut probe))
+                    } else {
+                        runner::run_scenario_in(registry, sc)
+                    };
+                    if let Some((cache, fp)) = cache.zip(fp) {
+                        cache.insert(fp, &rec);
+                        if let Some(journal) = journal {
+                            if let Err(e) = journal.append(fp, &rec) {
+                                eprintln!("checkpoint append failed: {e}");
+                            }
                         }
                     }
+                    rec
                 }
-                rec
             };
-            if let Some(m) = local.as_mut() {
+            if let Some(m) = local {
                 m.inc("campaign.scenarios", 1);
-                if layer.is_some() {
+                if cache.is_some() {
                     let key = if hit {
                         "campaign.cache_hits"
                     } else {
@@ -185,28 +208,97 @@ fn run_core(
                     m.inc("campaign.failed", 1);
                 }
             }
-            if let Some(p) = progress
-                .lock()
-                .expect("progress lock poisoned")
-                .as_deref_mut()
-            {
-                p.item_done(i, &label, rec.verdict.ok());
-            }
-            rec
-        },
-    );
-    if let Some(hub) = hub {
-        for local in workers.iter().filter_map(|(_, local)| local.as_ref()) {
-            hub.submit(local);
+            rec.campaign = id.to_string();
+            let ok = rec.verdict.ok();
+            (rec, ok)
+        });
+        SweepReport { records, metrics }
+    }
+
+    /// Runs every scenario through `runner` and returns its results in
+    /// grid order. Only the threads and progress apply: a custom
+    /// runner owns its simulators, so it attaches any trace sink
+    /// itself. The runner must be a pure function of the scenario for
+    /// the determinism contract to hold.
+    pub fn map<R, F>(self, runner: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(Scenario) -> R + Sync,
+    {
+        self.drive(|sc, _| (runner(sc), true)).0
+    }
+
+    /// The one pool pass behind [`Sweep::run_report`] and
+    /// [`Sweep::map`]: `work` maps a scenario (and the worker's
+    /// metrics, when on) to its result and whether it went ok.
+    fn drive<R, W>(self, work: W) -> (Vec<R>, MetricsSet)
+    where
+        R: Send,
+        W: Fn(Scenario, Option<&mut MetricsSet>) -> (R, bool) + Sync,
+    {
+        let Sweep {
+            campaign,
+            threads,
+            mut progress,
+            metrics,
+            ..
+        } = self;
+        if let Some(p) = progress.as_deref_mut() {
+            p.begin(campaign.len());
         }
+        let progress = progress.map(Mutex::new);
+        let (results, workers) = par_map(
+            campaign.len(),
+            threads,
+            1,
+            |w| (w, metrics.map(|_| MetricsSet::new())),
+            |(w, local), i| {
+                let sc = campaign.scenario(i);
+                let Some(progress) = &progress else {
+                    return work(sc, local.as_mut()).0;
+                };
+                let label = scenario_label(&sc);
+                let lock = || progress.lock().expect("progress lock poisoned");
+                lock().item_started(*w, i, &label);
+                let (result, ok) = work(sc, local.as_mut());
+                lock().item_done(i, &label, ok);
+                result
+            },
+        );
+        let mut merged = MetricsSet::new();
+        for (_, local) in &workers {
+            if let Some(local) = local {
+                merged.merge(local);
+            }
+        }
+        if let Some(p) = progress {
+            p.into_inner().expect("progress lock poisoned").finish();
+        }
+        (results, merged)
     }
-    if let Some(p) = progress.into_inner().expect("progress lock poisoned") {
-        p.finish();
-    }
-    for rec in &mut records {
-        rec.campaign = campaign.id().to_string();
-    }
-    records
+}
+
+/// `Sweep::of(campaign).threads(threads).registry(registry).run()`,
+/// kept because the repository benchmark (`benchmark/`) calls it.
+pub fn run_in(
+    registry: &FamilyRegistry,
+    campaign: &Campaign,
+    threads: usize,
+) -> Vec<ScenarioRecord> {
+    Sweep::of(campaign)
+        .threads(threads)
+        .registry(registry)
+        .run()
+}
+
+/// `Sweep::of(campaign).threads(threads).map(runner)`, kept because
+/// the repository benchmark (`benchmark/`) calls it.
+pub fn run_with<R, F>(campaign: &Campaign, threads: usize, runner: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Scenario) -> R + Sync,
+{
+    Sweep::of(campaign).threads(threads).map(runner)
 }
 
 #[cfg(test)]
@@ -223,6 +315,10 @@ mod tests {
             .daemons(vec![Daemon::Central, Daemon::Synchronous])
             .trials(2)
             .step_cap(500_000)
+    }
+
+    fn run(c: &Campaign, threads: usize) -> Vec<ScenarioRecord> {
+        Sweep::of(c).threads(threads).run()
     }
 
     #[test]
@@ -261,7 +357,8 @@ mod tests {
     #[test]
     fn run_with_custom_runner_sees_every_scenario() {
         let c = tiny();
-        let indices = run_with(&c, 4, |sc| sc.index);
+        let indices = Sweep::of(&c).threads(4).map(|sc| sc.index);
         assert_eq!(indices, (0..c.len()).collect::<Vec<_>>());
+        assert_eq!(run_with(&c, 4, |sc| sc.index), indices);
     }
 }

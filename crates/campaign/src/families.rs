@@ -72,7 +72,7 @@ pub fn standard_families() -> FamilyRegistry {
 /// what [`crate::run_scenario`] and the experiment harness resolve
 /// against. To *extend* the set, build your own registry with
 /// [`standard_families`] + [`FamilyRegistry::register`] and drive it
-/// through [`crate::engine::run_in`].
+/// through [`Sweep::registry`](crate::Sweep::registry).
 pub fn default_registry() -> &'static FamilyRegistry {
     static REGISTRY: OnceLock<FamilyRegistry> = OnceLock::new();
     REGISTRY.get_or_init(standard_families)

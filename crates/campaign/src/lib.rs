@@ -6,8 +6,8 @@
 //! daemon × fault plan × seed. This crate turns one such sweep into a
 //! [`Campaign`] — a lazily-expanded cartesian grid of [`Scenario`]s —
 //! and maps it over the workspace's one worker pool,
-//! [`ssr_runtime::pool::par_map`] ([`engine::run`]), no dependencies
-//! beyond `std`.
+//! [`ssr_runtime::pool::par_map`], through one entry point,
+//! [`Sweep`], with no dependencies beyond `std`.
 //!
 //! Results come back as flat [`ScenarioRecord`]s with the paper's
 //! closed-form bounds checked where they exist, ready for aggregation
@@ -23,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use ssr_campaign::{engine, families, output, Campaign, TopologySpec};
+//! use ssr_campaign::{families, output, Campaign, Sweep, TopologySpec};
 //! use ssr_runtime::Daemon;
 //!
 //! let campaign = Campaign::new("doc-demo")
@@ -34,7 +34,7 @@
 //!     .trials(2)
 //!     .step_cap(1_000_000);
 //!
-//! let records = engine::run(&campaign, 2);
+//! let records = Sweep::of(&campaign).threads(2).run();
 //! assert_eq!(records.len(), campaign.len());
 //! assert!(records.iter().all(|r| r.verdict.ok()));
 //! // One JSONL line per run, in grid order, independent of threads.
@@ -57,9 +57,8 @@ pub mod workloads;
 
 pub use cache::RecordCache;
 pub use checkpoint::CheckpointWriter;
-pub use engine::CacheLayer;
+pub use engine::{Sweep, SweepReport};
 pub use grid::Campaign;
-pub use obs::CampaignObs;
 pub use runner::{
     run_scenario, run_scenario_in, run_scenario_probed, warm_up_and_corrupt_clocks, ScenarioRecord,
     Verdict,

@@ -14,7 +14,7 @@
 //!
 //! Custom probes (segment tracking, liveness windows, alliance
 //! verification columns) belong to *callers*: run a campaign through
-//! [`crate::engine::run_with`] with your own runner, reusing
+//! [`Sweep::map`](crate::Sweep::map) with your own runner, reusing
 //! [`Scenario::seeds`] and [`TopologySpec::build`](crate::TopologySpec)
 //! so the determinism contract carries over — and attach
 //! `ssr_runtime::Observer`s to the `Execution` instead of hand-rolling
@@ -39,7 +39,7 @@ pub use ssr_unison::workloads::warm_up_and_corrupt_clocks;
 pub struct ScenarioRecord {
     /// Grid index of the scenario.
     pub index: usize,
-    /// Campaign id (stamped by [`crate::engine::run`]; empty for
+    /// Campaign id (stamped by [`Sweep::run`](crate::Sweep::run); empty for
     /// records produced by custom runners).
     pub campaign: String,
     /// Topology label.

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use ssr_campaign::{
-    engine, families, output, Amount, CacheLayer, Campaign, CampaignObs, InitPlan, RecordCache,
-    TopologySpec,
+    families, output, Amount, Campaign, InitPlan, RecordCache, Sweep, TopologySpec,
 };
 use ssr_runtime::Daemon;
 
@@ -35,17 +34,15 @@ fn run_cached(
     threads: usize,
     cache: &RecordCache,
 ) -> (String, String, Option<u64>) {
-    let mut obs = CampaignObs::new().with_metrics();
-    let layer = CacheLayer {
-        cache,
-        checkpoint: None,
-    };
-    let records = engine::run_obs_cached(campaign, threads, &mut obs, layer);
-    let metrics = obs.take_metrics().expect("metrics are on");
+    let report = Sweep::of(campaign)
+        .threads(threads)
+        .metrics()
+        .cache(cache, None)
+        .run_report();
     (
-        output::jsonl(&records),
-        output::csv(&records),
-        metrics.counter_value("pipeline.steps"),
+        output::jsonl(&report.records),
+        output::csv(&report.records),
+        report.metrics.counter_value("pipeline.steps"),
     )
 }
 
@@ -82,7 +79,7 @@ proptest! {
         // grid's records, so the run mixes hits and misses.
         for threads in [1usize, 4] {
             let half_cache = RecordCache::new();
-            let records = engine::run(&campaign, 1);
+            let records = Sweep::of(&campaign).threads(1).run();
             for (i, rec) in records.iter().take(total / 2).enumerate() {
                 half_cache.insert(campaign.scenario(i).fingerprint(), rec);
             }
@@ -100,7 +97,7 @@ proptest! {
 #[test]
 fn cached_run_equals_uncached_run() {
     let campaign = quick_grid(0xC0FFEE, 2, 0);
-    let plain = engine::run(&campaign, 2);
+    let plain = Sweep::of(&campaign).threads(2).run();
     let cache = RecordCache::new();
     let (jsonl, csv, _) = run_cached(&campaign, 2, &cache);
     assert_eq!(jsonl, output::jsonl(&plain));

@@ -6,8 +6,7 @@
 use std::path::{Path, PathBuf};
 
 use ssr_campaign::{
-    checkpoint, engine, families, output, CacheLayer, Campaign, CampaignObs, CheckpointWriter,
-    RecordCache, TopologySpec,
+    checkpoint, families, output, Campaign, CheckpointWriter, RecordCache, Sweep, TopologySpec,
 };
 use ssr_runtime::Daemon;
 
@@ -36,12 +35,11 @@ fn temp_journal(tag: &str) -> PathBuf {
 
 fn run_journaled(campaign: &Campaign, path: &Path, cache: &RecordCache) -> String {
     let writer = CheckpointWriter::open(path).unwrap();
-    let mut obs = CampaignObs::new();
-    let layer = CacheLayer {
-        cache,
-        checkpoint: Some(&writer),
-    };
-    output::jsonl(&engine::run_obs_cached(campaign, 2, &mut obs, layer))
+    let records = Sweep::of(campaign)
+        .threads(2)
+        .cache(cache, Some(&writer))
+        .run();
+    output::jsonl(&records)
 }
 
 /// Simulates the kill at every interesting cut point: after the

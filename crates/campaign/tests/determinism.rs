@@ -2,7 +2,7 @@
 //! thread and with 4 threads yields identical serialized results.
 
 use proptest::prelude::*;
-use ssr_campaign::{engine, families, output, Amount, Campaign, InitPlan, TopologySpec};
+use ssr_campaign::{families, output, Amount, Campaign, InitPlan, Sweep, TopologySpec};
 use ssr_runtime::Daemon;
 
 proptest! {
@@ -35,8 +35,8 @@ proptest! {
             .trials(trials)
             .step_cap(500_000)
             .seed(master_seed);
-        let sequential = engine::run(&campaign, 1);
-        let parallel = engine::run(&campaign, 4);
+        let sequential = Sweep::of(&campaign).threads(1).run();
+        let parallel = Sweep::of(&campaign).threads(4).run();
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(output::jsonl(&sequential), output::jsonl(&parallel));
         prop_assert_eq!(output::csv(&sequential), output::csv(&parallel));
@@ -70,11 +70,11 @@ fn mixed_family_grid_is_thread_invariant() {
         .trials(1)
         .step_cap(2_000_000)
         .seed(0xA11CE);
-    let sequential = engine::run(&campaign, 1);
+    let sequential = Sweep::of(&campaign).threads(1).run();
     for threads in [2, 4, 8] {
         assert_eq!(
             output::jsonl(&sequential),
-            output::jsonl(&engine::run(&campaign, threads)),
+            output::jsonl(&Sweep::of(&campaign).threads(threads).run()),
             "threads={threads}"
         );
     }

@@ -9,7 +9,7 @@
 //! kernels genuinely run.
 
 use ssr_campaign::{
-    engine, families, output, run_scenario, Amount, Campaign, InitPlan, PresetSpec, TopologySpec,
+    families, output, run_scenario, Amount, Campaign, InitPlan, PresetSpec, Sweep, TopologySpec,
 };
 use ssr_runtime::Daemon;
 
@@ -44,8 +44,10 @@ fn mixed_campaign(intra: Vec<usize>) -> Campaign {
 /// threads are byte-identical to the sequential ones.
 #[test]
 fn mixed_family_records_are_identical_across_intra_threads() {
-    let base = engine::run(&mixed_campaign(vec![1]), 2);
-    let swept = engine::run(&mixed_campaign(vec![1, 2, 4, 8]), 2);
+    let base = Sweep::of(&mixed_campaign(vec![1])).threads(2).run();
+    let swept = Sweep::of(&mixed_campaign(vec![1, 2, 4, 8]))
+        .threads(2)
+        .run();
     assert_eq!(swept.len(), 4 * base.len());
     for (cell, rec) in base.iter().enumerate() {
         for replica in 0..4 {
@@ -56,7 +58,7 @@ fn mixed_family_records_are_identical_across_intra_threads() {
     }
     // Serialized surfaces agree too (JSONL carries the index, so
     // compare the singleton sweep against the base directly).
-    let explicit = engine::run(&mixed_campaign(vec![1]), 4);
+    let explicit = Sweep::of(&mixed_campaign(vec![1])).threads(4).run();
     assert_eq!(output::jsonl(&base), output::jsonl(&explicit));
     assert_eq!(output::csv(&base), output::csv(&explicit));
 }

@@ -4,8 +4,11 @@
 
 use std::path::PathBuf;
 
-use ssr_campaign::{engine, families, Campaign, CampaignObs, TopologySpec};
-use ssr_obs::progress::{JsonlProgress, Progress};
+use ssr_campaign::obs::trace_path;
+use ssr_campaign::{
+    engine, families, Campaign, CheckpointWriter, RecordCache, Sweep, TopologySpec,
+};
+use ssr_obs::progress::{Progress, ProgressBus};
 use ssr_obs::trace::validate_jsonl_line;
 use ssr_runtime::Daemon;
 
@@ -32,19 +35,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
 #[test]
 fn obs_channels_do_not_change_records() {
     let c = tiny();
-    let bare = engine::run(&c, 2);
+    let bare = Sweep::of(&c).threads(2).run();
 
     let dir = scratch_dir("records");
-    let mut obs = CampaignObs::new()
-        .with_metrics()
-        .with_trace_dir(&dir)
-        .with_progress(Box::new(JsonlProgress::new(std::io::sink())));
-    let observed = engine::run_obs(&c, 2, &mut obs);
+    let mut bus = ProgressBus::new();
+    let observed = Sweep::of(&c)
+        .threads(2)
+        .metrics()
+        .trace_dir(&dir)
+        .progress(&mut bus)
+        .run();
     assert_eq!(bare, observed, "obs channels must be read-only");
 
     // Every scenario left a validating trace file behind.
     for i in 0..c.len() {
-        let path = obs.trace_path(i).unwrap();
+        let path = trace_path(&dir, i);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing trace {path:?}: {e}"));
         for line in text.lines() {
@@ -58,6 +63,36 @@ fn obs_channels_do_not_change_records() {
             "trace {path:?} must close with run-ended"
         );
     }
+
+    // Every channel at once, against a caller-built registry: the
+    // records equal `run_in`'s on a cold cache, and again on the warm
+    // one, when every scenario is a hit and the simulator never runs.
+    let registry = families::standard_families();
+    assert_eq!(engine::run_in(&registry, &c, 2), bare);
+    let journal = CheckpointWriter::open(&dir.join("journal.jsonl")).unwrap();
+    let cache = RecordCache::new();
+    for warm in [false, true] {
+        let mut bus = ProgressBus::new();
+        let report = Sweep::of(&c)
+            .threads(2)
+            .registry(&registry)
+            .progress(&mut bus)
+            .timed_metrics()
+            .trace_dir(&dir)
+            .cache(&cache, Some(&journal))
+            .run_report();
+        assert_eq!(report.records, bare, "warm={warm}");
+        assert!(bus.snapshot().finished && bus.snapshot().done == c.len());
+        let counter = |key: &str| report.metrics.counter_value(key);
+        let n = Some(c.len() as u64);
+        if warm {
+            assert_eq!(counter("campaign.cache_hits"), n);
+            assert_eq!(counter("pipeline.steps"), None, "a hit never simulates");
+        } else {
+            assert_eq!(counter("campaign.cache_misses"), n);
+            assert!(counter("pipeline.steps").is_some());
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -65,9 +100,8 @@ fn obs_channels_do_not_change_records() {
 fn merged_metrics_are_deterministic_across_thread_counts() {
     let c = tiny();
     let snapshot_at = |threads: usize| {
-        let mut obs = CampaignObs::new().with_metrics();
-        engine::run_obs(&c, threads, &mut obs);
-        obs.metrics_snapshot().unwrap().to_json()
+        let report = Sweep::of(&c).threads(threads).metrics().run_report();
+        report.metrics.snapshot().to_json()
     };
     let seq = snapshot_at(1);
     assert!(seq.contains("\"schema\":\"ssr-metrics-v1\""));
@@ -83,12 +117,16 @@ fn progress_sees_every_scenario_exactly_once() {
     #[derive(Default)]
     struct CountingProgress {
         begun: Option<usize>,
+        started: Vec<usize>,
         done: Vec<usize>,
         finished: bool,
     }
     impl Progress for CountingProgress {
         fn begin(&mut self, total: usize) {
             self.begun = Some(total);
+        }
+        fn item_started(&mut self, _worker: usize, index: usize, _label: &str) {
+            self.started.push(index);
         }
         fn item_done(&mut self, index: usize, _label: &str, ok: bool) {
             assert!(ok);
@@ -99,30 +137,21 @@ fn progress_sees_every_scenario_exactly_once() {
         }
     }
 
-    // `run_obs` owns the reporter; recover it through a shared cell.
-    use std::sync::{Arc, Mutex};
-    #[derive(Clone, Default)]
-    struct Shared(Arc<Mutex<CountingProgress>>);
-    impl Progress for Shared {
-        fn begin(&mut self, total: usize) {
-            self.0.lock().unwrap().begin(total);
-        }
-        fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-            self.0.lock().unwrap().item_done(index, label, ok);
-        }
-        fn finish(&mut self) {
-            self.0.lock().unwrap().finish();
-        }
-    }
-
+    // The records path and a custom runner report alike.
     let c = tiny();
-    let shared = Shared::default();
-    let mut obs = CampaignObs::new().with_progress(Box::new(shared.clone()));
-    engine::run_obs(&c, 3, &mut obs);
-    let inner = shared.0.lock().unwrap();
-    assert_eq!(inner.begun, Some(c.len()));
-    assert!(inner.finished);
-    let mut done = inner.done.clone();
-    done.sort_unstable();
-    assert_eq!(done, (0..c.len()).collect::<Vec<_>>());
+    let mut records = CountingProgress::default();
+    Sweep::of(&c).threads(3).progress(&mut records).run();
+    let mut mapped = CountingProgress::default();
+    Sweep::of(&c)
+        .threads(3)
+        .progress(&mut mapped)
+        .map(|sc| sc.index);
+    for mut p in [records, mapped] {
+        assert_eq!(p.begun, Some(c.len()));
+        assert!(p.finished);
+        p.started.sort_unstable();
+        p.done.sort_unstable();
+        assert_eq!(p.started, (0..c.len()).collect::<Vec<_>>());
+        assert_eq!(p.done, p.started);
+    }
 }

@@ -3,7 +3,7 @@
 //! stochastic run.
 //!
 //! [`explore_scenario`] is a drop-in runner for
-//! `ssr_campaign::engine::run_with`, mirroring how the stochastic
+//! `ssr_campaign::Sweep::map`, mirroring how the stochastic
 //! experiments drive the engine — the same topology/size/algorithm
 //! axes, the same index-derived seeds, hence the same determinism
 //! contract. Scenarios select their family through the **same

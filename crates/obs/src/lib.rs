@@ -16,14 +16,14 @@
 //! 2. **Metrics** — [`MetricsSet`] holds
 //!    counters, gauges, and power-of-two-bucket histograms; sets are
 //!    accumulated lock-free (by ownership, one per worker) and merged
-//!    into a [`MetricsHub`], whose snapshot is
+//!    once the workers return, into a snapshot that is
 //!    deterministic: sorted keys, byte-stable JSON
 //!    (`"schema":"ssr-metrics-v1"`), and a human table.
 //!
 //! 3. **Progress** — [`Progress`] reporters stream campaign
 //!    completion (done/total, ETA, per-worker state) to stderr
-//!    ([`StderrProgress`]), to JSONL ([`JsonlProgress`]) or to the
-//!    service's subscribers ([`ProgressBus`]).
+//!    ([`StderrProgress`]) or to the service's subscribers
+//!    ([`ProgressBus`]).
 //!
 //! Determinism contract: everything here is either a pure function of
 //! the seeded run (traces and metrics without phase timing) or
@@ -40,9 +40,9 @@ pub mod progress;
 pub mod trace;
 
 pub use json::Value as JsonValue;
-pub use metrics::{Histogram, Metric, MetricsHub, MetricsSet, MetricsSnapshot};
+pub use metrics::{Histogram, Metric, MetricsSet, MetricsSnapshot};
 pub use pipeline::{CompositeSink, PipelineMetrics};
-pub use progress::{BusSnapshot, JsonlProgress, Progress, ProgressBus, StderrProgress};
+pub use progress::{BusSnapshot, Progress, ProgressBus, StderrProgress};
 pub use trace::JsonlSink;
 
 // The runtime-side seam types, re-exported so downstream code can name

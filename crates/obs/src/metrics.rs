@@ -2,8 +2,8 @@
 //! with per-thread accumulation and a deterministic merged snapshot.
 //!
 //! The design is lock-free by **ownership**, not by atomics: each
-//! worker thread owns a private [`MetricsSet`] and submits it once to a
-//! shared [`MetricsHub`] when its work is done. Every merge operation
+//! worker thread owns a private [`MetricsSet`], and the caller merges
+//! the workers' sets once their work is done. Every merge operation
 //! is commutative and associative (counters add, gauges keep extrema,
 //! histogram buckets add), and snapshots sort keys, so a merged
 //! [`MetricsSnapshot`] has deterministic *structure* regardless of
@@ -16,7 +16,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// Number of power-of-two histogram buckets: bucket 0 holds zeros,
 /// bucket `i ≥ 1` holds values of bit length `i` (`2^(i-1) ..= 2^i-1`).
@@ -314,38 +313,6 @@ impl MetricsSet {
     }
 }
 
-/// The merge point worker threads submit their [`MetricsSet`]s to.
-///
-/// The mutex is touched once per worker lifetime (at submission), not
-/// per event — accumulation itself stays lock-free.
-#[derive(Debug, Default)]
-pub struct MetricsHub {
-    merged: Mutex<MetricsSet>,
-}
-
-impl MetricsHub {
-    /// An empty hub.
-    pub fn new() -> Self {
-        MetricsHub::default()
-    }
-
-    /// Merges one worker's finished set.
-    pub fn submit(&self, set: &MetricsSet) {
-        self.merged.lock().expect("metrics hub poisoned").merge(set);
-    }
-
-    /// Snapshot of everything submitted so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.merged.lock().expect("metrics hub poisoned").snapshot()
-    }
-
-    /// Consumes the hub into its merged set — for folding one
-    /// campaign's hub into a longer-lived aggregate.
-    pub fn into_inner(self) -> MetricsSet {
-        self.merged.into_inner().expect("metrics hub poisoned")
-    }
-}
-
 /// An immutable, key-sorted view of a merged [`MetricsSet`], with JSON
 /// and human-table renderings.
 #[derive(Clone, Debug, PartialEq)]
@@ -527,23 +494,6 @@ mod tests {
                 assert_eq!((min, max), (m2, x2));
                 assert_eq!((*min, *max), (2, 10));
             }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn hub_merges_submissions() {
-        let hub = MetricsHub::new();
-        for i in 0..4u64 {
-            let mut set = MetricsSet::new();
-            set.inc("runs", 1);
-            set.observe("v", i);
-            hub.submit(&set);
-        }
-        let snap = hub.snapshot();
-        assert_eq!(snap.get("runs"), Some(&Metric::Counter(4)));
-        match snap.get("v").unwrap() {
-            Metric::Histogram(h) => assert_eq!(h.count(), 4),
             _ => unreachable!(),
         }
     }

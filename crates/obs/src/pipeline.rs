@@ -7,6 +7,7 @@
 use std::any::Any;
 use std::fs::File;
 use std::io::BufWriter;
+use std::path::Path;
 
 use ssr_runtime::trace::{TraceEvent, TraceSink};
 
@@ -125,33 +126,48 @@ impl TraceSink for PipelineMetrics {
 }
 
 /// The standard composite: fans each event into a metrics fold and/or
-/// a JSONL trace file, whichever are enabled. Install it as a boxed
-/// [`TraceSink`], recover it afterwards through
-/// [`TraceSink::as_any_mut`] and drain the metrics with
-/// [`CompositeSink::take_metrics`].
-#[derive(Default)]
+/// a JSONL trace file, whichever are enabled. [`CompositeSink::open`]
+/// builds it for [`Simulator::set_trace_sink`] and
+/// [`CompositeSink::drain`] reads it back once
+/// [`Simulator::take_trace_sink`] returns it — the one pair every
+/// campaign, experiment and `scale` run goes through.
+///
+/// [`Simulator::set_trace_sink`]: ssr_runtime::Simulator::set_trace_sink
+/// [`Simulator::take_trace_sink`]: ssr_runtime::Simulator::take_trace_sink
 pub struct CompositeSink {
     metrics: Option<PipelineMetrics>,
     file: Option<JsonlSink<BufWriter<File>>>,
 }
 
 impl CompositeSink {
-    /// A sink driving the given channels (either may be `None`).
-    pub fn new(metrics: Option<PipelineMetrics>, file: Option<JsonlSink<BufWriter<File>>>) -> Self {
-        CompositeSink { metrics, file }
-    }
-
-    /// Whether no channel is enabled (callers skip installation).
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_none() && self.file.is_none()
-    }
-
-    /// Takes the folded metrics out (once), flushing the file channel.
-    pub fn take_metrics(&mut self) -> Option<MetricsSet> {
-        if let Some(f) = &mut self.file {
-            f.flush();
+    /// The sink for the enabled channels: a metrics fold when
+    /// `metrics` is `Some(timed)` (`timed` adds the wall-clock
+    /// `phase.*.nanos` histograms) and a JSONL trace file at `trace`.
+    /// `None` when no channel is on, so callers install nothing. A
+    /// trace file that cannot be created degrades to no trace:
+    /// observability never fails a run.
+    pub fn open(metrics: Option<bool>, trace: Option<&Path>) -> Option<Box<dyn TraceSink>> {
+        let metrics = metrics.map(|timed| {
+            if timed {
+                PipelineMetrics::new()
+            } else {
+                PipelineMetrics::without_timing()
+            }
+        });
+        let file = trace.and_then(|path| JsonlSink::create(path).ok());
+        if metrics.is_none() && file.is_none() {
+            return None;
         }
-        self.metrics.take().map(PipelineMetrics::into_metrics)
+        Some(Box::new(CompositeSink { metrics, file }))
+    }
+
+    /// Flushes a sink taken back from a simulator and returns the
+    /// metrics it folded: `None` when it is not a [`CompositeSink`] or
+    /// its metrics channel was off.
+    pub fn drain(mut sink: Box<dyn TraceSink>) -> Option<MetricsSet> {
+        sink.flush();
+        let composite = sink.as_any_mut()?.downcast_mut::<CompositeSink>()?;
+        composite.metrics.take().map(PipelineMetrics::into_metrics)
     }
 }
 
@@ -245,23 +261,21 @@ mod tests {
 
     #[test]
     fn composite_sink_round_trips_through_the_erased_interface() {
-        let mut boxed: Box<dyn TraceSink> = Box::new(CompositeSink::new(
-            Some(PipelineMetrics::without_timing()),
-            None,
-        ));
+        assert!(
+            CompositeSink::open(None, None).is_none(),
+            "no channel, no sink"
+        );
+        let mut boxed = CompositeSink::open(Some(false), None).expect("metrics channel on");
         assert!(!boxed.wants_phase_timing());
         boxed.record(&TraceEvent::StepStarted {
             step: 0,
             enabled: 2,
         });
         boxed.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
-        let composite = boxed
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<CompositeSink>())
-            .expect("recoverable");
-        let m = composite.take_metrics().expect("metrics channel on");
+        let m = CompositeSink::drain(boxed).expect("metrics channel on");
         assert_eq!(m.counter_value("pipeline.steps"), Some(1));
-        assert!(composite.take_metrics().is_none(), "drained once");
-        assert!(CompositeSink::default().is_empty());
+        assert!(CompositeSink::drain(Box::new(PipelineMetrics::new())).is_none());
+        let timed = CompositeSink::open(Some(true), None).unwrap();
+        assert!(timed.wants_phase_timing());
     }
 }

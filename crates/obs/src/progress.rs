@@ -1,15 +1,13 @@
 //! Live campaign progress: scenario completion counts, ETA, and
-//! per-worker state, streamed to stderr or a JSONL file.
+//! per-worker state, rendered on stderr or streamed to subscribers.
 //!
 //! A [`Progress`] implementation is driven by the campaign worker pool
 //! (behind a mutex — progress is inherently a shared, rate-limited
 //! side channel, not a per-step hot path). [`StderrProgress`] renders
-//! a human one-liner; [`JsonlProgress`] appends machine-readable
-//! records for dashboards and post-hoc analysis.
+//! a human one-liner; [`ProgressBus`] records the `ssr-progress-v1`
+//! lines that `ssr-serve` streams to its readers.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use crate::metrics::json_string;
@@ -50,8 +48,10 @@ pub struct StderrProgress {
     failed: usize,
     started: Option<Instant>,
     last_print: Option<Instant>,
-    /// What each worker is currently running (None = idle).
-    workers: Vec<Option<String>>,
+    /// What each worker is currently running, as `(item index,
+    /// label)` (None = idle). Keyed by index: labels need not be
+    /// unique.
+    workers: Vec<Option<(usize, String)>>,
     /// Minimum gap between printed updates (the final one always
     /// prints).
     min_interval: Duration,
@@ -106,7 +106,11 @@ impl StderrProgress {
         } else {
             String::new()
         };
-        let busy: Vec<&str> = self.workers.iter().filter_map(|w| w.as_deref()).collect();
+        let busy: Vec<&str> = self
+            .workers
+            .iter()
+            .filter_map(|w| w.as_ref().map(|(_, label)| label.as_str()))
+            .collect();
         let mut line = format!(
             "campaign {}/{} ({pct:.0}%), {:.1}s elapsed{eta}",
             self.done, self.total, elapsed
@@ -149,20 +153,20 @@ impl Progress for StderrProgress {
         self.print(true);
     }
 
-    fn item_started(&mut self, worker: usize, _index: usize, label: &str) {
+    fn item_started(&mut self, worker: usize, index: usize, label: &str) {
         if self.workers.len() <= worker {
             self.workers.resize(worker + 1, None);
         }
-        self.workers[worker] = Some(label.to_owned());
+        self.workers[worker] = Some((index, label.to_owned()));
     }
 
-    fn item_done(&mut self, _index: usize, label: &str, ok: bool) {
+    fn item_done(&mut self, index: usize, _label: &str, ok: bool) {
         self.done += 1;
         if !ok {
             self.failed += 1;
         }
         for w in &mut self.workers {
-            if w.as_deref() == Some(label) {
+            if w.as_ref().is_some_and(|(i, _)| *i == index) {
                 *w = None;
                 break;
             }
@@ -173,91 +177,6 @@ impl Progress for StderrProgress {
     fn finish(&mut self) {
         self.print(true);
         eprintln!();
-    }
-}
-
-/// Appends one JSON record per notification:
-///
-/// ```json
-/// {"progress":"begin","total":12}
-/// {"progress":"item","index":0,"done":1,"total":12,"label":"unison/ring/n=16","ok":true,"elapsed_ms":41}
-/// {"progress":"end","done":12,"total":12,"failed":0,"elapsed_ms":873}
-/// ```
-///
-/// `item_started` is not persisted — the file records completions, not
-/// scheduling.
-pub struct JsonlProgress<W: Write + Send> {
-    writer: W,
-    total: usize,
-    done: usize,
-    failed: usize,
-    started: Option<Instant>,
-}
-
-impl JsonlProgress<BufWriter<File>> {
-    /// Creates (truncating) the progress file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlProgress::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> JsonlProgress<W> {
-    /// Wraps `writer` (supply your own buffering).
-    pub fn new(writer: W) -> Self {
-        JsonlProgress {
-            writer,
-            total: 0,
-            done: 0,
-            failed: 0,
-            started: None,
-        }
-    }
-
-    /// Flushes and hands back the writer.
-    pub fn into_writer(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-
-    fn elapsed_ms(&self) -> u128 {
-        self.started.map(|t| t.elapsed().as_millis()).unwrap_or(0)
-    }
-}
-
-impl<W: Write + Send> Progress for JsonlProgress<W> {
-    fn begin(&mut self, total: usize) {
-        self.total = total;
-        self.done = 0;
-        self.failed = 0;
-        self.started = Some(Instant::now());
-        let _ = writeln!(self.writer, "{{\"progress\":\"begin\",\"total\":{total}}}");
-    }
-
-    fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-        self.done += 1;
-        if !ok {
-            self.failed += 1;
-        }
-        let _ = writeln!(
-            self.writer,
-            "{{\"progress\":\"item\",\"index\":{index},\"done\":{},\"total\":{},\"label\":{},\"ok\":{ok},\"elapsed_ms\":{}}}",
-            self.done,
-            self.total,
-            json_string(label),
-            self.elapsed_ms()
-        );
-    }
-
-    fn finish(&mut self) {
-        let _ = writeln!(
-            self.writer,
-            "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{},\"elapsed_ms\":{}}}",
-            self.done,
-            self.total,
-            self.failed,
-            self.elapsed_ms()
-        );
-        let _ = self.writer.flush();
     }
 }
 
@@ -286,18 +205,23 @@ struct BusState {
     snap: BusSnapshot,
 }
 
-/// A cloneable, in-memory progress/trace event bus: the campaign side
-/// writes through the [`Progress`] (and
-/// [`TraceSink`](ssr_runtime::trace::TraceSink)) impls, any number of
-/// readers poll [`ProgressBus::events_since`] — which blocks on a
-/// condvar until new events arrive — and stream them on (this is what
-/// feeds `ssr-serve`'s `text/event-stream` endpoint).
+/// A cloneable, in-memory progress event bus: the campaign side writes
+/// through the [`Progress`] impl, any number of readers poll
+/// [`ProgressBus::events_since`] — which blocks on a condvar until new
+/// events arrive — and stream them on (this is what feeds
+/// `ssr-serve`'s `text/event-stream` endpoint).
 ///
-/// Events are the [`JsonlProgress`] line formats minus the wall-clock
-/// `elapsed_ms` field (bus contents are a deterministic function of
-/// the campaign), so a bus is a JSONL progress file that never touches
-/// disk; `RunEnded` trace events append `{"trace":"run-ended",...}`
-/// lines in between.
+/// Events are the `ssr-progress-v1` lines, one JSON object each and a
+/// deterministic function of the campaign:
+///
+/// ```json
+/// {"progress":"begin","total":12}
+/// {"progress":"item","index":0,"done":1,"total":12,"label":"unison/ring/n=16","ok":true}
+/// {"progress":"end","done":12,"total":12,"failed":0}
+/// ```
+///
+/// `item_started` is not recorded: the bus carries completions, not
+/// scheduling.
 ///
 /// # Examples
 ///
@@ -333,13 +257,14 @@ impl ProgressBus {
         }
     }
 
-    fn push(&self, line: String, update: impl FnOnce(&mut BusSnapshot)) {
+    /// Applies one event to the counters, appends the line `event`
+    /// renders from them, and wakes the readers.
+    fn push(&self, event: impl FnOnce(&mut BusSnapshot) -> String) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock().unwrap();
+        let line = event(&mut st.snap);
         st.events.push(line);
-        let events = st.events.len();
-        update(&mut st.snap);
-        st.snap.events = events;
+        st.snap.events = st.events.len();
         cvar.notify_all();
     }
 
@@ -385,70 +310,38 @@ impl Default for ProgressBus {
 
 impl Progress for ProgressBus {
     fn begin(&mut self, total: usize) {
-        self.push(
-            format!("{{\"progress\":\"begin\",\"total\":{total}}}"),
-            |snap| {
-                snap.total = total;
-                snap.done = 0;
-                snap.failed = 0;
-                snap.finished = false;
-            },
-        );
+        self.push(|snap| {
+            snap.total = total;
+            snap.done = 0;
+            snap.failed = 0;
+            snap.finished = false;
+            format!("{{\"progress\":\"begin\",\"total\":{total}}}")
+        });
     }
 
     fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock().unwrap();
-        st.snap.done += 1;
-        if !ok {
-            st.snap.failed += 1;
-        }
-        let line = format!(
-            "{{\"progress\":\"item\",\"index\":{index},\"done\":{},\"total\":{},\"label\":{},\"ok\":{ok}}}",
-            st.snap.done,
-            st.snap.total,
-            json_string(label),
-        );
-        st.events.push(line);
-        st.snap.events = st.events.len();
-        cvar.notify_all();
+        self.push(|snap| {
+            snap.done += 1;
+            if !ok {
+                snap.failed += 1;
+            }
+            format!(
+                "{{\"progress\":\"item\",\"index\":{index},\"done\":{},\"total\":{},\"label\":{},\"ok\":{ok}}}",
+                snap.done,
+                snap.total,
+                json_string(label),
+            )
+        });
     }
 
     fn finish(&mut self) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock().unwrap();
-        let line = format!(
-            "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{}}}",
-            st.snap.done, st.snap.total, st.snap.failed,
-        );
-        st.events.push(line);
-        st.snap.events = st.events.len();
-        st.snap.finished = true;
-        cvar.notify_all();
-    }
-}
-
-impl ssr_runtime::trace::TraceSink for ProgressBus {
-    fn record(&mut self, event: &ssr_runtime::trace::TraceEvent) {
-        if let ssr_runtime::trace::TraceEvent::RunEnded {
-            steps,
-            moves,
-            rounds,
-            reason,
-        } = event
-        {
-            self.push(
-                format!(
-                    "{{\"trace\":\"run-ended\",\"steps\":{steps},\"moves\":{moves},\
-                     \"rounds\":{rounds},\"reason\":\"{reason}\"}}"
-                ),
-                |_| {},
-            );
-        }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+        self.push(|snap| {
+            snap.finished = true;
+            format!(
+                "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{}}}",
+                snap.done, snap.total, snap.failed,
+            )
+        });
     }
 }
 
@@ -458,29 +351,12 @@ impl ssr_runtime::trace::TraceSink for ProgressBus {
 fn assert_send() {
     fn is_send<T: Send>() {}
     is_send::<StderrProgress>();
-    is_send::<JsonlProgress<BufWriter<File>>>();
     is_send::<ProgressBus>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jsonl_progress_records_the_campaign() {
-        let mut p = JsonlProgress::new(Vec::new());
-        p.begin(2);
-        p.item_done(0, "a/b", true);
-        p.item_done(1, "c\"d", false);
-        p.finish();
-        let out = String::from_utf8(p.into_writer()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "{\"progress\":\"begin\",\"total\":2}");
-        assert!(lines[1].contains("\"done\":1") && lines[1].contains("\"label\":\"a/b\""));
-        assert!(lines[2].contains("\"ok\":false") && lines[2].contains("c\\\"d"));
-        assert!(lines[3].starts_with("{\"progress\":\"end\",\"done\":2,\"total\":2,\"failed\":1"));
-    }
 
     #[test]
     fn stderr_progress_tracks_counts_and_workers() {
@@ -537,38 +413,25 @@ mod tests {
     }
 
     #[test]
-    fn bus_records_run_ended_trace_events_only() {
-        use ssr_runtime::trace::{TraceEvent, TraceSink};
-        use ssr_runtime::TerminationReason;
-        let mut bus = ProgressBus::new();
-        assert!(!bus.wants_phase_timing());
-        bus.record(&TraceEvent::StepStarted {
-            step: 1,
-            enabled: 3,
-        });
-        bus.record(&TraceEvent::RunEnded {
-            steps: 5,
-            moves: 7,
-            rounds: 2,
-            reason: TerminationReason::Terminal,
-        });
-        let (events, _) = bus.events_since(0, Duration::ZERO);
-        assert_eq!(
-            events,
-            vec![
-                "{\"trace\":\"run-ended\",\"steps\":5,\"moves\":7,\"rounds\":2,\
-                 \"reason\":\"terminal\"}"
-            ]
-        );
-        assert!(bus.as_any_mut().is_some());
-    }
-
-    #[test]
     fn bus_timeout_returns_empty_without_news() {
         let bus = ProgressBus::new();
         let (events, cursor) = bus.events_since(0, Duration::from_millis(10));
         assert!(events.is_empty());
         assert_eq!(cursor, 0);
+    }
+
+    /// Two scenarios can share a label (E10 tears the same ring twice);
+    /// finishing one must free its own worker's slot only.
+    #[test]
+    fn finishing_an_item_clears_only_its_own_worker_slot() {
+        let mut p = StderrProgress::new().with_min_interval(Duration::from_secs(3600));
+        p.begin(2);
+        p.item_started(0, 4, "cfg-unison/ring/n=8#0");
+        p.item_started(1, 5, "cfg-unison/ring/n=8#0");
+        p.item_done(5, "cfg-unison/ring/n=8#0", true);
+        assert_eq!(p.workers[0], Some((4, "cfg-unison/ring/n=8#0".to_owned())));
+        assert_eq!(p.workers[1], None);
+        p.finish();
     }
 
     #[test]

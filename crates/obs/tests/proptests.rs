@@ -180,16 +180,9 @@ proptest! {
                 &init,
                 Daemon::Synchronous,
                 threads,
-                Some(Box::new(CompositeSink::new(
-                    Some(PipelineMetrics::without_timing()),
-                    None,
-                ))),
+                CompositeSink::open(Some(false), None),
             );
-            let mut sink = sink.expect("sink survives the run");
-            let metrics = sink
-                .as_any_mut()
-                .and_then(|a| a.downcast_mut::<CompositeSink>())
-                .and_then(CompositeSink::take_metrics)
+            let metrics = CompositeSink::drain(sink.expect("sink survives the run"))
                 .expect("composite sink carries metrics");
             snapshots.push(metrics.snapshot().to_json());
         }

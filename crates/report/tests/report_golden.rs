@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ssr_campaign::{engine, families, output, Campaign, InitPlan, TopologySpec};
+use ssr_campaign::{families, output, Campaign, InitPlan, Sweep, TopologySpec};
 use ssr_obs::metrics::MetricsSet;
 use ssr_obs::trace::event_to_json;
 use ssr_report::history::{entry_to_json_line, HistoryCell, HistoryEntry};
@@ -52,7 +52,7 @@ fn build_artifact_dir(dir: &Path, threads: usize) {
         .trials(2)
         .step_cap(500_000)
         .seed(2026);
-    let records = engine::run(&campaign, threads);
+    let records = Sweep::of(&campaign).threads(threads).run();
     assert!(!records.is_empty(), "golden campaign produced no records");
     std::fs::write(dir.join("campaign-golden.jsonl"), output::jsonl(&records))
         .expect("write campaign jsonl");

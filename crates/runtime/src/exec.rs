@@ -90,7 +90,6 @@ use crate::algorithm::{Algorithm, ConfigView, RuleId};
 use crate::daemon::Daemon;
 use crate::simulator::{RunOutcome, Simulator, StepOutcome, TerminationReason};
 use crate::step::par::ParHooks;
-use crate::trace::TraceSink;
 
 /// A passive probe attached to an execution.
 ///
@@ -398,9 +397,6 @@ pub struct Execution<'e, 'g, A: Algorithm, O = NoObserver, S = NoPredicate<A>> {
     /// `Some(hooks)` when [`Execution::intra_threads`] was called: the
     /// pre-built kernels to install (inner `None` = explicit sequential).
     intra: Option<Option<ParHooks<A>>>,
-    /// `Some(sink)` when [`Execution::trace`] was called: installed on
-    /// the simulator before the run (see [`crate::trace`]).
-    trace: Option<Box<dyn TraceSink>>,
 }
 
 /// Outcome of [`Execution::run_report`]: the [`RunOutcome`] plus the
@@ -456,7 +452,6 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             observer: NoObserver,
             stop: None,
             intra: None,
-            trace: None,
         }
     }
 
@@ -468,7 +463,6 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             observer: NoObserver,
             stop: None,
             intra: None,
-            trace: None,
         }
     }
 }
@@ -560,20 +554,6 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
         self
     }
 
-    /// Installs a [`TraceSink`] on the simulator for this run: the step
-    /// pipeline emits the typed event stream documented in
-    /// [`crate::trace`]. On a resumed execution the sink stays
-    /// installed afterwards — recover it with
-    /// [`Simulator::take_trace_sink`]. A second call replaces the sink.
-    ///
-    /// Tracing never changes execution; with no sink the pipeline's
-    /// disabled path is pinned at zero cost by the `obs_overhead`
-    /// bench.
-    pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
     /// Attaches a probe; repeated calls nest, so every attached
     /// observer sees every event (earlier attachments fire first).
     pub fn observe<O2: Observer<A>>(self, observer: O2) -> Execution<'e, 'g, A, (O, O2), S> {
@@ -583,7 +563,6 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
             observer: (self.observer, observer),
             stop: self.stop,
             intra: self.intra,
-            trace: self.trace,
         }
     }
 
@@ -660,7 +639,6 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
             observer: self.observer,
             stop: Some(stop),
             intra: self.intra,
-            trace: self.trace,
         }
     }
 }
@@ -708,15 +686,11 @@ where
             mut observer,
             mut stop,
             intra,
-            trace,
         } = self;
         match source {
             Source::Resumed(sim) => {
                 if let Some(hooks) = intra {
                     sim.install_par(hooks);
-                }
-                if let Some(sink) = trace {
-                    sim.set_trace_sink(sink);
                 }
                 drive(sim, cap, &mut observer, stop.as_mut())
             }
@@ -724,9 +698,6 @@ where
                 let mut sim = Self::build(fresh);
                 if let Some(hooks) = intra {
                     sim.install_par(hooks);
-                }
-                if let Some(sink) = trace {
-                    sim.set_trace_sink(sink);
                 }
                 drive(&mut sim, cap, &mut observer, stop.as_mut())
             }
@@ -747,7 +718,6 @@ where
             mut observer,
             mut stop,
             intra,
-            trace,
         } = self;
         assert!(
             matches!(source, Source::Fresh { .. }),
@@ -757,9 +727,6 @@ where
         let mut sim = Self::build(source);
         if let Some(hooks) = intra {
             sim.install_par(hooks);
-        }
-        if let Some(sink) = trace {
-            sim.set_trace_sink(sink);
         }
         let outcome = drive(&mut sim, cap, &mut observer, stop.as_mut());
         RunReport { outcome, sim }

@@ -4,9 +4,11 @@
 //! The pipeline emits a [`TraceEvent`] stream describing each step's
 //! life cycle — selection size, per-phase wall time, applied moves,
 //! enabled-set evolution, round completion, and run termination. A
-//! [`TraceSink`] consumes the stream; rich sinks (ring buffer, JSONL
-//! writer, metrics folding) live in the `ssr-obs` crate so this crate
-//! stays dependency-free.
+//! [`TraceSink`] consumes the stream through
+//! [`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink);
+//! the concrete sinks (a JSONL writer, a metrics fold, and the
+//! composite of both) live in the `ssr-obs` crate so this crate stays
+//! dependency-free.
 //!
 //! # Zero cost when disabled
 //!
@@ -152,9 +154,8 @@ impl TraceEvent {
 /// A consumer of the step pipeline's [`TraceEvent`] stream.
 ///
 /// Sinks are installed per simulator
-/// ([`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink),
-/// [`Execution::trace`](crate::Execution::trace)) and owned by it for
-/// the duration of the run; take them back with
+/// ([`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink))
+/// and owned by it for the duration of the run; take them back with
 /// [`Simulator::take_trace_sink`](crate::Simulator::take_trace_sink)
 /// to read what they collected. `Send` keeps the simulator's threading
 /// contract intact (one simulator per campaign worker).
@@ -195,28 +196,6 @@ impl TraceSink for NoTrace {
     fn record(&mut self, _event: &TraceEvent) {}
 }
 
-/// A sink forwarding to two sinks in order (left first). Phase timing
-/// is measured if either side wants it; sides that did not opt in
-/// still receive the events (a fanout cannot filter per side without
-/// double-buffering).
-pub struct FanoutSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for FanoutSink<A, B> {
-    fn record(&mut self, event: &TraceEvent) {
-        self.0.record(event);
-        self.1.record(event);
-    }
-
-    fn wants_phase_timing(&self) -> bool {
-        self.0.wants_phase_timing() || self.1.wants_phase_timing()
-    }
-
-    fn flush(&mut self) {
-        self.0.flush();
-        self.1.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,25 +234,5 @@ mod tests {
         });
         assert!(!s.wants_phase_timing());
         assert!(s.as_any_mut().is_none());
-    }
-
-    #[test]
-    fn fanout_forwards_and_merges_timing_wish() {
-        struct Count(u64, bool);
-        impl TraceSink for Count {
-            fn record(&mut self, _: &TraceEvent) {
-                self.0 += 1;
-            }
-            fn wants_phase_timing(&self) -> bool {
-                self.1
-            }
-        }
-        let mut f = FanoutSink(Count(0, false), Count(0, true));
-        assert!(f.wants_phase_timing());
-        f.record(&TraceEvent::StepStarted {
-            step: 0,
-            enabled: 2,
-        });
-        assert_eq!((f.0 .0, f.1 .0), (1, 1));
     }
 }

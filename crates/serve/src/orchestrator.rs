@@ -1,6 +1,5 @@
-//! The single-lane orchestrator: jobs run FIFO, one at a time, through
-//! the cached campaign engine against one shared content-addressed
-//! store.
+//! The single-lane orchestrator: jobs run FIFO, one at a time, as
+//! cached campaign sweeps against one shared content-addressed store.
 //!
 //! One lane is a feature, not a limitation: the engine already
 //! parallelizes *within* a campaign (worker threads over the grid), so
@@ -14,7 +13,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::Scope;
 
-use ssr_campaign::{engine, output, CacheLayer, CampaignObs, CheckpointWriter, RecordCache};
+use ssr_campaign::{checkpoint, output, CheckpointWriter, RecordCache, Sweep, SweepReport};
 use ssr_obs::progress::{Progress, ProgressBus};
 
 use crate::jobs::{Job, JobPhase};
@@ -47,9 +46,7 @@ impl Store {
     /// not an error.
     pub fn with_checkpoint(path: PathBuf) -> Result<Store, String> {
         let cache = Arc::new(RecordCache::new());
-        let replayed = ssr_campaign::checkpoint::replay_into(&path, &cache)?;
-        let writer = CheckpointWriter::open(&path)
-            .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))?;
+        let (writer, replayed) = checkpoint::resume(&path, &cache)?;
         Ok(Store {
             cache,
             checkpoint: Some(writer),
@@ -83,7 +80,7 @@ impl Progress for UntilStored {
 /// and on panic alike. Called from the orchestrator loop and from
 /// tests that want synchronous execution.
 ///
-/// The campaign engine runs on a fresh thread spawned on `scope`, one
+/// The job's [`Sweep`] runs on a fresh thread spawned on `scope`, one
 /// of its own workers, and a panic in it comes back through `join`.
 /// When the long-lived orchestrator thread ran its share of the
 /// scenarios itself, glibc's malloc arena fragmented across jobs and
@@ -95,23 +92,18 @@ pub fn run_job<'scope>(
     threads: usize,
 ) {
     job.set_phase(JobPhase::Running);
-    let layer = CacheLayer {
-        cache: &store.cache,
-        checkpoint: store.checkpoint.as_ref(),
-    };
     let campaign = job.campaign.clone();
-    let bus = UntilStored(job.bus.clone());
+    let mut bus = UntilStored(job.bus.clone());
     let engine = scope.spawn(move || {
-        let mut obs = CampaignObs::new()
-            .with_metrics()
-            .with_progress(Box::new(bus));
-        let records = engine::run_obs_cached(&campaign, threads, &mut obs, layer);
-        let metrics = obs.take_metrics().expect("metrics channel was enabled");
-        (records, metrics)
+        Sweep::of(&campaign)
+            .threads(threads)
+            .progress(&mut bus)
+            .metrics()
+            .cache(&store.cache, store.checkpoint.as_ref())
+            .run_report()
     });
-    let result = engine.join();
-    match result {
-        Ok((records, metrics)) => {
+    match engine.join() {
+        Ok(SweepReport { records, metrics }) => {
             let counter = |key: &str| metrics.counter_value(key).unwrap_or(0);
             job.with_outcome(|out| {
                 out.cache_hits = counter("campaign.cache_hits");

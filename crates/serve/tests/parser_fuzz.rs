@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use ssr_campaign::checkpoint::{self, CheckpointWriter};
-use ssr_campaign::{engine, families, Campaign, TopologySpec};
+use ssr_campaign::{families, Campaign, Sweep, TopologySpec};
 use ssr_obs::json;
 use ssr_obs::trace::{event_to_json, validate_jsonl_line};
 use ssr_report::history::{entry_to_json_line, validate_history_line, HistoryCell, HistoryEntry};
@@ -162,7 +162,7 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
     let _ = std::fs::remove_file(&journal);
     {
         let writer = CheckpointWriter::open(&journal).expect("open journal");
-        for (i, rec) in engine::run(&campaign, 1).iter().enumerate() {
+        for (i, rec) in Sweep::of(&campaign).threads(1).run().iter().enumerate() {
             writer
                 .append(ssr_runtime::Fingerprint(i as u128 + 1), rec)
                 .expect("append");

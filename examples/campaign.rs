@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example campaign`
 
-use ssr::campaign::{engine, families, output, stats, Campaign, TopologySpec};
+use ssr::campaign::{families, output, stats, Campaign, Sweep, TopologySpec};
 use ssr::runtime::report::Table;
 use ssr::runtime::{Daemon, Observer, Simulator, StepOutcome};
 use ssr::unison::{unison_sdr, Unison, UnisonSdr};
@@ -74,7 +74,7 @@ fn main() {
         threads
     );
 
-    let records = engine::run(&campaign, threads);
+    let records = Sweep::of(&campaign).threads(threads).run();
 
     // Every run must satisfy Thm 6/7 — the campaign runner checks the
     // closed-form bounds per record.
@@ -119,7 +119,7 @@ fn main() {
     println!("  … {} lines total", jsonl.lines().count());
 
     // The determinism contract, demonstrated end to end.
-    let sequential = output::jsonl(&engine::run(&campaign, 1));
+    let sequential = output::jsonl(&Sweep::of(&campaign).run());
     assert_eq!(jsonl, sequential, "parallel != sequential");
     println!("\nparallel and sequential results are byte-identical ✓");
 
@@ -148,7 +148,7 @@ fn main() {
         peak_activated: usize,
         rounds: u64,
     }
-    let rows = engine::run_with(&probe_campaign, threads, |sc| {
+    let rows = Sweep::of(&probe_campaign).threads(threads).map(|sc| {
         let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
         let algo = unison_sdr(Unison::for_graph(&g));

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use ssr::analyze;
-use ssr::campaign::{engine, families, Campaign, InitPlan, Scenario, TopologySpec};
+use ssr::campaign::{families, Campaign, InitPlan, Scenario, Sweep, TopologySpec};
 use ssr::core::family::composed;
 use ssr::core::{validate, ResetInput};
 use ssr::explore::campaign::{explore_scenario_in, stochastic_max_in, ScenarioExploreOptions};
@@ -137,7 +137,7 @@ fn main() {
     //
     // The new family on a standard grid, side by side with U ∘ SDR:
     // same axes, same engine, same determinism contract — resolved
-    // through the caller's registry with `engine::run_in`.
+    // through the caller's registry with `Sweep::registry`.
     let campaign = Campaign::new("cooldown-campaign")
         .topologies(vec![
             TopologySpec::Ring,
@@ -151,7 +151,10 @@ fn main() {
         .trials(2)
         .step_cap(2_000_000)
         .seed(0xC001);
-    let records = engine::run_in(&registry, &campaign, threads);
+    let records = Sweep::of(&campaign)
+        .threads(threads)
+        .registry(&registry)
+        .run();
     println!(
         "campaign '{}': {} runs on {} threads",
         campaign.id(),
