@@ -7,6 +7,10 @@
 //! * [`FarSightFamily`] — a guard that reads two hops away, violating
 //!   the §2.2 locality obligation (and, when the far node is itself
 //!   enabled, non-adjacent commutativity).
+//! * [`FarLegitFamily`] — a local mask whose legitimacy term
+//!   ([`Algorithm::guard`]) reads two hops away: the incremental stop
+//!   condition re-evaluates only the nodes next to a mover, so the term
+//!   owes the same locality as the mask.
 //! * [`ShadowedPairFamily`] — a rule that is only ever enabled
 //!   together with a lower-index rule, so it can never fire under the
 //!   default lowest-index resolution.
@@ -18,8 +22,8 @@ use ssr_runtime::analysis::{
 };
 use ssr_runtime::family::ProbeBridge;
 use ssr_runtime::{
-    Algorithm, Daemon, ExecBudget, Execution, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    RuleId, RuleMask, RunSeeds, StateView,
+    Algorithm, Daemon, ExecBudget, Execution, Family, FamilyProbe, FamilyRunOutcome, Guard,
+    InitPlan, RuleId, RuleMask, RunSeeds, StateView,
 };
 
 // ---------------------------------------------------------------------
@@ -125,6 +129,102 @@ impl AnalyzeFamily for FarSightFamily {
 
     fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
         audit_runs(graph, &FarSight, &far_sight_seeds(graph), opts)
+    }
+}
+
+// ---------------------------------------------------------------------
+// FarLegit: a local mask with a non-local legitimacy term
+// ---------------------------------------------------------------------
+
+/// Flood with a local mask whose legitimacy term peeks **two hops**
+/// out: an infected node counts as legitimate once every node within
+/// distance 2 is infected. The mask alone would certify; the term's
+/// distance-2 reads are the planted defect.
+#[derive(Clone, Copy, Debug)]
+pub struct FarLegit;
+
+impl Algorithm for FarLegit {
+    type State = bool;
+
+    fn rule_count(&self) -> usize {
+        1
+    }
+
+    fn rule_name(&self, _: RuleId) -> &'static str {
+        "catch"
+    }
+
+    fn enabled_mask<V: StateView<bool>>(&self, u: NodeId, view: &V) -> RuleMask {
+        self.guard(u, view).mask
+    }
+
+    fn guard<V: StateView<bool>>(&self, u: NodeId, view: &V) -> Guard {
+        let g = view.graph();
+        let infected = g.neighbors(u).iter().any(|&v| *view.state(v));
+        // The planted defect: the term reads the neighbors' neighbors.
+        let legit = *view.state(u)
+            && g.neighbors(u)
+                .iter()
+                .all(|&v| g.neighbors(v).iter().all(|&w| *view.state(w)));
+        Guard {
+            mask: RuleMask::from_bool(!*view.state(u) && infected),
+            legit,
+        }
+    }
+
+    fn apply<V: StateView<bool>>(&self, _: NodeId, _: &V, _: RuleId) -> bool {
+        true
+    }
+}
+
+/// The registrable family around [`FarLegit`], stopped on its
+/// legitimacy term.
+pub struct FarLegitFamily;
+
+impl Family for FarLegitFamily {
+    fn id(&self) -> &str {
+        "fixture-far-legit"
+    }
+
+    fn run(
+        &self,
+        graph: &Graph,
+        _init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+        budget: ExecBudget,
+        probe: Option<&mut dyn FamilyProbe>,
+    ) -> FamilyRunOutcome {
+        let mut init = vec![false; graph.node_count()];
+        init[0] = true;
+        let mut bridge = ProbeBridge::new(probe);
+        let report = Execution::of(graph, FarLegit)
+            .init(init)
+            .daemon(daemon.clone())
+            .seed(seeds.sim)
+            .cap(budget.cap)
+            .observe(&mut bridge)
+            .until_legitimate()
+            .run_report();
+        FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
+    }
+
+    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
+        Some(self)
+    }
+}
+
+impl AnalyzeFamily for FarLegitFamily {
+    fn rule_names(&self, _graph: &Graph) -> Vec<String> {
+        rule_names(&FarLegit)
+    }
+
+    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
+        collect_footprints(graph, graph_name, &FarLegit, &far_sight_seeds(graph), opts)
+    }
+
+    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
+        audit_runs(graph, &FarLegit, &far_sight_seeds(graph), opts)
     }
 }
 
@@ -253,6 +353,26 @@ mod tests {
         assert!(report
             .findings()
             .any(|f| f.kind == FindingKind::NonCommutative));
+    }
+
+    #[test]
+    fn far_legit_flagged_although_its_mask_is_local() {
+        let report = analyze_family(&FarLegitFamily, &AnalyzeOptions::default());
+        assert!(!report.certified());
+        let non_local: Vec<_> = report
+            .findings()
+            .filter(|f| f.kind == FindingKind::NonLocalGuard)
+            .collect();
+        assert!(
+            !non_local.is_empty() && non_local.iter().all(|f| f.detail.contains("distance 2")),
+            "the legitimacy term's distance-2 reads must be reported: {non_local:?}"
+        );
+        // Wherever the rule is enabled, the evaluation read N[u] only:
+        // the far reads come from the term alone.
+        assert!(report
+            .graphs
+            .iter()
+            .all(|g| g.rules[0].enabled > 0 && g.rules[0].guard_read_dist_max <= 1));
     }
 
     #[test]

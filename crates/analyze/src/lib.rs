@@ -19,8 +19,9 @@
 //! * [`report`] renders/validates the stable `ANALYSIS.json` schema
 //!   (`ssr-analysis/v1`) and a human table.
 //! * [`fixtures`] provides planted-violation families — a non-local
-//!   guard and a shadowed rule — that the analyzer must flag; the CI
-//!   gate runs them as a self-test.
+//!   guard, a local mask with a non-local legitimacy term, and a
+//!   shadowed rule — that the analyzer must flag; the CI gate runs them
+//!   as a self-test.
 //!
 //! # Examples
 //!

@@ -3,7 +3,7 @@
 
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, RuleId, RuleMask, StateView};
+use ssr_runtime::{Algorithm, Guard, RuleId, RuleMask, StateView};
 use ssr_unison::Unison;
 
 /// Increment rule: same guard as Algorithm U.
@@ -74,15 +74,21 @@ impl Algorithm for CfgUnison {
         }
     }
 
+    #[inline]
+    fn enabled_mask<V: StateView<u64>>(&self, u: NodeId, view: &V) -> RuleMask {
+        self.guard(u, view).mask
+    }
+
     /// `inc` when `P_ICorrect(u) ∧ P_Up(u)`, `reset` when
-    /// `¬P_ICorrect(u) ∧ c_u ≠ 0`, decided in one scan of N(u): a
-    /// neighbour at `c_u` or `c_u + 1` keeps both predicates, one at
-    /// `c_u − 1` breaks `P_Up` only, and any other value breaks
+    /// `¬P_ICorrect(u) ∧ c_u ≠ 0`, and the legitimacy term
+    /// `P_ICorrect(u)` (unison safety at `u`), decided in one scan of
+    /// N(u): a neighbour at `c_u` or `c_u + 1` keeps both predicates,
+    /// one at `c_u − 1` breaks `P_Up` only, and any other value breaks
     /// `P_ICorrect`. The scan folds each neighbour in with `&`/`|`
     /// rather than an early exit: in a run, each evaluation lands on a
     /// random mover's neighbourhood, where the exit branches mispredict.
     #[inline]
-    fn enabled_mask<V: StateView<u64>>(&self, u: NodeId, view: &V) -> RuleMask {
+    fn guard<V: StateView<u64>>(&self, u: NodeId, view: &V) -> Guard {
         let cu = *view.state(u);
         let (next, prev) = (self.unison.succ(cu), self.unison.pred(cu));
         let (mut up, mut correct) = (true, true);
@@ -92,9 +98,12 @@ impl Algorithm for CfgUnison {
             up &= keeps_up;
             correct &= keeps_up | (cv == prev);
         }
-        RuleMask::NONE
-            .with_if(RULE_CFG_INC, correct & up)
-            .with_if(RULE_CFG_RESET, !correct & (cu != 0))
+        Guard {
+            mask: RuleMask::NONE
+                .with_if(RULE_CFG_INC, correct & up)
+                .with_if(RULE_CFG_RESET, !correct & (cu != 0)),
+            legit: correct,
+        }
     }
 
     fn apply<V: StateView<u64>>(&self, u: NodeId, view: &V, rule: RuleId) -> u64 {
@@ -200,11 +209,7 @@ mod tests {
                 "n={n}: the tear breaks safety"
             );
             let mut sim = Simulator::new(&g, algo, init, Daemon::Central, 5);
-            let out = sim
-                .execution()
-                .cap(50_000_000)
-                .until_all(|u, view| spec::safety_holds_at(u, view, k))
-                .run();
+            let out = sim.execution().cap(50_000_000).until_legitimate().run();
             assert!(
                 out.reached,
                 "n={n}: no safety after {} moves",

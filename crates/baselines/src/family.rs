@@ -19,7 +19,7 @@ use ssr_runtime::family::{
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Daemon, Simulator};
 use ssr_unison::workloads::unison_tear_plain;
-use ssr_unison::{spec, Unison};
+use ssr_unison::Unison;
 
 use crate::cfg_unison::CfgUnison;
 use crate::mono_reset::{MonoReset, MonoState, Phase};
@@ -102,7 +102,7 @@ impl Family for CfgUnisonFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until_all(|u, view| spec::safety_holds_at(u, view, period))
+            .until_legitimate()
             .run();
         bridge.collect_trace(&mut sim);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
@@ -195,7 +195,6 @@ impl Family for MonoResetFamily {
         let nn = graph.node_count() as u64;
         let mono = MonoReset::new(graph, Unison::for_graph(graph), NodeId(0));
         let period = mono.input().period();
-        let check = MonoReset::new(graph, Unison::for_graph(graph), NodeId(0));
         let init_cfg = mono.initial_config(graph);
         let mut sim = Simulator::new(graph, mono, init_cfg, daemon.clone(), seeds.sim);
         if let InitPlan::CorruptClocks { k } = init {
@@ -218,7 +217,7 @@ impl Family for MonoResetFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until_all(|u, view| check.is_normal_at(u, view))
+            .until_legitimate()
             .run();
         bridge.collect_trace(&mut sim);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);

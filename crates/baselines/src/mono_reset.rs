@@ -19,7 +19,7 @@ use std::fmt;
 
 use ssr_core::ResetInput;
 use ssr_graph::{Graph, NodeId};
-use ssr_runtime::{Algorithm, RuleId, RuleMask, StateView};
+use ssr_runtime::{Algorithm, Guard, RuleId, RuleMask, StateView};
 
 /// Wave phase of a process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -130,7 +130,8 @@ impl<I: ResetInput> MonoReset<I> {
     }
 
     /// Whether `u` is idle with a correct input state — the node-local
-    /// term of [`MonoReset::is_normal_config`]; reads `N[u]` only.
+    /// term of [`MonoReset::is_normal_config`]; reads `N[u]` only. The
+    /// spec of the legitimacy term [`Algorithm::guard`] returns.
     pub fn is_normal_at<V: StateView<MonoState<I::State>>>(&self, u: NodeId, view: &V) -> bool {
         view.state(u).phase == Phase::Idle && self.p_icorrect_at(u, view)
     }
@@ -191,24 +192,30 @@ impl<I: ResetInput> Algorithm for MonoReset<I> {
     }
 
     fn enabled_mask<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> RuleMask {
+        self.guard(u, view).mask
+    }
+
+    /// The wave rules, the gated input rules, and the legitimacy term
+    /// `idle ∧ P_ICorrect(u)` ([`MonoReset::is_normal_at`]).
+    /// `P_ICorrect(u)` matters only to an idle process (a requesting
+    /// root triggers a wave regardless), so it is evaluated once, and
+    /// only there.
+    fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
         let phase = self.phase(view, u);
         let is_root = u == self.root;
-        let trigger =
-            !self.p_icorrect_at(u, view) || self.child_requesting(u, view) || phase == Phase::Req;
+        let idle = phase == Phase::Idle;
+        let icorrect = idle && self.p_icorrect_at(u, view);
+        // An idle process with an inconsistency to report, its own or
+        // a child's.
+        let report = idle && (!icorrect || self.child_requesting(u, view));
         let parent_phase = self.parent[u.index()].map(|p| self.phase(view, p));
 
         let mut mask = RuleMask::NONE
             .with_if(
                 RULE_REQ,
-                !is_root
-                    && phase == Phase::Idle
-                    && (!self.p_icorrect_at(u, view) || self.child_requesting(u, view))
-                    && parent_phase != Some(Phase::RB),
+                !is_root && report && parent_phase != Some(Phase::RB),
             )
-            .with_if(
-                RULE_START,
-                is_root && matches!(phase, Phase::Idle | Phase::Req) && trigger,
-            )
+            .with_if(RULE_START, is_root && (report || phase == Phase::Req))
             .with_if(
                 RULE_RBCAST,
                 !is_root
@@ -223,15 +230,20 @@ impl<I: ResetInput> Algorithm for MonoReset<I> {
 
         // Input rules run only when the closed neighborhood is idle and
         // the local state is consistent (mirror of SDR's gate).
-        let clean = view
-            .graph()
-            .closed_neighborhood(u)
-            .all(|v| self.phase(view, v) == Phase::Idle);
-        if mask.is_empty() && clean && self.p_icorrect_at(u, view) {
+        if mask.is_empty()
+            && icorrect
+            && view
+                .graph()
+                .closed_neighborhood(u)
+                .all(|v| self.phase(view, v) == Phase::Idle)
+        {
             let iv = ssr_runtime::MapView::new(view, inner_of);
             mask = RuleMask(self.input.enabled_mask(u, &iv).0 << MONO_RULES);
         }
-        mask
+        Guard {
+            mask,
+            legit: icorrect,
+        }
     }
 
     fn apply<V: StateView<Self::State>>(&self, u: NodeId, view: &V, rule: RuleId) -> Self::State {

@@ -8,8 +8,9 @@
 //!   termination with a no-op observer;
 //! * `cfg-unison` on ring₆₄ from a half-n clock tear under the central
 //!   daemon (E10's capped baseline cell: single-move steps), stopped by
-//!   `until_all(safety_holds_at)`. It never converges within
-//!   [`TEAR_CAP`] steps, so both sides take exactly that many.
+//!   `until_legitimate()` (unison safety, which the guard kernel
+//!   decides with each mask). It never converges within [`TEAR_CAP`]
+//!   steps, so both sides take exactly that many.
 //!
 //! Besides the criterion groups, `main` runs an explicit check
 //! asserting each `Execution` path stays within 1.5× of its raw loop —
@@ -27,7 +28,6 @@ use ssr_baselines::CfgUnison;
 use ssr_core::Standalone;
 use ssr_graph::{generators, Graph};
 use ssr_runtime::{Daemon, Simulator, StepOutcome, TerminationReason};
-use ssr_unison::spec;
 use ssr_unison::workloads::unison_tear_plain;
 
 const CAP: u64 = 1_000_000;
@@ -63,12 +63,12 @@ fn execution_noop(g: &Graph, fga: &ssr_alliance::Fga) -> u64 {
     sim.stats().moves
 }
 
-/// The tear case: ring₆₄, the cfg-unison period, and the half-n tear.
-fn tear_workload() -> (Graph, u64, Vec<u64>) {
+/// The tear case: ring₆₄ and the half-n tear at the cfg-unison period.
+fn tear_workload() -> (Graph, Vec<u64>) {
     let g = generators::ring(64);
     let period = CfgUnison::for_graph(&g).period();
     let init = unison_tear_plain(&g, period, 32);
-    (g, period, init)
+    (g, init)
 }
 
 fn tear_raw_loop(g: &Graph, init: &[u64]) -> u64 {
@@ -87,7 +87,7 @@ fn tear_raw_loop(g: &Graph, init: &[u64]) -> u64 {
     sim.stats().moves
 }
 
-fn tear_until_all(g: &Graph, period: u64, init: &[u64]) -> u64 {
+fn tear_until_legitimate(g: &Graph, init: &[u64]) -> u64 {
     let mut sim = Simulator::new(
         g,
         CfgUnison::for_graph(g),
@@ -95,11 +95,7 @@ fn tear_until_all(g: &Graph, period: u64, init: &[u64]) -> u64 {
         Daemon::Central,
         7,
     );
-    let out = sim
-        .execution()
-        .cap(TEAR_CAP)
-        .until_all(|u, view| spec::safety_holds_at(u, view, period))
-        .run();
+    let out = sim.execution().cap(TEAR_CAP).until_legitimate().run();
     assert_eq!(
         out.reason,
         TerminationReason::CapExhausted,
@@ -119,12 +115,12 @@ fn bench_exec_overhead(c: &mut Criterion) {
         BenchmarkId::from_parameter("execution-noop-observer"),
         |b| b.iter(|| execution_noop(&g, &fga)),
     );
-    let (g, period, init) = tear_workload();
+    let (g, init) = tear_workload();
     group.bench_function(BenchmarkId::from_parameter("tear-raw-step-loop"), |b| {
         b.iter(|| tear_raw_loop(&g, &init))
     });
-    group.bench_function(BenchmarkId::from_parameter("tear-until-all"), |b| {
-        b.iter(|| tear_until_all(&g, period, &init))
+    group.bench_function(BenchmarkId::from_parameter("tear-until-legitimate"), |b| {
+        b.iter(|| tear_until_legitimate(&g, &init))
     });
     group.finish();
 }
@@ -163,17 +159,19 @@ fn check_ratio(name: &str, raw: &dyn Fn() -> u64, exec: &dyn Fn() -> u64) {
 }
 
 /// The no-op-observer execution should be within noise of the raw
-/// loop; the node-local stop condition adds a re-check of the three
-/// nodes each single-move step refreshes.
+/// loop; so should the legitimacy stop condition, which reads the
+/// failing-node count the guard phase keeps.
 fn overhead_check() {
     let (g, fga) = workload();
     check_ratio("check", &|| raw_loop(&g, &fga), &|| {
         execution_noop(&g, &fga)
     });
-    let (g, period, init) = tear_workload();
-    check_ratio("tear-until-all", &|| tear_raw_loop(&g, &init), &|| {
-        tear_until_all(&g, period, &init)
-    });
+    let (g, init) = tear_workload();
+    check_ratio(
+        "tear-until-legitimate",
+        &|| tear_raw_loop(&g, &init),
+        &|| tear_until_legitimate(&g, &init),
+    );
 }
 
 criterion_group!(benches, bench_exec_overhead);

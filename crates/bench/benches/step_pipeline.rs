@@ -6,14 +6,15 @@
 //! ring — small constant-degree neighborhoods, so the kernels (not the
 //! cache) dominate — under the synchronous daemon, which maximizes the
 //! per-step selection and therefore the work the apply/guard kernels
-//! can fan out. The narrow workload is `cfg-unison` on ring₆₄ from a
-//! half-n clock tear under the central daemon (E10's capped baseline
-//! cell): one mover and a three-node refresh set per step, so the
-//! per-step bookkeeping and the guard kernel set the cost. `main`
-//! reports its ns per step and ns per guard evaluation, then runs an
-//! explicit byte-identity tripwire: the parallel pipeline must
-//! reproduce the sequential run exactly, state for state and stat for
-//! stat.
+//! can fan out. The narrow workloads run ring₆₄ from a half-n clock
+//! tear under the central daemon: `cfg-unison` (E10's capped baseline
+//! cell) and `unison-sdr`, whose guard is the composed one every
+//! `I ∘ SDR` family pays for. One mover and a three-node refresh set per
+//! step, so the per-step bookkeeping and the guard kernel set the
+//! cost. `main` reports each one's ns per step and ns per guard
+//! evaluation, then runs an explicit byte-identity tripwire: the
+//! parallel pipeline must reproduce the sequential run exactly, state
+//! for state and stat for stat.
 
 use std::time::Instant;
 
@@ -23,7 +24,8 @@ use ssr_core::toys::Agreement;
 use ssr_core::Sdr;
 use ssr_graph::{generators, Graph};
 use ssr_runtime::{Algorithm, ConfigView, Daemon, Simulator, StepOutcome};
-use ssr_unison::workloads::unison_tear_plain;
+use ssr_unison::workloads::{unison_tear, unison_tear_plain};
+use ssr_unison::{unison_sdr, Unison, UnisonSdr};
 
 const N: usize = 20_000;
 const STEPS: u64 = 10;
@@ -52,18 +54,25 @@ fn run_steps(g: &Graph, threads: usize) -> u64 {
     sim.stats().moves
 }
 
-/// The narrow case's simulator: cfg-unison on ring₆₄ from the half-n
-/// tear, central daemon. It stays torn for the whole budget.
-fn narrow_sim(g: &Graph) -> Simulator<'_, CfgUnison> {
+/// The cfg-unison narrow case: ring₆₄ from the half-n tear, central
+/// daemon. It stays torn for the whole budget.
+fn narrow_cfg(g: &Graph) -> Simulator<'_, CfgUnison> {
     let algo = CfgUnison::for_graph(g);
     let init = unison_tear_plain(g, algo.period(), NARROW_N as u64 / 2);
     Simulator::new(g, algo, init, Daemon::Central, 7)
 }
 
-/// Runs the narrow case's budget; returns the simulator and the
-/// number of guard evaluations (refreshed nodes) it made.
-fn narrow_run(g: &Graph) -> (Simulator<'_, CfgUnison>, u64) {
-    let mut sim = narrow_sim(g);
+/// The unison-sdr narrow case: the same ring, tear and daemon. The
+/// reset repairs the tear early on; unison then never goes silent.
+fn narrow_sdr(g: &Graph) -> Simulator<'_, UnisonSdr> {
+    let algo = unison_sdr(Unison::for_graph(g));
+    let init = unison_tear(g, algo.input().period(), NARROW_N as u64 / 2);
+    Simulator::new(g, algo, init, Daemon::Central, 7)
+}
+
+/// Runs a narrow case's budget; returns the simulator and the number
+/// of guard evaluations (refreshed nodes) it made.
+fn narrow_run<A: Algorithm>(mut sim: Simulator<'_, A>) -> (Simulator<'_, A>, u64) {
     let mut evals = 0u64;
     for _ in 0..NARROW_STEPS {
         if let StepOutcome::Terminal = sim.step() {
@@ -74,14 +83,16 @@ fn narrow_run(g: &Graph) -> (Simulator<'_, CfgUnison>, u64) {
     (sim, evals)
 }
 
-/// The guard kernel alone: every node's mask on `states`, `rounds`
-/// times over. Returns a fold of the masks so nothing is optimized out.
-fn guard_kernel(g: &Graph, algo: &CfgUnison, states: &[u64], rounds: usize) -> u32 {
+/// The guard kernel alone: every node's guard on `states`, `rounds`
+/// times over. Returns a fold of the guards so nothing is optimized
+/// out.
+fn guard_kernel<A: Algorithm>(g: &Graph, algo: &A, states: &[A::State], rounds: usize) -> u32 {
     let view = ConfigView::new(g, states);
     let mut acc = 0u32;
     for _ in 0..rounds {
         for u in g.nodes() {
-            acc = acc.wrapping_add(algo.enabled_mask(u, &view).0);
+            let guard = algo.guard(u, &view);
+            acc = acc.wrapping_add(guard.mask.0 + u32::from(guard.legit));
         }
     }
     acc
@@ -101,7 +112,11 @@ fn bench_step_pipeline(c: &mut Criterion) {
     let ring = generators::ring(NARROW_N);
     group.bench_function(
         BenchmarkId::from_parameter("narrow-cfg-unison-ring64"),
-        |b| b.iter(|| narrow_run(&ring).1),
+        |b| b.iter(|| narrow_run(narrow_cfg(&ring)).1),
+    );
+    group.bench_function(
+        BenchmarkId::from_parameter("narrow-unison-sdr-ring64"),
+        |b| b.iter(|| narrow_run(narrow_sdr(&ring)).1),
     );
     group.finish();
 }
@@ -119,18 +134,18 @@ fn median_ns(f: &dyn Fn() -> u64) -> f64 {
     samples[samples.len() / 2] as f64
 }
 
-/// The narrow case's per-step and per-guard-evaluation costs: the
-/// step loop over its whole budget, and the guard kernel over every
-/// node of the configuration the loop ends in.
-fn narrow_report() {
+/// A narrow case's per-step and per-guard-evaluation costs: the step
+/// loop over its whole budget, and the guard kernel over every node of
+/// the configuration the loop ends in.
+fn narrow_report<A: Algorithm>(label: &str, build: for<'g> fn(&'g Graph) -> Simulator<'g, A>) {
     let g = generators::ring(NARROW_N);
-    let (sim, evals) = narrow_run(&g);
+    let (sim, evals) = narrow_run(build(&g));
     assert_eq!(
         sim.stats().moves,
         NARROW_STEPS,
-        "the tear must stay live for the budget"
+        "{label}: the run must stay live for the budget"
     );
-    let step_ns = median_ns(&|| narrow_run(&g).1) / NARROW_STEPS as f64;
+    let step_ns = median_ns(&|| narrow_run(build(&g)).1) / NARROW_STEPS as f64;
 
     let states = sim.states();
     let algo = sim.algorithm();
@@ -138,7 +153,7 @@ fn narrow_report() {
     let kernel_ns = median_ns(&|| u64::from(guard_kernel(&g, algo, states, rounds)))
         / (rounds * NARROW_N) as f64;
     println!(
-        "step_pipeline/narrow: cfg-unison ring{NARROW_N} tear, central, {NARROW_STEPS} steps: \
+        "step_pipeline/narrow: {label} ring{NARROW_N} tear, central, {NARROW_STEPS} steps: \
          {step_ns:.1} ns/step, {:.2} guard evals/step, {kernel_ns:.2} ns/guard eval",
         evals as f64 / NARROW_STEPS as f64
     );
@@ -174,6 +189,7 @@ criterion_group!(benches, bench_step_pipeline);
 
 fn main() {
     benches();
-    narrow_report();
+    narrow_report("cfg-unison", narrow_cfg);
+    narrow_report("unison-sdr", narrow_sdr);
     byte_identity_check();
 }

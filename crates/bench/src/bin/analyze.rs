@@ -18,7 +18,7 @@
 //! and exits nonzero unless **every** label certifies clean (warnings
 //! are reported but do not fail the gate). `--fixtures` inverts the
 //! contract: it analyzes the planted-violation families shipped with
-//! `ssr-analyze` and exits nonzero unless *both* defects are flagged —
+//! `ssr-analyze` and exits nonzero unless *every* defect is flagged —
 //! if the analyzer ever goes blind, CI catches the gate itself
 //! regressing. `--validate` re-parses an emitted report against the
 //! `ssr-analysis/v1` schema. The report is byte-identical at any
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use ssr_analyze::analysis::{AnalyzeOptions, FindingKind};
-use ssr_analyze::fixtures::{FarSightFamily, ShadowedPairFamily};
+use ssr_analyze::fixtures::{FarLegitFamily, FarSightFamily, ShadowedPairFamily};
 use ssr_analyze::{analyze_registry, human_table, to_json, validate_json};
 use ssr_campaign::families::standard_families;
 use ssr_runtime::family::FamilyRegistry;
@@ -97,29 +97,33 @@ fn validate_mode(path: &str) -> ExitCode {
     }
 }
 
-/// `--fixtures`: the gate's self-test. Exits nonzero unless both
-/// planted violations are flagged as errors.
+/// `--fixtures`: the gate's self-test. Exits nonzero unless every
+/// planted violation is flagged as an error: a distance-2 guard, a
+/// local mask with a distance-2 legitimacy term, and a shadowed rule.
 fn fixtures_mode(opts: &AnalyzeOptions, threads: usize) -> ExitCode {
     let mut registry = FamilyRegistry::new();
     registry.register(Arc::new(FarSightFamily));
+    registry.register(Arc::new(FarLegitFamily));
     registry.register(Arc::new(ShadowedPairFamily));
     let report = analyze_registry(&registry, opts, threads);
     print!("{}", human_table(&report));
-    let far_sight_caught = report.families.iter().any(|f| {
-        f.family == "fixture-far-sight"
-            && f.findings().any(|x| x.kind == FindingKind::NonLocalGuard)
-    });
-    let shadowed_caught = report.families.iter().any(|f| {
-        f.family == "fixture-shadowed-pair"
-            && f.findings().any(|x| x.kind == FindingKind::ShadowedRule)
-    });
-    if far_sight_caught && shadowed_caught && !report.certified() {
-        println!("self-test ok: both planted violations flagged");
+    let caught = |family: &str, kind: FindingKind| {
+        report
+            .families
+            .iter()
+            .any(|f| f.family == family && f.findings().any(|x| x.kind == kind))
+    };
+    let far_sight_caught = caught("fixture-far-sight", FindingKind::NonLocalGuard);
+    let far_legit_caught = caught("fixture-far-legit", FindingKind::NonLocalGuard);
+    let shadowed_caught = caught("fixture-shadowed-pair", FindingKind::ShadowedRule);
+    if far_sight_caught && far_legit_caught && shadowed_caught && !report.certified() {
+        println!("self-test ok: all three planted violations flagged");
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "analyze: self-test FAILED (far-sight caught: {far_sight_caught}, \
-             shadowed caught: {shadowed_caught}) — the gate has gone blind"
+             far-legit caught: {far_legit_caught}, shadowed caught: {shadowed_caught}) \
+             — the gate has gone blind"
         );
         ExitCode::FAILURE
     }

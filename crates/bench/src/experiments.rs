@@ -68,8 +68,8 @@ impl Profile {
     }
 }
 
-/// The topology axis shared by the sweeps (same families as the
-/// original `topology_suite`).
+/// The topology axis shared by the sweeps: ring, path, star, random
+/// tree, random sparse graph and grid.
 fn exp_topologies() -> Vec<TopologySpec> {
     vec![
         TopologySpec::Ring,
@@ -1000,17 +1000,12 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
         let (reached, rounds, moves) = match sc.algorithm.family.as_str() {
             "unison-sdr" => {
                 let algo = unison_sdr(Unison::for_graph(&g));
-                let check = unison_sdr(Unison::for_graph(&g));
                 let init = algo.initial_config(&g);
                 let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sim_seed);
                 let mut rng = Xoshiro256StarStar::seed_from_u64(fault_seed);
                 warm_up_and_corrupt_clocks(&mut sim, k, period, &mut rng);
                 ctx.attach("e11-faults-sdr", sc.index, &mut sim);
-                let out = sim
-                    .execution()
-                    .cap(sc.step_cap)
-                    .until_all(|u, view| check.is_normal_at(u, view))
-                    .run();
+                let out = sim.execution().cap(sc.step_cap).until_legitimate().run();
                 ctx.collect(&mut sim);
                 (out.reached, out.rounds_at_hit, out.moves_at_hit)
             }
@@ -1025,17 +1020,12 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
                 });
                 sim.reset_stats();
                 ctx.attach("e11-faults-cfg", sc.index, &mut sim);
-                let out = sim
-                    .execution()
-                    .cap(sc.step_cap)
-                    .until_all(|u, view| spec::safety_holds_at(u, view, k_cfg))
-                    .run();
+                let out = sim.execution().cap(sc.step_cap).until_legitimate().run();
                 ctx.collect(&mut sim);
                 (out.reached, out.rounds_at_hit, out.moves_at_hit)
             }
             "mono-reset" => {
                 let mono = MonoReset::new(&g, Unison::for_graph(&g), NodeId(0));
-                let check = MonoReset::new(&g, Unison::for_graph(&g), NodeId(0));
                 let init = mono.initial_config(&g);
                 let mut sim = Simulator::new(&g, mono, init, sc.daemon.clone(), sim_seed);
                 let mut rng = Xoshiro256StarStar::seed_from_u64(fault_seed);
@@ -1047,11 +1037,7 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
                 });
                 sim.reset_stats();
                 ctx.attach("e11-faults-mono", sc.index, &mut sim);
-                let out = sim
-                    .execution()
-                    .cap(sc.step_cap)
-                    .until_all(|u, view| check.is_normal_at(u, view))
-                    .run();
+                let out = sim.execution().cap(sc.step_cap).until_legitimate().run();
                 ctx.collect(&mut sim);
                 (out.reached, out.rounds_at_hit, out.moves_at_hit)
             }

@@ -171,7 +171,6 @@ where
             InitPlan::Normal => sdr.initial_config(graph),
             _ => sdr.arbitrary_config(graph, seeds.init),
         };
-        let check = self.instantiate(graph);
         let mut bridge = ProbeBridge::new(probe);
         let mut sim = Simulator::new(graph, sdr, init, daemon.clone(), seeds.sim);
         bridge.install_trace(&mut sim);
@@ -180,7 +179,7 @@ where
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until_all(|u, view| check.is_normal_at(u, view))
+            .until_legitimate()
             .run();
         bridge.collect_trace(&mut sim);
         let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);

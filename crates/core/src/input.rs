@@ -4,7 +4,7 @@
 
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, RuleId, RuleMask, StateView};
+use ssr_runtime::{Algorithm, Guard, RuleId, RuleMask, StateView};
 
 /// An input algorithm `I` suitable for composition with SDR.
 ///
@@ -84,7 +84,9 @@ pub trait ResetInput {
 /// terminates from `γ_init`): in those sections every process implicitly
 /// satisfies `P_Clean` because no reset exists, and the guards of the
 /// instantiations all contain `P_ICorrect` (explicitly for FGA,
-/// implied for U).
+/// implied for U). Its legitimacy term ([`Algorithm::guard`]) is
+/// `P_ICorrect(u)`, so a standalone unison is legitimate exactly when
+/// unison safety holds.
 ///
 /// # Examples
 ///
@@ -134,10 +136,21 @@ impl<I: ResetInput> Algorithm for Standalone<I> {
     }
 
     fn enabled_mask<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> RuleMask {
-        if self.inner.p_icorrect(u, view) {
-            self.inner.enabled_mask(u, view)
-        } else {
-            RuleMask::NONE
+        self.guard(u, view).mask
+    }
+
+    /// The input's rules under the `P_ICorrect(u)` gate; the
+    /// legitimacy term is that gate itself, evaluated once.
+    #[inline]
+    fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
+        let legit = self.inner.p_icorrect(u, view);
+        Guard {
+            mask: if legit {
+                self.inner.enabled_mask(u, view)
+            } else {
+                RuleMask::NONE
+            },
+            legit,
         }
     }
 

@@ -3,7 +3,7 @@
 
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, ConfigView, MapView, RuleId, RuleMask, StateView};
+use ssr_runtime::{Algorithm, ConfigView, Guard, MapView, RuleId, RuleMask, StateView};
 
 use crate::input::ResetInput;
 use crate::state::{Composed, SdrState, Status};
@@ -183,7 +183,8 @@ impl<I: ResetInput> Sdr<I> {
             && (self.st(view, u) == self.st(view, v) || self.st(view, v) == Status::RB)
     }
 
-    /// Whether `u` satisfies `P_Clean(u) ∧ P_ICorrect(u)`.
+    /// Whether `u` satisfies `P_Clean(u) ∧ P_ICorrect(u)`: the spec of
+    /// the legitimacy term [`Algorithm::guard`] returns.
     pub fn is_normal_at<V: StateView<Composed<I::State>>>(&self, u: NodeId, view: &V) -> bool {
         self.p_clean(u, view) && self.p_icorrect(u, view)
     }
@@ -264,23 +265,74 @@ impl<I: ResetInput> Algorithm for Sdr<I> {
     }
 
     fn enabled_mask<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> RuleMask {
-        let sdr = RuleMask::NONE
-            .with_if(RULE_RB, self.p_rb(u, view))
-            .with_if(RULE_RF, self.p_rf(u, view))
-            .with_if(RULE_C, self.p_c(u, view))
-            .with_if(RULE_R, self.p_up(u, view));
-        // Requirement 2c: the input algorithm runs only under
-        // P_Clean ∧ P_ICorrect — in which case SDR itself is disabled
-        // (Remark 2).
-        if self.p_clean(u, view) && self.p_icorrect(u, view) {
-            debug_assert!(
-                sdr.is_empty(),
-                "Remark 2 violated: SDR enabled under P_Clean ∧ P_ICorrect"
-            );
-            let iv = MapView::new(view, inner_of);
-            RuleMask(self.input.enabled_mask(u, &iv).0 << SDR_RULE_COUNT)
-        } else {
-            sdr
+        self.guard(u, view).mask
+    }
+
+    /// SDR's four rules, the input's rules under the Requirement 2c
+    /// gate `P_Clean(u) ∧ P_ICorrect(u)`, and that gate as the
+    /// legitimacy term (the normal configurations, Theorem 1), decided
+    /// from one fold of N(u).
+    ///
+    /// `st_u` picks the fold. Under `C`, it collects any-RB and any-RF
+    /// neighbour: `P_RB` is any-RB, `P_R1` is `¬P_reset(u)` ∧ any-RF,
+    /// `P_Clean` is neither, and `P_ICorrect(u)` is evaluated only when
+    /// neither `P_RB` nor `P_R1` has decided the mask. Under `RB` or
+    /// `RF`, `P_Clean`, `P_RB` and `P_R1` are false and
+    /// `P_Up ≡ P_R2 ≡ ¬P_reset(u)`; when `P_reset(u)` holds, the fold
+    /// is the ∀-conjunct of `P_RF` or of `P_C` (`u`'s own conjunct of
+    /// `P_C` is `P_reset(u)`), reading `P_reset(v)` only for the
+    /// neighbours whose disjunct needs it. The `p_*` predicates are the
+    /// specification it is tested against.
+    fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
+        // Every mask but the gate's: SDR's rules, outside the normal
+        // configurations.
+        let sdr = |mask| Guard { mask, legit: false };
+        let me = view.state(u).sdr;
+        let reset = self.p_reset(u, view);
+        let nbrs = view.graph().neighbors(u);
+        match me.status {
+            Status::C => {
+                let (mut any_rb, mut any_rf) = (false, false);
+                for &v in nbrs {
+                    let st = self.st(view, v);
+                    any_rb |= st == Status::RB;
+                    any_rf |= st == Status::RF;
+                }
+                if any_rb {
+                    return sdr(RuleMask::just(RULE_RB));
+                }
+                // P_R1, else ¬P_Correct (P_R2 is false under C).
+                if (any_rf && !reset) || !self.p_icorrect(u, view) {
+                    return sdr(RuleMask::just(RULE_R));
+                }
+                if any_rf {
+                    return sdr(RuleMask::NONE);
+                }
+                // P_Clean ∧ P_ICorrect: SDR is disabled (Remark 2) and
+                // the input's rules run.
+                let iv = MapView::new(view, inner_of);
+                Guard {
+                    mask: RuleMask(self.input.enabled_mask(u, &iv).0 << SDR_RULE_COUNT),
+                    legit: true,
+                }
+            }
+            _ if !reset => sdr(RuleMask::just(RULE_R)),
+            Status::RB => {
+                let rf = nbrs.iter().all(|&v| {
+                    let s = view.state(v).sdr;
+                    (s.status == Status::RB && s.dist <= me.dist)
+                        || (s.status == Status::RF && self.p_reset(v, view))
+                });
+                sdr(RuleMask::NONE.with_if(RULE_RF, rf))
+            }
+            Status::RF => {
+                let c = nbrs.iter().all(|&v| {
+                    let s = view.state(v).sdr;
+                    ((s.status == Status::RF && s.dist >= me.dist) || s.status == Status::C)
+                        && self.p_reset(v, view)
+                });
+                sdr(RuleMask::NONE.with_if(RULE_C, c))
+            }
         }
     }
 

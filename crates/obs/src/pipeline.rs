@@ -64,20 +64,9 @@ impl PipelineMetrics {
         }
     }
 
-    /// The metrics folded so far.
-    pub fn metrics(&self) -> &MetricsSet {
-        &self.metrics
-    }
-
     /// Consumes the sink into its metrics.
     pub fn into_metrics(self) -> MetricsSet {
         self.metrics
-    }
-
-    /// Drains the folded metrics, leaving the sink empty (for reuse
-    /// across runs).
-    pub fn take_metrics(&mut self) -> MetricsSet {
-        std::mem::take(&mut self.metrics)
     }
 }
 

@@ -312,11 +312,32 @@ where
     }
 }
 
+/// One guard evaluation at a process: its enabled rules and its
+/// node-local legitimacy term, decided by the same scan of `N[u]`
+/// ([`Algorithm::guard`]).
+///
+/// # Examples
+///
+/// ```
+/// use ssr_runtime::{Guard, RuleId, RuleMask};
+/// let g = Guard { mask: RuleMask::just(RuleId(1)), legit: false };
+/// assert!(g.mask.contains(RuleId(1)) && !g.legit);
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Guard {
+    /// The enabled rules.
+    pub mask: RuleMask,
+    /// Whether the node-local term of the algorithm's legitimacy
+    /// predicate holds: the configuration is legitimate exactly when
+    /// it holds at every node.
+    pub legit: bool,
+}
+
 /// A distributed algorithm in the locally shared memory model.
 ///
 /// Implementations define the per-process state type, the rule set, and
 /// the guard/action semantics. The [`crate::Simulator`] owns the
-/// configuration and calls [`Algorithm::enabled_mask`] /
+/// configuration and calls [`Algorithm::guard`] /
 /// [`Algorithm::apply`].
 pub trait Algorithm {
     /// Per-process state (the values of the process's shared variables).
@@ -330,6 +351,27 @@ pub trait Algorithm {
 
     /// Evaluates all guards of process `u` on the configuration `view`.
     fn enabled_mask<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> RuleMask;
+
+    /// Evaluates `u`'s guards and its node-local legitimacy term
+    /// together: the one guard kernel the simulator runs on each
+    /// refreshed node, and what [`crate::Execution::until_legitimate`]
+    /// stops on.
+    ///
+    /// Like a guard, `legit` must read the closed neighbourhood `N[u]`
+    /// only. The default is [`Algorithm::enabled_mask`] with `legit` =
+    /// the mask is empty, so a silent algorithm is legitimate exactly
+    /// when it is terminal. An algorithm whose legitimacy predicate
+    /// its guards already decide (the reset gate of a composition, say)
+    /// overrides this to return both from one scan, and then
+    /// implements `enabled_mask` as `self.guard(u, view).mask`.
+    #[inline]
+    fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
+        let mask = self.enabled_mask(u, view);
+        Guard {
+            mask,
+            legit: mask.is_empty(),
+        }
+    }
 
     /// Executes `rule`'s action for `u`, returning `u`'s next state.
     ///

@@ -16,7 +16,9 @@
 //!
 //! This module supplies the instrumentation seams and generic drivers:
 //! [`TrackedView`] records the exact node read set of every
-//! `enabled_mask`/`apply` evaluation, [`collect_footprints`] drives an
+//! [`Algorithm::guard`]/`apply` evaluation — a guard's reads include
+//! those of its legitimacy term, which the simulator's incremental stop
+//! condition relies on being local too — [`collect_footprints`] drives an
 //! algorithm exhaustively over a small-model universe grown from seed
 //! configurations, and [`audit_runs`] replays simulator runs checking
 //! the dynamic obligations (fired-while-disabled, foreign writes,
@@ -145,7 +147,8 @@ pub enum Severity {
 /// The closed set of defects the analysis reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FindingKind {
-    /// A guard read a node outside the closed neighborhood.
+    /// A guard (its mask or its legitimacy term) read a node outside
+    /// the closed neighborhood.
     NonLocalGuard,
     /// A rule action read a node outside the closed neighborhood.
     NonLocalAction,
@@ -481,11 +484,13 @@ pub fn collect_footprints<A: Algorithm>(
         configs += 1;
         let view = TrackedView::new(graph, &config);
 
-        // Pass A: guard evaluation + read recording for every node.
+        // Pass A: guard evaluation + read recording for every node,
+        // through `Algorithm::guard`, so the legitimacy term's reads
+        // fall under the same locality gate as the mask's.
         for u in 0..n {
             let u = NodeId(u as u32);
             view.reset();
-            masks[u.index()] = algo.enabled_mask(u, &view);
+            masks[u.index()] = algo.guard(u, &view).mask;
             guard_reads[u.index()] = view.take_reads();
         }
 

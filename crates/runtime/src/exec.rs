@@ -86,7 +86,7 @@
 
 use ssr_graph::{Graph, NodeId};
 
-use crate::algorithm::{Algorithm, ConfigView, RuleId};
+use crate::algorithm::{Algorithm, RuleId};
 use crate::daemon::Daemon;
 use crate::simulator::{RunOutcome, Simulator, StepOutcome, TerminationReason};
 use crate::step::par::ParHooks;
@@ -276,9 +276,9 @@ pub type NoPredicate<A> = fn(&Graph, &[<A as Algorithm>::State]) -> bool;
 ///
 /// Two forms implement it. Every whole-configuration predicate
 /// `FnMut(&Graph, &[A::State]) -> bool` (what [`Execution::until`]
-/// takes) re-reads the whole configuration each time; [`AllNodes`]
-/// (what [`Execution::until_all`] builds) re-checks only the nodes the
-/// last step can have changed.
+/// takes) re-reads the whole configuration each time; [`Legitimate`]
+/// (what [`Execution::until_legitimate`] builds) reads the simulator's
+/// count of failing legitimacy terms, which the guard phase keeps.
 pub trait StopCondition<A: Algorithm> {
     /// Whether the run stops before its first step, on `sim`'s current
     /// configuration.
@@ -302,50 +302,31 @@ where
     }
 }
 
-/// The node-local stop condition of [`Execution::until_all`]: it holds
-/// once `term(u, view)` holds at every node `u`.
+/// The stop condition of [`Execution::until_legitimate`]: it holds
+/// once the legitimacy term of [`Algorithm::guard`] holds at every
+/// node.
 ///
-/// `term` must read the closed neighbourhood `N[u]` only, like a guard
-/// (§2.2). A step changes the states of its movers alone, so the only
-/// terms it can change are those of the movers and their neighbours —
-/// exactly the step's refresh set, [`Simulator::last_refreshed`]. The
-/// condition keeps the number of failing nodes: one full pass over the
-/// configuration a run starts from, then one re-check per node of each
-/// step's refresh set. That makes it exact, not an approximation: it
+/// The term reads the closed neighbourhood `N[u]` only, like a guard
+/// (§2.2), so a step can change it only at the nodes of its refresh set
+/// ([`Simulator::last_refreshed`]). The guard phase evaluates each of
+/// those nodes' masks and terms in one scan and keeps the number of
+/// failing nodes ([`Simulator::illegitimate_count`]); `Simulator::new`
+/// and [`Simulator::inject`] keep it too. So this condition is one
+/// comparison per step, and it is exact, not an approximation: it
 /// stops on the same step as the whole-configuration predicate
-/// `∀u: term(u)`.
-pub struct AllNodes<T> {
-    term: T,
-    /// `holds[u]` = the last value of `term(u, _)`.
-    holds: Vec<bool>,
-    failing: usize,
-}
+/// `∀u: guard(u).legit`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Legitimate;
 
-impl<A, T> StopCondition<A> for AllNodes<T>
-where
-    A: Algorithm,
-    T: FnMut(NodeId, &ConfigView<'_, A::State>) -> bool,
-{
+impl<A: Algorithm> StopCondition<A> for Legitimate {
+    #[inline]
     fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool {
-        // The full pass: the refresh set is stale here (before the first
-        // step, or after `Simulator::inject` between runs).
-        let view = sim.view();
-        self.holds.clear();
-        self.holds
-            .extend(sim.graph().nodes().map(|u| (self.term)(u, &view)));
-        self.failing = self.holds.iter().filter(|&&h| !h).count();
-        self.failing == 0
+        sim.is_legitimate()
     }
 
+    #[inline]
     fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool {
-        let view = sim.view();
-        for &u in sim.last_refreshed() {
-            let now = (self.term)(u, &view);
-            let was = std::mem::replace(&mut self.holds[u.index()], now);
-            // A node that starts holding was counted as failing.
-            self.failing = self.failing + usize::from(was) - usize::from(now);
-        }
-        self.failing == 0
+        sim.is_legitimate()
     }
 }
 
@@ -379,10 +360,10 @@ enum Source<'e, 'g, A: Algorithm> {
 ///
 /// The run stops at the first of: a terminal configuration, the stop
 /// condition holding (set with [`until`](Execution::until) or
-/// [`until_all`](Execution::until_all); checked on the initial
-/// configuration too), or the step [`cap`](Execution::cap) running out
-/// — reported in [`RunOutcome::reason`]. Attach any number of probes
-/// with [`observe`](Execution::observe).
+/// [`until_legitimate`](Execution::until_legitimate); checked on the
+/// initial configuration too), or the step [`cap`](Execution::cap)
+/// running out — reported in [`RunOutcome::reason`]. Attach any number
+/// of probes with [`observe`](Execution::observe).
 ///
 /// # Examples
 ///
@@ -571,8 +552,9 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
     /// replaces the predicate.
     ///
     /// The predicate reads the whole configuration after every step.
-    /// When it is a conjunction of node-local terms, prefer
-    /// [`until_all`](Execution::until_all).
+    /// When it is the algorithm's legitimacy predicate, the conjunction
+    /// of [`Algorithm::guard`]'s node-local terms, prefer
+    /// [`until_legitimate`](Execution::until_legitimate).
     pub fn until<Q>(self, predicate: Q) -> Execution<'e, 'g, A, O, Q>
     where
         Q: FnMut(&Graph, &[A::State]) -> bool,
@@ -580,56 +562,61 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
         self.stop_when(predicate)
     }
 
-    /// Stops the run once `term(u, view)` holds at every node `u`
+    /// Stops the run once the configuration is legitimate: the
+    /// legitimacy term of [`Algorithm::guard`] holds at every node
     /// (checked on the initial configuration too). A second call
     /// replaces the condition, as does [`until`](Execution::until).
     ///
-    /// `term` must read `u`'s closed neighbourhood `N[u]` only, like a
-    /// guard. After each step only the step's refresh set — the movers
-    /// and their neighbours ([`Simulator::last_refreshed`]) — is
-    /// re-checked, so a step costs time in its number of moves, not in
-    /// the size of the graph; the run stops on the same step as
-    /// `until(|g, s| ∀u: term(u, view))` would (see [`AllNodes`]).
+    /// The guard phase decides each refreshed node's term in the same
+    /// scan of `N[u]` as its mask, and keeps the number of failing
+    /// nodes, so checking the condition costs one comparison per step;
+    /// the run stops on the same step as
+    /// `until(|g, s| ∀u: guard(u).legit)` would (see [`Legitimate`]).
+    /// An algorithm that does not override [`Algorithm::guard`] is
+    /// legitimate exactly when it is terminal.
     ///
     /// # Examples
     ///
     /// ```
     /// # use ssr_graph::generators;
-    /// # use ssr_runtime::{Algorithm, Daemon, NodeId, RuleId, RuleMask, Simulator, StateView};
-    /// # struct Flood;
-    /// # impl Algorithm for Flood {
-    /// #     type State = bool;
-    /// #     fn rule_count(&self) -> usize { 1 }
-    /// #     fn rule_name(&self, _: RuleId) -> &'static str { "flood" }
-    /// #     fn enabled_mask<V: StateView<bool>>(&self, u: NodeId, view: &V) -> RuleMask {
-    /// #         let infected = view.graph().neighbors(u).iter().any(|&v| *view.state(v));
-    /// #         RuleMask::from_bool(!*view.state(u) && infected)
-    /// #     }
-    /// #     fn apply<V: StateView<bool>>(&self, _: NodeId, _: &V, _: RuleId) -> bool { true }
-    /// # }
+    /// use ssr_runtime::{
+    ///     Algorithm, Daemon, Guard, NodeId, RuleId, RuleMask, Simulator, StateView,
+    /// };
+    ///
+    /// /// Flood whose legitimacy term is local agreement: `u` agrees
+    /// /// with all of its neighbours.
+    /// struct Flood;
+    /// impl Algorithm for Flood {
+    ///     type State = bool;
+    ///     fn rule_count(&self) -> usize { 1 }
+    ///     fn rule_name(&self, _: RuleId) -> &'static str { "flood" }
+    ///     fn enabled_mask<V: StateView<bool>>(&self, u: NodeId, view: &V) -> RuleMask {
+    ///         self.guard(u, view).mask
+    ///     }
+    ///     /// One scan of N(u) decides both.
+    ///     fn guard<V: StateView<bool>>(&self, u: NodeId, view: &V) -> Guard {
+    ///         let mine = *view.state(u);
+    ///         let (mut infected, mut agree) = (false, true);
+    ///         for &v in view.graph().neighbors(u) {
+    ///             infected |= *view.state(v);
+    ///             agree &= *view.state(v) == mine;
+    ///         }
+    ///         Guard { mask: RuleMask::from_bool(!mine && infected), legit: agree }
+    ///     }
+    ///     fn apply<V: StateView<bool>>(&self, _: NodeId, _: &V, _: RuleId) -> bool { true }
+    /// }
+    ///
     /// let g = generators::path(6);
     /// let mut init = vec![false; 6];
     /// init[0] = true;
     /// let mut sim = Simulator::new(&g, Flood, init, Daemon::Central, 1);
-    /// // Stop once every node agrees with all of its neighbours.
-    /// let out = sim
-    ///     .execution()
-    ///     .until_all(|u, view| {
-    ///         let mine = *view.state(u);
-    ///         view.graph().neighbors(u).iter().all(|&v| *view.state(v) == mine)
-    ///     })
-    ///     .run();
+    /// assert_eq!(sim.illegitimate_count(), 2); // nodes 0 and 1 disagree
+    /// let out = sim.execution().until_legitimate().run();
     /// assert!(out.reached && out.steps_used == 5);
+    /// assert!(sim.is_legitimate());
     /// ```
-    pub fn until_all<T>(self, term: T) -> Execution<'e, 'g, A, O, AllNodes<T>>
-    where
-        T: FnMut(NodeId, &ConfigView<'_, A::State>) -> bool,
-    {
-        self.stop_when(AllNodes {
-            term,
-            holds: Vec::new(),
-            failing: 0,
-        })
+    pub fn until_legitimate(self) -> Execution<'e, 'g, A, O, Legitimate> {
+        self.stop_when(Legitimate)
     }
 
     fn stop_when<S2>(self, stop: S2) -> Execution<'e, 'g, A, O, S2> {
@@ -1072,6 +1059,19 @@ mod tests {
                 "event order diverged at {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn default_legitimacy_is_terminality() {
+        // Flood keeps the default guard: legitimate = no rule enabled.
+        let g = generators::path(4);
+        let mut sim = Simulator::new(&g, Flood, flood_init(4), Daemon::Central, 0);
+        assert_eq!(sim.illegitimate_count(), 1, "only node 1 is enabled");
+        let out = sim.execution().until_legitimate().run();
+        assert!(out.reached && out.terminal);
+        assert_eq!(out.reason, TerminationReason::PredicateMet);
+        assert_eq!(out.steps_used, 3);
+        assert!(sim.is_legitimate());
     }
 
     #[test]

@@ -27,6 +27,14 @@
 //! probes (segment tracking, liveness windows, verification sampling)
 //! into it without forking the loop.
 //!
+//! Each node's guard evaluation ([`Algorithm::guard`]) returns its
+//! enabled rules together with the node-local term of the algorithm's
+//! legitimacy predicate, from one scan of `N[u]`. The simulator keeps
+//! both for every node and counts the nodes whose term fails, so
+//! [`Simulator::is_legitimate`] is O(1) and
+//! [`Execution::until_legitimate`] stops a run on the first legitimate
+//! configuration without re-reading any state.
+//!
 //! # Threading contract
 //!
 //! The batch layers above this crate (`ssr-campaign`) run one
@@ -93,14 +101,16 @@ mod step;
 pub mod trace;
 
 pub use algorithm::{
-    iter_ones, Algorithm, ConfigView, IterOnes, MapView, RuleId, RuleMask, StateView,
+    iter_ones, Algorithm, ConfigView, Guard, IterOnes, MapView, RuleId, RuleMask, StateView,
 };
 pub use analysis::{
     AnalyzeFamily, AnalyzeOptions, Finding, FindingKind, GraphAnalysis, OverlapStat, RngAudit,
     RuleStats, Severity, TrackedView,
 };
 pub use daemon::Daemon;
-pub use exec::{AllNodes, Execution, NoObserver, NoPredicate, Observer, RunReport, StopCondition};
+pub use exec::{
+    Execution, Legitimate, NoObserver, NoPredicate, Observer, RunReport, StopCondition,
+};
 pub use family::{
     AlgorithmSpec, Amount, Bounds, ExecBudget, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
     FamilyRunOutcome, InitPlan, RunSeeds, Verdict,

@@ -208,11 +208,17 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         assert!(algo.rule_count() <= 32, "at most 32 rules are supported");
         let n = graph.node_count();
         let rules = algo.rule_count();
-        let masks = {
+        let (masks, legit) = {
             let view = ConfigView::new(graph, &init);
-            graph.nodes().map(|u| algo.enabled_mask(u, &view)).collect()
+            graph
+                .nodes()
+                .map(|u| {
+                    let guard = algo.guard(u, &view);
+                    (guard.mask, guard.legit)
+                })
+                .unzip()
         };
-        let enabled = EnabledSet::new(masks, daemon.needs_wait_tracking());
+        let enabled = EnabledSet::new(masks, legit, daemon.needs_wait_tracking());
         Simulator {
             graph,
             algo,
@@ -361,6 +367,19 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.enabled.bits()
     }
 
+    /// Whether the current configuration is legitimate: the legitimacy
+    /// term of [`Algorithm::guard`] holds at every node. O(1): the
+    /// guard phase keeps the number of failing nodes.
+    pub fn is_legitimate(&self) -> bool {
+        self.enabled.illegitimate() == 0
+    }
+
+    /// Number of nodes whose legitimacy term ([`Algorithm::guard`])
+    /// fails in the current configuration.
+    pub fn illegitimate_count(&self) -> usize {
+        self.enabled.illegitimate()
+    }
+
     /// The enabled-rule mask of `u` in the current configuration.
     pub fn enabled_mask_of(&self, u: NodeId) -> RuleMask {
         self.enabled.masks()[u.index()]
@@ -374,9 +393,10 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// The refresh set of the most recent step: each mover, then its
     /// neighbours, every node once, in the order the guard phase
     /// re-evaluated them. These are exactly the nodes whose closed
-    /// neighbourhood the step changed (§2.2), which is what
-    /// [`Execution::until_all`] re-checks. Empty before the first step;
-    /// [`Simulator::inject`] leaves it as it was.
+    /// neighbourhood the step changed (§2.2), so the only ones whose
+    /// mask or legitimacy term it can have changed. Empty before the
+    /// first step; [`Simulator::inject`] leaves it as it was (it
+    /// re-evaluates the injected node and its neighbours itself).
     pub fn last_refreshed(&self) -> &[NodeId] {
         &self.refresh_buf
     }

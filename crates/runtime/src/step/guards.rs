@@ -1,34 +1,39 @@
 //! Phase 3: guard re-evaluation over the refresh set.
 //!
 //! Guards read the closed neighborhood only (§2.2), so after a step
-//! exactly the movers and their neighbors can change enabledness. The
-//! refresh set is walked in the canonical order (each mover, then its
-//! neighbors in adjacency order, first touch wins), and each of its
-//! nodes is evaluated and recorded once: [`EnabledSet::update`]
-//! installs a fresh mask into every structure that depends on it.
-//! [`refresh_one`] is the one sequential kernel (evaluate, then
-//! update). On a sequential step, one walk does it all: each node is
-//! passed to it on its first touch. On a parallel step, the walk only
-//! collects the list; then [`refresh_par`] evaluates the whole list on
-//! the kernel (masks depend only on the already-committed states,
-//! never on other masks, so evaluation is order-free) and records the
-//! masks in list order. Both record the nodes in the same order, which
-//! keeps the enabled-set index byte-identical to the pre-pipeline
-//! engine.
+//! exactly the movers and their neighbors can change enabledness or
+//! their legitimacy term. The refresh set is walked in the canonical
+//! order (each mover, then its neighbors in adjacency order, first
+//! touch wins), and each of its nodes is evaluated and recorded once:
+//! [`Algorithm::guard`] returns the node's mask and legitimacy term
+//! from one scan of `N[u]`, and [`EnabledSet::update`] installs both
+//! into every structure that depends on them. [`refresh_one`] is the
+//! one sequential kernel (evaluate, then update). On a sequential
+//! step, one walk does it all: each node is passed to it on its first
+//! touch. On a parallel step, the walk only collects the list; then
+//! [`refresh_par`] evaluates the whole list on the kernel (guards
+//! depend only on the already-committed states, never on other
+//! guards, so evaluation is order-free) and records them in list
+//! order. Both record the nodes in the same order, which keeps the
+//! enabled-set index byte-identical to the pre-pipeline engine.
 
 use ssr_graph::{Bitset, Graph, NodeId};
 
-use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
+use crate::algorithm::{Algorithm, ConfigView, Guard, RuleId, RuleMask};
 use crate::step::par::ParHooks;
 
 const NOT_ENABLED: u32 = u32::MAX;
 
 /// Per-node guard bookkeeping: the mask cache, the enabled set, the
-/// wait counters and the round front, kept consistent with each other
-/// by [`EnabledSet::update`].
+/// wait counters, the round front and the legitimacy terms, kept
+/// consistent with each other by [`EnabledSet::update`].
 pub(crate) struct EnabledSet {
     /// `masks[u]` = the enabled rules of `u` in the current configuration.
     masks: Vec<RuleMask>,
+    /// `legit[u]` = `u`'s legitimacy term in the current configuration.
+    legit: Vec<bool>,
+    /// Nodes whose legitimacy term fails (`legit[u] == false`).
+    illegitimate: usize,
     /// Enabled nodes as an indexed set (swap-remove list + position map).
     list: Vec<NodeId>,
     pos: Vec<u32>,
@@ -45,13 +50,15 @@ pub(crate) struct EnabledSet {
 }
 
 impl EnabledSet {
-    /// The set for a configuration whose masks are `masks` (`masks[u]`
-    /// for node `u`): enabled nodes listed in index order, wait counters
-    /// at zero, and a round starting.
-    pub fn new(masks: Vec<RuleMask>, track_waits: bool) -> Self {
+    /// The set for a configuration whose guards are `masks` and `legit`
+    /// (entry `u` for node `u`): enabled nodes listed in index order,
+    /// wait counters at zero, and a round starting.
+    pub fn new(masks: Vec<RuleMask>, legit: Vec<bool>, track_waits: bool) -> Self {
         let n = masks.len();
         let mut set = EnabledSet {
             masks,
+            illegitimate: legit.iter().filter(|&&l| !l).count(),
+            legit,
             list: Vec::with_capacity(n),
             pos: vec![NOT_ENABLED; n],
             bits: Bitset::new(n),
@@ -92,13 +99,25 @@ impl EnabledSet {
         &self.waits
     }
 
-    /// Installs `u`'s freshly evaluated mask: the mask cache, the
-    /// enabled list, positions and bits, the wait counter on an
-    /// enabledness change, and the round front, which a node leaves
-    /// when it is neutralized (disabled without moving).
+    /// Number of nodes whose legitimacy term fails.
+    #[inline]
+    pub fn illegitimate(&self) -> usize {
+        self.illegitimate
+    }
+
+    /// Installs `u`'s freshly evaluated guard: its legitimacy term and
+    /// the failing count, the mask cache, the enabled list, positions
+    /// and bits, the wait counter on an enabledness change, and the
+    /// round front, which a node leaves when it is neutralized
+    /// (disabled without moving).
     #[inline(always)]
-    pub fn update(&mut self, u: NodeId, mask: RuleMask) {
+    pub fn update(&mut self, u: NodeId, guard: Guard) {
         let i = u.index();
+        // Branch-free: a node that starts holding was counted as
+        // failing, one that stops holding was not.
+        let held = std::mem::replace(&mut self.legit[i], guard.legit);
+        self.illegitimate = self.illegitimate + usize::from(held) - usize::from(guard.legit);
+        let mask = guard.mask;
         let was = !self.masks[i].is_empty();
         let now = !mask.is_empty();
         self.masks[i] = mask;
@@ -202,9 +221,9 @@ pub(crate) fn collect_refresh_targets(
     }
 }
 
-/// Evaluates `u`'s guards against `view` and records the mask in
-/// `set`: the one sequential guard kernel. The one-walk refresh and
-/// `inject` both run it.
+/// Evaluates `u`'s guard against `view` and records it in `set`: the
+/// one sequential guard kernel. The one-walk refresh and `inject` both
+/// run it.
 #[inline(always)]
 pub(crate) fn refresh_one<A: Algorithm>(
     algo: &A,
@@ -212,10 +231,10 @@ pub(crate) fn refresh_one<A: Algorithm>(
     set: &mut EnabledSet,
     u: NodeId,
 ) {
-    set.update(u, algo.enabled_mask(u, view));
+    set.update(u, algo.guard(u, view));
 }
 
-/// The parallel guard pass: computes the masks of every node of
+/// The parallel guard pass: computes the guards of every node of
 /// `nodes` on the installed kernel, then records them in `set` in list
 /// order.
 pub(crate) fn refresh_par<A: Algorithm>(
@@ -226,8 +245,8 @@ pub(crate) fn refresh_par<A: Algorithm>(
     nodes: &[NodeId],
     set: &mut EnabledSet,
 ) {
-    let masks = (hooks.masks)(hooks.threads, graph, algo, states, nodes);
-    for (&u, mask) in nodes.iter().zip(masks) {
-        set.update(u, mask);
+    let guards = (hooks.guards)(hooks.threads, graph, algo, states, nodes);
+    for (&u, guard) in nodes.iter().zip(guards) {
+        set.update(u, guard);
     }
 }

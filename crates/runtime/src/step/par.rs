@@ -4,7 +4,7 @@
 //! parallelism is the only place that needs `A: Sync` bounds
 //! ([`hooks`]); [`crate::Simulator::step`] calls through the pointers
 //! without any extra bounds on its own signature. The pointers are
-//! instantiations of [`par_masks`] and [`par_next_states`], which map
+//! instantiations of [`par_guards`] and [`par_next_states`], which map
 //! their input in `threads` contiguous chunks against the shared
 //! read-only configuration; `par_map` returns the results in index
 //! order, so the output is byte-identical to the sequential loop for
@@ -12,11 +12,11 @@
 
 use ssr_graph::{Graph, NodeId};
 
-use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
+use crate::algorithm::{Algorithm, ConfigView, Guard, RuleId};
 use crate::pool::par_map;
 
-/// Guard kernel: `(threads, graph, algo, states, nodes) -> masks`.
-type MaskKernel<A> = fn(usize, &Graph, &A, &[<A as Algorithm>::State], &[NodeId]) -> Vec<RuleMask>;
+/// Guard kernel: `(threads, graph, algo, states, nodes) -> guards`.
+type GuardKernel<A> = fn(usize, &Graph, &A, &[<A as Algorithm>::State], &[NodeId]) -> Vec<Guard>;
 
 /// Apply kernel: `(threads, graph, algo, states, moves) -> next states`.
 type NextKernel<A> = fn(
@@ -30,7 +30,7 @@ type NextKernel<A> = fn(
 /// Installed parallel kernels plus the worker count.
 pub(crate) struct ParHooks<A: Algorithm> {
     pub threads: usize,
-    pub masks: MaskKernel<A>,
+    pub guards: GuardKernel<A>,
     pub next: NextKernel<A>,
 }
 
@@ -52,20 +52,20 @@ where
 {
     (threads > 1).then_some(ParHooks {
         threads,
-        masks: par_masks::<A>,
+        guards: par_guards::<A>,
         next: par_next_states::<A>,
     })
 }
 
-/// The `enabled_mask` of every node of `nodes` (entry `i` is the mask
-/// of `nodes[i]`).
-pub(crate) fn par_masks<A>(
+/// The [`Algorithm::guard`] of every node of `nodes` (entry `i` is the
+/// guard of `nodes[i]`).
+pub(crate) fn par_guards<A>(
     threads: usize,
     graph: &Graph,
     algo: &A,
     states: &[A::State],
     nodes: &[NodeId],
-) -> Vec<RuleMask>
+) -> Vec<Guard>
 where
     A: Algorithm + Sync,
     A::State: Sync,
@@ -77,7 +77,7 @@ where
         threads,
         chunk,
         |_| (),
-        |_, i| algo.enabled_mask(nodes[i], &view),
+        |_, i| algo.guard(nodes[i], &view),
     )
     .0
 }
@@ -113,7 +113,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::StateView;
+    use crate::algorithm::{RuleMask, StateView};
     use ssr_graph::generators;
 
     /// Next state = sum of closed-neighborhood states (value-sensitive,
@@ -148,18 +148,15 @@ mod tests {
         let moves: Vec<(NodeId, RuleId)> = nodes.iter().map(|&u| (u, RuleId(0))).collect();
 
         let view = ConfigView::new(&g, &states);
-        let seq_masks: Vec<RuleMask> = nodes
-            .iter()
-            .map(|&u| NeighborSum.enabled_mask(u, &view))
-            .collect();
+        let seq_guards: Vec<Guard> = nodes.iter().map(|&u| NeighborSum.guard(u, &view)).collect();
         let seq_next: Vec<u64> = moves
             .iter()
             .map(|&(u, r)| NeighborSum.apply(u, &view, r))
             .collect();
 
         for threads in [1, 2, 3, 4, 8, 64] {
-            let masks = par_masks(threads, &g, &NeighborSum, &states, &nodes);
-            assert_eq!(masks, seq_masks, "masks differ at {threads} threads");
+            let guards = par_guards(threads, &g, &NeighborSum, &states, &nodes);
+            assert_eq!(guards, seq_guards, "guards differ at {threads} threads");
             let next = par_next_states(threads, &g, &NeighborSum, &states, &moves);
             assert_eq!(next, seq_next, "next states differ at {threads} threads");
         }
@@ -169,7 +166,7 @@ mod tests {
     fn empty_inputs_yield_empty_outputs() {
         let g = generators::path(3);
         let states = vec![0u64; 3];
-        assert!(par_masks(4, &g, &NeighborSum, &states, &[]).is_empty());
+        assert!(par_guards(4, &g, &NeighborSum, &states, &[]).is_empty());
         assert!(par_next_states(4, &g, &NeighborSum, &states, &[]).is_empty());
     }
 

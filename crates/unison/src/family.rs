@@ -101,7 +101,6 @@ impl Family for UnisonSdrFamily {
         let algo = unison_sdr(Unison::for_graph(graph));
         let period = algo.input().period();
         let rc = algo.rule_count();
-        let check = unison_sdr(Unison::for_graph(graph));
         let init_cfg = match init {
             InitPlan::Normal | InitPlan::CorruptClocks { .. } => algo.initial_config(graph),
             InitPlan::Tear { gap } => unison_tear(graph, period, gap.resolve(nn)),
@@ -119,7 +118,7 @@ impl Family for UnisonSdrFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until_all(|u, view| check.is_normal_at(u, view))
+            .until_legitimate()
             .run();
         bridge.collect_trace(&mut sim);
         let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);
@@ -299,7 +298,7 @@ impl Family for UnisonFamily {
             .cap(budget.cap)
             .intra_threads(budget.intra_threads)
             .observe(&mut bridge)
-            .until_all(|u, view| spec::safety_holds_at(u, view, period))
+            .until_legitimate()
             .run();
         bridge.collect_trace(&mut sim);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);

@@ -38,8 +38,9 @@ pub fn safety_holds(graph: &Graph, clocks: &[u64], period: u64) -> bool {
 
 /// Whether every edge at `u` satisfies `P_Ok` — `P_ICorrect(u)` of
 /// Algorithm U, the node-local term of [`safety_holds`]: safety holds
-/// exactly when this holds at every node. It reads `N[u]` only, which
-/// is the contract of `Execution::until_all`.
+/// exactly when this holds at every node. It reads `N[u]` only. The
+/// standalone and cfg-unison guards return it as their legitimacy term
+/// (`Algorithm::guard`); this is the spec they are tested against.
 ///
 /// # Examples
 ///

@@ -181,7 +181,7 @@ impl ResetInput for Unison {
 
     /// `P_ICorrect(u) ≡ ∀v ∈ N(u), P_Ok(u, v)`, folded with `&`/`|`
     /// rather than an early exit: it runs on random movers'
-    /// neighbourhoods (the SDR input guard, the `until_all` stop term),
+    /// neighbourhoods (the SDR gate, the standalone legitimacy term),
     /// where the exit branches mispredict.
     #[inline]
     fn p_icorrect<V: StateView<u64>>(&self, u: NodeId, view: &V) -> bool {

@@ -1,13 +1,15 @@
-//! Shadow guard oracle: after every step, every node's guards are
+//! Shadow guard oracle: after every step, every node's guard is
 //! recomputed from scratch and compared with the simulator's
 //! incremental state — the mask cache (`enabled_mask_of`), the enabled
-//! bitset and the enabled list — and the step's transition is replayed
-//! against the configuration before it.
+//! bitset and the enabled list, the failing-legitimacy count
+//! (`illegitimate_count`) and `is_legitimate` — and the step's
+//! transition is replayed against the configuration before it.
 //!
 //! The step pipeline re-evaluates only each step's refresh set and
-//! records each fresh mask once, through one update routine, on the
-//! sequential and the parallel guard pass alike; a step with a single
-//! move commits it in place, every other step through a staged merge.
+//! records each fresh guard (mask and legitimacy term) once, through
+//! one update routine, on the sequential and the parallel guard pass
+//! alike; a step with a single move commits it in place, every other
+//! step through a staged merge.
 //! This checks that bookkeeping and both commits against the
 //! definition, for the concrete algorithm behind every standard family
 //! label, under every daemon strategy, at 1, 2 and 4 intra-run threads
@@ -46,23 +48,37 @@ impl<S: Clone + PartialEq + std::fmt::Debug> ShadowGuards<S> {
         }
     }
 
-    /// Checks the masks and enabled set of the current configuration,
-    /// then keeps that configuration for the next step's transition.
+    /// Checks the masks, enabled set and legitimacy count of the
+    /// current configuration, then keeps that configuration for the
+    /// next step's transition.
     fn check<A: Algorithm<State = S>>(&mut self, sim: &Simulator<'_, A>) {
         let view = sim.view();
         let step = sim.stats().steps;
         let mut enabled = Vec::new();
+        let mut illegitimate = 0;
         for u in sim.graph().nodes() {
-            let fresh = sim.algorithm().enabled_mask(u, &view);
+            let fresh = sim.algorithm().guard(u, &view);
+            assert_eq!(
+                sim.algorithm().enabled_mask(u, &view),
+                fresh.mask,
+                "enabled_mask and guard disagree at {u:?} after step {step}"
+            );
             assert_eq!(
                 sim.enabled_mask_of(u),
-                fresh,
+                fresh.mask,
                 "mask cache diverged at {u:?} after step {step}"
             );
-            if !fresh.is_empty() {
+            if !fresh.mask.is_empty() {
                 enabled.push(u);
             }
+            illegitimate += usize::from(!fresh.legit);
         }
+        assert_eq!(
+            sim.illegitimate_count(),
+            illegitimate,
+            "failing legitimacy terms after step {step}"
+        );
+        assert_eq!(sim.is_legitimate(), illegitimate == 0);
         let bits: Vec<NodeId> = sim
             .enabled_bits()
             .iter()
@@ -209,8 +225,8 @@ fn check_all_labels(g: &Graph, d: &Drive) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The incremental masks and enabled set equal a from-scratch
-    /// recomputation after every step, and every step is the
+    /// The incremental masks, enabled set and legitimacy count equal a
+    /// from-scratch recomputation after every step, and every step is the
     /// composite-atomicity transition of its moves, for every standard
     /// label's algorithm × daemon × intra-run thread count.
     #[test]

@@ -1,14 +1,15 @@
-//! Differential oracle for `Execution::until_all`: the node-local stop
-//! condition, re-checked only over each step's refresh set, must stop
-//! every family's run on exactly the step where the whole-configuration
-//! predicate (the spec) first holds.
+//! Differential oracle for `Execution::until_legitimate`: the stop
+//! condition that reads the failing-node count the guard phase keeps
+//! (each refreshed node's legitimacy term comes out of the same scan
+//! as its mask) must stop every family's run on exactly the step where
+//! the whole-configuration predicate (the spec) first holds.
 //!
 //! Both sides run the same scenario — random connected graph, daemon,
 //! seed, intra-run thread count — and must agree on the `RunOutcome`,
 //! the `RunStats` and the final configuration. Half the cases resume a
-//! simulator after `Simulator::inject`, whose refresh set is stale (it
-//! still names the last step's nodes), so the full pass at the start of
-//! the run is what has to cover the injected faults.
+//! simulator after `Simulator::inject`, whose own refresh has to keep
+//! the count right: the last step's refresh set does not name the
+//! injected nodes.
 
 use proptest::prelude::*;
 use ssr_baselines::{CfgUnison, MonoReset, MonoState, Phase};
@@ -29,23 +30,21 @@ struct Drive {
     resume_after: Option<u64>,
 }
 
-/// Runs `algo` from `start` twice — stopped by `until_all(term)` and by
-/// `until(oracle)` — and asserts both runs are identical.
-fn differential<A, T, P>(
+/// Runs `algo` from `start` twice — stopped by `until_legitimate()` and
+/// by `until(oracle)` — and asserts both runs are identical.
+fn differential<A, P>(
     g: &Graph,
     algo: &A,
     start: &[A::State],
     donor: &[A::State],
     d: &Drive,
-    term: T,
     oracle: P,
 ) where
     A: Algorithm + Clone + Sync,
     A::State: Send + Sync,
-    T: Fn(NodeId, &ConfigView<'_, A::State>) -> bool + Copy,
     P: Fn(&Graph, &[A::State]) -> bool + Copy,
 {
-    let run = |node_local: bool| {
+    let run = |incremental: bool| {
         let mut sim = Simulator::new(g, algo.clone(), start.to_vec(), d.daemon.clone(), d.seed);
         // Engage the parallel kernels even on these small graphs.
         sim.set_par_threshold(0);
@@ -59,8 +58,8 @@ fn differential<A, T, P>(
             }
         }
         let exec = sim.execution().cap(d.cap).intra_threads(d.threads);
-        let out = if node_local {
-            exec.until_all(term).run()
+        let out = if incremental {
+            exec.until_legitimate().run()
         } else {
             exec.until(oracle).run()
         };
@@ -108,16 +107,9 @@ fn check_family(family: usize, g: &Graph, d: &Drive, legit: bool) {
                 algo.arbitrary_config(g, seed)
             };
             let donor = algo.arbitrary_config(g, donor_seed);
-            let check = algo.clone();
-            differential(
-                g,
-                &algo,
-                &start,
-                &donor,
-                d,
-                |u, view| check.is_normal_at(u, view),
-                |gr, st| check.is_normal_config(gr, st),
-            );
+            differential(g, &algo, &start, &donor, d, |gr, st| {
+                algo.is_normal_config(gr, st)
+            });
         }
         1 => {
             let algo = CfgUnison::for_graph(g);
@@ -128,15 +120,9 @@ fn check_family(family: usize, g: &Graph, d: &Drive, legit: bool) {
                 algo.arbitrary_config(g, seed)
             };
             let donor = algo.arbitrary_config(g, donor_seed);
-            differential(
-                g,
-                &algo,
-                &start,
-                &donor,
-                d,
-                |u, view| spec::safety_holds_at(u, view, k),
-                |gr, st| spec::safety_holds(gr, st, k),
-            );
+            differential(g, &algo, &start, &donor, d, |gr, st| {
+                spec::safety_holds(gr, st, k)
+            });
         }
         2 => {
             let unison = Unison::for_graph(g);
@@ -148,15 +134,9 @@ fn check_family(family: usize, g: &Graph, d: &Drive, legit: bool) {
                 clocks(g, k, seed)
             };
             let donor = clocks(g, k, donor_seed);
-            differential(
-                g,
-                &algo,
-                &start,
-                &donor,
-                d,
-                |u, view| spec::safety_holds_at(u, view, k),
-                |gr, st| spec::safety_holds(gr, st, k),
-            );
+            differential(g, &algo, &start, &donor, d, |gr, st| {
+                spec::safety_holds(gr, st, k)
+            });
         }
         3 => {
             let algo = MonoReset::new(g, Unison::for_graph(g), NodeId(0));
@@ -167,16 +147,9 @@ fn check_family(family: usize, g: &Graph, d: &Drive, legit: bool) {
                 mono_arbitrary(g, k, seed)
             };
             let donor = mono_arbitrary(g, k, donor_seed);
-            let check = algo.clone();
-            differential(
-                g,
-                &algo,
-                &start,
-                &donor,
-                d,
-                |u, view| check.is_normal_at(u, view),
-                |gr, st| check.is_normal_config(gr, st),
-            );
+            differential(g, &algo, &start, &donor, d, |gr, st| {
+                algo.is_normal_config(gr, st)
+            });
         }
         _ => {
             let algo = Sdr::new(Agreement::new(5));
@@ -186,16 +159,9 @@ fn check_family(family: usize, g: &Graph, d: &Drive, legit: bool) {
                 algo.arbitrary_config(g, seed)
             };
             let donor = algo.arbitrary_config(g, donor_seed);
-            let check = algo.clone();
-            differential(
-                g,
-                &algo,
-                &start,
-                &donor,
-                d,
-                |u, view| check.is_normal_at(u, view),
-                |gr, st| check.is_normal_config(gr, st),
-            );
+            differential(g, &algo, &start, &donor, d, |gr, st| {
+                algo.is_normal_config(gr, st)
+            });
         }
     }
 }
@@ -203,11 +169,11 @@ fn check_family(family: usize, g: &Graph, d: &Drive, legit: bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `until_all(node term)` ≡ `until(whole-config oracle)` for
+    /// `until_legitimate()` ≡ `until(whole-config oracle)` for
     /// unison-sdr, cfg-unison, unison, mono-reset and sdr-agreement,
     /// each on every case.
     #[test]
-    fn until_all_matches_the_whole_configuration_oracle(
+    fn until_legitimate_matches_the_whole_configuration_oracle(
         n in 2usize..=64,
         extra in 0usize..24,
         graph_seed in 0u64..100_000,
