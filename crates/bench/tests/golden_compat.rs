@@ -12,7 +12,7 @@
 //! * the quick `BENCH_RESULTS.json` document
 //!   (`bench_results_quick.json`);
 //! * a mixed-family campaign's JSONL and CSV (`campaign.jsonl` /
-//!   `campaign.csv`: all six original families × four init plans ×
+//!   `campaign.csv`: the seven standard families × four init plans ×
 //!   two daemons on three topologies).
 //!
 //! If a change legitimately alters experiment output, regenerate the
@@ -33,9 +33,9 @@ const GOLDEN_JSONL: &str = include_str!("golden/campaign.jsonl");
 /// The fixed mixed-family campaign below, serialized as CSV.
 const GOLDEN_CSV: &str = include_str!("golden/campaign.csv");
 
-/// The campaign whose records the JSONL/CSV goldens pin: every family
-/// of the original closed enum, every init plan, two daemons, mixed
-/// topologies/sizes.
+/// The campaign whose records the JSONL/CSV goldens pin: every
+/// standard family (one preset each for the two FGA keys), every init
+/// plan, two daemons, mixed topologies/sizes.
 fn golden_campaign() -> Campaign {
     Campaign::new("golden-compat")
         .topologies(vec![
@@ -47,6 +47,7 @@ fn golden_campaign() -> Campaign {
         .algorithms(vec![
             families::sdr_agreement(4),
             families::unison_sdr(),
+            families::unison(),
             families::cfg_unison(),
             families::mono_reset(),
             families::fga_sdr(PresetSpec::Domination),
