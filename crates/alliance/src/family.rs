@@ -3,24 +3,23 @@
 //! `γ_init` (labels `fga:<preset>`), one family instance per §6.1
 //! preset, registrable in any
 //! [`FamilyRegistry`](ssr_runtime::family::FamilyRegistry).
+//!
+//! Both are [`TypedFamily`]s with the [`Target::Terminal`] target: a
+//! run goes to termination, and the verdict adds the alliance soundness
+//! of the final configuration to the bounds. The runtime's blanket
+//! impls derive the measured run, the explorer hook (`fga-sdr` only)
+//! and the analysis hook.
 
-use ssr_core::{validate, ResetInput, Standalone};
+use ssr_core::{validate, Standalone};
 use ssr_graph::Graph;
-use ssr_runtime::analysis::{
-    audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
-};
-use ssr_runtime::exhaustive::ExploreOptions;
 use ssr_runtime::family::{
-    explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExecBudget, ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds, StochasticMax, Verdict,
+    explore_sample_seeds, AlgorithmSpec, Bounds, InitPlan, RunSeeds, Target, TypedFamily,
 };
-use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, ConfigView, Daemon, Simulator};
+use ssr_runtime::{Algorithm, Daemon, Simulator};
 
-use crate::fga::{fga_sdr, FgaSdr};
+use crate::fga::{fga_sdr, Fga, FgaSdr, FgaState};
 use crate::presets::PresetSpec;
-use crate::verify::{self, AllianceObserver};
+use crate::verify;
 
 /// The spec handle `fga-sdr:<preset>`.
 pub fn fga_sdr_spec(preset: PresetSpec) -> AlgorithmSpec {
@@ -32,13 +31,31 @@ pub fn fga_standalone_spec(preset: PresetSpec) -> AlgorithmSpec {
     AlgorithmSpec::colon("fga", preset.label())
 }
 
+/// Whether the final membership `members` of `fga` is sound: an
+/// (f,g)-alliance whose 1-minimality gaps, if any, are explained by the
+/// zero-g-slack corner — the checks of
+/// [`AllianceObserver`](verify::AllianceObserver).
+fn sound_alliance(graph: &Graph, fga: &Fga, members: &[bool]) -> bool {
+    verify::is_alliance(graph, fga.f(), fga.g(), members)
+        && verify::gap_explained_by_gslack_corner(graph, fga.f(), fga.g(), fga.ids(), members)
+}
+
+/// The §3.5 requirements of `preset`'s FGA on `graph` (vacuously fine
+/// where the preset is invalid).
+fn preset_requirements(preset: PresetSpec, graph: &Graph) -> Option<Result<(), String>> {
+    Some(match preset.build(graph) {
+        None => Ok(()),
+        Some(fga) => validate::check_requirements(&fga, graph).map_err(|e| e.to_string()),
+    })
+}
+
 /// The family `FGA ∘ SDR` for one (f,g) preset — silent and
 /// self-stabilizing (Theorems 11–14).
 ///
 /// `Normal` starts from `γ_init`; every other plan falls back to the
 /// adversarial sampler. The run goes to termination (FGA ∘ SDR is
-/// silent); the verdict additionally demands the terminal
-/// configuration be a sound alliance (the [`AllianceObserver`]'s
+/// silent: legitimate = terminal, Thm 11); the verdict additionally
+/// demands the terminal configuration be a sound alliance (the
 /// corner-aware 1-minimality check) within Thm 14 (rounds) and Thm 12
 /// (moves).
 #[derive(Clone, Debug)]
@@ -55,13 +72,38 @@ impl FgaSdrFamily {
             id: fga_sdr_spec(preset).label(),
         }
     }
+}
 
-    /// The underlying preset.
-    pub fn preset(&self) -> PresetSpec {
-        self.preset
+impl TypedFamily for FgaSdrFamily {
+    type Algo = FgaSdr;
+    const TARGET: Target = Target::Terminal;
+    const EXPLORES: bool = true;
+
+    fn family_id(&self) -> &str {
+        &self.id
     }
 
-    fn thm_bounds(graph: &Graph) -> Bounds {
+    fn build(&self, graph: &Graph) -> Option<FgaSdr> {
+        self.preset.build(graph).map(fga_sdr)
+    }
+
+    fn start<'g>(
+        &self,
+        graph: &'g Graph,
+        algo: FgaSdr,
+        init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+    ) -> Simulator<'g, FgaSdr> {
+        let init_cfg = match init {
+            InitPlan::Normal => algo.initial_config(graph),
+            _ => algo.arbitrary_config(graph, seeds.init),
+        };
+        Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim)
+    }
+
+    /// Thm 14 (rounds) and Thm 12 (moves).
+    fn paper_bounds(&self, graph: &Graph) -> Bounds {
         let nn = graph.node_count() as u64;
         let m = graph.edge_count() as u64;
         let delta = graph.max_degree() as u64;
@@ -71,179 +113,33 @@ impl FgaSdrFamily {
         }
     }
 
-    /// The canonical exploration seed set: `γ_init`, the broadcast
-    /// chain, and `samples` adversarial draws.
+    fn verdict_check(&self, sim: &Simulator<'_, FgaSdr>) -> bool {
+        let members = verify::members(sim.states().iter().map(|s| &s.inner));
+        sound_alliance(sim.graph(), sim.algorithm().input(), &members)
+    }
+
+    /// `γ_init`, the broadcast chain, and `samples` adversarial draws.
     fn seed_set(
         &self,
         graph: &Graph,
+        algo: &FgaSdr,
         scenario_seed: u64,
         samples: usize,
-    ) -> (FgaSdr, Vec<Vec<<FgaSdr as Algorithm>::State>>) {
-        let fga = self
-            .preset
-            .build(graph)
-            .expect("caller checked instantiability");
-        let algo = fga_sdr(fga);
+    ) -> Vec<Vec<<FgaSdr as Algorithm>::State>> {
         let mut inits = vec![
             algo.initial_config(graph),
-            ssr_core::workloads::sdr_broadcast_chain(&algo, graph),
+            ssr_core::workloads::sdr_broadcast_chain(algo, graph),
         ];
         inits.extend(
             explore_sample_seeds(scenario_seed, samples)
                 .iter()
                 .map(|&s| algo.arbitrary_config(graph, s)),
         );
-        (algo, inits)
-    }
-}
-
-impl Family for FgaSdrFamily {
-    fn id(&self) -> &str {
-        &self.id
+        inits
     }
 
-    fn instantiable(&self, graph: &Graph) -> bool {
-        self.preset.build(graph).is_some()
-    }
-
-    fn bounds(&self, graph: &Graph) -> Bounds {
-        Self::thm_bounds(graph)
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        init: &InitPlan,
-        daemon: &Daemon,
-        seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
-        let fga = self
-            .preset
-            .build(graph)
-            .expect("caller checked instantiability (Family::instantiable)");
-        let mut verdict_probe = AllianceObserver::new(&fga);
-        let algo = fga_sdr(fga);
-        let init_cfg = match init {
-            InitPlan::Normal => algo.initial_config(graph),
-            _ => algo.arbitrary_config(graph, seeds.init),
-        };
-        let mut bridge = ProbeBridge::new(probe);
-        let mut sim = Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut verdict_probe)
-            .observe(&mut bridge)
-            .run();
-        bridge.collect_trace(&mut sim);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = sim.stats().max_moves_per_process();
-        let v = verdict_probe.into_verdict().expect("sampled at run end");
-        let sound = v.alliance && v.corner_ok;
-        // Thm 14 (rounds) and Thm 12 (moves).
-        let bounds = Self::thm_bounds(graph);
-        let (rb, mb) = (bounds.rounds.unwrap(), bounds.moves.unwrap());
-        fo.bound_rounds = Some(rb);
-        fo.bound_moves = Some(mb);
-        fo.verdict = if out.terminal && sound && fo.rounds <= rb && fo.moves <= mb {
-            Verdict::Pass
-        } else {
-            Verdict::Fail
-        };
-        fo
-    }
-
-    fn requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
-        match self.preset.build(graph) {
-            // Preset invalid here: vacuously fine on this graph.
-            None => Some(Ok(())),
-            Some(fga) => Some(validate::check_requirements(&fga, graph).map_err(|e| e.to_string())),
-        }
-    }
-
-    fn explore(&self) -> Option<&dyn ExploreFamily> {
-        Some(self)
-    }
-
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for FgaSdrFamily {
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        let fga = self
-            .preset
-            .build(graph)
-            .expect("caller checked instantiability");
-        ssr_runtime::analysis::rule_names(&fga_sdr(fga))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = self.seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = self.seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
-    }
-}
-
-impl ExploreFamily for FgaSdrFamily {
-    fn bounds(&self, graph: &Graph) -> Bounds {
-        Self::thm_bounds(graph)
-    }
-
-    fn explore(
-        &self,
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-        opts: &ExploreOptions,
-    ) -> ExploreReport {
-        let (algo, inits) = self.seed_set(graph, scenario_seed, samples);
-        let check = algo.clone();
-        // FGA ∘ SDR is silent: legitimate = terminal (Thm 11), so the
-        // target predicate is terminality.
-        explore_with_replay(
-            graph,
-            &algo,
-            &inits,
-            move |gr: &Graph, st: &[_]| {
-                let view = ConfigView::new(gr, st);
-                gr.nodes().all(|u| check.enabled_mask(u, &view).is_empty())
-            },
-            opts,
-        )
-    }
-
-    fn stochastic_max(
-        &self,
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-        trials: u64,
-        cap: u64,
-    ) -> StochasticMax {
-        let (algo, inits) = self.seed_set(graph, scenario_seed, samples);
-        let check = algo.clone();
-        stochastic_max_runs(
-            graph,
-            &algo,
-            &inits,
-            move |gr: &Graph, st: &[_]| {
-                let view = ConfigView::new(gr, st);
-                gr.nodes().all(|u| check.enabled_mask(u, &view).is_empty())
-            },
-            scenario_seed,
-            trials,
-            cap,
-        )
+    fn check_requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+        preset_requirements(self.preset, graph)
     }
 }
 
@@ -268,13 +164,34 @@ impl FgaStandaloneFamily {
             id: fga_standalone_spec(preset).label(),
         }
     }
+}
 
-    /// The underlying preset.
-    pub fn preset(&self) -> PresetSpec {
-        self.preset
+impl TypedFamily for FgaStandaloneFamily {
+    type Algo = Standalone<Fga>;
+    const TARGET: Target = Target::Terminal;
+
+    fn family_id(&self) -> &str {
+        &self.id
     }
 
-    fn cor_bounds(graph: &Graph) -> Bounds {
+    fn build(&self, graph: &Graph) -> Option<Standalone<Fga>> {
+        self.preset.build(graph).map(Standalone::new)
+    }
+
+    fn start<'g>(
+        &self,
+        graph: &'g Graph,
+        algo: Standalone<Fga>,
+        _init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+    ) -> Simulator<'g, Standalone<Fga>> {
+        let init_cfg = algo.initial_config(graph);
+        Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim)
+    }
+
+    /// Cor. 12 (rounds) and Cor. 11 (moves).
+    fn paper_bounds(&self, graph: &Graph) -> Bounds {
         let nn = graph.node_count() as u64;
         let m = graph.edge_count() as u64;
         let delta = graph.max_degree() as u64;
@@ -284,121 +201,32 @@ impl FgaStandaloneFamily {
         }
     }
 
-    /// The analysis seed set: `γ_init` plus `samples` arbitrary state
-    /// vectors (the standalone theorems quantify over `γ_init` only,
-    /// but the soundness obligations must hold from *any* state).
+    fn verdict_check(&self, sim: &Simulator<'_, Standalone<Fga>>) -> bool {
+        let members = verify::members(sim.states());
+        sound_alliance(sim.graph(), sim.algorithm().inner(), &members)
+    }
+
+    /// `γ_init` plus `samples` arbitrary state vectors: the standalone
+    /// theorems quantify over `γ_init` only, but the soundness
+    /// obligations the analyzer checks must hold from *any* state.
     fn seed_set(
         &self,
         graph: &Graph,
+        algo: &Standalone<Fga>,
         scenario_seed: u64,
         samples: usize,
-    ) -> (Standalone<crate::fga::Fga>, Vec<Vec<crate::fga::FgaState>>) {
-        let fga = self
-            .preset
-            .build(graph)
-            .expect("caller checked instantiability");
-        let algo = Standalone::new(fga);
+    ) -> Vec<Vec<FgaState>> {
         let mut inits = vec![algo.initial_config(graph)];
-        for s in explore_sample_seeds(scenario_seed, samples) {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(s);
-            inits.push(
-                graph
-                    .nodes()
-                    .map(|u| algo.inner().arbitrary_state(u, &mut rng))
-                    .collect(),
-            );
-        }
-        (algo, inits)
-    }
-}
-
-impl Family for FgaStandaloneFamily {
-    fn id(&self) -> &str {
-        &self.id
+        inits.extend(
+            explore_sample_seeds(scenario_seed, samples)
+                .into_iter()
+                .map(|s| validate::arbitrary_standalone_config(algo.inner(), graph, s)),
+        );
+        inits
     }
 
-    fn instantiable(&self, graph: &Graph) -> bool {
-        self.preset.build(graph).is_some()
-    }
-
-    fn bounds(&self, graph: &Graph) -> Bounds {
-        Self::cor_bounds(graph)
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        _init: &InitPlan,
-        daemon: &Daemon,
-        seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
-        let fga = self
-            .preset
-            .build(graph)
-            .expect("caller checked instantiability (Family::instantiable)");
-        let mut verdict_probe = AllianceObserver::new(&fga);
-        let algo = Standalone::new(fga);
-        // The standalone theorems quantify over γ_init only.
-        let init_cfg = algo.initial_config(graph);
-        let mut bridge = ProbeBridge::new(probe);
-        let mut sim = Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut verdict_probe)
-            .observe(&mut bridge)
-            .run();
-        bridge.collect_trace(&mut sim);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = sim.stats().max_moves_per_process();
-        let v = verdict_probe.into_verdict().expect("sampled at run end");
-        let sound = v.alliance && v.corner_ok;
-        // Cor. 12 (rounds) and Cor. 11 (moves).
-        let bounds = Self::cor_bounds(graph);
-        let (rb, mb) = (bounds.rounds.unwrap(), bounds.moves.unwrap());
-        fo.bound_rounds = Some(rb);
-        fo.bound_moves = Some(mb);
-        fo.verdict = if out.terminal && sound && fo.rounds <= rb && fo.moves <= mb {
-            Verdict::Pass
-        } else {
-            Verdict::Fail
-        };
-        fo
-    }
-
-    fn requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
-        match self.preset.build(graph) {
-            None => Some(Ok(())),
-            Some(fga) => Some(validate::check_requirements(&fga, graph).map_err(|e| e.to_string())),
-        }
-    }
-
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for FgaStandaloneFamily {
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        let fga = self
-            .preset
-            .build(graph)
-            .expect("caller checked instantiability");
-        ssr_runtime::analysis::rule_names(&Standalone::new(fga))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = self.seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = self.seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
+    fn check_requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+        preset_requirements(self.preset, graph)
     }
 }
 
@@ -406,6 +234,8 @@ impl AnalyzeFamily for FgaStandaloneFamily {
 mod tests {
     use super::*;
     use ssr_graph::generators;
+    use ssr_runtime::exhaustive::ExploreOptions;
+    use ssr_runtime::family::{ExploreFamily, Family, Verdict};
 
     fn seeds() -> RunSeeds {
         RunSeeds {

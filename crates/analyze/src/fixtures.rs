@@ -1,8 +1,9 @@
 //! Planted-violation families the analyzer must flag.
 //!
-//! These are real, runnable [`Family`] implementations registered in
-//! tests and in the CI self-test (`analyze --fixtures`): if the
-//! analyzer ever stops reporting them, the gate itself is broken.
+//! These are real, runnable families ([`TypedFamily`] impls, hence
+//! [`Family`](ssr_runtime::Family)s) registered in tests and in the CI
+//! self-test (`analyze --fixtures`): if the analyzer ever stops
+//! reporting them, the gate itself is broken.
 //!
 //! * [`FarSightFamily`] — a guard that reads two hops away, violating
 //!   the §2.2 locality obligation (and, when the far node is itself
@@ -16,14 +17,9 @@
 //!   default lowest-index resolution.
 
 use ssr_graph::{Graph, NodeId};
-use ssr_runtime::analysis::{
-    audit_runs, collect_footprints, rule_names, AnalyzeFamily, AnalyzeOptions, GraphAnalysis,
-    RngAudit,
-};
-use ssr_runtime::family::ProbeBridge;
 use ssr_runtime::{
-    Algorithm, Daemon, ExecBudget, Execution, Family, FamilyProbe, FamilyRunOutcome, Guard,
-    InitPlan, RuleId, RuleMask, RunSeeds, StateView,
+    Algorithm, Daemon, Guard, InitPlan, RuleId, RuleMask, RunSeeds, Simulator, StateView, Target,
+    TypedFamily,
 };
 
 // ---------------------------------------------------------------------
@@ -72,9 +68,11 @@ impl Algorithm for FarSight {
     }
 }
 
-/// The registrable family around [`FarSight`].
+/// The registrable family around [`FarSight`]: a flood from node 0,
+/// run to termination.
 pub struct FarSightFamily;
 
+/// The all-clean configuration and every single-infection one.
 fn far_sight_seeds(graph: &Graph) -> Vec<Vec<bool>> {
     let n = graph.node_count();
     let mut seeds = vec![vec![false; n]];
@@ -86,49 +84,43 @@ fn far_sight_seeds(graph: &Graph) -> Vec<Vec<bool>> {
     seeds
 }
 
-impl Family for FarSightFamily {
-    fn id(&self) -> &str {
+/// A simulator flooding from node 0.
+fn flood_from_0<'g, A: Algorithm<State = bool>>(
+    graph: &'g Graph,
+    algo: A,
+    daemon: &Daemon,
+    seeds: RunSeeds,
+) -> Simulator<'g, A> {
+    let mut init = vec![false; graph.node_count()];
+    init[0] = true;
+    Simulator::new(graph, algo, init, daemon.clone(), seeds.sim)
+}
+
+impl TypedFamily for FarSightFamily {
+    type Algo = FarSight;
+    const TARGET: Target = Target::Terminal;
+
+    fn family_id(&self) -> &str {
         "fixture-far-sight"
     }
 
-    fn run(
+    fn build(&self, _: &Graph) -> Option<FarSight> {
+        Some(FarSight)
+    }
+
+    fn start<'g>(
         &self,
-        graph: &Graph,
-        _init: &InitPlan,
+        graph: &'g Graph,
+        algo: FarSight,
+        _: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
-        let mut init = vec![false; graph.node_count()];
-        init[0] = true;
-        let mut bridge = ProbeBridge::new(probe);
-        let report = Execution::of(graph, FarSight)
-            .init(init)
-            .daemon(daemon.clone())
-            .seed(seeds.sim)
-            .cap(budget.cap)
-            .observe(&mut bridge)
-            .run_report();
-        FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
+    ) -> Simulator<'g, FarSight> {
+        flood_from_0(graph, algo, daemon, seeds)
     }
 
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for FarSightFamily {
-    fn rule_names(&self, _graph: &Graph) -> Vec<String> {
-        rule_names(&FarSight)
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        collect_footprints(graph, graph_name, &FarSight, &far_sight_seeds(graph), opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        audit_runs(graph, &FarSight, &far_sight_seeds(graph), opts)
+    fn seed_set(&self, graph: &Graph, _: &FarSight, _: u64, _: usize) -> Vec<Vec<bool>> {
+        far_sight_seeds(graph)
     }
 }
 
@@ -177,54 +169,34 @@ impl Algorithm for FarLegit {
     }
 }
 
-/// The registrable family around [`FarLegit`], stopped on its
-/// legitimacy term.
+/// The registrable family around [`FarLegit`]: a flood from node 0,
+/// stopped on its legitimacy term.
 pub struct FarLegitFamily;
 
-impl Family for FarLegitFamily {
-    fn id(&self) -> &str {
+impl TypedFamily for FarLegitFamily {
+    type Algo = FarLegit;
+
+    fn family_id(&self) -> &str {
         "fixture-far-legit"
     }
 
-    fn run(
+    fn build(&self, _: &Graph) -> Option<FarLegit> {
+        Some(FarLegit)
+    }
+
+    fn start<'g>(
         &self,
-        graph: &Graph,
-        _init: &InitPlan,
+        graph: &'g Graph,
+        algo: FarLegit,
+        _: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
-        let mut init = vec![false; graph.node_count()];
-        init[0] = true;
-        let mut bridge = ProbeBridge::new(probe);
-        let report = Execution::of(graph, FarLegit)
-            .init(init)
-            .daemon(daemon.clone())
-            .seed(seeds.sim)
-            .cap(budget.cap)
-            .observe(&mut bridge)
-            .until_legitimate()
-            .run_report();
-        FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
+    ) -> Simulator<'g, FarLegit> {
+        flood_from_0(graph, algo, daemon, seeds)
     }
 
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for FarLegitFamily {
-    fn rule_names(&self, _graph: &Graph) -> Vec<String> {
-        rule_names(&FarLegit)
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        collect_footprints(graph, graph_name, &FarLegit, &far_sight_seeds(graph), opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        audit_runs(graph, &FarLegit, &far_sight_seeds(graph), opts)
+    fn seed_set(&self, graph: &Graph, _: &FarLegit, _: u64, _: usize) -> Vec<Vec<bool>> {
+        far_sight_seeds(graph)
     }
 }
 
@@ -263,68 +235,44 @@ impl Algorithm for ShadowedPair {
     }
 }
 
-/// The registrable family around [`ShadowedPair`].
+/// The registrable family around [`ShadowedPair`]: all zeros, run to
+/// termination.
 pub struct ShadowedPairFamily;
 
-fn shadowed_seeds(graph: &Graph) -> Vec<Vec<u8>> {
-    let n = graph.node_count();
-    let mut seeds = vec![vec![0u8; n]];
-    for i in 0..n {
-        let mut s = vec![1u8; n];
-        s[i] = 0;
-        seeds.push(s);
-    }
-    seeds
-}
+impl TypedFamily for ShadowedPairFamily {
+    type Algo = ShadowedPair;
+    const TARGET: Target = Target::Terminal;
 
-impl Family for ShadowedPairFamily {
-    fn id(&self) -> &str {
+    fn family_id(&self) -> &str {
         "fixture-shadowed-pair"
     }
 
-    fn run(
+    fn build(&self, _: &Graph) -> Option<ShadowedPair> {
+        Some(ShadowedPair)
+    }
+
+    fn start<'g>(
         &self,
-        graph: &Graph,
-        _init: &InitPlan,
+        graph: &'g Graph,
+        algo: ShadowedPair,
+        _: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
+    ) -> Simulator<'g, ShadowedPair> {
         let init = vec![0u8; graph.node_count()];
-        let mut bridge = ProbeBridge::new(probe);
-        let report = Execution::of(graph, ShadowedPair)
-            .init(init)
-            .daemon(daemon.clone())
-            .seed(seeds.sim)
-            .cap(budget.cap)
-            .observe(&mut bridge)
-            .run_report();
-        FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
+        Simulator::new(graph, algo, init, daemon.clone(), seeds.sim)
     }
 
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for ShadowedPairFamily {
-    fn rule_names(&self, _graph: &Graph) -> Vec<String> {
-        rule_names(&ShadowedPair)
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        collect_footprints(
-            graph,
-            graph_name,
-            &ShadowedPair,
-            &shadowed_seeds(graph),
-            opts,
-        )
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        audit_runs(graph, &ShadowedPair, &shadowed_seeds(graph), opts)
+    /// All zeros, and every configuration with a single zero.
+    fn seed_set(&self, graph: &Graph, _: &ShadowedPair, _: u64, _: usize) -> Vec<Vec<u8>> {
+        let n = graph.node_count();
+        let mut seeds = vec![vec![0u8; n]];
+        for i in 0..n {
+            let mut s = vec![1u8; n];
+            s[i] = 0;
+            seeds.push(s);
+        }
+        seeds
     }
 }
 
@@ -332,7 +280,7 @@ impl AnalyzeFamily for ShadowedPairFamily {
 mod tests {
     use super::*;
     use crate::analyze_family;
-    use ssr_runtime::FindingKind;
+    use ssr_runtime::{AnalyzeOptions, ExecBudget, Family, FindingKind};
 
     #[test]
     fn far_sight_flagged_with_actionable_diagnostics() {

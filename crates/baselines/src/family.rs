@@ -3,19 +3,14 @@
 //! mono-initiator reset (label `mono-reset`), registrable in any
 //! [`FamilyRegistry`](ssr_runtime::family::FamilyRegistry).
 //!
-//! Neither baseline has a closed-form paper bound — blowing a step cap
+//! Both are [`TypedFamily`]s without paper bounds: blowing a step cap
 //! is a *finding* (the very pathology §1 motivates cooperation with),
-//! not a campaign failure — so both report
-//! [`Verdict::NoBound`](ssr_runtime::family::Verdict::NoBound).
+//! not a campaign failure, so the runtime's generic run reports
+//! [`Verdict::NoBound`](ssr_runtime::family::Verdict::NoBound). Neither
+//! explores; both are analyzed over their seed sets.
 
 use ssr_graph::{Graph, NodeId};
-use ssr_runtime::analysis::{
-    audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
-};
-use ssr_runtime::family::{
-    explore_sample_seeds, AlgorithmSpec, ExecBudget, Family, FamilyProbe, FamilyRunOutcome,
-    InitPlan, ProbeBridge, RunSeeds,
-};
+use ssr_runtime::family::{explore_sample_seeds, AlgorithmSpec, InitPlan, RunSeeds, TypedFamily};
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Daemon, Simulator};
 use ssr_unison::workloads::unison_tear_plain;
@@ -44,40 +39,26 @@ pub fn mono_reset_spec() -> AlgorithmSpec {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CfgUnisonFamily;
 
-impl CfgUnisonFamily {
-    /// The analysis seed set: `γ_init`, the torn gradient, and
-    /// `samples` arbitrary clock vectors.
-    fn seed_set(graph: &Graph, scenario_seed: u64, samples: usize) -> (CfgUnison, Vec<Vec<u64>>) {
-        let nn = graph.node_count() as u64;
-        let cfg = CfgUnison::for_graph(graph);
-        let period = cfg.period();
-        let mut inits = vec![
-            cfg.initial_config(graph),
-            unison_tear_plain(graph, period, (nn / 2).max(1)),
-        ];
-        for s in explore_sample_seeds(scenario_seed, samples) {
-            inits.push(cfg.arbitrary_config(graph, s));
-        }
-        (cfg, inits)
-    }
-}
+impl TypedFamily for CfgUnisonFamily {
+    type Algo = CfgUnison;
 
-impl Family for CfgUnisonFamily {
-    fn id(&self) -> &str {
+    fn family_id(&self) -> &str {
         "cfg-unison"
     }
 
-    fn run(
+    fn build(&self, graph: &Graph) -> Option<CfgUnison> {
+        Some(CfgUnison::for_graph(graph))
+    }
+
+    fn start<'g>(
         &self,
-        graph: &Graph,
+        graph: &'g Graph,
+        cfg: CfgUnison,
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
+    ) -> Simulator<'g, CfgUnison> {
         let nn = graph.node_count() as u64;
-        let cfg = CfgUnison::for_graph(graph);
         let period = cfg.period();
         let init_cfg = match init {
             InitPlan::Normal | InitPlan::CorruptClocks { .. } => cfg.initial_config(graph),
@@ -95,41 +76,27 @@ impl Family for CfgUnisonFamily {
             );
             sim.reset_stats();
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut bridge)
-            .until_legitimate()
-            .run();
-        bridge.collect_trace(&mut sim);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = sim.stats().max_moves_per_process();
-        // No closed-form bound: blowing the cap is a finding, not a
-        // campaign failure.
-        fo
+        sim
     }
 
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for CfgUnisonFamily {
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        ssr_runtime::analysis::rule_names(&CfgUnison::for_graph(graph))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
+    /// `γ_init`, the torn gradient, and `samples` arbitrary clock
+    /// vectors.
+    fn seed_set(
+        &self,
+        graph: &Graph,
+        cfg: &CfgUnison,
+        scenario_seed: u64,
+        samples: usize,
+    ) -> Vec<Vec<u64>> {
+        let nn = graph.node_count() as u64;
+        let mut inits = vec![
+            cfg.initial_config(graph),
+            unison_tear_plain(graph, cfg.period(), (nn / 2).max(1)),
+        ];
+        for s in explore_sample_seeds(scenario_seed, samples) {
+            inits.push(cfg.arbitrary_config(graph, s));
+        }
+        inits
     }
 }
 
@@ -144,17 +111,55 @@ impl AnalyzeFamily for CfgUnisonFamily {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MonoResetFamily;
 
-impl MonoResetFamily {
-    /// The analysis seed set: `γ_init` plus `samples` configurations
-    /// with arbitrary wave phases and clocks, so every wave rule
-    /// (request, broadcast, feedback, completion) gets exercised.
-    #[allow(clippy::type_complexity)]
+impl TypedFamily for MonoResetFamily {
+    type Algo = MonoReset<Unison>;
+
+    fn family_id(&self) -> &str {
+        "mono-reset"
+    }
+
+    fn build(&self, graph: &Graph) -> Option<MonoReset<Unison>> {
+        Some(MonoReset::new(graph, Unison::for_graph(graph), NodeId(0)))
+    }
+
+    fn start<'g>(
+        &self,
+        graph: &'g Graph,
+        mono: MonoReset<Unison>,
+        init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+    ) -> Simulator<'g, MonoReset<Unison>> {
+        let nn = graph.node_count() as u64;
+        let period = mono.input().period();
+        let init_cfg = mono.initial_config(graph);
+        let mut sim = Simulator::new(graph, mono, init_cfg, daemon.clone(), seeds.sim);
+        if let InitPlan::CorruptClocks { k } = init {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
+            ssr_runtime::faults::corrupt_random(
+                &mut sim,
+                k.resolve(nn).min(nn) as usize,
+                &mut rng,
+                |_, r| MonoState {
+                    phase: Phase::Idle,
+                    inner: r.below(period),
+                },
+            );
+            sim.reset_stats();
+        }
+        sim
+    }
+
+    /// `γ_init` plus `samples` configurations with arbitrary wave
+    /// phases and clocks, so every wave rule (request, broadcast,
+    /// feedback, completion) gets exercised.
     fn seed_set(
+        &self,
         graph: &Graph,
+        mono: &MonoReset<Unison>,
         scenario_seed: u64,
         samples: usize,
-    ) -> (MonoReset<Unison>, Vec<Vec<MonoState<u64>>>) {
-        let mono = MonoReset::new(graph, Unison::for_graph(graph), NodeId(0));
+    ) -> Vec<Vec<MonoState<u64>>> {
         let period = mono.input().period();
         let mut inits = vec![mono.initial_config(graph)];
         for s in explore_sample_seeds(scenario_seed, samples) {
@@ -174,79 +179,7 @@ impl MonoResetFamily {
                     .collect(),
             );
         }
-        (mono, inits)
-    }
-}
-
-impl Family for MonoResetFamily {
-    fn id(&self) -> &str {
-        "mono-reset"
-    }
-
-    fn run(
-        &self,
-        graph: &Graph,
-        init: &InitPlan,
-        daemon: &Daemon,
-        seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
-        let nn = graph.node_count() as u64;
-        let mono = MonoReset::new(graph, Unison::for_graph(graph), NodeId(0));
-        let period = mono.input().period();
-        let init_cfg = mono.initial_config(graph);
-        let mut sim = Simulator::new(graph, mono, init_cfg, daemon.clone(), seeds.sim);
-        if let InitPlan::CorruptClocks { k } = init {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
-            ssr_runtime::faults::corrupt_random(
-                &mut sim,
-                k.resolve(nn).min(nn) as usize,
-                &mut rng,
-                |_, r| MonoState {
-                    phase: Phase::Idle,
-                    inner: r.below(period),
-                },
-            );
-            sim.reset_stats();
-        }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut bridge)
-            .until_legitimate()
-            .run();
-        bridge.collect_trace(&mut sim);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = sim.stats().max_moves_per_process();
-        fo
-    }
-
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for MonoResetFamily {
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        ssr_runtime::analysis::rule_names(&MonoReset::new(
-            graph,
-            Unison::for_graph(graph),
-            NodeId(0),
-        ))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
+        inits
     }
 }
 
@@ -254,7 +187,7 @@ impl AnalyzeFamily for MonoResetFamily {
 mod tests {
     use super::*;
     use ssr_graph::generators;
-    use ssr_runtime::family::{Amount, Verdict};
+    use ssr_runtime::family::{Amount, Family, Verdict};
 
     fn seeds() -> RunSeeds {
         RunSeeds {

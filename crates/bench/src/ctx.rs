@@ -6,7 +6,8 @@
 //! Campaigns drain through one [`Sweep`] each, carrying whatever
 //! channels the context enables; custom runners that drive a
 //! [`Simulator`] directly attach the same trace and metrics channels
-//! with [`ExpCtx::attach`] / [`ExpCtx::collect`]. The context is shared
+//! with [`ExpCtx::attach`] / [`ExpCtx::collect`], and those that call
+//! `Family::run` pass the probe [`ExpCtx::probed`] lends them. The context is shared
 //! (`&ExpCtx`) across concurrently-running scenario closures, so the
 //! metrics aggregate merges under a mutex once per campaign or measured
 //! run, never per step. With no channel enabled every method degrades
@@ -15,14 +16,14 @@
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ssr_campaign::obs::trace_path;
+use ssr_campaign::obs::{trace_path, ObsProbe};
 use ssr_campaign::{
     checkpoint, Campaign, CheckpointWriter, RecordCache, Scenario, ScenarioRecord, Sweep,
 };
 use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
 use ssr_obs::pipeline::CompositeSink;
 use ssr_obs::progress::StderrProgress;
-use ssr_runtime::{Algorithm, Simulator};
+use ssr_runtime::{Algorithm, FamilyProbe, Simulator};
 
 /// Execution context for one `experiments` invocation.
 pub struct ExpCtx {
@@ -211,6 +212,27 @@ impl ExpCtx {
         if let (Some(folded), Some(agg)) = (folded, &self.metrics) {
             agg.lock().expect("metrics poisoned").merge(&folded);
         }
+    }
+
+    /// Runs `run` with this context's trace/metrics channels as the
+    /// [`FamilyProbe`] of scenario `index` of `campaign_id` — what a
+    /// custom runner hands to `Family::run`, as [`ExpCtx::attach`] /
+    /// [`ExpCtx::collect`] are for a directly driven simulator.
+    pub fn probed<R>(
+        &self,
+        campaign_id: &str,
+        index: usize,
+        run: impl FnOnce(&mut dyn FamilyProbe) -> R,
+    ) -> R {
+        let trace = self
+            .campaign_trace_dir(campaign_id)
+            .map(|dir| trace_path(&dir, index));
+        let mut metrics = self.metrics.as_ref().map(|_| MetricsSet::new());
+        let out = run(&mut ObsProbe::new(metrics.as_mut(), trace, true));
+        if let (Some(folded), Some(agg)) = (metrics, &self.metrics) {
+            agg.lock().expect("metrics poisoned").merge(&folded);
+        }
+        out
     }
 
     /// The merged metrics accumulated so far (`None` when `--metrics`

@@ -13,17 +13,14 @@
 
 use ssr_alliance::verify::AllianceObserver;
 use ssr_alliance::{fga_sdr, verify};
-use ssr_baselines::{CfgUnison, MonoReset, MonoState, Phase};
 use ssr_campaign::{
-    families, run_scenario, warm_up_and_corrupt_clocks, Amount, Campaign, InitPlan, PresetSpec,
-    ScenarioRecord, TopologySpec, Verdict,
+    families, run_scenario, Amount, Campaign, InitPlan, PresetSpec, ScenarioRecord, TopologySpec,
+    Verdict,
 };
 use ssr_core::{alive_roots, toys::Agreement, Sdr, SegmentObserver, Standalone};
 use ssr_explore::campaign::{explore_scenario, stochastic_max, ScenarioExploreOptions};
-use ssr_graph::NodeId;
 use ssr_runtime::report::{ratio, Table};
-use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Daemon, Simulator, TerminationReason};
+use ssr_runtime::{Daemon, ExecBudget, RunSeeds, Simulator, TerminationReason};
 use ssr_unison::{spec, unison_sdr, Unison};
 
 use crate::ctx::ExpCtx;
@@ -985,70 +982,37 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .trials(1)
         .step_cap(p.step_cap())
         .seed(0xE11);
+    let registry = families::default_registry();
     let rows = ctx.run_with(&campaign, |sc| {
-        let [graph_seed, _, sim_seed, _] = sc.seeds::<4>();
+        let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
-        let nn = g.node_count() as u64;
         let InitPlan::CorruptClocks { k } = sc.init else {
             unreachable!("init axis holds corruption plans only")
         };
-        let k = k.resolve(nn);
+        let k = k.resolve(g.node_count() as u64);
         // The three systems share the fault pattern: the victim RNG is
         // seeded by k alone, so each family corrupts the same clocks.
-        let fault_seed = k + 7;
-        let period = Unison::for_graph(&g).period();
-        let (reached, rounds, moves) = match sc.algorithm.family.as_str() {
-            "unison-sdr" => {
-                let algo = unison_sdr(Unison::for_graph(&g));
-                let init = algo.initial_config(&g);
-                let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sim_seed);
-                let mut rng = Xoshiro256StarStar::seed_from_u64(fault_seed);
-                warm_up_and_corrupt_clocks(&mut sim, k, period, &mut rng);
-                ctx.attach("e11-faults-sdr", sc.index, &mut sim);
-                let out = sim.execution().cap(sc.step_cap).until_legitimate().run();
-                ctx.collect(&mut sim);
-                (out.reached, out.rounds_at_hit, out.moves_at_hit)
-            }
-            "cfg-unison" => {
-                let cfg = CfgUnison::for_graph(&g);
-                let k_cfg = cfg.period();
-                let init = cfg.initial_config(&g);
-                let mut sim = Simulator::new(&g, cfg, init, sc.daemon.clone(), sim_seed);
-                let mut rng = Xoshiro256StarStar::seed_from_u64(fault_seed);
-                ssr_runtime::faults::corrupt_random(&mut sim, k as usize, &mut rng, |_, r| {
-                    r.below(k_cfg)
-                });
-                sim.reset_stats();
-                ctx.attach("e11-faults-cfg", sc.index, &mut sim);
-                let out = sim.execution().cap(sc.step_cap).until_legitimate().run();
-                ctx.collect(&mut sim);
-                (out.reached, out.rounds_at_hit, out.moves_at_hit)
-            }
-            "mono-reset" => {
-                let mono = MonoReset::new(&g, Unison::for_graph(&g), NodeId(0));
-                let init = mono.initial_config(&g);
-                let mut sim = Simulator::new(&g, mono, init, sc.daemon.clone(), sim_seed);
-                let mut rng = Xoshiro256StarStar::seed_from_u64(fault_seed);
-                ssr_runtime::faults::corrupt_random(&mut sim, k as usize, &mut rng, |_, r| {
-                    MonoState {
-                        phase: Phase::Idle,
-                        inner: r.below(period),
-                    }
-                });
-                sim.reset_stats();
-                ctx.attach("e11-faults-mono", sc.index, &mut sim);
-                let out = sim.execution().cap(sc.step_cap).until_legitimate().run();
-                ctx.collect(&mut sim);
-                (out.reached, out.rounds_at_hit, out.moves_at_hit)
-            }
-            _ => unreachable!("algorithm axis holds the three unison systems"),
+        let seeds = RunSeeds {
+            init: init_seed,
+            sim: sim_seed,
+            fault: k + 7,
         };
+        let traces = match sc.algorithm.family.as_str() {
+            "unison-sdr" => "e11-faults-sdr",
+            "cfg-unison" => "e11-faults-cfg",
+            _ => "e11-faults-mono",
+        };
+        let family = registry.resolve(&sc.algorithm).expect("a standard family");
+        let out = ctx.probed(traces, sc.index, |probe| {
+            let budget = ExecBudget::steps(sc.step_cap);
+            family.run(&g, &sc.init, &sc.daemon, seeds, budget, Some(probe))
+        });
         E11Row {
             family: sc.algorithm.label(),
             k,
-            reached,
-            rounds,
-            moves,
+            reached: out.reached,
+            rounds: out.rounds,
+            moves: out.moves,
         }
     });
     let mut table = Table::new([

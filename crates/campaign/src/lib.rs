@@ -59,10 +59,7 @@ pub use cache::RecordCache;
 pub use checkpoint::CheckpointWriter;
 pub use engine::{Sweep, SweepReport};
 pub use grid::Campaign;
-pub use runner::{
-    run_scenario, run_scenario_in, run_scenario_probed, warm_up_and_corrupt_clocks, ScenarioRecord,
-    Verdict,
-};
+pub use runner::{run_scenario, run_scenario_in, run_scenario_probed, ScenarioRecord, Verdict};
 pub use scenario::{AlgorithmSpec, Amount, InitPlan, Params, PresetSpec, Scenario, TopologySpec};
 
 #[cfg(test)]

@@ -39,14 +39,20 @@ pub fn trace_path(dir: &Path, index: usize) -> PathBuf {
 /// The per-scenario [`FamilyProbe`]: opens a [`CompositeSink`] for the
 /// family's measured execution and folds what comes back into the
 /// worker-local metrics.
-pub(crate) struct ObsProbe<'m> {
+///
+/// Custom runners that call `Family::run` themselves attach the same
+/// channels by passing one (see the experiment harness's E11).
+pub struct ObsProbe<'m> {
     worker_metrics: Option<&'m mut MetricsSet>,
     trace_path: Option<PathBuf>,
     phase_timing: bool,
 }
 
 impl<'m> ObsProbe<'m> {
-    pub(crate) fn new(
+    /// A probe folding metrics into `worker_metrics` (with per-phase
+    /// wall time when `phase_timing`) and writing the JSONL trace to
+    /// `trace_path`; with neither, it installs nothing.
+    pub fn new(
         worker_metrics: Option<&'m mut MetricsSet>,
         trace_path: Option<PathBuf>,
         phase_timing: bool,

@@ -5,9 +5,12 @@
 //! resolving its [`AlgorithmSpec`](crate::AlgorithmSpec) against the
 //! standard [`FamilyRegistry`](ssr_runtime::family::FamilyRegistry)
 //! and delegating to the family's
-//! [`run`](ssr_runtime::family::Family::run) — every per-family
-//! decision (init-plan semantics, target predicate, paper bounds,
-//! verdict) lives with the family in its home crate, not here.
+//! [`run`](ssr_runtime::family::Family::run). Nothing per-family lives
+//! here: init-plan semantics, target, paper bounds and verdict checks
+//! are the family's
+//! [`TypedFamily`](ssr_runtime::family::TypedFamily) impl in its home
+//! crate, and the measured-run protocol is the runtime's one generic
+//! `Family::run`.
 //! [`run_scenario_in`] is the same body against a caller-supplied
 //! registry, which is how user-registered families run campaigns
 //! without touching any workspace crate.
@@ -29,9 +32,8 @@ use ssr_runtime::TerminationReason;
 use crate::families;
 use crate::scenario::Scenario;
 
-// Historical home of these types; the runner still re-exports them.
+// Historical home of this type; the runner still re-exports it.
 pub use ssr_runtime::family::Verdict;
-pub use ssr_unison::workloads::warm_up_and_corrupt_clocks;
 
 /// Flat result of one scenario run (serializable via
 /// [`crate::output`]).
@@ -78,8 +80,10 @@ pub struct ScenarioRecord {
     pub moves: u64,
     /// Rounds until the target was hit.
     pub rounds: u64,
-    /// Worst per-process count of *SDR-rule* moves (equals the overall
-    /// per-process maximum for families without an SDR layer).
+    /// Worst per-process move count: *SDR-rule* moves (Cor. 4's
+    /// measure) for `sdr-agreement`, other `composed()` families and
+    /// `unison-sdr`; all rules otherwise, `fga-sdr` included (its Thm 12
+    /// bound is on total moves).
     pub max_moves_per_process: u64,
     /// Closed-form round bound, when the family has one.
     pub bound_rounds: Option<u64>,

@@ -1,4 +1,4 @@
-//! Generic [`Family`] scaffolding for SDR compositions: wrap **any**
+//! Generic family scaffolding for SDR compositions: wrap **any**
 //! [`ResetInput`] into a registrable, explorable algorithm family with
 //! the paper's input-independent bounds checked out of the box.
 //!
@@ -7,7 +7,7 @@
 //! process), so [`composed`] can attach a meaningful verdict to any
 //! input algorithm without knowing anything about it. Families with
 //! sharper input-specific theorems (`U ∘ SDR`, `FGA ∘ SDR`) implement
-//! [`Family`] directly in their home crates instead.
+//! [`TypedFamily`] in their home crates instead.
 //!
 //! This is the "bring your own algorithm" entry point: implement
 //! [`ResetInput`], call [`composed`], register the result — no
@@ -15,14 +15,9 @@
 //! the repository root.
 
 use ssr_graph::Graph;
-use ssr_runtime::analysis::{
-    audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
-};
-use ssr_runtime::exhaustive::{ExploreOptions, ExploreState};
+use ssr_runtime::exhaustive::ExploreState;
 use ssr_runtime::family::{
-    explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExecBudget, ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds, StochasticMax, Verdict,
+    explore_sample_seeds, AlgorithmSpec, Bounds, InitPlan, RunSeeds, TypedFamily,
 };
 use ssr_runtime::{Algorithm, Daemon, RunStats, Simulator};
 
@@ -53,9 +48,6 @@ pub type InputFactory<I> = Box<dyn Fn(&Graph) -> Option<I> + Send + Sync>;
 
 /// A graph-parameterized closed-form bound.
 type BoundFn = Box<dyn Fn(&Graph) -> u64 + Send + Sync>;
-
-/// A composed algorithm plus its exploration seed set.
-type SeedSet<I> = (Sdr<I>, Vec<Vec<Composed<<I as ResetInput>::State>>>);
 
 /// The generic family `I ∘ SDR` for any [`ResetInput`], built by
 /// [`composed`].
@@ -123,79 +115,81 @@ impl<I: ResetInput> ComposedFamily<I> {
         self.explore_move_bound = Some(Box::new(bound));
         self
     }
-
-    fn instantiate(&self, graph: &Graph) -> Sdr<I> {
-        Sdr::new((self.make)(graph).unwrap_or_else(|| {
-            panic!(
-                "family {:?} run on a graph it is not instantiable on \
-                 (callers must check Family::instantiable first)",
-                self.id
-            )
-        }))
-    }
 }
 
-impl<I> Family for ComposedFamily<I>
+impl<I> TypedFamily for ComposedFamily<I>
 where
     I: ResetInput + Clone + Send + Sync + 'static,
     I::State: ExploreState + Send + Sync,
 {
-    fn id(&self) -> &str {
+    type Algo = Sdr<I>;
+    const EXPLORES: bool = true;
+
+    fn family_id(&self) -> &str {
         &self.id
     }
 
-    fn instantiable(&self, graph: &Graph) -> bool {
-        (self.make)(graph).is_some()
+    fn build(&self, graph: &Graph) -> Option<Sdr<I>> {
+        (self.make)(graph).map(Sdr::new)
     }
 
-    fn bounds(&self, graph: &Graph) -> Bounds {
+    fn start<'g>(
+        &self,
+        graph: &'g Graph,
+        sdr: Sdr<I>,
+        init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+    ) -> Simulator<'g, Sdr<I>> {
+        let init = match init {
+            InitPlan::Normal => sdr.initial_config(graph),
+            _ => sdr.arbitrary_config(graph, seeds.init),
+        };
+        Simulator::new(graph, sdr, init, daemon.clone(), seeds.sim)
+    }
+
+    /// Cor. 5: `3n` rounds.
+    fn paper_bounds(&self, graph: &Graph) -> Bounds {
         Bounds {
             rounds: Some(3 * graph.node_count() as u64),
             moves: None,
         }
     }
 
-    fn run(
-        &self,
-        graph: &Graph,
-        init: &InitPlan,
-        daemon: &Daemon,
-        seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
-        let nn = graph.node_count() as u64;
-        let sdr = self.instantiate(graph);
-        let rc = sdr.rule_count();
-        let init = match init {
-            InitPlan::Normal => sdr.initial_config(graph),
-            _ => sdr.arbitrary_config(graph, seeds.init),
-        };
-        let mut bridge = ProbeBridge::new(probe);
-        let mut sim = Simulator::new(graph, sdr, init, daemon.clone(), seeds.sim);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut bridge)
-            .until_legitimate()
-            .run();
-        bridge.collect_trace(&mut sim);
-        let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = pp;
-        // Cor. 5 (rounds) and Cor. 4 (per-process SDR moves).
-        fo.bound_rounds = Some(3 * nn);
-        fo.verdict = if out.reached && out.rounds_at_hit <= 3 * nn && pp <= 3 * nn + 3 {
-            Verdict::Pass
-        } else {
-            Verdict::Fail
-        };
-        fo
+    fn explore_bounds(&self, graph: &Graph) -> Bounds {
+        Bounds {
+            moves: self.explore_move_bound.as_ref().map(|f| f(graph)),
+            ..self.paper_bounds(graph)
+        }
     }
 
-    fn requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+    fn moves_per_process(&self, sim: &Simulator<'_, Sdr<I>>) -> u64 {
+        max_sdr_moves_per_process(sim.graph(), sim.stats(), sim.algorithm().rule_count())
+    }
+
+    /// Cor. 4: at most `3n + 3` SDR moves per process.
+    fn verdict_check(&self, sim: &Simulator<'_, Sdr<I>>) -> bool {
+        self.moves_per_process(sim) <= 3 * sim.graph().node_count() as u64 + 3
+    }
+
+    /// `γ_init`, the broadcast chain, and `samples` adversarial draws.
+    fn seed_set(
+        &self,
+        graph: &Graph,
+        sdr: &Sdr<I>,
+        scenario_seed: u64,
+        samples: usize,
+    ) -> Vec<Vec<Composed<I::State>>> {
+        let mut inits = vec![sdr.initial_config(graph), sdr_broadcast_chain(sdr, graph)];
+        inits.extend(
+            explore_sample_seeds(scenario_seed, samples)
+                .iter()
+                .map(|&s| sdr.arbitrary_config(graph, s)),
+        );
+        inits
+    }
+
+    fn check_requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
         match (self.make)(graph) {
             // Not instantiable here: vacuously fine on this graph.
             None => Some(Ok(())),
@@ -203,108 +197,6 @@ where
                 Some(validate::check_requirements(&input, graph).map_err(|e| e.to_string()))
             }
         }
-    }
-
-    fn explore(&self) -> Option<&dyn ExploreFamily> {
-        Some(self)
-    }
-
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl<I> ComposedFamily<I>
-where
-    I: ResetInput + Clone + Send + Sync + 'static,
-    I::State: ExploreState + Send + Sync,
-{
-    /// The canonical exploration seed set: `γ_init`, the broadcast
-    /// chain, and `samples` adversarial draws.
-    fn seed_set(&self, graph: &Graph, scenario_seed: u64, samples: usize) -> SeedSet<I> {
-        let algo = self.instantiate(graph);
-        let mut inits = vec![
-            algo.initial_config(graph),
-            sdr_broadcast_chain(&algo, graph),
-        ];
-        inits.extend(
-            explore_sample_seeds(scenario_seed, samples)
-                .iter()
-                .map(|&s| algo.arbitrary_config(graph, s)),
-        );
-        (algo, inits)
-    }
-}
-
-impl<I> ExploreFamily for ComposedFamily<I>
-where
-    I: ResetInput + Clone + Send + Sync + 'static,
-    I::State: ExploreState + Send + Sync,
-{
-    fn bounds(&self, graph: &Graph) -> Bounds {
-        Bounds {
-            rounds: Some(3 * graph.node_count() as u64),
-            moves: self.explore_move_bound.as_ref().map(|f| f(graph)),
-        }
-    }
-
-    fn explore(
-        &self,
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-        opts: &ExploreOptions,
-    ) -> ExploreReport {
-        let (algo, inits) = self.seed_set(graph, scenario_seed, samples);
-        let check = self.instantiate(graph);
-        explore_with_replay(
-            graph,
-            &algo,
-            &inits,
-            move |gr, st| check.is_normal_config(gr, st),
-            opts,
-        )
-    }
-
-    fn stochastic_max(
-        &self,
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-        trials: u64,
-        cap: u64,
-    ) -> StochasticMax {
-        let (algo, inits) = self.seed_set(graph, scenario_seed, samples);
-        let check = self.instantiate(graph);
-        stochastic_max_runs(
-            graph,
-            &algo,
-            &inits,
-            move |gr, st| check.is_normal_config(gr, st),
-            scenario_seed,
-            trials,
-            cap,
-        )
-    }
-}
-
-impl<I> AnalyzeFamily for ComposedFamily<I>
-where
-    I: ResetInput + Clone + Send + Sync + 'static,
-    I::State: ExploreState + Send + Sync,
-{
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        ssr_runtime::analysis::rule_names(&self.instantiate(graph))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = self.seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = self.seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
     }
 }
 
@@ -332,6 +224,8 @@ mod tests {
     use super::*;
     use crate::toys::BoundedCounter;
     use ssr_graph::generators;
+    use ssr_runtime::exhaustive::ExploreOptions;
+    use ssr_runtime::family::{ExploreFamily, Family, Verdict};
 
     fn seeds() -> RunSeeds {
         RunSeeds {

@@ -8,13 +8,15 @@
 //! axes, the same index-derived seeds, hence the same determinism
 //! contract. Scenarios select their family through the **same
 //! registry** as the stochastic runner; a family opts into exhaustive
-//! sweeps by returning its
-//! [`ExploreFamily`](ssr_runtime::family::ExploreFamily) hook from
-//! [`Family::explore`](ssr_runtime::family::Family::explore), which
-//! owns the fixed *seed set* of initial configurations (the designated
-//! `γ_init`, adversarial samples, and the structured worst-case
-//! workloads), exhausts every daemon choice from all of them, and
-//! reports the exact worst case next to the paper's closed-form bound.
+//! sweeps with
+//! [`TypedFamily::EXPLORES`](ssr_runtime::family::TypedFamily::EXPLORES),
+//! and its [`ExploreFamily`](ssr_runtime::family::ExploreFamily) hook
+//! ([`Family::explore`](ssr_runtime::family::Family::explore)) takes
+//! the family's fixed *seed set* of initial configurations (the
+//! designated `γ_init`, adversarial samples, and the structured
+//! worst-case workloads), exhausts every daemon choice from all of
+//! them, and reports the exact worst case next to the paper's
+//! closed-form bound.
 //!
 //! [`stochastic_max`] runs the ordinary stochastic simulator over the
 //! *same* initial configurations (all daemon strategies × trials) —

@@ -24,9 +24,10 @@
 //! the dynamic obligations (fired-while-disabled, foreign writes,
 //! out-of-phase draws via [`Simulator::last_step_phase_draws`]).
 //! Families expose the drivers through the object-safe
-//! [`AnalyzeFamily`] trait, reached via `Family::analysis()`; the
-//! `ssr-analyze` crate aggregates the results, runs the cross-graph
-//! hygiene lints, and renders `ANALYSIS.json`.
+//! [`AnalyzeFamily`] trait, reached via `Family::analysis()` and
+//! implemented once for every [`TypedFamily`](crate::family::TypedFamily)
+//! over its seed set; the `ssr-analyze` crate aggregates the results,
+//! runs the cross-graph hygiene lints, and renders `ANALYSIS.json`.
 
 use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
@@ -366,15 +367,13 @@ impl RngAudit {
 
 /// Soundness analysis surfaced through the family boundary.
 ///
-/// Implementations build their canonical seed set of initial
-/// configurations (the same γ_init + structured workloads + sampled
-/// draws their explore hooks use) and delegate to the generic
+/// The blanket impl over [`TypedFamily`](crate::family::TypedFamily)
+/// builds the family's canonical seed set of initial configurations
+/// (the same γ_init + structured workloads + sampled draws its explore
+/// hook uses) and delegates to the generic
 /// [`collect_footprints`]/[`audit_runs`] drivers, so every family is
 /// measured by identical machinery.
 pub trait AnalyzeFamily: Send + Sync {
-    /// The family's rule names, in rule-id order, on `graph`.
-    fn rule_names(&self, graph: &Graph) -> Vec<String>;
-
     /// Exhaustive footprint collection over the single-move closure of
     /// the family's seed set on `graph`.
     fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis;
@@ -388,8 +387,8 @@ pub trait AnalyzeFamily: Send + Sync {
 // Generic drivers
 // ---------------------------------------------------------------------
 
-/// The rule-name table of `algo` (helper for [`AnalyzeFamily::rule_names`]).
-pub fn rule_names<A: Algorithm>(algo: &A) -> Vec<String> {
+/// The rule-name table of `algo`, in rule-id order.
+fn rule_names<A: Algorithm>(algo: &A) -> Vec<String> {
     (0..algo.rule_count())
         .map(|r| {
             algo.rule_name(crate::algorithm::RuleId(r as u8))

@@ -40,6 +40,7 @@ pub(crate) mod testutil {
     /// Flood of `true` along edges — the shared unit-test algorithm:
     /// one rule, monotone, terminates, and its worst cases are easy to
     /// derive by hand.
+    #[derive(Clone)]
     pub struct Flood;
 
     impl Algorithm for Flood {

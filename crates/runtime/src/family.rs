@@ -7,19 +7,23 @@
 //! property of the API. A [`Family`] is an object-safe description of
 //! one runnable algorithm family — its identity ([`Family::id`]),
 //! instantiability on a graph, closed-form paper bounds, and a
-//! [`Family::run`] entry point that owns the concrete
-//! simulator/execution internally (so type erasure never touches the
-//! hot step loop). Families register in a [`FamilyRegistry`] under
-//! string keys; an [`AlgorithmSpec`] is just a parsed label
-//! (`family` + optional `params`) resolved against a registry at run
-//! time.
+//! [`Family::run`] entry point. Families register in a
+//! [`FamilyRegistry`] under string keys; an [`AlgorithmSpec`] is just a
+//! parsed label (`family` + optional `params`) resolved against a
+//! registry at run time.
+//!
+//! Each family is written once, against its concrete algorithm, as a
+//! [`TypedFamily`]; blanket impls derive the erased [`Family`],
+//! [`ExploreFamily`] and [`AnalyzeFamily`] from it. Erasure stops at
+//! the `Family::run` boundary: the one driver is generic over the
+//! algorithm, so the step loop is monomorphized.
 //!
 //! The split of responsibilities:
 //!
-//! * this module owns the *vocabulary* — [`Family`], [`FamilyRegistry`],
-//!   [`AlgorithmSpec`], [`InitPlan`]/[`Amount`], [`Verdict`],
-//!   [`FamilyRunOutcome`], and the erased exploration hook
-//!   [`ExploreFamily`];
+//! * this module owns the *vocabulary* and the one driver —
+//!   [`TypedFamily`], [`Family`], [`FamilyRegistry`], [`AlgorithmSpec`],
+//!   [`InitPlan`]/[`Amount`], [`Verdict`], [`FamilyRunOutcome`], and the
+//!   erased exploration hook [`ExploreFamily`];
 //! * each algorithm crate implements its own families next to the
 //!   algorithm (`ssr-core` for SDR compositions via `composed()`,
 //!   `ssr-unison`, `ssr-alliance`, `ssr-baselines`);
@@ -37,11 +41,16 @@ use std::sync::Arc;
 
 use ssr_graph::Graph;
 
+use crate::analysis::{
+    audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
+};
 use crate::exhaustive::{
     explore, Exploration, ExploreError, ExploreOptions, ExploreState, WorstCase,
 };
 use crate::rng::splitmix64;
-use crate::{Algorithm, Daemon, Execution, Observer, RunOutcome, Simulator, TerminationReason};
+use crate::{
+    Algorithm, ConfigView, Daemon, Execution, Observer, RunOutcome, Simulator, TerminationReason,
+};
 
 // ---------------------------------------------------------------------
 // Scenario vocabulary shared by every family
@@ -295,16 +304,19 @@ pub struct FamilyRunOutcome {
     pub terminal: bool,
     /// Why the run stopped.
     pub reason: TerminationReason,
-    /// Steps executed (including warm-up phases, matching the
-    /// simulator's cumulative step counter).
+    /// Steps of the measured run. A warm-up phase (the `CorruptClocks`
+    /// plans) ends by zeroing the simulator's counters, so its steps are
+    /// not included.
     pub steps: u64,
     /// Total moves until the target was hit.
     pub moves: u64,
     /// Rounds until the target was hit.
     pub rounds: u64,
-    /// Worst per-process move count of the family's bound-relevant
-    /// rule set (SDR rules for reset compositions, all rules
-    /// otherwise).
+    /// Worst per-process move count, as the family measures it
+    /// ([`TypedFamily::moves_per_process`]): SDR-rule moves (Cor. 4's
+    /// measure) for `composed()` families and `unison-sdr`, all rules
+    /// otherwise — `fga-sdr` included, whose Thm 12 bound is on total
+    /// moves.
     pub max_moves_per_process: u64,
     /// Closed-form round bound, when the family has one.
     pub bound_rounds: Option<u64>,
@@ -312,26 +324,6 @@ pub struct FamilyRunOutcome {
     pub bound_moves: Option<u64>,
     /// Bound-check outcome.
     pub verdict: Verdict,
-}
-
-impl FamilyRunOutcome {
-    /// Seeds the flat fields from a [`RunOutcome`] plus the simulator's
-    /// cumulative step counter; bounds and verdict start empty
-    /// (`NoBound`) for the family to fill in.
-    pub fn from_run(out: &RunOutcome, steps: u64) -> Self {
-        FamilyRunOutcome {
-            reached: out.reached,
-            terminal: out.terminal,
-            reason: out.reason,
-            steps,
-            moves: out.moves_at_hit,
-            rounds: out.rounds_at_hit,
-            max_moves_per_process: 0,
-            bound_rounds: None,
-            bound_moves: None,
-            verdict: Verdict::NoBound,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -359,8 +351,9 @@ pub trait FamilyProbe {
     }
 
     /// A [`TraceSink`](crate::trace::TraceSink) for the *measured*
-    /// execution, installed by the family after any warm-up phase.
-    /// Default `None`: no tracing through the family boundary.
+    /// execution, installed after the family's warm-up phase, if any
+    /// ([`TypedFamily::start`]). Default `None`: no tracing through the
+    /// family boundary.
     fn make_trace_sink(&mut self) -> Option<Box<dyn crate::trace::TraceSink>> {
         None
     }
@@ -375,39 +368,11 @@ pub trait FamilyProbe {
 }
 
 /// Bridges an optional erased [`FamilyProbe`] onto the typed
-/// [`Observer`] hooks — the adapter families attach inside their
-/// `run` implementations.
-pub struct ProbeBridge<'p> {
+/// [`Observer`] hooks — the adapter the generic [`Family::run`] of
+/// every [`TypedFamily`] attaches to the measured execution.
+struct ProbeBridge<'p> {
     probe: Option<&'p mut dyn FamilyProbe>,
     steps: u64,
-}
-
-impl<'p> ProbeBridge<'p> {
-    /// Wraps `probe` (no-op when `None`).
-    pub fn new(probe: Option<&'p mut dyn FamilyProbe>) -> Self {
-        ProbeBridge { probe, steps: 0 }
-    }
-
-    /// Installs the probe's trace sink (if it supplies one) on `sim` —
-    /// called by family `run` bodies right before the *measured*
-    /// execution, after any warm-up phase.
-    pub fn install_trace<A: Algorithm>(&mut self, sim: &mut Simulator<'_, A>) {
-        if let Some(probe) = self.probe.as_deref_mut() {
-            if let Some(sink) = probe.make_trace_sink() {
-                sim.set_trace_sink(sink);
-            }
-        }
-    }
-
-    /// Returns the installed sink to the probe after the measured
-    /// execution — the counterpart of [`ProbeBridge::install_trace`].
-    pub fn collect_trace<A: Algorithm>(&mut self, sim: &mut Simulator<'_, A>) {
-        if let Some(sink) = sim.take_trace_sink() {
-            if let Some(probe) = self.probe.as_deref_mut() {
-                probe.collect_trace_sink(sink);
-            }
-        }
-    }
 }
 
 impl<A: Algorithm> Observer<A> for ProbeBridge<'_> {
@@ -436,10 +401,11 @@ impl<A: Algorithm> Observer<A> for ProbeBridge<'_> {
 /// A family owns everything a campaign needs to turn a declarative
 /// scenario into numbers: identity, instantiability, init-plan
 /// semantics, the closed-form paper bounds, the bound-check verdict,
-/// and the run loop itself. Erasure stops at the `run` boundary — the
-/// implementation constructs its concrete algorithm and drives a fully
-/// monomorphized [`Execution`], so the per-step cost
-/// is identical to calling the simulator directly.
+/// and the run loop itself. Families implement [`TypedFamily`] and get
+/// this trait from its blanket impl, whose `run` constructs the
+/// concrete algorithm and drives a fully monomorphized [`Execution`],
+/// so the per-step cost is identical to calling the simulator
+/// directly.
 pub trait Family: Send + Sync {
     /// Stable identifier; for registered families this equals the
     /// label the registry resolves (e.g. `unison-sdr`,
@@ -491,20 +457,18 @@ pub trait Family: Send + Sync {
         None
     }
 
-    /// The family's exhaustive-exploration hook, when its state has a
-    /// canonical [`ExploreState`] encoding. `None` opts the family out
-    /// of `ssr-explore` sweeps (they skip it, mirroring
-    /// [`Verdict::Skip`]).
+    /// The family's exhaustive-exploration hook ([`TypedFamily`]s with
+    /// [`TypedFamily::EXPLORES`]). `None` opts the family out of
+    /// `ssr-explore` sweeps (they skip it, mirroring [`Verdict::Skip`]).
     fn explore(&self) -> Option<&dyn ExploreFamily> {
         None
     }
 
-    /// The family's soundness-analysis hook
-    /// ([`crate::analysis::AnalyzeFamily`]). `None` means the family's
+    /// The family's soundness-analysis hook ([`AnalyzeFamily`]; every
+    /// [`TypedFamily`] has one). `None` means the family's
     /// locality/commutativity/RNG obligations cannot be certified —
-    /// `ssr-analyze` reports that as an error, so registered families
-    /// are expected to implement it.
-    fn analysis(&self) -> Option<&dyn crate::analysis::AnalyzeFamily> {
+    /// `ssr-analyze` reports that as an error.
+    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
         None
     }
 }
@@ -515,13 +479,14 @@ pub trait Family: Send + Sync {
 
 /// Exhaustive exploration surfaced through the family boundary.
 ///
-/// Implementations build their canonical *seed set* of initial
-/// configurations — `γ_init`, the structured worst-case workloads,
-/// and `samples` adversarial draws from
-/// [`explore_sample_seeds`] — and drive the generic
-/// [`explore`](crate::exhaustive::explore()) engine plus the stochastic
-/// cross-check over exactly that set, so "stochastic maxima ≤ exact
-/// worst case" is sound by construction.
+/// The blanket impl over [`TypedFamily`] builds the family's canonical
+/// *seed set* of initial configurations ([`TypedFamily::seed_set`]:
+/// `γ_init`, the structured worst-case workloads, and `samples`
+/// adversarial draws from [`explore_sample_seeds`]) and drives the
+/// generic [`explore`](crate::exhaustive::explore()) engine plus the
+/// stochastic cross-check over exactly that set, toward the family's
+/// [`Target`], so "stochastic maxima ≤ exact worst case" is sound by
+/// construction.
 pub trait ExploreFamily: Send + Sync {
     /// The closed-form `(moves, rounds)` bounds the exact worst cases
     /// are checked against (may differ from [`Family::bounds`]: e.g.
@@ -600,50 +565,6 @@ pub fn explore_sample_seeds(scenario_seed: u64, samples: usize) -> Vec<u64> {
     (0..samples).map(|_| splitmix64(&mut state)).collect()
 }
 
-/// Explores one family's fully-built problem and validates the
-/// worst-case witnesses by replay — the generic body behind every
-/// [`ExploreFamily::explore`] implementation.
-pub fn explore_with_replay<A, P>(
-    graph: &Graph,
-    algo: &A,
-    inits: &[Vec<A::State>],
-    legit: P,
-    opts: &ExploreOptions,
-) -> ExploreReport
-where
-    A: Algorithm + Sync + Clone,
-    A::State: ExploreState + Send + Sync,
-    P: Fn(&Graph, &[A::State]) -> bool + Clone,
-{
-    let init_count = inits.len();
-    let daemon_class = opts.daemon.label();
-    match explore(graph, algo, inits, legit.clone(), opts) {
-        Err(err) => ExploreReport {
-            init_count,
-            daemon_class,
-            result: Err(err),
-        },
-        Ok(ex) => {
-            let mut replay_ok = true;
-            for w in [&ex.witness_moves, &ex.witness_rounds]
-                .into_iter()
-                .flatten()
-            {
-                let p = legit.clone();
-                let out = w.replay(graph, algo.clone(), inits[w.init].clone(), move |gr, st| {
-                    p(gr, st)
-                });
-                replay_ok &= w.matches(&out);
-            }
-            ExploreReport {
-                init_count,
-                daemon_class,
-                result: Ok((summarize(&ex), replay_ok)),
-            }
-        }
-    }
-}
-
 fn summarize<S>(ex: &Exploration<S>) -> ExploreSummary {
     ExploreSummary {
         states: ex.states as u64,
@@ -653,50 +574,312 @@ fn summarize<S>(ex: &Exploration<S>) -> ExploreSummary {
     }
 }
 
-/// Runs the stochastic simulator over a family's exhaustive seed set —
-/// the generic body behind every [`ExploreFamily::stochastic_max`]
-/// implementation. One RNG stream (keyed off `scenario_seed`) spans
-/// the whole `inits × strategies × trials` nest, so results are a pure
-/// function of the scenario.
-pub fn stochastic_max_runs<A, P>(
-    graph: &Graph,
-    algo: &A,
-    inits: &[Vec<A::State>],
-    legit: P,
-    scenario_seed: u64,
-    trials: u64,
-    cap: u64,
-) -> StochasticMax
-where
-    A: Algorithm + Clone,
-    P: Fn(&Graph, &[A::State]) -> bool + Clone,
-{
-    let mut max = StochasticMax {
-        all_reached: true,
-        ..StochasticMax::default()
-    };
-    let mut seed_state = scenario_seed ^ 0x570C_4A57;
-    for init in inits {
-        for daemon in Daemon::all_strategies() {
-            for _ in 0..trials {
-                let p = legit.clone();
-                let out = Execution::of(graph, algo.clone())
-                    .init(init.clone())
-                    .daemon(daemon.clone())
-                    .seed(splitmix64(&mut seed_state))
-                    .cap(cap)
-                    .until(move |gr, st| p(gr, st))
-                    .run();
-                max.runs += 1;
-                max.all_reached &= out.reached;
-                if out.reached {
-                    max.moves = max.moves.max(out.moves_at_hit);
-                    max.rounds = max.rounds.max(out.rounds_at_hit);
+// ---------------------------------------------------------------------
+// TypedFamily: what differs between families
+// ---------------------------------------------------------------------
+
+/// What a family's runs drive toward.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Target {
+    /// The legitimacy term of [`Algorithm::guard`] holds at every node
+    /// (runs stop with [`Execution::until_legitimate`]).
+    Legitimate,
+    /// No process is enabled (runs go to termination): the target of
+    /// silent families, whose legitimate configurations are terminal.
+    Terminal,
+}
+
+impl Target {
+    /// Whether `states` is on target, decided from the whole
+    /// configuration — the predicate of the explorer and the witness
+    /// replays. It holds exactly when a run toward the target stops.
+    fn holds<A: Algorithm>(self, algo: &A, graph: &Graph, states: &[A::State]) -> bool {
+        let view = ConfigView::new(graph, states);
+        match self {
+            Target::Legitimate => graph.nodes().all(|u| algo.guard(u, &view).legit),
+            Target::Terminal => graph
+                .nodes()
+                .all(|u| algo.enabled_mask(u, &view).is_empty()),
+        }
+    }
+
+    /// Drives `exec` until the target holds, the configuration is
+    /// terminal, or the cap runs out.
+    fn run<A: Algorithm, O: Observer<A>>(self, exec: Execution<'_, '_, A, O>) -> RunOutcome {
+        match self {
+            Target::Legitimate => exec.until_legitimate().run(),
+            Target::Terminal => exec.run(),
+        }
+    }
+}
+
+/// A family written against its concrete algorithm: the one trait the
+/// workspace's families implement, holding only what differs between
+/// them.
+///
+/// Blanket impls derive the rest: [`Family`], whose one generic
+/// [`Family::run`] owns the probe bridge, the trace handoff, the stop
+/// condition, the bounds and the verdict; [`ExploreFamily`], the
+/// exhaustive and stochastic sweeps of the seed set toward
+/// [`TypedFamily::TARGET`]; and [`AnalyzeFamily`], footprints and the
+/// replay audit over the same seed set. A run's verdict is
+/// [`Verdict::NoBound`] without [`TypedFamily::paper_bounds`], else
+/// [`Verdict::Pass`] iff the run reached its target within every stated
+/// bound and [`TypedFamily::verdict_check`] holds.
+///
+/// `UnisonSdrFamily` (`crates/unison/src/family.rs`) is the template;
+/// `ssr_core::family::composed` wraps any `ResetInput` into one.
+pub trait TypedFamily: Send + Sync {
+    /// The algorithm the family runs.
+    type Algo: Algorithm<State: ExploreState + Send + Sync> + Clone + Send + Sync;
+
+    /// What the measured run, the explorer, the witness replays and the
+    /// stochastic cross-check drive toward.
+    const TARGET: Target = Target::Legitimate;
+
+    /// Whether `ssr-explore` sweeps the family ([`Family::explore`]).
+    const EXPLORES: bool = false;
+
+    /// The stable identifier ([`Family::id`]).
+    fn family_id(&self) -> &str;
+
+    /// The algorithm on `graph`, or `None` when the family cannot be
+    /// instantiated there ([`Family::instantiable`]).
+    fn build(&self, graph: &Graph) -> Option<Self::Algo>;
+
+    /// The simulator a measured run starts from under `init`, with
+    /// `algo` built on `graph`, scheduled by `daemon` and seeded by
+    /// `seeds.sim`: the plan's configuration, and for `CorruptClocks`
+    /// the warm-up and the corruption (drawing from `seeds.fault`),
+    /// ending with the counters zeroed.
+    fn start<'g>(
+        &self,
+        graph: &'g Graph,
+        algo: Self::Algo,
+        init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+    ) -> Simulator<'g, Self::Algo>;
+
+    /// The closed-form paper bounds on `graph` ([`Family::bounds`];
+    /// default [`Bounds::NONE`], verdict [`Verdict::NoBound`]).
+    fn paper_bounds(&self, graph: &Graph) -> Bounds {
+        let _ = graph;
+        Bounds::NONE
+    }
+
+    /// The bounds exact worst cases are checked against
+    /// ([`ExploreFamily::bounds`]; default [`TypedFamily::paper_bounds`]).
+    fn explore_bounds(&self, graph: &Graph) -> Bounds {
+        self.paper_bounds(graph)
+    }
+
+    /// The worst per-process move count of a finished run (default:
+    /// over all rules).
+    fn moves_per_process(&self, sim: &Simulator<'_, Self::Algo>) -> u64 {
+        sim.stats().max_moves_per_process()
+    }
+
+    /// A family-specific verdict condition on the finished run, on top
+    /// of the target and the bounds (default: none).
+    fn verdict_check(&self, sim: &Simulator<'_, Self::Algo>) -> bool {
+        let _ = sim;
+        true
+    }
+
+    /// The canonical seed set on `graph`: the initial configurations
+    /// the explorer exhausts, the stochastic cross-check samples, and
+    /// the analyzer closes under single moves. `samples` adversarial
+    /// draws derive from `scenario_seed` ([`explore_sample_seeds`]).
+    fn seed_set(
+        &self,
+        graph: &Graph,
+        algo: &Self::Algo,
+        scenario_seed: u64,
+        samples: usize,
+    ) -> Vec<Vec<<Self::Algo as Algorithm>::State>>;
+
+    /// The §3.5 requirements check of the family's input algorithm
+    /// ([`Family::requirements`]; default `None`: not composed).
+    fn check_requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+        let _ = graph;
+        None
+    }
+}
+
+/// The family's algorithm on a graph its caller checked.
+fn instance<F: TypedFamily>(family: &F, graph: &Graph) -> F::Algo {
+    family.build(graph).unwrap_or_else(|| {
+        panic!(
+            "family {:?} run on a graph it is not instantiable on \
+             (callers must check Family::instantiable first)",
+            family.family_id()
+        )
+    })
+}
+
+impl<F: TypedFamily> Family for F {
+    fn id(&self) -> &str {
+        self.family_id()
+    }
+
+    fn instantiable(&self, graph: &Graph) -> bool {
+        self.build(graph).is_some()
+    }
+
+    fn bounds(&self, graph: &Graph) -> Bounds {
+        self.paper_bounds(graph)
+    }
+
+    fn run(
+        &self,
+        graph: &Graph,
+        init: &InitPlan,
+        daemon: &Daemon,
+        seeds: RunSeeds,
+        budget: ExecBudget,
+        probe: Option<&mut dyn FamilyProbe>,
+    ) -> FamilyRunOutcome {
+        let mut sim = self.start(graph, instance(self, graph), init, daemon, seeds);
+        // The probe's trace sink records the measured run alone, after
+        // any warm-up phase of `start`.
+        let mut bridge = ProbeBridge { probe, steps: 0 };
+        if let Some(sink) = bridge.probe.as_mut().and_then(|p| p.make_trace_sink()) {
+            sim.set_trace_sink(sink);
+        }
+        let out = F::TARGET.run(
+            sim.execution()
+                .cap(budget.cap)
+                .intra_threads(budget.intra_threads)
+                .observe(&mut bridge),
+        );
+        if let (Some(sink), Some(probe)) = (sim.take_trace_sink(), bridge.probe.as_deref_mut()) {
+            probe.collect_trace_sink(sink);
+        }
+        let bounds = self.paper_bounds(graph);
+        let within = |bound: Option<u64>, value| bound.is_none_or(|b| value <= b);
+        let verdict = if bounds == Bounds::NONE {
+            Verdict::NoBound
+        } else if out.reached
+            && within(bounds.rounds, out.rounds_at_hit)
+            && within(bounds.moves, out.moves_at_hit)
+            && self.verdict_check(&sim)
+        {
+            Verdict::Pass
+        } else {
+            Verdict::Fail
+        };
+        FamilyRunOutcome {
+            reached: out.reached,
+            terminal: out.terminal,
+            reason: out.reason,
+            steps: sim.stats().steps,
+            moves: out.moves_at_hit,
+            rounds: out.rounds_at_hit,
+            max_moves_per_process: self.moves_per_process(&sim),
+            bound_rounds: bounds.rounds,
+            bound_moves: bounds.moves,
+            verdict,
+        }
+    }
+
+    fn requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+        self.check_requirements(graph)
+    }
+
+    fn explore(&self) -> Option<&dyn ExploreFamily> {
+        F::EXPLORES.then_some(self as &dyn ExploreFamily)
+    }
+
+    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
+        Some(self)
+    }
+}
+
+impl<F: TypedFamily> ExploreFamily for F {
+    fn bounds(&self, graph: &Graph) -> Bounds {
+        self.explore_bounds(graph)
+    }
+
+    fn explore(
+        &self,
+        graph: &Graph,
+        scenario_seed: u64,
+        samples: usize,
+        opts: &ExploreOptions,
+    ) -> ExploreReport {
+        let algo = instance(self, graph);
+        let inits = self.seed_set(graph, &algo, scenario_seed, samples);
+        let on_target = |g: &Graph, st: &[_]| F::TARGET.holds(&algo, g, st);
+        let result = explore(graph, &algo, &inits, on_target, opts).map(|ex| {
+            // Both worst-case witnesses must replay byte-identically.
+            let replay_ok = [&ex.witness_moves, &ex.witness_rounds]
+                .into_iter()
+                .flatten()
+                .all(|w| {
+                    w.matches(&w.replay(graph, algo.clone(), inits[w.init].clone(), on_target))
+                });
+            (summarize(&ex), replay_ok)
+        });
+        ExploreReport {
+            init_count: inits.len(),
+            daemon_class: opts.daemon.label(),
+            result,
+        }
+    }
+
+    /// One RNG stream (keyed off `scenario_seed`) spans the whole
+    /// `inits × strategies × trials` nest, so results are a pure
+    /// function of the scenario.
+    fn stochastic_max(
+        &self,
+        graph: &Graph,
+        scenario_seed: u64,
+        samples: usize,
+        trials: u64,
+        cap: u64,
+    ) -> StochasticMax {
+        let algo = instance(self, graph);
+        let mut max = StochasticMax {
+            all_reached: true,
+            ..StochasticMax::default()
+        };
+        let mut seed_state = scenario_seed ^ 0x570C_4A57;
+        for init in self.seed_set(graph, &algo, scenario_seed, samples) {
+            for daemon in Daemon::all_strategies() {
+                for _ in 0..trials {
+                    let out = F::TARGET.run(
+                        Execution::of(graph, algo.clone())
+                            .init(init.clone())
+                            .daemon(daemon.clone())
+                            .seed(splitmix64(&mut seed_state))
+                            .cap(cap),
+                    );
+                    max.runs += 1;
+                    max.all_reached &= out.reached;
+                    if out.reached {
+                        max.moves = max.moves.max(out.moves_at_hit);
+                        max.rounds = max.rounds.max(out.rounds_at_hit);
+                    }
                 }
             }
         }
+        max
     }
-    max
+}
+
+impl<F: TypedFamily> AnalyzeFamily for F {
+    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
+        let algo = instance(self, graph);
+        let inits = self.seed_set(graph, &algo, opts.scenario_seed, opts.samples);
+        collect_footprints(graph, graph_name, &algo, &inits, opts)
+    }
+
+    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
+        let algo = instance(self, graph);
+        let inits = self.seed_set(graph, &algo, opts.scenario_seed, opts.samples);
+        audit_runs(graph, &algo, &inits, opts)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1015,50 +1198,54 @@ mod tests {
         assert_eq!(spec.params_str(), None);
     }
 
-    /// A minimal test family: flood over `bool` states.
-    struct FloodFamily;
+    /// A minimal test family: flood over `bool` states, from node 0,
+    /// under the given id.
+    struct FloodFamily(&'static str);
 
-    impl Family for FloodFamily {
-        fn id(&self) -> &str {
-            "flood"
+    fn flood_from_0(graph: &Graph) -> Vec<bool> {
+        let mut init = vec![false; graph.node_count()];
+        init[0] = true;
+        init
+    }
+
+    impl TypedFamily for FloodFamily {
+        type Algo = crate::exhaustive::testutil::Flood;
+        const TARGET: Target = Target::Terminal;
+
+        fn family_id(&self) -> &str {
+            self.0
         }
 
-        fn run(
+        fn build(&self, _: &Graph) -> Option<Self::Algo> {
+            Some(crate::exhaustive::testutil::Flood)
+        }
+
+        fn start<'g>(
             &self,
-            graph: &Graph,
+            graph: &'g Graph,
+            algo: Self::Algo,
             _init: &InitPlan,
             daemon: &Daemon,
             seeds: RunSeeds,
-            budget: ExecBudget,
-            probe: Option<&mut dyn FamilyProbe>,
-        ) -> FamilyRunOutcome {
-            let mut init = vec![false; graph.node_count()];
-            init[0] = true;
-            let mut bridge = ProbeBridge::new(probe);
-            let report = Execution::of(graph, crate::exhaustive::testutil::Flood)
-                .init(init)
-                .daemon(daemon.clone())
-                .seed(seeds.sim)
-                .cap(budget.cap)
-                .intra_threads(budget.intra_threads)
-                .observe(&mut bridge)
-                .run_report();
-            let mut out = FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps);
-            out.max_moves_per_process = report.sim.stats().max_moves_per_process();
-            out
+        ) -> Simulator<'g, Self::Algo> {
+            Simulator::new(graph, algo, flood_from_0(graph), daemon.clone(), seeds.sim)
+        }
+
+        fn seed_set(&self, graph: &Graph, _: &Self::Algo, _: u64, _: usize) -> Vec<Vec<bool>> {
+            vec![flood_from_0(graph)]
         }
     }
 
     #[test]
     fn registry_resolves_instances_and_parametrics() {
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily));
+        reg.register(Arc::new(FloodFamily("flood")));
         reg.register_parametric(
             "flood-k",
             vec!["flood-k(2)".into()],
             Box::new(|params| {
                 params.and_then(|p| p.parse::<u32>().ok())?;
-                Some(Arc::new(FloodFamily) as Arc<dyn Family>)
+                Some(Arc::new(FloodFamily("flood")) as Arc<dyn Family>)
             }),
         );
         assert!(reg.resolve_label("flood").is_some());
@@ -1074,33 +1261,16 @@ mod tests {
     #[test]
     fn registry_resolves_full_label_instances() {
         // An instance whose id itself contains parens still resolves.
-        struct Weird;
-        impl Family for Weird {
-            fn id(&self) -> &str {
-                "weird(7)"
-            }
-            fn run(
-                &self,
-                _: &Graph,
-                _: &InitPlan,
-                _: &Daemon,
-                _: RunSeeds,
-                _: ExecBudget,
-                _: Option<&mut dyn FamilyProbe>,
-            ) -> FamilyRunOutcome {
-                unimplemented!("never run in this test")
-            }
-        }
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(Weird));
+        reg.register(Arc::new(FloodFamily("weird(7)")));
         assert!(reg.resolve_label("weird(7)").is_some());
     }
 
     #[test]
     fn re_registration_replaces_in_place() {
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily));
-        reg.register(Arc::new(FloodFamily));
+        reg.register(Arc::new(FloodFamily("flood")));
+        reg.register(Arc::new(FloodFamily("flood")));
         assert_eq!(reg.keys().count(), 1);
     }
 
@@ -1117,7 +1287,7 @@ mod tests {
         }
         let g = generators::path(4);
         let mut probe = Count(0, false);
-        let out = FloodFamily.run(
+        let out = FloodFamily("flood").run(
             &g,
             &InitPlan::Normal,
             &Daemon::Synchronous,

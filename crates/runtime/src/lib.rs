@@ -113,7 +113,7 @@ pub use exec::{
 };
 pub use family::{
     AlgorithmSpec, Amount, Bounds, ExecBudget, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
-    FamilyRunOutcome, InitPlan, RunSeeds, Verdict,
+    FamilyRunOutcome, InitPlan, RunSeeds, Target, TypedFamily, Verdict,
 };
 pub use fingerprint::{Canon, Fingerprint, FpEncoder};
 pub use simulator::{RunOutcome, RunStats, Simulator, StepOutcome, TerminationReason};

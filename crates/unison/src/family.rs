@@ -2,18 +2,18 @@
 //! `U ∘ SDR` (label `unison-sdr`) and standalone Algorithm U (label
 //! `unison`), registrable in any
 //! [`FamilyRegistry`](ssr_runtime::family::FamilyRegistry).
+//!
+//! Each is a [`TypedFamily`]: it supplies its algorithm, the starting
+//! simulator of each init plan, its bounds, seed set and requirements
+//! check, and the runtime's blanket impls derive the measured run, the
+//! explorer hook and the analysis hook from them. `UnisonSdrFamily` is
+//! the template for a new family.
 
 use ssr_core::family::max_sdr_moves_per_process;
-use ssr_core::{validate, ResetInput, Standalone};
+use ssr_core::{validate, Standalone};
 use ssr_graph::Graph;
-use ssr_runtime::analysis::{
-    audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
-};
-use ssr_runtime::exhaustive::ExploreOptions;
 use ssr_runtime::family::{
-    explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExecBudget, ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds, StochasticMax, Verdict,
+    explore_sample_seeds, AlgorithmSpec, Bounds, InitPlan, RunSeeds, TypedFamily,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Algorithm, Daemon, Simulator};
@@ -32,6 +32,12 @@ pub fn unison_spec() -> AlgorithmSpec {
     AlgorithmSpec::plain("unison")
 }
 
+/// The §3.5 requirements of Algorithm U on `graph`, the input of both
+/// unison families.
+fn unison_requirements(graph: &Graph) -> Option<Result<(), String>> {
+    Some(validate::check_requirements(&Unison::for_graph(graph), graph).map_err(|e| e.to_string()))
+}
+
 /// The family `U ∘ SDR` — self-stabilizing unison with the paper's
 /// sharp bounds (Theorems 6 and 7).
 ///
@@ -45,62 +51,28 @@ pub fn unison_spec() -> AlgorithmSpec {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UnisonSdrFamily;
 
-impl UnisonSdrFamily {
-    fn thm_bounds(graph: &Graph) -> Bounds {
-        let nn = graph.node_count() as u64;
-        let d = ssr_graph::metrics::diameter(graph).max(1) as u64;
-        Bounds {
-            rounds: Some(spec::theorem7_round_bound(nn)),
-            moves: Some(spec::theorem6_move_bound(nn, d)),
-        }
-    }
+impl TypedFamily for UnisonSdrFamily {
+    type Algo = UnisonSdr;
+    const EXPLORES: bool = true;
 
-    /// The canonical exploration seed set: `γ_init`, the broadcast
-    /// chain, the half-n tear, and `samples` adversarial draws.
-    fn seed_set(
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-    ) -> (UnisonSdr, Vec<Vec<<UnisonSdr as Algorithm>::State>>) {
-        let algo = unison_sdr(Unison::for_graph(graph));
-        let nn = graph.node_count() as u64;
-        let period = algo.input().period();
-        let mut inits = vec![
-            algo.initial_config(graph),
-            ssr_core::workloads::sdr_broadcast_chain(&algo, graph),
-            unison_tear(graph, period, (nn / 2).max(1)),
-        ];
-        inits.extend(
-            explore_sample_seeds(scenario_seed, samples)
-                .iter()
-                .map(|&s| algo.arbitrary_config(graph, s)),
-        );
-        (algo, inits)
-    }
-}
-
-impl Family for UnisonSdrFamily {
-    fn id(&self) -> &str {
+    fn family_id(&self) -> &str {
         "unison-sdr"
     }
 
-    fn bounds(&self, graph: &Graph) -> Bounds {
-        Self::thm_bounds(graph)
+    fn build(&self, graph: &Graph) -> Option<UnisonSdr> {
+        Some(unison_sdr(Unison::for_graph(graph)))
     }
 
-    fn run(
+    fn start<'g>(
         &self,
-        graph: &Graph,
+        graph: &'g Graph,
+        algo: UnisonSdr,
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
+    ) -> Simulator<'g, UnisonSdr> {
         let nn = graph.node_count() as u64;
-        let algo = unison_sdr(Unison::for_graph(graph));
         let period = algo.input().period();
-        let rc = algo.rule_count();
         let init_cfg = match init {
             InitPlan::Normal | InitPlan::CorruptClocks { .. } => algo.initial_config(graph),
             InitPlan::Tear { gap } => unison_tear(graph, period, gap.resolve(nn)),
@@ -111,106 +83,48 @@ impl Family for UnisonSdrFamily {
             let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
             warm_up_and_corrupt_clocks(&mut sim, k.resolve(nn), period, &mut rng);
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut bridge)
-            .until_legitimate()
-            .run();
-        bridge.collect_trace(&mut sim);
-        let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = pp;
-        // Thm 7 (rounds) and Thm 6 (moves).
-        let bounds = Self::thm_bounds(graph);
-        let (rb, mb) = (bounds.rounds.unwrap(), bounds.moves.unwrap());
-        fo.bound_rounds = Some(rb);
-        fo.bound_moves = Some(mb);
-        fo.verdict = if out.reached && out.rounds_at_hit <= rb && out.moves_at_hit <= mb {
-            Verdict::Pass
-        } else {
-            Verdict::Fail
-        };
-        fo
+        sim
     }
 
-    fn requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
-        Some(
-            validate::check_requirements(&Unison::for_graph(graph), graph)
-                .map_err(|e| e.to_string()),
-        )
+    /// Thm 7 (rounds) and Thm 6 (moves).
+    fn paper_bounds(&self, graph: &Graph) -> Bounds {
+        let nn = graph.node_count() as u64;
+        let d = ssr_graph::metrics::diameter(graph).max(1) as u64;
+        Bounds {
+            rounds: Some(spec::theorem7_round_bound(nn)),
+            moves: Some(spec::theorem6_move_bound(nn, d)),
+        }
     }
 
-    fn explore(&self) -> Option<&dyn ExploreFamily> {
-        Some(self)
+    fn moves_per_process(&self, sim: &Simulator<'_, UnisonSdr>) -> u64 {
+        max_sdr_moves_per_process(sim.graph(), sim.stats(), sim.algorithm().rule_count())
     }
 
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for UnisonSdrFamily {
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        ssr_runtime::analysis::rule_names(&unison_sdr(Unison::for_graph(graph)))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
-    }
-}
-
-impl ExploreFamily for UnisonSdrFamily {
-    fn bounds(&self, graph: &Graph) -> Bounds {
-        Self::thm_bounds(graph)
-    }
-
-    fn explore(
+    /// `γ_init`, the broadcast chain, the half-n tear, and `samples`
+    /// adversarial draws.
+    fn seed_set(
         &self,
         graph: &Graph,
+        algo: &UnisonSdr,
         scenario_seed: u64,
         samples: usize,
-        opts: &ExploreOptions,
-    ) -> ExploreReport {
-        let (algo, inits) = Self::seed_set(graph, scenario_seed, samples);
-        let check = unison_sdr(Unison::for_graph(graph));
-        explore_with_replay(
-            graph,
-            &algo,
-            &inits,
-            move |gr, st| check.is_normal_config(gr, st),
-            opts,
-        )
+    ) -> Vec<Vec<<UnisonSdr as Algorithm>::State>> {
+        let nn = graph.node_count() as u64;
+        let mut inits = vec![
+            algo.initial_config(graph),
+            ssr_core::workloads::sdr_broadcast_chain(algo, graph),
+            unison_tear(graph, algo.input().period(), (nn / 2).max(1)),
+        ];
+        inits.extend(
+            explore_sample_seeds(scenario_seed, samples)
+                .iter()
+                .map(|&s| algo.arbitrary_config(graph, s)),
+        );
+        inits
     }
 
-    fn stochastic_max(
-        &self,
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-        trials: u64,
-        cap: u64,
-    ) -> StochasticMax {
-        let (algo, inits) = Self::seed_set(graph, scenario_seed, samples);
-        let check = unison_sdr(Unison::for_graph(graph));
-        stochastic_max_runs(
-            graph,
-            &algo,
-            &inits,
-            move |gr, st| check.is_normal_config(gr, st),
-            scenario_seed,
-            trials,
-            cap,
-        )
+    fn check_requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+        unison_requirements(graph)
     }
 }
 
@@ -227,55 +141,27 @@ impl ExploreFamily for UnisonSdrFamily {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UnisonFamily;
 
-impl UnisonFamily {
-    /// The analysis seed set: `γ_init`, the plain-clock tear, and
-    /// `samples` uniformly corrupted clock vectors — the standalone
-    /// family has no explore hook, so its analysis coverage is built
-    /// here directly.
-    fn seed_set(
-        graph: &Graph,
-        scenario_seed: u64,
-        samples: usize,
-    ) -> (Standalone<Unison>, Vec<Vec<u64>>) {
-        let unison = Unison::for_graph(graph);
-        let period = unison.period();
-        let algo = Standalone::new(unison);
-        let nn = graph.node_count() as u64;
-        let mut inits = vec![
-            algo.initial_config(graph),
-            unison_tear_plain(graph, period, (nn / 2).max(1)),
-        ];
-        for s in explore_sample_seeds(scenario_seed, samples) {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(s);
-            inits.push(
-                graph
-                    .nodes()
-                    .map(|u| algo.inner().arbitrary_state(u, &mut rng))
-                    .collect(),
-            );
-        }
-        (algo, inits)
-    }
-}
+impl TypedFamily for UnisonFamily {
+    type Algo = Standalone<Unison>;
 
-impl Family for UnisonFamily {
-    fn id(&self) -> &str {
+    fn family_id(&self) -> &str {
         "unison"
     }
 
-    fn run(
+    fn build(&self, graph: &Graph) -> Option<Standalone<Unison>> {
+        Some(Standalone::new(Unison::for_graph(graph)))
+    }
+
+    fn start<'g>(
         &self,
-        graph: &Graph,
+        graph: &'g Graph,
+        algo: Standalone<Unison>,
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
-        probe: Option<&mut dyn FamilyProbe>,
-    ) -> FamilyRunOutcome {
+    ) -> Simulator<'g, Standalone<Unison>> {
         let nn = graph.node_count() as u64;
-        let unison = Unison::for_graph(graph);
-        let period = unison.period();
-        let algo = Standalone::new(unison);
+        let period = algo.inner().period();
         let init_cfg = match init {
             InitPlan::Tear { gap } => unison_tear_plain(graph, period, gap.resolve(nn)),
             _ => algo.initial_config(graph),
@@ -291,47 +177,34 @@ impl Family for UnisonFamily {
             );
             sim.reset_stats();
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
-            .observe(&mut bridge)
-            .until_legitimate()
-            .run();
-        bridge.collect_trace(&mut sim);
-        let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
-        fo.max_moves_per_process = sim.stats().max_moves_per_process();
-        // No closed-form bound: U is not self-stabilizing on its own.
-        fo
+        sim
     }
 
-    fn requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
-        Some(
-            validate::check_requirements(&Unison::for_graph(graph), graph)
-                .map_err(|e| e.to_string()),
-        )
+    /// `γ_init`, the plain-clock tear, and `samples` uniformly
+    /// corrupted clock vectors — the standalone family does not
+    /// explore, so this set serves the analyzer alone.
+    fn seed_set(
+        &self,
+        graph: &Graph,
+        algo: &Standalone<Unison>,
+        scenario_seed: u64,
+        samples: usize,
+    ) -> Vec<Vec<u64>> {
+        let nn = graph.node_count() as u64;
+        let mut inits = vec![
+            algo.initial_config(graph),
+            unison_tear_plain(graph, algo.inner().period(), (nn / 2).max(1)),
+        ];
+        inits.extend(
+            explore_sample_seeds(scenario_seed, samples)
+                .into_iter()
+                .map(|s| validate::arbitrary_standalone_config(algo.inner(), graph, s)),
+        );
+        inits
     }
 
-    fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
-        Some(self)
-    }
-}
-
-impl AnalyzeFamily for UnisonFamily {
-    fn rule_names(&self, graph: &Graph) -> Vec<String> {
-        ssr_runtime::analysis::rule_names(&Standalone::new(Unison::for_graph(graph)))
-    }
-
-    fn footprints(&self, graph: &Graph, graph_name: &str, opts: &AnalyzeOptions) -> GraphAnalysis {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        collect_footprints(graph, graph_name, &algo, &inits, opts)
-    }
-
-    fn audit(&self, graph: &Graph, opts: &AnalyzeOptions) -> RngAudit {
-        let (algo, inits) = Self::seed_set(graph, opts.scenario_seed, opts.samples);
-        audit_runs(graph, &algo, &inits, opts)
+    fn check_requirements(&self, graph: &Graph) -> Option<Result<(), String>> {
+        unison_requirements(graph)
     }
 }
 
@@ -339,6 +212,8 @@ impl AnalyzeFamily for UnisonFamily {
 mod tests {
     use super::*;
     use ssr_graph::generators;
+    use ssr_runtime::exhaustive::ExploreOptions;
+    use ssr_runtime::family::{ExploreFamily, Family, Verdict};
 
     fn seeds() -> RunSeeds {
         RunSeeds {
