@@ -11,6 +11,7 @@
 
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::family::{explore_sample_seeds, AlgorithmSpec, InitPlan, RunSeeds, TypedFamily};
+use ssr_runtime::faults::corrupt_and_reset;
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Daemon, Simulator};
 use ssr_unison::workloads::unison_tear_plain;
@@ -67,14 +68,7 @@ impl TypedFamily for CfgUnisonFamily {
         };
         let mut sim = Simulator::new(graph, cfg, init_cfg, daemon.clone(), seeds.sim);
         if let InitPlan::CorruptClocks { k } = init {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
-            ssr_runtime::faults::corrupt_random(
-                &mut sim,
-                k.resolve(nn).min(nn) as usize,
-                &mut rng,
-                |_, r| r.below(period),
-            );
-            sim.reset_stats();
+            corrupt_and_reset(&mut sim, k.resolve(nn), seeds.fault, |_, r| r.below(period));
         }
         sim
     }
@@ -135,17 +129,10 @@ impl TypedFamily for MonoResetFamily {
         let init_cfg = mono.initial_config(graph);
         let mut sim = Simulator::new(graph, mono, init_cfg, daemon.clone(), seeds.sim);
         if let InitPlan::CorruptClocks { k } = init {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
-            ssr_runtime::faults::corrupt_random(
-                &mut sim,
-                k.resolve(nn).min(nn) as usize,
-                &mut rng,
-                |_, r| MonoState {
-                    phase: Phase::Idle,
-                    inner: r.below(period),
-                },
-            );
-            sim.reset_stats();
+            corrupt_and_reset(&mut sim, k.resolve(nn), seeds.fault, |_, r| MonoState {
+                phase: Phase::Idle,
+                inner: r.below(period),
+            });
         }
         sim
     }

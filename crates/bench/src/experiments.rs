@@ -20,7 +20,7 @@ use ssr_campaign::{
 use ssr_core::{alive_roots, toys::Agreement, Sdr, SegmentObserver, Standalone};
 use ssr_explore::campaign::{explore_scenario, stochastic_max, ScenarioExploreOptions};
 use ssr_runtime::report::{ratio, Table};
-use ssr_runtime::{Daemon, ExecBudget, RunSeeds, Simulator, TerminationReason};
+use ssr_runtime::{Daemon, ExecBudget, FamilyRunOutcome, RunSeeds, Simulator, TerminationReason};
 use ssr_unison::{spec, unison_sdr, Unison};
 
 use crate::ctx::ExpCtx;
@@ -949,9 +949,7 @@ pub fn e10_ablation(p: Profile, ctx: &ExpCtx) -> ExpResult {
 struct E11Row {
     family: String,
     k: u64,
-    reached: bool,
-    rounds: u64,
-    moves: u64,
+    out: FamilyRunOutcome,
 }
 
 /// E11 — transient-fault recovery: corrupt `k` clocks of a legitimate
@@ -1010,9 +1008,7 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
         E11Row {
             family: sc.algorithm.label(),
             k,
-            reached: out.reached,
-            rounds: out.rounds,
-            moves: out.moves,
+            out,
         }
     });
     let mut table = Table::new([
@@ -1036,9 +1032,9 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
                 .find(|r| r.k == k && r.family == family.label())
                 .expect("one row per (k, family)")
         };
-        let sdr = find(&families::unison_sdr());
-        let cfg = find(&families::cfg_unison());
-        let mono = find(&families::mono_reset());
+        let sdr = &find(&families::unison_sdr()).out;
+        let cfg = &find(&families::cfg_unison()).out;
+        let mono = &find(&families::mono_reset()).out;
         pass &= sdr.reached && cfg.reached && mono.reached;
         kpi.rounds = kpi.rounds.max(sdr.rounds);
         kpi.moves = kpi.moves.max(sdr.moves);

@@ -370,23 +370,21 @@ pub trait FamilyProbe {
 /// Bridges an optional erased [`FamilyProbe`] onto the typed
 /// [`Observer`] hooks — the adapter the generic [`Family::run`] of
 /// every [`TypedFamily`] attaches to the measured execution.
-struct ProbeBridge<'p> {
-    probe: Option<&'p mut dyn FamilyProbe>,
-    steps: u64,
-}
+struct ProbeBridge<'p>(Option<&'p mut dyn FamilyProbe>);
 
 impl<A: Algorithm> Observer<A> for ProbeBridge<'_> {
-    fn on_step(&mut self, _sim: &Simulator<'_, A>, outcome: &crate::StepOutcome) {
-        if let Some(probe) = self.probe.as_deref_mut() {
+    fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &crate::StepOutcome) {
+        if let Some(probe) = self.0.as_deref_mut() {
             if let crate::StepOutcome::Progress { activated } = outcome {
-                self.steps += 1;
-                probe.on_step(self.steps, *activated);
+                // `TypedFamily::start` zeroes the counters: they count
+                // the measured run.
+                probe.on_step(sim.stats().steps, *activated);
             }
         }
     }
 
     fn on_run_end(&mut self, _sim: &Simulator<'_, A>, outcome: &RunOutcome) {
-        if let Some(probe) = self.probe.as_deref_mut() {
+        if let Some(probe) = self.0.as_deref_mut() {
             probe.on_run_end(outcome);
         }
     }
@@ -743,8 +741,8 @@ impl<F: TypedFamily> Family for F {
         let mut sim = self.start(graph, instance(self, graph), init, daemon, seeds);
         // The probe's trace sink records the measured run alone, after
         // any warm-up phase of `start`.
-        let mut bridge = ProbeBridge { probe, steps: 0 };
-        if let Some(sink) = bridge.probe.as_mut().and_then(|p| p.make_trace_sink()) {
+        let mut bridge = ProbeBridge(probe);
+        if let Some(sink) = bridge.0.as_mut().and_then(|p| p.make_trace_sink()) {
             sim.set_trace_sink(sink);
         }
         let out = F::TARGET.run(
@@ -753,7 +751,7 @@ impl<F: TypedFamily> Family for F {
                 .intra_threads(budget.intra_threads)
                 .observe(&mut bridge),
         );
-        if let (Some(sink), Some(probe)) = (sim.take_trace_sink(), bridge.probe.as_deref_mut()) {
+        if let (Some(sink), Some(probe)) = (sim.take_trace_sink(), bridge.0.as_deref_mut()) {
             probe.collect_trace_sink(sink);
         }
         let bounds = self.paper_bounds(graph);
@@ -1199,8 +1197,8 @@ mod tests {
     }
 
     /// A minimal test family: flood over `bool` states, from node 0,
-    /// under the given id.
-    struct FloodFamily(&'static str);
+    /// under the given id and bounds.
+    struct FloodFamily(&'static str, Bounds);
 
     fn flood_from_0(graph: &Graph) -> Vec<bool> {
         let mut init = vec![false; graph.node_count()];
@@ -1214,6 +1212,10 @@ mod tests {
 
         fn family_id(&self) -> &str {
             self.0
+        }
+
+        fn paper_bounds(&self, _: &Graph) -> Bounds {
+            self.1
         }
 
         fn build(&self, _: &Graph) -> Option<Self::Algo> {
@@ -1239,13 +1241,13 @@ mod tests {
     #[test]
     fn registry_resolves_instances_and_parametrics() {
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily("flood")));
+        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE)));
         reg.register_parametric(
             "flood-k",
             vec!["flood-k(2)".into()],
             Box::new(|params| {
                 params.and_then(|p| p.parse::<u32>().ok())?;
-                Some(Arc::new(FloodFamily("flood")) as Arc<dyn Family>)
+                Some(Arc::new(FloodFamily("flood", Bounds::NONE)) as Arc<dyn Family>)
             }),
         );
         assert!(reg.resolve_label("flood").is_some());
@@ -1262,15 +1264,15 @@ mod tests {
     fn registry_resolves_full_label_instances() {
         // An instance whose id itself contains parens still resolves.
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily("weird(7)")));
+        reg.register(Arc::new(FloodFamily("weird(7)", Bounds::NONE)));
         assert!(reg.resolve_label("weird(7)").is_some());
     }
 
     #[test]
     fn re_registration_replaces_in_place() {
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily("flood")));
-        reg.register(Arc::new(FloodFamily("flood")));
+        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE)));
+        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE)));
         assert_eq!(reg.keys().count(), 1);
     }
 
@@ -1286,23 +1288,31 @@ mod tests {
             }
         }
         let g = generators::path(4);
+        let seeds = RunSeeds {
+            init: 0,
+            sim: 0,
+            fault: 0,
+        };
+        let budget = ExecBudget::steps(1_000).with_intra_threads(2);
+        let (init, daemon) = (InitPlan::Normal, Daemon::Synchronous);
         let mut probe = Count(0, false);
-        let out = FloodFamily("flood").run(
-            &g,
-            &InitPlan::Normal,
-            &Daemon::Synchronous,
-            RunSeeds {
-                init: 0,
-                sim: 0,
-                fault: 0,
-            },
-            ExecBudget::steps(1_000).with_intra_threads(2),
-            Some(&mut probe),
-        );
+        let flood = FloodFamily("flood", Bounds::NONE);
+        let out = flood.run(&g, &init, &daemon, seeds, budget, Some(&mut probe));
         assert!(out.terminal && out.reached);
         assert_eq!(out.moves, 3);
         assert_eq!(probe.0, 3, "probe saw every step");
         assert!(probe.1, "probe saw the run end");
+        // The one verdict rule: the target within every stated bound.
+        for (rounds, moves, verdict) in [
+            (None, None, Verdict::NoBound),
+            (Some(3), Some(3), Verdict::Pass),
+            (Some(2), None, Verdict::Fail),
+            (None, Some(2), Verdict::Fail),
+        ] {
+            let flood = FloodFamily("flood", Bounds { rounds, moves });
+            let out = flood.run(&g, &init, &daemon, seeds, budget, None);
+            assert_eq!(out.verdict, verdict, "{rounds:?} {moves:?}");
+        }
     }
 
     #[test]

@@ -67,6 +67,27 @@ pub fn corrupt_random<A: Algorithm>(
     ids
 }
 
+/// The fault of the `CorruptClocks { k }` init plan: [`corrupt_random`]
+/// on `k` processes (at most all of them) with an RNG seeded with
+/// `fault_seed`, then [`Simulator::reset_stats`], so the run that
+/// follows measures recovery alone. Equal seeds pick equal victims on
+/// every algorithm, so families share one fault pattern.
+pub fn corrupt_and_reset<A: Algorithm>(
+    sim: &mut Simulator<'_, A>,
+    k: u64,
+    fault_seed: u64,
+    corrupt: impl FnMut(NodeId, &mut Xoshiro256StarStar) -> A::State,
+) {
+    let k = k.min(sim.graph().node_count() as u64) as usize;
+    corrupt_random(
+        sim,
+        k,
+        &mut Xoshiro256StarStar::seed_from_u64(fault_seed),
+        corrupt,
+    );
+    sim.reset_stats();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@ use ssr_graph::Graph;
 use ssr_runtime::family::{
     explore_sample_seeds, AlgorithmSpec, Bounds, InitPlan, RunSeeds, TypedFamily,
 };
-use ssr_runtime::rng::Xoshiro256StarStar;
+use ssr_runtime::faults::corrupt_and_reset;
 use ssr_runtime::{Algorithm, Daemon, Simulator};
 
 use crate::spec;
@@ -80,8 +80,7 @@ impl TypedFamily for UnisonSdrFamily {
         };
         let mut sim = Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim);
         if let InitPlan::CorruptClocks { k } = init {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
-            warm_up_and_corrupt_clocks(&mut sim, k.resolve(nn), period, &mut rng);
+            warm_up_and_corrupt_clocks(&mut sim, k.resolve(nn), period, seeds.fault);
         }
         sim
     }
@@ -168,14 +167,7 @@ impl TypedFamily for UnisonFamily {
         };
         let mut sim = Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim);
         if let InitPlan::CorruptClocks { k } = init {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
-            ssr_runtime::faults::corrupt_random(
-                &mut sim,
-                k.resolve(nn).min(nn) as usize,
-                &mut rng,
-                |_, r| r.below(period),
-            );
-            sim.reset_stats();
+            corrupt_and_reset(&mut sim, k.resolve(nn), seeds.fault, |_, r| r.below(period));
         }
         sim
     }

@@ -4,7 +4,7 @@
 
 use ssr_core::{Composed, SdrState, Status};
 use ssr_graph::Graph;
-use ssr_runtime::rng::Xoshiro256StarStar;
+use ssr_runtime::faults::corrupt_and_reset;
 use ssr_runtime::Simulator;
 
 use crate::unison::UnisonSdr;
@@ -40,28 +40,24 @@ pub fn unison_tear_plain(graph: &Graph, period: u64, gap: u64) -> Vec<u64> {
 /// E11-style clock corruption: run the legitimate system for `10n`
 /// steps, then overwrite the clocks of `k` distinct random processes
 /// (reset variables stay clean) and zero the counters so the run
-/// measures recovery in isolation.
+/// measures recovery in isolation. Victims and clocks are drawn as by
+/// [`corrupt_and_reset`] with `fault_seed`.
 pub fn warm_up_and_corrupt_clocks(
     sim: &mut Simulator<'_, UnisonSdr>,
     k: u64,
     period: u64,
-    rng: &mut Xoshiro256StarStar,
+    fault_seed: u64,
 ) {
-    let n = sim.graph().node_count();
-    sim.execution().cap(10 * n as u64).run();
-    let k = (k as usize).min(n);
+    let n = sim.graph().node_count() as u64;
+    sim.execution().cap(10 * n).run();
     // Clock-only corruption: keep each victim's reset variables,
-    // overwrite its inner clock. Victim selection is shared with
-    // callers that need the same fault pattern across systems — any
-    // `corrupt_random` call on an equally-seeded RNG picks the same
-    // victims.
+    // overwrite its inner clock.
     let snapshot = sim.states().to_vec();
-    ssr_runtime::faults::corrupt_random(sim, k, rng, |u, r| {
+    corrupt_and_reset(sim, k, fault_seed, |u, r| {
         let mut s = snapshot[u.index()];
         s.inner = r.below(period);
         s
     });
-    sim.reset_stats();
 }
 
 #[cfg(test)]
