@@ -4,11 +4,9 @@
 //! preset, registrable in any
 //! [`FamilyRegistry`](ssr_runtime::family::FamilyRegistry).
 //!
-//! Both are [`TypedFamily`]s with the [`Target::Terminal`] target: a
-//! run goes to termination, and the verdict adds the alliance soundness
-//! of the final configuration to the bounds. The runtime's blanket
-//! impls derive the measured run, the explorer hook (`fga-sdr` only)
-//! and the analysis hook.
+//! Both are [`TypedFamily`]s that run to termination
+//! ([`Target::Terminal`]) and add the alliance soundness of the final
+//! configuration to the verdict; only `fga-sdr` explores.
 
 use ssr_core::{validate, Standalone};
 use ssr_graph::Graph;

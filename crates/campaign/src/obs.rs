@@ -38,10 +38,8 @@ pub fn trace_path(dir: &Path, index: usize) -> PathBuf {
 
 /// The per-scenario [`FamilyProbe`]: opens a [`CompositeSink`] for the
 /// family's measured execution and folds what comes back into the
-/// worker-local metrics.
-///
-/// Custom runners that call `Family::run` themselves attach the same
-/// channels by passing one (see the experiment harness's E11).
+/// worker-local metrics; custom runners that call `Family::run`
+/// themselves pass one too.
 pub struct ObsProbe<'m> {
     worker_metrics: Option<&'m mut MetricsSet>,
     trace_path: Option<PathBuf>,

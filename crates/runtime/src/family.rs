@@ -312,11 +312,10 @@ pub struct FamilyRunOutcome {
     pub moves: u64,
     /// Rounds until the target was hit.
     pub rounds: u64,
-    /// Worst per-process move count, as the family measures it
-    /// ([`TypedFamily::moves_per_process`]): SDR-rule moves (Cor. 4's
-    /// measure) for `composed()` families and `unison-sdr`, all rules
-    /// otherwise — `fga-sdr` included, whose Thm 12 bound is on total
-    /// moves.
+    /// Worst per-process move count ([`TypedFamily::moves_per_process`]):
+    /// SDR-rule moves (Cor. 4's measure) for `composed()` families and
+    /// `unison-sdr`; all rules otherwise, `fga-sdr` included (its Thm 12
+    /// bound is on total moves).
     pub max_moves_per_process: u64,
     /// Closed-form round bound, when the family has one.
     pub bound_rounds: Option<u64>,
@@ -351,9 +350,8 @@ pub trait FamilyProbe {
     }
 
     /// A [`TraceSink`](crate::trace::TraceSink) for the *measured*
-    /// execution, installed after the family's warm-up phase, if any
-    /// ([`TypedFamily::start`]). Default `None`: no tracing through the
-    /// family boundary.
+    /// execution, installed after any warm-up phase. Default `None`: no
+    /// tracing through the family boundary.
     fn make_trace_sink(&mut self) -> Option<Box<dyn crate::trace::TraceSink>> {
         None
     }
@@ -786,7 +784,13 @@ impl<F: TypedFamily> Family for F {
     }
 
     fn explore(&self) -> Option<&dyn ExploreFamily> {
-        F::EXPLORES.then_some(self as &dyn ExploreFamily)
+        // A branch on a constant: a family that does not explore never
+        // instantiates the explorer.
+        if F::EXPLORES {
+            Some(self)
+        } else {
+            None
+        }
     }
 
     fn analysis(&self) -> Option<&dyn AnalyzeFamily> {

@@ -3,11 +3,9 @@
 //! `unison`), registrable in any
 //! [`FamilyRegistry`](ssr_runtime::family::FamilyRegistry).
 //!
-//! Each is a [`TypedFamily`]: it supplies its algorithm, the starting
-//! simulator of each init plan, its bounds, seed set and requirements
-//! check, and the runtime's blanket impls derive the measured run, the
-//! explorer hook and the analysis hook from them. `UnisonSdrFamily` is
-//! the template for a new family.
+//! Each is a [`TypedFamily`]; the runtime's blanket impls derive the
+//! measured run, the explorer hook and the analysis hook from it.
+//! `UnisonSdrFamily` is the template for a new family.
 
 use ssr_core::family::max_sdr_moves_per_process;
 use ssr_core::{validate, Standalone};
