@@ -84,16 +84,11 @@ fn far_sight_seeds(graph: &Graph) -> Vec<Vec<bool>> {
     seeds
 }
 
-/// A simulator flooding from node 0.
-fn flood_from_0<'g, A: Algorithm<State = bool>>(
-    graph: &'g Graph,
-    algo: A,
-    daemon: &Daemon,
-    seeds: RunSeeds,
-) -> Simulator<'g, A> {
+/// The flood's start: node 0 infected.
+fn infected_0(graph: &Graph) -> Vec<bool> {
     let mut init = vec![false; graph.node_count()];
     init[0] = true;
-    Simulator::new(graph, algo, init, daemon.clone(), seeds.sim)
+    init
 }
 
 impl TypedFamily for FarSightFamily {
@@ -116,7 +111,7 @@ impl TypedFamily for FarSightFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
     ) -> Simulator<'g, FarSight> {
-        flood_from_0(graph, algo, daemon, seeds)
+        Simulator::new(graph, algo, infected_0(graph), daemon.clone(), seeds.sim)
     }
 
     fn seed_set(&self, graph: &Graph, _: &FarSight, _: u64, _: usize) -> Vec<Vec<bool>> {
@@ -192,7 +187,7 @@ impl TypedFamily for FarLegitFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
     ) -> Simulator<'g, FarLegit> {
-        flood_from_0(graph, algo, daemon, seeds)
+        Simulator::new(graph, algo, infected_0(graph), daemon.clone(), seeds.sim)
     }
 
     fn seed_set(&self, graph: &Graph, _: &FarLegit, _: u64, _: usize) -> Vec<Vec<bool>> {

@@ -1201,8 +1201,8 @@ mod tests {
     }
 
     /// A minimal test family: flood over `bool` states, from node 0,
-    /// under the given id and bounds.
-    struct FloodFamily(&'static str, Bounds);
+    /// under the given id, bounds and extra verdict check.
+    struct FloodFamily(&'static str, Bounds, bool);
 
     fn flood_from_0(graph: &Graph) -> Vec<bool> {
         let mut init = vec![false; graph.node_count()];
@@ -1220,6 +1220,10 @@ mod tests {
 
         fn paper_bounds(&self, _: &Graph) -> Bounds {
             self.1
+        }
+
+        fn verdict_check(&self, _: &Simulator<'_, Self::Algo>) -> bool {
+            self.2
         }
 
         fn build(&self, _: &Graph) -> Option<Self::Algo> {
@@ -1245,13 +1249,13 @@ mod tests {
     #[test]
     fn registry_resolves_instances_and_parametrics() {
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE)));
+        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE, true)));
         reg.register_parametric(
             "flood-k",
             vec!["flood-k(2)".into()],
             Box::new(|params| {
                 params.and_then(|p| p.parse::<u32>().ok())?;
-                Some(Arc::new(FloodFamily("flood", Bounds::NONE)) as Arc<dyn Family>)
+                Some(Arc::new(FloodFamily("flood", Bounds::NONE, true)) as Arc<dyn Family>)
             }),
         );
         assert!(reg.resolve_label("flood").is_some());
@@ -1268,15 +1272,15 @@ mod tests {
     fn registry_resolves_full_label_instances() {
         // An instance whose id itself contains parens still resolves.
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily("weird(7)", Bounds::NONE)));
+        reg.register(Arc::new(FloodFamily("weird(7)", Bounds::NONE, true)));
         assert!(reg.resolve_label("weird(7)").is_some());
     }
 
     #[test]
     fn re_registration_replaces_in_place() {
         let mut reg = FamilyRegistry::new();
-        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE)));
-        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE)));
+        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE, true)));
+        reg.register(Arc::new(FloodFamily("flood", Bounds::NONE, true)));
         assert_eq!(reg.keys().count(), 1);
     }
 
@@ -1300,22 +1304,24 @@ mod tests {
         let budget = ExecBudget::steps(1_000).with_intra_threads(2);
         let (init, daemon) = (InitPlan::Normal, Daemon::Synchronous);
         let mut probe = Count(0, false);
-        let flood = FloodFamily("flood", Bounds::NONE);
+        let flood = FloodFamily("flood", Bounds::NONE, true);
         let out = flood.run(&g, &init, &daemon, seeds, budget, Some(&mut probe));
         assert!(out.terminal && out.reached);
         assert_eq!(out.moves, 3);
         assert_eq!(probe.0, 3, "probe saw every step");
         assert!(probe.1, "probe saw the run end");
-        // The one verdict rule: the target within every stated bound.
-        for (rounds, moves, verdict) in [
-            (None, None, Verdict::NoBound),
-            (Some(3), Some(3), Verdict::Pass),
-            (Some(2), None, Verdict::Fail),
-            (None, Some(2), Verdict::Fail),
+        // The one verdict rule: the target within every stated bound,
+        // and the family's own check.
+        for (rounds, moves, check, verdict) in [
+            (None, None, false, Verdict::NoBound),
+            (Some(3), Some(3), true, Verdict::Pass),
+            (Some(3), Some(3), false, Verdict::Fail),
+            (Some(2), None, true, Verdict::Fail),
+            (None, Some(2), true, Verdict::Fail),
         ] {
-            let flood = FloodFamily("flood", Bounds { rounds, moves });
+            let flood = FloodFamily("flood", Bounds { rounds, moves }, check);
             let out = flood.run(&g, &init, &daemon, seeds, budget, None);
-            assert_eq!(out.verdict, verdict, "{rounds:?} {moves:?}");
+            assert_eq!(out.verdict, verdict, "{rounds:?} {moves:?} {check}");
         }
     }
 
