@@ -7,11 +7,12 @@
 //! channels the context enables; custom runners that drive a
 //! [`Simulator`] directly attach the same trace and metrics channels
 //! with [`ExpCtx::attach`] / [`ExpCtx::collect`], and those that call
-//! `Family::run` pass the probe [`ExpCtx::probed`] lends them. The context is shared
-//! (`&ExpCtx`) across concurrently-running scenario closures, so the
-//! metrics aggregate merges under a mutex once per campaign or measured
-//! run, never per step. With no channel enabled every method degrades
-//! to the bare sweep — experiments pay nothing for the seam.
+//! `Family::run` pass the probe [`ExpCtx::probed`] lends them. The
+//! context is shared (`&ExpCtx`) across concurrently-running scenario
+//! closures, so the metrics aggregate merges under a mutex once per
+//! campaign or measured run, never per step. With no channel enabled
+//! every method degrades to the bare sweep — experiments pay nothing
+//! for the seam.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
