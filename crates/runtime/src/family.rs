@@ -636,7 +636,8 @@ pub trait TypedFamily: Send + Sync {
     /// Whether `ssr-explore` sweeps the family ([`Family::explore`]).
     const EXPLORES: bool = false;
 
-    /// The stable identifier ([`Family::id`]).
+    /// The stable identifier ([`Family::id`]; the methods here are
+    /// named apart from `Family`'s so both traits can be in scope).
     fn family_id(&self) -> &str;
 
     /// The algorithm on `graph`, or `None` when the family cannot be
