@@ -4,8 +4,8 @@
 //! Three variants of the identical workload (standalone FGA domination
 //! on a fixed random graph, driven to termination):
 //!
-//! * **bare** — no trace sink installed; the per-step emit macro short
-//!   circuits on `self.trace.is_none()`.
+//! * **bare** — no trace sink installed; the step runs its untraced
+//!   instantiation, which contains no emit.
 //! * **no-op sink** — [`NoTrace`] installed, so every event is built
 //!   and immediately discarded; measures the event-construction cost.
 //! * **metrics sink** — [`PipelineMetrics::without_timing`], the

@@ -71,14 +71,18 @@ fn narrow_sdr(g: &Graph) -> Simulator<'_, UnisonSdr> {
 }
 
 /// Runs a narrow case's budget; returns the simulator and the number
-/// of guard evaluations (refreshed nodes) it made.
+/// of guard evaluations it made: 1 + deg(u) per move, the size of
+/// N[u]. That is exact here, because a central step has one move and
+/// its refresh set is the mover's closed neighbourhood.
 fn narrow_run<A: Algorithm>(mut sim: Simulator<'_, A>) -> (Simulator<'_, A>, u64) {
     let mut evals = 0u64;
     for _ in 0..NARROW_STEPS {
         if let StepOutcome::Terminal = sim.step() {
             break;
         }
-        evals += sim.last_refreshed().len() as u64;
+        for &(u, _) in sim.last_activated() {
+            evals += 1 + sim.graph().degree(u) as u64;
+        }
     }
     (sim, evals)
 }

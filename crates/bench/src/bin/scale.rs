@@ -26,11 +26,16 @@
 //! match the sequential run exactly — the process exits nonzero on
 //! any divergence or non-convergence.
 //!
-//! Each measured run carries a timed `PipelineMetrics` trace sink, so
-//! `BENCH_SCALE.json` (schema `bench-scale-v3`) reports where the wall
-//! time went per phase (`select`/`apply`/`guards` nanos) and how often
-//! the parallel kernels engaged. `--trace DIR` is intended for
-//! `--smoke`-sized runs — a full 10⁶-node sweep traces gigabytes.
+//! The wall clock (`seconds`, `steps_per_sec`, `moves_per_sec`) times
+//! an untraced run. A second run of the same cell carries a timed
+//! `PipelineMetrics` trace sink, which costs more than a wide step
+//! itself; from it `BENCH_SCALE.json` (schema `bench-scale-v3`) reports
+//! where the time went per phase (`select`/`apply`/`guards` nanos) and
+//! how often the parallel kernels engaged, and `--trace DIR` writes its
+//! events. The process also exits nonzero unless the two runs end in
+//! the same configuration and the same `RunStats`. `--trace DIR` is
+//! intended for `--smoke`-sized runs — a full 10⁶-node sweep traces
+//! gigabytes.
 
 use std::path::Path;
 use std::time::Instant;
@@ -41,26 +46,39 @@ use ssr_graph::{generators, Graph};
 use ssr_obs::metrics::MetricsSet;
 use ssr_obs::pipeline::CompositeSink;
 use ssr_obs::progress::{Progress, StderrProgress};
-use ssr_runtime::{Daemon, Simulator, StepOutcome};
+use ssr_runtime::{Daemon, RunStats, Simulator, StepOutcome, TraceSink};
 
-/// One measured run.
+/// One measured cell.
 struct RunResult {
     topology: &'static str,
     n: usize,
     threads: usize,
-    steps: u64,
-    moves: u64,
-    rounds: u64,
+    /// Counters and wall time of the untraced run.
+    stats: RunStats,
     seconds: f64,
     converged: bool,
-    /// Per-phase wall time of the measured run, from the pipeline's
-    /// timed trace events.
-    phase_select_nanos: u64,
-    phase_apply_nanos: u64,
-    phase_guards_nanos: u64,
-    /// Steps on which the parallel apply/guards kernels engaged.
-    apply_par_steps: u64,
-    guards_par_steps: u64,
+    /// The traced rerun's metrics: per-phase wall time and the steps on
+    /// which the parallel kernels engaged.
+    metrics: MetricsSet,
+}
+
+impl RunResult {
+    /// Nanos the traced rerun spent in `phase` (select, apply, guards).
+    fn phase_nanos(&self, phase: &str) -> u64 {
+        let key = format!("phase.{phase}.nanos");
+        self.metrics.histogram(&key).map_or(0, |h| h.sum())
+    }
+
+    /// Steps on which the parallel `kernel` (apply, guards) engaged.
+    fn par_steps(&self, kernel: &str) -> u64 {
+        let key = format!("kernel.{kernel}.par_steps");
+        self.metrics.counter_value(&key).unwrap_or(0)
+    }
+
+    /// `count` per second of the untraced run.
+    fn per_sec(&self, count: u64) -> f64 {
+        count as f64 / self.seconds.max(1e-9)
+    }
 }
 
 fn build(topology: &str, n: usize) -> Graph {
@@ -76,41 +94,48 @@ fn build(topology: &str, n: usize) -> Graph {
 
 type SdrAgreementState = ssr_core::Composed<u32>;
 
-fn histogram_sum(m: &MetricsSet, key: &str) -> u64 {
-    m.histogram(key).map(|h| h.sum()).unwrap_or(0)
+/// Runs the composition to termination (or the Cor. 5 step bound under
+/// the synchronous daemon) with `sink` installed, if any; returns the
+/// wall time in seconds, whether it converged, and the simulator.
+fn run_once(
+    g: &Graph,
+    threads: usize,
+    sink: Option<Box<dyn TraceSink>>,
+) -> (f64, bool, Simulator<'_, Sdr<Agreement>>) {
+    let algo = Sdr::new(Agreement::new(8));
+    let init = algo.arbitrary_config(g, 0x5CA1E);
+    let mut sim = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
+    sim.set_intra_threads(threads);
+    if let Some(sink) = sink {
+        sim.set_trace_sink(sink);
+    }
+    // Synchronous steps are rounds, so Cor. 5 bounds convergence.
+    let cap = 3 * g.node_count() as u64 + 16;
+    let started = Instant::now();
+    let converged = (0..cap).any(|_| sim.step() == StepOutcome::Terminal);
+    (started.elapsed().as_secs_f64(), converged, sim)
 }
 
-/// Runs the composition to termination (or the Cor. 5 step bound under
-/// the synchronous daemon) and reports throughput, the per-phase
-/// metrics and the final configuration.
+/// Times an untraced run of the cell, then reruns it with the timed
+/// metrics sink (and optionally a JSONL event trace) for the phase
+/// breakdown. Returns the result, the untraced run's final
+/// configuration, and whether the rerun ended in the same
+/// configuration and `RunStats`.
 fn run_cell(
     g: &Graph,
     topology: &'static str,
     n: usize,
     threads: usize,
     trace_dir: Option<&str>,
-) -> (RunResult, Vec<SdrAgreementState>, MetricsSet) {
-    let algo = Sdr::new(Agreement::new(8));
-    let init = algo.arbitrary_config(g, 0x5CA1E);
-    let mut sim = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
-    sim.set_intra_threads(threads);
-    // Phase-timed metrics on the measured run, and optionally a JSONL
-    // event trace.
+) -> (RunResult, Vec<SdrAgreementState>, bool) {
+    let (seconds, converged, sim) = run_once(g, threads, None);
+    let (stats, fingerprint) = (sim.stats().clone(), sim.states().to_vec());
+    drop(sim);
     let trace = trace_dir.map(|dir| format!("{dir}/trace-{topology}-{n}-t{threads}.jsonl"));
     let sink = CompositeSink::open(Some(true), trace.as_deref().map(Path::new));
-    sim.set_trace_sink(sink.expect("the metrics channel is on"));
-    // Synchronous steps are rounds, so Cor. 5 bounds convergence.
-    let cap = 3 * g.node_count() as u64 + 16;
-    let started = Instant::now();
-    let mut converged = false;
-    for _ in 0..cap {
-        if let StepOutcome::Terminal = sim.step() {
-            converged = true;
-            break;
-        }
-    }
-    let seconds = started.elapsed().as_secs_f64();
-    let cell_metrics = sim
+    let (_, _, mut traced) = run_once(g, threads, sink);
+    let agree = traced.stats() == &stats && traced.states() == fingerprint;
+    let metrics = traced
         .take_trace_sink()
         .and_then(CompositeSink::drain)
         .unwrap_or_default();
@@ -118,25 +143,12 @@ fn run_cell(
         topology,
         n,
         threads,
-        steps: sim.stats().steps,
-        moves: sim.stats().moves,
-        rounds: sim.stats().completed_rounds,
+        stats,
         seconds,
         converged,
-        phase_select_nanos: histogram_sum(&cell_metrics, "phase.select.nanos"),
-        phase_apply_nanos: histogram_sum(&cell_metrics, "phase.apply.nanos"),
-        phase_guards_nanos: histogram_sum(&cell_metrics, "phase.guards.nanos"),
-        apply_par_steps: cell_metrics
-            .counter_value("kernel.apply.par_steps")
-            .unwrap_or(0),
-        guards_par_steps: cell_metrics
-            .counter_value("kernel.guards.par_steps")
-            .unwrap_or(0),
+        metrics,
     };
-    // The full final configuration, compared exactly across thread
-    // counts.
-    let fingerprint = sim.states().to_vec();
-    (result, fingerprint, cell_metrics)
+    (result, fingerprint, agree)
 }
 
 fn json_escape_free(r: &RunResult) -> String {
@@ -149,18 +161,18 @@ fn json_escape_free(r: &RunResult) -> String {
         r.topology,
         r.n,
         r.threads,
-        r.steps,
-        r.moves,
-        r.rounds,
+        r.stats.steps,
+        r.stats.moves,
+        r.stats.completed_rounds,
         r.seconds,
-        r.steps as f64 / r.seconds.max(1e-9),
-        r.moves as f64 / r.seconds.max(1e-9),
+        r.per_sec(r.stats.steps),
+        r.per_sec(r.stats.moves),
         r.converged,
-        r.phase_select_nanos,
-        r.phase_apply_nanos,
-        r.phase_guards_nanos,
-        r.apply_par_steps,
-        r.guards_par_steps,
+        r.phase_nanos("select"),
+        r.phase_nanos("apply"),
+        r.phase_nanos("guards"),
+        r.par_steps("apply"),
+        r.par_steps("guards"),
     )
 }
 
@@ -216,43 +228,40 @@ fn main() {
             if let Some(p) = progress.as_mut() {
                 p.item_started(0, item, &label);
             }
-            let (r, fingerprint, cell_metrics) =
-                run_cell(&g, topology, n, threads, trace_dir.as_deref());
+            let (r, fingerprint, agree) = run_cell(&g, topology, n, threads, trace_dir.as_deref());
             println!(
                 "{:>6} n={:<9} threads={} steps={:<8} {:>10.0} steps/s {:>10.0} moves/s converged={} phase s/a/g = {:.2}/{:.2}/{:.2}s",
                 topology,
                 n,
                 threads,
-                r.steps,
-                r.steps as f64 / r.seconds.max(1e-9),
-                r.moves as f64 / r.seconds.max(1e-9),
+                r.stats.steps,
+                r.per_sec(r.stats.steps),
+                r.per_sec(r.stats.moves),
                 r.converged,
-                r.phase_select_nanos as f64 / 1e9,
-                r.phase_apply_nanos as f64 / 1e9,
-                r.phase_guards_nanos as f64 / 1e9,
+                r.phase_nanos("select") as f64 / 1e9,
+                r.phase_nanos("apply") as f64 / 1e9,
+                r.phase_nanos("guards") as f64 / 1e9,
             );
-            let mut ok = true;
+            let mut problems = Vec::new();
             if !r.converged {
-                eprintln!("FAIL: {topology} n={n} threads={threads} did not converge");
-                failures += 1;
-                ok = false;
+                problems.push("did not converge");
+            }
+            if !agree {
+                problems.push("ended elsewhere when traced");
             }
             match &baseline {
                 None => baseline = Some(fingerprint),
-                Some(base) => {
-                    if *base != fingerprint {
-                        eprintln!(
-                            "FAIL: {topology} n={n} threads={threads} diverged from sequential"
-                        );
-                        failures += 1;
-                        ok = false;
-                    }
-                }
+                Some(base) if *base != fingerprint => problems.push("diverged from sequential"),
+                Some(_) => {}
             }
-            merged.merge(&cell_metrics);
+            for problem in &problems {
+                eprintln!("FAIL: {topology} n={n} threads={threads} {problem}");
+            }
+            failures += problems.len();
+            merged.merge(&r.metrics);
             lines.push(json_escape_free(&r));
             if let Some(p) = progress.as_mut() {
-                p.item_done(item, &label, ok);
+                p.item_done(item, &label, problems.is_empty());
             }
             item += 1;
         }

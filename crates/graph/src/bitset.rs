@@ -1,8 +1,8 @@
 //! A plain fixed-size bitset over `u64` words.
 //!
-//! The step pipeline in `ssr-runtime` keeps several per-node boolean
-//! facts (round front membership, enabledness) for graphs up to
-//! millions of nodes; `Vec<bool>` spends a byte per node and defeats
+//! The step pipeline in `ssr-runtime` keeps the round front (one
+//! boolean per node) for graphs up to millions of nodes and clears it
+//! at every round; `Vec<bool>` spends a byte per node and defeats
 //! word-at-a-time clearing. This bitset is the struct-of-arrays
 //! counterpart: one bit per node, `len/64` words, `O(n/64)` bulk
 //! clear.
@@ -82,6 +82,18 @@ impl Bitset {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
+    /// Removes `i` and returns whether it was in the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn take(&mut self, i: usize) -> bool {
+        let had = self.contains(i);
+        self.remove(i);
+        had
+    }
+
     /// Removes every key (`O(len/64)`).
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -135,7 +147,9 @@ mod tests {
         b.remove(64);
         assert!(!b.contains(64));
         assert_eq!(b.count(), 4);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 63, 65, 129]);
+        assert!(b.take(63) && !b.take(63) && !b.contains(63));
+        assert_eq!(b.count(), 3);
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 65, 129]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`metrics`] — exact graph metrics (diameter, eccentricities,
 //!   degree statistics) computed by BFS;
 //! * [`Bitset`] — the word-packed per-node flag set the step pipeline
-//!   in `ssr-runtime` keeps its enabled set and round front in.
+//!   in `ssr-runtime` keeps its round front in.
 //!
 //! # Examples
 //!

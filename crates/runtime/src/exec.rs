@@ -308,7 +308,7 @@ where
 ///
 /// The term reads the closed neighbourhood `N[u]` only, like a guard
 /// (§2.2), so a step can change it only at the nodes of its refresh set
-/// ([`Simulator::last_refreshed`]). The guard phase evaluates each of
+/// (the movers and their neighbours). The guard phase evaluates each of
 /// those nodes' masks and terms in one scan and keeps the number of
 /// failing nodes ([`Simulator::illegitimate_count`]); `Simulator::new`
 /// and [`Simulator::inject`] keep it too. So this condition is one

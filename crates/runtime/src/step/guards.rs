@@ -4,23 +4,24 @@
 //! exactly the movers and their neighbors can change enabledness or
 //! their legitimacy term. The refresh set is walked in the canonical
 //! order (each mover, then its neighbors in adjacency order, first
-//! touch wins), and each of its nodes is evaluated and recorded once:
-//! [`Algorithm::guard`] returns the node's mask and legitimacy term
-//! from one scan of `N[u]`, and [`EnabledSet::update`] installs both
-//! into every structure that depends on them. [`refresh_one`] is the
-//! one sequential kernel (evaluate, then update). On a sequential
-//! step, one walk does it all: each node is passed to it on its first
-//! touch. On a parallel step, the walk only collects the list; then
-//! [`refresh_par`] evaluates the whole list on the kernel (guards
-//! depend only on the already-committed states, never on other
-//! guards, so evaluation is order-free) and records them in list
-//! order. Both record the nodes in the same order, which keeps the
-//! enabled-set index byte-identical to the pre-pipeline engine.
+//! touch wins; [`RefreshWalk`]), and each of its nodes is evaluated
+//! and recorded once: [`Algorithm::guard`](crate::Algorithm::guard)
+//! returns the node's mask and legitimacy term from one scan of
+//! `N[u]`, and [`EnabledSet::update`] installs both into every
+//! structure that depends on them. On a sequential step, one walk
+//! does it all: each node is evaluated and recorded on its first
+//! touch. A single move's refresh set is `N[u]` itself, which holds no
+//! node twice in a simple graph, so that walk needs no first-touch
+//! stamps. On a parallel step, the walk only collects the list; then
+//! the kernel evaluates the whole list (guards depend only on the
+//! already-committed states, never on other guards, so evaluation is
+//! order-free) and the guards are recorded in list order. Both record
+//! the nodes in the same order, which keeps the enabled-set index
+//! byte-identical to the pre-pipeline engine.
 
 use ssr_graph::{Bitset, Graph, NodeId};
 
-use crate::algorithm::{Algorithm, ConfigView, Guard, RuleId, RuleMask};
-use crate::step::par::ParHooks;
+use crate::algorithm::{Guard, RuleId, RuleMask};
 
 const NOT_ENABLED: u32 = u32::MAX;
 
@@ -37,8 +38,6 @@ pub(crate) struct EnabledSet {
     /// Enabled nodes as an indexed set (swap-remove list + position map).
     list: Vec<NodeId>,
     pos: Vec<u32>,
-    /// Enabled nodes as a bitset (mirror of `pos != NOT_ENABLED`).
-    bits: Bitset,
     /// Steps each process has been continuously enabled (for `Aging`;
     /// empty unless `track_waits`).
     waits: Vec<u32>,
@@ -61,7 +60,6 @@ impl EnabledSet {
             legit,
             list: Vec::with_capacity(n),
             pos: vec![NOT_ENABLED; n],
-            bits: Bitset::new(n),
             waits: if track_waits { vec![0; n] } else { Vec::new() },
             track_waits,
             front: Bitset::new(n),
@@ -71,7 +69,6 @@ impl EnabledSet {
             if !mask.is_empty() {
                 set.pos[i] = set.list.len() as u32;
                 set.list.push(NodeId(i as u32));
-                set.bits.insert(i);
             }
         }
         set.start_round();
@@ -90,11 +87,6 @@ impl EnabledSet {
     }
 
     #[inline]
-    pub fn bits(&self) -> &Bitset {
-        &self.bits
-    }
-
-    #[inline]
     pub fn waits(&self) -> &[u32] {
         &self.waits
     }
@@ -106,8 +98,8 @@ impl EnabledSet {
     }
 
     /// Installs `u`'s freshly evaluated guard: its legitimacy term and
-    /// the failing count, the mask cache, the enabled list, positions
-    /// and bits, the wait counter on an enabledness change, and the
+    /// the failing count, the mask cache, the enabled list and
+    /// positions, the wait counter on an enabledness change, and the
     /// round front, which a node leaves when it is neutralized
     /// (disabled without moving).
     #[inline(always)]
@@ -125,7 +117,6 @@ impl EnabledSet {
             (false, true) => {
                 self.pos[i] = self.list.len() as u32;
                 self.list.push(u);
-                self.bits.insert(i);
                 if self.track_waits {
                     self.waits[i] = 0;
                 }
@@ -138,7 +129,6 @@ impl EnabledSet {
                     self.pos[last.index()] = pos as u32;
                 }
                 self.pos[i] = NOT_ENABLED;
-                self.bits.remove(i);
                 if self.track_waits {
                     self.waits[i] = 0;
                 }
@@ -151,12 +141,11 @@ impl EnabledSet {
     }
 
     /// Takes `u` out of the round front (a no-op when it is not in it).
+    /// Branch-free: whether a mover was still pending is data, not
+    /// something the predictor can learn.
     #[inline]
     pub fn front_remove(&mut self, u: NodeId) {
-        if self.front.contains(u.index()) {
-            self.front.remove(u.index());
-            self.front_count -= 1;
-        }
+        self.front_count -= usize::from(self.front.take(u.index()));
     }
 
     /// Counts one more step of waiting for every enabled process once a
@@ -191,62 +180,46 @@ impl EnabledSet {
     }
 }
 
-/// Collects the deduplicated refresh set of a step into `out`
-/// (cleared first): each mover, then its neighbors in adjacency
-/// order; `touched_stamp` entries are set to `stamp` as nodes are
-/// first seen, and `first_touch` is called on each node right after it
-/// is recorded. The sequential guard pass evaluates and records each
-/// mask there, so one walk does the whole phase.
-#[inline]
-pub(crate) fn collect_refresh_targets(
-    graph: &Graph,
-    moves: &[(NodeId, RuleId)],
-    touched_stamp: &mut [u64],
+/// The deduplicating walk over a refresh set. A node has been seen in
+/// the current walk iff its mark equals the walk's stamp, so starting a
+/// walk is one increment, not a clear.
+pub(crate) struct RefreshWalk {
+    marks: Vec<u64>,
     stamp: u64,
-    out: &mut Vec<NodeId>,
-    mut first_touch: impl FnMut(NodeId),
-) {
-    out.clear();
-    for &(u, _) in moves {
-        // One loop body for the mover and its neighbours, so the
-        // inlined `first_touch` (a whole guard evaluation) is emitted
-        // once.
-        for v in std::iter::once(u).chain(graph.neighbors(u).iter().copied()) {
-            if touched_stamp[v.index()] != stamp {
-                touched_stamp[v.index()] = stamp;
-                out.push(v);
-                first_touch(v);
-            }
+}
+
+impl RefreshWalk {
+    pub fn new(n: usize) -> Self {
+        RefreshWalk {
+            marks: vec![0; n],
+            stamp: 0,
         }
     }
-}
 
-/// Evaluates `u`'s guard against `view` and records it in `set`: the
-/// one sequential guard kernel. The one-walk refresh and `inject` both
-/// run it.
-#[inline(always)]
-pub(crate) fn refresh_one<A: Algorithm>(
-    algo: &A,
-    view: &ConfigView<'_, A::State>,
-    set: &mut EnabledSet,
-    u: NodeId,
-) {
-    set.update(u, algo.guard(u, view));
-}
-
-/// The parallel guard pass: computes the guards of every node of
-/// `nodes` on the installed kernel, then records them in `set` in list
-/// order.
-pub(crate) fn refresh_par<A: Algorithm>(
-    hooks: ParHooks<A>,
-    graph: &Graph,
-    algo: &A,
-    states: &[A::State],
-    nodes: &[NodeId],
-    set: &mut EnabledSet,
-) {
-    let guards = (hooks.guards)(hooks.threads, graph, algo, states, nodes);
-    for (&u, guard) in nodes.iter().zip(guards) {
-        set.update(u, guard);
+    /// Walks the refresh set of `movers` — each mover, then its
+    /// neighbors in adjacency order — calling `first_touch` on each node
+    /// the first time it is seen. The sequential guard pass evaluates
+    /// and records each guard there, so one walk does the whole phase;
+    /// the parallel pass collects the list for its kernel.
+    #[inline]
+    pub fn walk(
+        &mut self,
+        graph: &Graph,
+        movers: impl IntoIterator<Item = NodeId>,
+        mut first_touch: impl FnMut(NodeId),
+    ) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        for u in movers {
+            // One loop body for the mover and its neighbours, so the
+            // inlined `first_touch` (a whole guard evaluation) is
+            // emitted once.
+            for v in std::iter::once(u).chain(graph.neighbors(u).iter().copied()) {
+                if self.marks[v.index()] != stamp {
+                    self.marks[v.index()] = stamp;
+                    first_touch(v);
+                }
+            }
+        }
     }
 }

@@ -23,8 +23,9 @@
 //!    order, by one update routine that keeps the mask cache, the
 //!    enabled set, the wait counters and the round front together.
 //!    Without parallel kernels, one walk over the movers'
-//!    neighbourhoods collects, evaluates and records each node on its
-//!    first touch.
+//!    neighbourhoods evaluates and records each node on its first
+//!    touch; a single move's walk is `N[u]` itself and needs no
+//!    first-touch marks.
 //!
 //! The parallel variants of the apply and guard kernels live in
 //! [`par`]; they run on the [`crate::pool::par_map`] pool and are

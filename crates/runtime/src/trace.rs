@@ -13,11 +13,11 @@
 //! # Zero cost when disabled
 //!
 //! A [`Simulator`](crate::Simulator) has **no sink by default**. The
-//! disabled path costs one `Option` discriminant move per step plus a
-//! handful of predictable branches — no event is constructed, no clock
-//! is read, no allocation happens. The `obs_overhead` bench in
-//! `ssr-bench` pins this with the same ratio tripwire as
-//! `exec_overhead`.
+//! step checks for a sink once and then runs one of two instantiations
+//! of the same pipeline; the untraced one contains no emit at all — no
+//! event is constructed, no clock is read, no sink is taken out and
+//! put back. The `obs_overhead` bench in `ssr-bench` pins the no-op
+//! sink against it with the same ratio tripwire as `exec_overhead`.
 //!
 //! Per-phase wall-clock timing is doubly gated: even with a sink
 //! installed, `Instant::now` is only called when the sink opts in via

@@ -1,9 +1,14 @@
 //! Shadow guard oracle: after every step, every node's guard is
 //! recomputed from scratch and compared with the simulator's
 //! incremental state — the mask cache (`enabled_mask_of`), the enabled
-//! bitset and the enabled list, the failing-legitimacy count
-//! (`illegitimate_count`) and `is_legitimate` — and the step's
-//! transition is replayed against the configuration before it.
+//! list, the failing-legitimacy count (`illegitimate_count`) and
+//! `is_legitimate` — and the step's transition is replayed against the
+//! configuration before it. Rounds and moves are recounted from their
+//! definition (§2.4) and compared with `RunStats`,
+//! `last_step_completed_round` and `rounds_now`. A twin simulator with
+//! a no-op trace sink steps in lockstep and must agree on everything,
+//! since the traced and the untraced step are two instantiations of one
+//! pipeline.
 //!
 //! The step pipeline re-evaluates only each step's refresh set and
 //! records each fresh guard (mask and legitimacy term) once, through
@@ -25,33 +30,35 @@ use ssr_baselines::{CfgUnison, MonoReset, MonoState, Phase};
 use ssr_core::{toys::Agreement, validate, Sdr, Standalone};
 use ssr_graph::{generators, Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, ConfigView, Daemon, Observer, Simulator, StepOutcome};
+use ssr_runtime::{
+    Algorithm, ConfigView, Daemon, NoTrace, Observer, RunStats, Simulator, StepOutcome,
+};
 use ssr_unison::{unison_sdr, Unison};
 
 /// Steps per run segment.
 const STEPS: u64 = 150;
 
 /// Test-only observer: recomputes every guard after each step and
-/// asserts the simulator's incremental view agrees with it, and checks
-/// each step's transition against the configuration it last checked.
-struct ShadowGuards<S> {
+/// asserts the simulator's incremental view agrees with it, checks
+/// each step's transition against the configuration it last checked,
+/// recounts rounds and moves, and steps the traced twin.
+struct ShadowGuards<'g, A: Algorithm> {
     /// The configuration at the last check.
-    config: Vec<S>,
-    checks: u64,
+    config: Vec<A::State>,
+    /// `RunStats` counted from the moves and the definition of a round.
+    stats: RunStats,
+    /// The round's pending processes: enabled when it started, and
+    /// since then neither moved nor neutralized (disabled).
+    front: Vec<NodeId>,
+    /// The same run with a [`NoTrace`] sink installed.
+    twin: Simulator<'g, A>,
 }
 
-impl<S: Clone + PartialEq + std::fmt::Debug> ShadowGuards<S> {
-    fn new() -> Self {
-        ShadowGuards {
-            config: Vec::new(),
-            checks: 0,
-        }
-    }
-
+impl<A: Algorithm> ShadowGuards<'_, A> {
     /// Checks the masks, enabled set and legitimacy count of the
     /// current configuration, then keeps that configuration for the
-    /// next step's transition.
-    fn check<A: Algorithm<State = S>>(&mut self, sim: &Simulator<'_, A>) {
+    /// next step's transition. Returns the enabled processes.
+    fn check(&mut self, sim: &Simulator<'_, A>) -> Vec<NodeId> {
         let view = sim.view();
         let step = sim.stats().steps;
         let mut enabled = Vec::new();
@@ -79,12 +86,6 @@ impl<S: Clone + PartialEq + std::fmt::Debug> ShadowGuards<S> {
             "failing legitimacy terms after step {step}"
         );
         assert_eq!(sim.is_legitimate(), illegitimate == 0);
-        let bits: Vec<NodeId> = sim
-            .enabled_bits()
-            .iter()
-            .map(|i| NodeId(i as u32))
-            .collect();
-        assert_eq!(bits, enabled, "enabled bitset after step {step}");
         assert_eq!(
             sim.enabled_nodes_sorted(),
             enabled,
@@ -92,14 +93,14 @@ impl<S: Clone + PartialEq + std::fmt::Debug> ShadowGuards<S> {
         );
         assert_eq!(sim.is_terminal(), enabled.is_empty());
         self.config = sim.states().to_vec();
-        self.checks += 1;
+        enabled
     }
 
     /// Checks the last step as a composite-atomicity transition from
     /// the kept configuration: each move's rule was enabled there, each
     /// mover's new state is its rule's action computed there, and no
     /// other node changed.
-    fn check_transition<A: Algorithm<State = S>>(&self, sim: &Simulator<'_, A>) {
+    fn check_transition(&self, sim: &Simulator<'_, A>) {
         let step = sim.stats().steps;
         let before = ConfigView::new(sim.graph(), &self.config);
         let mut moved = vec![false; self.config.len()];
@@ -124,12 +125,64 @@ impl<S: Clone + PartialEq + std::fmt::Debug> ShadowGuards<S> {
             );
         }
     }
+
+    /// Counts the last step's moves and advances the round by the
+    /// definition: the movers and the processes no longer `enabled`
+    /// leave the front; an empty front completes the round, and the
+    /// next one starts from the processes enabled now.
+    fn count(&mut self, sim: &Simulator<'_, A>, enabled: Vec<NodeId>) {
+        let (n, rules) = (self.config.len(), sim.algorithm().rule_count());
+        let stats = &mut self.stats;
+        if stats.moves_per_process.is_empty() {
+            stats.moves_per_process = vec![0; n];
+            stats.moves_per_process_rule = vec![0; n * rules];
+        }
+        stats.steps += 1;
+        for &(u, rule) in sim.last_activated() {
+            stats.moves += 1;
+            stats.moves_per_rule[rule.index()] += 1;
+            stats.moves_per_process[u.index()] += 1;
+            stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
+        }
+        self.front
+            .retain(|u| enabled.contains(u) && sim.last_activated().iter().all(|m| m.0 != *u));
+        let completed = self.front.is_empty();
+        if completed {
+            stats.completed_rounds += 1;
+            self.front = enabled;
+        }
+        let step = stats.steps;
+        assert_eq!(sim.stats(), stats, "RunStats after step {step}");
+        assert_eq!(sim.last_step_completed_round(), completed);
+        let partial = u64::from(!completed);
+        assert_eq!(
+            sim.rounds_now(),
+            stats.completed_rounds + partial,
+            "rounds_now after step {step}"
+        );
+    }
 }
 
-impl<A: Algorithm> Observer<A> for ShadowGuards<A::State> {
-    fn on_step(&mut self, sim: &Simulator<'_, A>, _outcome: &StepOutcome) {
+impl<A: Algorithm> Observer<A> for ShadowGuards<'_, A> {
+    fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
         self.check_transition(sim);
-        self.check(sim);
+        let enabled = self.check(sim);
+        self.count(sim, enabled);
+        // Everything a trace sink must not change.
+        let twin = &mut self.twin;
+        assert_eq!(twin.step(), *outcome);
+        let step = sim.stats().steps;
+        assert_eq!(
+            (twin.states(), twin.stats(), twin.last_activated()),
+            (sim.states(), sim.stats(), sim.last_activated()),
+            "the traced twin diverged at step {step}"
+        );
+        assert_eq!(
+            (twin.last_step_phase_draws(), twin.rounds_now()),
+            (sim.last_step_phase_draws(), sim.rounds_now()),
+        );
+        assert_eq!(twin.illegitimate_count(), sim.illegitimate_count());
+        assert_eq!(twin.enabled_nodes_sorted(), sim.enabled_nodes_sorted());
     }
 }
 
@@ -149,12 +202,26 @@ where
     A: Algorithm + Clone + Sync,
     A::State: Send + Sync,
 {
-    let mut sim = Simulator::new(g, algo.clone(), arbitrary(d.seed), d.daemon.clone(), d.seed);
-    // Engage the parallel kernels even on these small graphs.
-    sim.set_par_threshold(0);
-    let mut shadow = ShadowGuards::new();
-    shadow.check(&sim);
-    let segment = |sim: &mut Simulator<'_, A>, shadow: &mut ShadowGuards<A::State>| {
+    let new_sim = || {
+        let mut sim = Simulator::new(g, algo.clone(), arbitrary(d.seed), d.daemon.clone(), d.seed);
+        // Engage the parallel kernels even on these small graphs.
+        sim.set_par_threshold(0);
+        sim
+    };
+    let (mut sim, mut twin) = (new_sim(), new_sim());
+    twin.set_intra_threads(d.threads);
+    twin.set_trace_sink(Box::new(NoTrace));
+    let mut shadow = ShadowGuards {
+        config: Vec::new(),
+        stats: RunStats {
+            moves_per_rule: vec![0; algo.rule_count()],
+            ..RunStats::default()
+        },
+        front: Vec::new(),
+        twin,
+    };
+    shadow.front = shadow.check(&sim);
+    let segment = |sim: &mut Simulator<'_, A>, shadow: &mut ShadowGuards<'_, A>| {
         sim.execution()
             .cap(STEPS)
             .intra_threads(d.threads)
@@ -169,8 +236,10 @@ where
             .filter(|u| (u.index() as u64 + d.seed).is_multiple_of(3))
         {
             sim.inject(u, donor[u.index()].clone());
+            shadow.twin.inject(u, donor[u.index()].clone());
         }
-        shadow.check(&sim);
+        // A fault restarts the round from the configuration it left.
+        shadow.front = shadow.check(&sim);
         segment(&mut sim, &mut shadow);
     }
 }
@@ -226,9 +295,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The incremental masks, enabled set and legitimacy count equal a
-    /// from-scratch recomputation after every step, and every step is the
-    /// composite-atomicity transition of its moves, for every standard
-    /// label's algorithm × daemon × intra-run thread count.
+    /// from-scratch recomputation after every step, every step is the
+    /// composite-atomicity transition of its moves, the move and round
+    /// counters equal their definition, and a traced twin steps
+    /// identically, for every standard label's algorithm × daemon ×
+    /// intra-run thread count.
     #[test]
     fn incremental_guards_match_a_full_recompute(
         n in 2usize..=64,
