@@ -1,5 +1,5 @@
-//! Couvreur–Francez–Gouda-style self-stabilizing unison: local,
-//! uncoordinated resets (the baseline/ablation of E5 and E10).
+//! Couvreur–Francez–Gouda-style unison: local, uncoordinated resets
+//! (the baseline/ablation of E5 and E10).
 
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
@@ -12,8 +12,11 @@ pub const RULE_CFG_INC: RuleId = RuleId(0);
 /// increment away.
 pub const RULE_CFG_RESET: RuleId = RuleId(1);
 
-/// Self-stabilizing unison by *uncoordinated local resets* (Couvreur et
-/// al. \[20\], in Boulinier's parametric formulation with `K > n²`).
+/// Unison by *uncoordinated local resets* (Couvreur et al. \[20\]), with
+/// `K > n²`. Unlike Boulinier's parametric formulation \[11\], a reset
+/// goes straight to 0, with no tail of α extra clock values, so rings
+/// can livelock and this is not self-stabilizing under the unfair
+/// daemon (see the crate docs).
 ///
 /// Rules:
 ///
@@ -216,6 +219,34 @@ mod tests {
                 out.moves_at_hit
             );
         }
+    }
+
+    /// Not self-stabilizing under the unfair daemon: on ring₄, a
+    /// central schedule that activates 2, 1, 0, 3 over and over returns
+    /// to its illegitimate start every 12 steps, so repeating it keeps
+    /// the run illegitimate forever.
+    #[test]
+    fn central_schedule_cycles_on_ring4() {
+        let g = generators::ring(4);
+        let algo = CfgUnison::for_graph(&g);
+        assert_eq!(algo.period(), 17);
+        let start = vec![2u64, 1, 0, 0];
+        let schedule: Vec<Vec<NodeId>> = (0..3)
+            .flat_map(|_| [2, 1, 0, 3])
+            .map(|u| vec![NodeId(u)])
+            .collect();
+        let daemon = Daemon::Script {
+            steps: std::sync::Arc::new(schedule),
+        };
+        let mut sim = Simulator::new(&g, algo, start.clone(), daemon, 0);
+        for step in 1..=12 {
+            assert!(
+                matches!(sim.step(), StepOutcome::Progress { activated: 1 }),
+                "step {step}"
+            );
+            assert!(!sim.is_legitimate(), "legitimate after step {step}");
+        }
+        assert_eq!(sim.states(), start.as_slice());
     }
 
     #[test]

@@ -1,15 +1,25 @@
 //! Baselines the SDR paper compares against (§1.2, §5.2).
 //!
-//! * [`CfgUnison`] — the Couvreur–Francez–Gouda-style self-stabilizing
-//!   unison: the same increment rule as Algorithm U plus a *local reset*
-//!   rule (`c_u := 0` on detected incoherence), with period `K > n²`.
-//!   Boulinier's thesis shows this works under the distributed unfair
-//!   daemon in `O(D·n)` rounds; its move complexity is the weak point
-//!   (`O(D·n³ + α·n²)` for the parametric family, shown in \[23\]) because
-//!   nothing coordinates concurrent resets — a process can be dragged
-//!   into many successive reset cascades. This type therefore doubles
-//!   as the **non-cooperative ablation** of experiment E10: it is
-//!   exactly "unison with uncoordinated local resets instead of SDR".
+//! * [`CfgUnison`] — the Couvreur–Francez–Gouda-style unison: the same
+//!   increment rule as Algorithm U plus a *local reset* rule (`c_u := 0`
+//!   on detected incoherence), with period `K > n²`. It is not
+//!   Boulinier's parametric unison \[11\], which resets into a tail of α
+//!   extra clock values (α ≥ longest hole − 2) and self-stabilizes under
+//!   the distributed unfair daemon, with `O(D·n³ + α·n²)` moves (shown
+//!   in \[23\]). `CfgUnison` resets to 0 and has no tail, and it is
+//!   **not self-stabilizing under the unfair daemon**: on ring₄, a
+//!   central schedule that activates nodes 2, 1, 0, 3 over and over
+//!   cycles through illegitimate configurations forever (pinned by a
+//!   unit test). A randomized daemon, such as E10's central one, picks
+//!   every enabled process with positive probability, so a run leaves
+//!   such a cycle with probability 1 as long as legitimacy stays
+//!   reachable (weak stabilization; "Weak vs. Self vs. Probabilistic
+//!   Stabilization", Devismes–Tixeuil–Yamashita). Nothing bounds how
+//!   long that takes, and nothing coordinates concurrent resets — a
+//!   process can be dragged into many successive reset cascades. This
+//!   type therefore doubles as the **non-cooperative ablation** of
+//!   experiment E10: it is exactly "unison with uncoordinated local
+//!   resets instead of SDR".
 //! * [`MonoReset`] — a mono-initiator reset in the spirit of Arora &
 //!   Gouda \[4\]: inconsistency reports are forwarded to a fixed root
 //!   through a BFS tree, which then runs a single global

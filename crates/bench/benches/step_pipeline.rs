@@ -70,21 +70,16 @@ fn narrow_sdr(g: &Graph) -> Simulator<'_, UnisonSdr> {
     Simulator::new(g, algo, init, Daemon::Central, 7)
 }
 
-/// Runs a narrow case's budget; returns the simulator and the number
-/// of guard evaluations it made: 1 + deg(u) per move, the size of
-/// N[u]. That is exact here, because a central step has one move and
-/// its refresh set is the mover's closed neighbourhood.
-fn narrow_run<A: Algorithm>(mut sim: Simulator<'_, A>) -> (Simulator<'_, A>, u64) {
-    let mut evals = 0u64;
+/// Runs a narrow case's budget. The loop steps and nothing else: the
+/// guard evaluations it made are read from `RunStats::guard_evals`
+/// afterwards.
+fn narrow_run<A: Algorithm>(mut sim: Simulator<'_, A>) -> Simulator<'_, A> {
     for _ in 0..NARROW_STEPS {
         if let StepOutcome::Terminal = sim.step() {
             break;
         }
-        for &(u, _) in sim.last_activated() {
-            evals += 1 + sim.graph().degree(u) as u64;
-        }
     }
-    (sim, evals)
+    sim
 }
 
 /// The guard kernel alone: every node's guard on `states`, `rounds`
@@ -116,11 +111,11 @@ fn bench_step_pipeline(c: &mut Criterion) {
     let ring = generators::ring(NARROW_N);
     group.bench_function(
         BenchmarkId::from_parameter("narrow-cfg-unison-ring64"),
-        |b| b.iter(|| narrow_run(narrow_cfg(&ring)).1),
+        |b| b.iter(|| narrow_run(narrow_cfg(&ring)).stats().guard_evals),
     );
     group.bench_function(
         BenchmarkId::from_parameter("narrow-unison-sdr-ring64"),
-        |b| b.iter(|| narrow_run(narrow_sdr(&ring)).1),
+        |b| b.iter(|| narrow_run(narrow_sdr(&ring)).stats().guard_evals),
     );
     group.finish();
 }
@@ -143,13 +138,13 @@ fn median_ns(f: &dyn Fn() -> u64) -> f64 {
 /// the configuration the loop ends in.
 fn narrow_report<A: Algorithm>(label: &str, build: for<'g> fn(&'g Graph) -> Simulator<'g, A>) {
     let g = generators::ring(NARROW_N);
-    let (sim, evals) = narrow_run(build(&g));
+    let sim = narrow_run(build(&g));
     assert_eq!(
         sim.stats().moves,
         NARROW_STEPS,
         "{label}: the run must stay live for the budget"
     );
-    let step_ns = median_ns(&|| narrow_run(build(&g)).1) / NARROW_STEPS as f64;
+    let step_ns = median_ns(&|| narrow_run(build(&g)).stats().guard_evals) / NARROW_STEPS as f64;
 
     let states = sim.states();
     let algo = sim.algorithm();
@@ -159,7 +154,7 @@ fn narrow_report<A: Algorithm>(label: &str, build: for<'g> fn(&'g Graph) -> Simu
     println!(
         "step_pipeline/narrow: {label} ring{NARROW_N} tear, central, {NARROW_STEPS} steps: \
          {step_ns:.1} ns/step, {:.2} guard evals/step, {kernel_ns:.2} ns/guard eval",
-        evals as f64 / NARROW_STEPS as f64
+        sim.stats().guard_evals as f64 / NARROW_STEPS as f64
     );
 }
 

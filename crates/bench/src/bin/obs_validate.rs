@@ -6,7 +6,6 @@
 //! ```text
 //! cargo run -p ssr-bench --bin obs_validate -- PATH [PATH...]
 //! cargo run -p ssr-bench --bin obs_validate -- --kind metrics PATH [PATH...]
-//! cargo run -p ssr-bench --bin obs_validate -- --kind history PATH [PATH...]
 //! cargo run -p ssr-bench --bin obs_validate -- --kind checkpoint PATH [PATH...]
 //! ```
 //!
@@ -15,8 +14,6 @@
 //! - `trace` — `.jsonl` event traces (`DESIGN.md` §10): every line a
 //!   known event carrying its required keys
 //! - `metrics` — `.json` snapshots with schema `ssr-metrics-v1`
-//! - `history` — `.jsonl` perf-history stores with schema
-//!   `ssr-history/v1` per line (`DESIGN.md` §12)
 //! - `checkpoint` — `.jsonl` resumable-sweep journals with schema
 //!   `ssr-checkpoint/v1` (`DESIGN.md` §13): header line plus one
 //!   fingerprinted record per line, strictly (a torn tail fails here
@@ -31,21 +28,19 @@
 use std::path::{Path, PathBuf};
 
 use ssr_obs::trace::validate_jsonl_line;
-use ssr_report::history::validate_history_line;
 use ssr_report::reader::parse_metrics_json;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
     Trace,
     Metrics,
-    History,
     Checkpoint,
 }
 
 impl Kind {
     fn extension(self) -> &'static str {
         match self {
-            Kind::Trace | Kind::History | Kind::Checkpoint => "jsonl",
+            Kind::Trace | Kind::Checkpoint => "jsonl",
             Kind::Metrics => "json",
         }
     }
@@ -54,7 +49,6 @@ impl Kind {
         match self {
             Kind::Trace => "trace",
             Kind::Metrics => "metrics",
-            Kind::History => "history",
             Kind::Checkpoint => "checkpoint",
         }
     }
@@ -81,17 +75,14 @@ fn collect(path: &Path, ext: &str, out: &mut Vec<PathBuf>) -> std::io::Result<()
 fn validate_file(kind: Kind, path: &Path) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let count = match kind {
-        Kind::Trace | Kind::History => {
-            let per_line: fn(&str) -> Result<(), String> = match kind {
-                Kind::Trace => validate_jsonl_line,
-                _ => validate_history_line,
-            };
+        Kind::Trace => {
             let mut lines = 0usize;
             for (i, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
-                per_line(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
+                validate_jsonl_line(line)
+                    .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
                 lines += 1;
             }
             lines
@@ -120,19 +111,16 @@ fn main() {
                 kind = match it.next().map(String::as_str) {
                     Some("trace") => Kind::Trace,
                     Some("metrics") => Kind::Metrics,
-                    Some("history") => Kind::History,
                     Some("checkpoint") => Kind::Checkpoint,
                     other => {
-                        eprintln!(
-                            "error: --kind needs trace|metrics|history|checkpoint, got {other:?}"
-                        );
+                        eprintln!("error: --kind needs trace|metrics|checkpoint, got {other:?}");
                         std::process::exit(2);
                     }
                 };
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: obs_validate [--kind trace|metrics|history|checkpoint] PATH [PATH...]\n\
+                    "usage: obs_validate [--kind trace|metrics|checkpoint] PATH [PATH...]\n\
                      (each PATH a file of the kind's extension or a directory)"
                 );
                 std::process::exit(2);
@@ -145,7 +133,7 @@ fn main() {
         }
     }
     if paths.is_empty() {
-        eprintln!("usage: obs_validate [--kind trace|metrics|history|checkpoint] PATH [PATH...]");
+        eprintln!("usage: obs_validate [--kind trace|metrics|checkpoint] PATH [PATH...]");
         std::process::exit(2);
     }
     let mut files = Vec::new();

@@ -1,43 +1,22 @@
-//! The campaign-report and perf-history CLI over `ssr-report`.
+//! The campaign-report CLI over `ssr-report`.
 //!
 //! Usage:
 //!
 //! ```text
 //! # Render one artifact directory as a self-contained HTML page:
 //! cargo run -p ssr-bench --bin report -- render DIR [--out PATH]
-//!
-//! # Append a BENCH_SCALE.json sweep to the perf-history store:
-//! cargo run -p ssr-bench --bin report -- record \
-//!     --scale BENCH_SCALE.json --history BENCH_HISTORY.jsonl \
-//!     --sha $(git rev-parse HEAD) --host ci-x86_64
-//!
-//! # Gate: compare the newest history entry against a baseline.
-//! cargo run -p ssr-bench --bin report -- check \
-//!     --history BENCH_HISTORY.jsonl [--baseline SHA] \
-//!     [--throughput-tol 0.15] [--phase-tol 0.25]
 //! ```
 //!
 //! `render` is a pure function of the artifact bytes — the HTML is
 //! byte-identical for a given artifact set, whatever thread count
-//! produced it. `record` never reads ambient state: the git SHA and
-//! host fingerprint are required flags, so a history file says exactly
-//! what was measured where. `check` compares the *last* entry against
-//! the baseline (default: the *first* entry; `--baseline SHA` selects
-//! another) and exits 1 when any tolerance band trips — the CI
-//! regression tripwire. Tolerance semantics are in `DESIGN.md` §12.
+//! produced it.
 //!
-//! Exit codes: 0 ok, 1 regression (or failed render), 2 usage error.
+//! Exit codes: 0 ok, 1 failed render, 2 usage error.
 
 use std::path::Path;
 
-use ssr_report::history::{self, Tolerance};
-
 fn usage() -> ! {
-    eprintln!(
-        "usage: report render DIR [--out PATH]\n\
-                report record --scale PATH --history PATH --sha SHA --host HOST\n\
-                report check --history PATH [--baseline SHA] [--throughput-tol F] [--phase-tol F]"
-    );
+    eprintln!("usage: report render DIR [--out PATH]");
     std::process::exit(2);
 }
 
@@ -51,14 +30,6 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-fn frac_flag(args: &[String], name: &str) -> Option<f64> {
-    let v = flag_value(args, name)?;
-    match v.parse::<f64>() {
-        Ok(f) if (0.0..10.0).contains(&f) => Some(f),
-        _ => fail(&format!("{name} needs a fraction (e.g. 0.15), got {v:?}")),
-    }
 }
 
 fn cmd_render(args: &[String]) {
@@ -81,114 +52,13 @@ fn cmd_render(args: &[String]) {
     println!("report written to {out}");
 }
 
-fn cmd_record(args: &[String]) {
-    let scale_path = flag_value(args, "--scale").unwrap_or_else(|| "BENCH_SCALE.json".into());
-    let history_path =
-        flag_value(args, "--history").unwrap_or_else(|| "BENCH_HISTORY.jsonl".into());
-    // Identity is caller-passed, never ambient: a history line must
-    // say exactly what was measured where, reproducibly.
-    let Some(sha) = flag_value(args, "--sha") else {
-        fail("record needs --sha (e.g. $(git rev-parse HEAD))")
-    };
-    let Some(host) = flag_value(args, "--host") else {
-        fail("record needs --host (a stable host fingerprint)")
-    };
-    let text = std::fs::read_to_string(&scale_path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {scale_path}: {e}")));
-    let doc = match ssr_report::reader::parse_scale_json(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {scale_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let entry = history::entry_from_scale(&doc, &sha, &host, &scale_path);
-    let line = history::entry_to_json_line(&entry);
-    let mut existing = std::fs::read_to_string(&history_path).unwrap_or_default();
-    if !existing.is_empty() && !existing.ends_with('\n') {
-        existing.push('\n');
-    }
-    existing.push_str(&line);
-    existing.push('\n');
-    if let Err(e) = std::fs::write(&history_path, existing) {
-        fail(&format!("cannot write {history_path}: {e}"));
-    }
-    println!(
-        "recorded {} cell(s) from {scale_path} as {sha} ({host}) in {history_path}",
-        entry.cells.len()
-    );
-}
-
-fn cmd_check(args: &[String]) {
-    let history_path =
-        flag_value(args, "--history").unwrap_or_else(|| "BENCH_HISTORY.jsonl".into());
-    let tol = Tolerance {
-        throughput_frac: frac_flag(args, "--throughput-tol")
-            .unwrap_or(Tolerance::default().throughput_frac),
-        phase_frac: frac_flag(args, "--phase-tol").unwrap_or(Tolerance::default().phase_frac),
-    };
-    let text = std::fs::read_to_string(&history_path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {history_path}: {e}")));
-    let entries = match history::parse_history_jsonl(&text) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {history_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if entries.len() < 2 {
-        eprintln!(
-            "error: {history_path} has {} entry(ies); check needs a baseline and a current",
-            entries.len()
-        );
-        std::process::exit(1);
-    }
-    let current = entries.last().expect("len checked");
-    let baseline = match flag_value(args, "--baseline") {
-        Some(sha) => entries
-            .iter()
-            .find(|e| e.sha == sha)
-            .unwrap_or_else(|| fail(&format!("no history entry with sha {sha:?}"))),
-        None => entries.first().expect("len checked"),
-    };
-    match history::check(baseline, current, &tol) {
-        Ok(regressions) if regressions.is_empty() => {
-            println!(
-                "check ok: {} vs baseline {} within tolerances (throughput -{:.0}%, phase +{:.0}%)",
-                current.sha,
-                baseline.sha,
-                tol.throughput_frac * 100.0,
-                tol.phase_frac * 100.0,
-            );
-        }
-        Ok(regressions) => {
-            eprintln!(
-                "REGRESSION: {} vs baseline {} trips {} band(s):",
-                current.sha,
-                baseline.sha,
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     let rest = &args[1..];
     match cmd.as_str() {
         "render" | "--render" => cmd_render(rest),
-        "record" | "--record" => cmd_record(rest),
-        "check" | "--check" => cmd_check(rest),
         "--help" | "-h" => usage(),
-        other => fail(&format!("unknown command {other:?} (render|record|check)")),
+        other => fail(&format!("unknown command {other:?} (render)")),
     }
 }

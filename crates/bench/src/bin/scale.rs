@@ -22,9 +22,17 @@
 //! configuration under the synchronous daemon (maximal per-step
 //! selections, so the apply/guard kernels see the largest possible
 //! fan-out). For every `(topology, n)` cell the run is repeated at
-//! each thread count and the final configuration and statistics must
-//! match the sequential run exactly — the process exits nonzero on
-//! any divergence or non-convergence.
+//! each thread count, and both its final configuration and its
+//! `RunStats` (steps, moves, rounds, per-process moves, guard
+//! evaluations) must equal the sequential run's, so the parallel
+//! kernels must evaluate exactly the sequential refresh set — the
+//! process exits nonzero on any divergence or non-convergence.
+//!
+//! Each cell also prints one host-independent line of counted work,
+//! `{"counters":{"topology":…,"n":…,"threads":…,"steps":…,"moves":…,
+//! "rounds":…,"guard_evals":…}}`, to stdout. CI diffs the smoke run's
+//! lines against `crates/bench/tests/golden/scale-smoke-counters.txt`
+//! byte for byte.
 //!
 //! The wall clock (`seconds`, `steps_per_sec`, `moves_per_sec`) times
 //! an untraced run. A second run of the same cell carries a timed
@@ -222,13 +230,18 @@ fn main() {
     let mut item = 0usize;
     for &(topology, n) in &cells {
         let g = build(topology, n);
-        let mut baseline: Option<Vec<SdrAgreementState>> = None;
+        let mut baseline: Option<(Vec<SdrAgreementState>, RunStats)> = None;
         for &threads in &threads_axis {
             let label = format!("{topology}/n={n}/t={threads}");
             if let Some(p) = progress.as_mut() {
                 p.item_started(0, item, &label);
             }
             let (r, fingerprint, agree) = run_cell(&g, topology, n, threads, trace_dir.as_deref());
+            println!(
+                "{{\"counters\":{{\"topology\":\"{topology}\",\"n\":{n},\"threads\":{threads},\
+                 \"steps\":{},\"moves\":{},\"rounds\":{},\"guard_evals\":{}}}}}",
+                r.stats.steps, r.stats.moves, r.stats.completed_rounds, r.stats.guard_evals,
+            );
             println!(
                 "{:>6} n={:<9} threads={} steps={:<8} {:>10.0} steps/s {:>10.0} moves/s converged={} phase s/a/g = {:.2}/{:.2}/{:.2}s",
                 topology,
@@ -250,9 +263,15 @@ fn main() {
                 problems.push("ended elsewhere when traced");
             }
             match &baseline {
-                None => baseline = Some(fingerprint),
-                Some(base) if *base != fingerprint => problems.push("diverged from sequential"),
-                Some(_) => {}
+                None => baseline = Some((fingerprint, r.stats.clone())),
+                Some((states, stats)) => {
+                    if *states != fingerprint {
+                        problems.push("diverged from sequential");
+                    }
+                    if *stats != r.stats {
+                        problems.push("counted other work than sequential");
+                    }
+                }
             }
             for problem in &problems {
                 eprintln!("FAIL: {topology} n={n} threads={threads} {problem}");

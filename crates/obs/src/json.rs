@@ -8,7 +8,7 @@
 //! `ssr_campaign::output::Json`, what the campaign records, the
 //! checkpoint journal and the experiment result files are rendered
 //! from. The remaining hand-rolled emitters (metrics snapshots, trace
-//! lines, history lines, `ANALYSIS.json`) share its string escaper,
+//! lines, `ANALYSIS.json`) share its string escaper,
 //! [`crate::metrics::json_string`].
 //!
 //! Integers are preserved exactly: a numeric token without `.`/`e`

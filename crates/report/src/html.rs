@@ -10,15 +10,14 @@
 //!
 //! Every chart figure is always emitted under a stable anchor id
 //! (`chart-bounds`, `chart-convergence`, `chart-phases`,
-//! `chart-scaling`, `chart-timeline`, `history`); a figure whose
-//! artifact is absent says so in place instead of vanishing, so smoke
-//! checks can grep for the full inventory unconditionally.
+//! `chart-scaling`, `chart-timeline`); a figure whose artifact is
+//! absent says so in place instead of vanishing, so smoke checks can
+//! grep for the full inventory unconditionally.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use crate::history::{self, HistoryEntry};
 use crate::reader::{self, BenchResultsDoc, CampaignRow, MetricsDoc, ScaleDoc, TraceRow};
 use crate::svg::{self, esc, fmt_num, HBar, Series, VBar};
 
@@ -39,8 +38,6 @@ pub struct Artifacts {
     pub bench: Option<BenchResultsDoc>,
     /// The `BENCH_SCALE.json` document, if present.
     pub scale: Option<ScaleDoc>,
-    /// Perf-history entries, oldest first.
-    pub history: Vec<HistoryEntry>,
     /// Files that were seen but not recognized (reported, not fatal).
     pub skipped: Vec<String>,
 }
@@ -115,9 +112,6 @@ pub fn load_dir(dir: &Path) -> Result<Artifacts, String> {
                     let rows =
                         reader::parse_trace_jsonl(&text).map_err(|e| format!("{name}: {e}"))?;
                     art.traces.push((name, rows));
-                } else if first.contains(history::HISTORY_SCHEMA) {
-                    art.history =
-                        history::parse_history_jsonl(&text).map_err(|e| format!("{name}: {e}"))?;
                 } else if first.contains("\"campaign\"") {
                     let rows =
                         reader::parse_campaign_jsonl(&text).map_err(|e| format!("{name}: {e}"))?;
@@ -607,44 +601,6 @@ fn timeline_section(art: &Artifacts) -> String {
     )
 }
 
-/// The perf-history section: one row per recorded entry.
-fn history_section(art: &Artifacts) -> String {
-    let mut s = String::from("<section id=\"history\"><h2>Perf history</h2>");
-    if art.history.is_empty() {
-        s.push_str("<p class=\"empty\">No BENCH_HISTORY.jsonl in this artifact set.</p>");
-    } else {
-        let rows: Vec<Vec<String>> = art
-            .history
-            .iter()
-            .map(|e| {
-                let best = e
-                    .cells
-                    .iter()
-                    .map(|c| c.steps_per_sec)
-                    .fold(0.0f64, f64::max);
-                vec![
-                    e.sha.clone(),
-                    e.host.clone(),
-                    e.source.clone(),
-                    e.cells.len().to_string(),
-                    fmt_num(best),
-                ]
-            })
-            .collect();
-        s.push_str(&table(
-            &["sha", "host", "source", "cells", "best steps/sec"],
-            &rows,
-        ));
-        let _ = write!(
-            s,
-            "<p class=\"note\">{} entries, oldest first. Gate with `report --check`.</p>",
-            art.history.len()
-        );
-    }
-    s.push_str("</section>");
-    s
-}
-
 /// Campaign and metrics inventory (what the report was built from).
 fn inventory_section(art: &Artifacts) -> String {
     let mut s = String::from("<section id=\"inventory\"><h2>Artifacts</h2><ul>");
@@ -756,7 +712,6 @@ pub fn render(art: &Artifacts) -> String {
     s.push_str(&phases_section(art));
     s.push_str(&scaling_section(art));
     s.push_str(&timeline_section(art));
-    s.push_str(&history_section(art));
     s.push_str(&inventory_section(art));
     s.push_str("</body></html>\n");
     s
@@ -776,7 +731,6 @@ mod tests {
             "chart-phases",
             "chart-scaling",
             "chart-timeline",
-            "history",
             "inventory",
         ] {
             assert!(html.contains(&format!("id=\"{id}\"")), "missing {id}");

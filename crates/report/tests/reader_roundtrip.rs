@@ -223,39 +223,4 @@ proptest! {
         prop_assert_eq!(rows[3].rounds, Some(rounds));
         prop_assert_eq!(rows[4].reason.as_deref(), Some("terminal"));
     }
-
-    // History lines: serialize → parse → serialize is the identity, so
-    // the store is append-stable (the {:.1} float format is
-    // idempotent).
-    #[test]
-    fn history_line_serialization_is_idempotent(
-        seed in 0u64..1_000_000,
-        threads in 1u64..64,
-        sps in 0.0f64..1.0e9,
-        mps in 0.0f64..1.0e9,
-    ) {
-        use ssr_report::history::{
-            entry_to_json_line, parse_history_jsonl, HistoryCell, HistoryEntry,
-        };
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let entry = HistoryEntry {
-            sha: format!("{:016x}", rng.next_u64()),
-            host: label(&mut rng),
-            source: "BENCH_SCALE.json".to_string(),
-            cells: vec![HistoryCell {
-                topology: label(&mut rng),
-                n: rng.next_u64(),
-                threads,
-                steps_per_sec: sps,
-                moves_per_sec: mps,
-                phase_select_nanos: rng.next_u64(),
-                phase_apply_nanos: rng.next_u64(),
-                phase_guards_nanos: rng.next_u64(),
-            }],
-        };
-        let line = entry_to_json_line(&entry);
-        let parsed = parse_history_jsonl(&line).expect("line must parse");
-        prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(entry_to_json_line(&parsed[0]), line);
-    }
 }

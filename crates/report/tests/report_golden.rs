@@ -1,9 +1,9 @@
 //! Golden pin of the rendered report plus the thread-invariance
 //! acceptance check: the artifact builders here are fully
 //! deterministic (the campaign engine's determinism contract, fixed
-//! metric/trace/scale/history values, no clocks), so the HTML must
-//! come out byte-identical on every machine — and the committed golden
-//! file catches any unintended change to the renderer.
+//! metric/trace/scale values, no clocks), so the HTML must come out
+//! byte-identical on every machine — and the committed golden file
+//! catches any unintended change to the renderer.
 //!
 //! Regenerate the golden after an *intentional* renderer change with:
 //!
@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 use ssr_campaign::{families, output, Campaign, InitPlan, Sweep, TopologySpec};
 use ssr_obs::metrics::MetricsSet;
 use ssr_obs::trace::event_to_json;
-use ssr_report::history::{entry_to_json_line, HistoryCell, HistoryEntry};
 use ssr_runtime::trace::TraceEvent;
 use ssr_runtime::{Daemon, TerminationReason};
 
@@ -101,45 +100,6 @@ fn build_artifact_dir(dir: &Path, threads: usize) {
     std::fs::write(dir.join("trace").join("run-0.jsonl"), trace).expect("write trace");
 
     std::fs::write(dir.join("BENCH_SCALE.json"), SCALE_JSON).expect("write scale");
-
-    let entries = [
-        HistoryEntry {
-            sha: "aaa111".into(),
-            host: "golden-host".into(),
-            source: "BENCH_SCALE.json".into(),
-            cells: vec![HistoryCell {
-                topology: "ring".into(),
-                n: 1000,
-                threads: 4,
-                steps_per_sec: 34582.7,
-                moves_per_sec: 9098397.2,
-                phase_select_nanos: 7038,
-                phase_apply_nanos: 44996,
-                phase_guards_nanos: 252129,
-            }],
-        },
-        HistoryEntry {
-            sha: "bbb222".into(),
-            host: "golden-host".into(),
-            source: "BENCH_SCALE.json".into(),
-            cells: vec![HistoryCell {
-                topology: "ring".into(),
-                n: 1000,
-                threads: 4,
-                steps_per_sec: 35011.2,
-                moves_per_sec: 9211042.0,
-                phase_select_nanos: 6990,
-                phase_apply_nanos: 44010,
-                phase_guards_nanos: 249800,
-            }],
-        },
-    ];
-    let history: String = entries
-        .iter()
-        .map(entry_to_json_line)
-        .collect::<Vec<_>>()
-        .join("\n");
-    std::fs::write(dir.join("BENCH_HISTORY.jsonl"), format!("{history}\n")).expect("write history");
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -208,7 +168,6 @@ fn report_contains_all_chart_anchors() {
         "id=\"chart-phases\"",
         "id=\"chart-scaling\"",
         "id=\"chart-timeline\"",
-        "id=\"history\"",
         "id=\"inventory\"",
     ] {
         assert!(html.contains(anchor), "missing {anchor}");

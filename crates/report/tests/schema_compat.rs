@@ -6,8 +6,8 @@
 use ssr_obs::trace::validate_jsonl_line;
 use ssr_report::reader::{parse_scale_json, parse_trace_jsonl};
 
-/// The committed sweep, written as `bench-scale-v2`.
-const COMMITTED_V2: &str = include_str!("../../../BENCH_SCALE.json");
+/// A committed sweep, written as `bench-scale-v2`.
+const COMMITTED_V2: &str = include_str!("golden/bench-scale-v2.json");
 
 /// `text` as the `scale` bin writes it now: `bench-scale-v3`, without
 /// the two retired keys.

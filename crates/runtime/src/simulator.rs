@@ -38,6 +38,11 @@ pub struct RunStats {
     /// Moves per (process, rule), flattened as `process * rule_count + rule`
     /// (empty until the first tracked move).
     pub moves_per_process_rule: Vec<u64>,
+    /// Guard evaluations made by steps and [`Simulator::inject`]: each
+    /// adds the size of its refresh set, the union of `N[u]` over the
+    /// movers or injected nodes. [`Simulator::new`]'s evaluation of
+    /// every node is not counted.
+    pub guard_evals: u64,
 }
 
 impl RunStats {
@@ -49,6 +54,7 @@ impl RunStats {
             moves_per_process: Vec::new(),
             moves_per_rule: vec![0; rules],
             moves_per_process_rule: Vec::new(),
+            guard_evals: 0,
         }
     }
 
@@ -412,9 +418,11 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     pub fn inject(&mut self, u: NodeId, state: A::State) {
         self.states[u.index()] = state;
         let view = ConfigView::new(self.graph, &self.states);
-        let (algo, enabled) = (&self.algo, &mut self.enabled);
-        self.refresh_walk
-            .walk(self.graph, [u], |v| enabled.update(v, algo.guard(v, &view)));
+        let (algo, enabled, evals) = (&self.algo, &mut self.enabled, &mut self.stats.guard_evals);
+        self.refresh_walk.walk(self.graph, [u], |v| {
+            *evals += 1;
+            enabled.update(v, algo.guard(v, &view))
+        });
         self.enabled.start_round();
     }
 
@@ -634,22 +642,27 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// Phase 3 (guards): re-evaluates the movers and their neighbours —
     /// the only nodes whose guards can have changed (§2.2 locality) —
     /// and records each fresh guard (enabled set, waits, round front)
-    /// as it is computed, in the canonical refresh order.
+    /// as it is computed, in the canonical refresh order. Each path
+    /// adds the evaluations it makes to [`RunStats::guard_evals`].
     #[inline(always)]
     fn refresh_guards(&mut self, par: Option<ParHooks<A>>) {
         let view = ConfigView::new(self.graph, &self.states);
-        let (algo, enabled) = (&self.algo, &mut self.enabled);
+        let (algo, enabled, evals) = (&self.algo, &mut self.enabled, &mut self.stats.guard_evals);
         match (self.last_activated.as_slice(), par) {
             // One move: the graph is simple, so N[u] holds no node
-            // twice and needs no stamps.
+            // twice and needs no stamps. One add for the whole of N[u]
+            // keeps the count out of the loop.
             (&[(u, _)], None) => {
-                for v in std::iter::once(u).chain(self.graph.neighbors(u).iter().copied()) {
+                let neighbors = self.graph.neighbors(u);
+                *evals += 1 + neighbors.len() as u64;
+                for v in std::iter::once(u).chain(neighbors.iter().copied()) {
                     enabled.update(v, algo.guard(v, &view));
                 }
             }
             (moves, None) => {
                 let movers = moves.iter().map(|&(u, _)| u);
                 self.refresh_walk.walk(self.graph, movers, |v| {
+                    *evals += 1;
                     enabled.update(v, algo.guard(v, &view))
                 });
             }
@@ -661,6 +674,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                 self.refresh_walk
                     .walk(self.graph, movers, |v| refresh.push(v));
                 let guards = (hooks.guards)(hooks.threads, self.graph, algo, &self.states, refresh);
+                *evals += refresh.len() as u64;
                 for (&v, guard) in refresh.iter().zip(guards) {
                     enabled.update(v, guard);
                 }

@@ -1,7 +1,7 @@
 //! Fuzzing the parsers that take outside input: the service's HTTP
 //! request reader (fed from byte slices, no socket), the JSON parser,
 //! the campaign spec the service accepts, checkpoint journals (audited
-//! and replayed), trace and history lines, and `BENCH_SCALE.json`.
+//! and replayed), trace lines, and `BENCH_SCALE.json`.
 //! Every call must return `Ok` or `Err` — never panic, never overflow
 //! the stack — and the valid documents the mutations start from must
 //! still parse.
@@ -22,7 +22,6 @@ use ssr_campaign::checkpoint::{self, CheckpointWriter};
 use ssr_campaign::{families, Campaign, Sweep, TopologySpec};
 use ssr_obs::json;
 use ssr_obs::trace::{event_to_json, validate_jsonl_line};
-use ssr_report::history::{entry_to_json_line, validate_history_line, HistoryCell, HistoryEntry};
 use ssr_report::reader::parse_scale_json;
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::trace::TraceEvent;
@@ -36,7 +35,7 @@ const SPEC: &str = r#"{"schema":"ssr-campaign-spec/v1","id":"fuzz",
     "inits":["arbitrary","tear(n/2)","corrupt(2)"],
     "trials":2,"step_cap":500000,"seed":7,"intra_threads":[1,2]}"#;
 
-const SCALE: &str = include_str!("../../../BENCH_SCALE.json");
+const SCALE: &str = include_str!("../../report/tests/golden/bench-scale-v2.json");
 
 /// Replacement bytes for the single-byte mutations: JSON's structure,
 /// the starts of numbers and escapes, and a byte that is never UTF-8.
@@ -58,7 +57,6 @@ fn feed_str_parsers(bytes: &[u8]) {
     let _ = spec::parse(&text);
     let _ = checkpoint::validate(&text);
     let _ = validate_jsonl_line(&text);
-    let _ = validate_history_line(&text);
     let _ = parse_scale_json(&text);
 }
 
@@ -149,7 +147,7 @@ fn noise(rng: &mut Xoshiro256StarStar) -> Vec<u8> {
 /// The valid documents the prefix and mutation sweeps start from: a
 /// campaign spec, a POST of that spec (head plus body), a two-record
 /// checkpoint journal (written through a temp file named by `tag`, one
-/// per test), two trace lines and a history line.
+/// per test) and two trace lines.
 fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
     let campaign = Campaign::new("fuzz")
         .topologies(vec![TopologySpec::Ring])
@@ -182,21 +180,6 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
     .iter()
     .map(|e| format!("{}\n", event_to_json(e)))
     .collect::<String>();
-    let history = entry_to_json_line(&HistoryEntry {
-        sha: "abc123".into(),
-        host: "fuzz-host".into(),
-        source: "BENCH_SCALE.json".into(),
-        cells: vec![HistoryCell {
-            topology: "ring".into(),
-            n: 1000,
-            threads: 2,
-            steps_per_sec: 34582.7,
-            moves_per_sec: 9098397.2,
-            phase_select_nanos: 7038,
-            phase_apply_nanos: 44996,
-            phase_guards_nanos: 252129,
-        }],
-    });
     let post = format!(
         "POST /campaigns HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\n\r\n{SPEC}",
@@ -207,7 +190,6 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
         ("http", post.into_bytes()),
         ("checkpoint", journal_bytes),
         ("trace", trace.into_bytes()),
-        ("history", history.into_bytes()),
     ]
 }
 
@@ -232,7 +214,6 @@ fn valid_documents_parse() {
     for line in text("trace").lines() {
         assert_eq!(validate_jsonl_line(line), Ok(()));
     }
-    assert_eq!(validate_history_line(&text("history")), Ok(()));
     assert!(parse_scale_json(SCALE).is_ok());
 }
 

@@ -246,10 +246,14 @@ pub fn lemma20_move_bound(diameter: u64) -> u64 {
     3 * diameter
 }
 
-/// The move bound shown in \[23\] for the Boulinier et al. \[11\] baseline:
-/// `O(D·n³ + α·n²)`. We take the safe parameter `α = n − 2` (always
-/// legal since the longest chordless cycle is at most `n`), giving
-/// `D·n³ + (n−2)·n²` as the comparison curve for E5.
+/// The move bound shown in \[23\] for Boulinier et al.'s parametric
+/// unison \[11\]: `O(D·n³ + α·n²)`. We take the safe parameter
+/// `α = n − 2` (always legal since the longest chordless cycle is at
+/// most `n`), giving `D·n³ + (n−2)·n²` as the comparison curve for E5.
+/// It is \[11\]'s curve, not a bound on `ssr_baselines::CfgUnison`:
+/// that algorithm resets to 0 without the tail of α extra clock values
+/// the curve charges for, and is not self-stabilizing under the unfair
+/// daemon.
 pub fn baseline_move_curve(n: u64, diameter: u64) -> u64 {
     diameter * n * n * n + n.saturating_sub(2) * n * n
 }

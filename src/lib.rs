@@ -20,7 +20,7 @@
 //! | [`explore`] | `ssr-explore` | exhaustive schedule-space explorer, exact worst-case bounds, witness traces |
 //! | [`obs`] | `ssr-obs` | zero-cost tracing sinks, metrics registry, campaign progress |
 //! | [`analyze`] | `ssr-analyze` | static soundness certification: footprint analysis, locality/commutativity audit, rule-table lints, `ANALYSIS.json` |
-//! | [`report`] | `ssr-report` | typed artifact readers, self-contained HTML/SVG campaign reports, perf-history store + regression tripwire |
+//! | [`report`] | `ssr-report` | typed artifact readers, self-contained HTML/SVG campaign reports |
 //! | [`serve`] | `ssr-serve` | long-running campaign service: HTTP/1.1 API, content-addressed result cache, resumable checkpoints, SSE progress |
 //!
 //! # Quickstart

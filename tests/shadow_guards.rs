@@ -4,7 +4,9 @@
 //! list, the failing-legitimacy count (`illegitimate_count`) and
 //! `is_legitimate` — and the step's transition is replayed against the
 //! configuration before it. Rounds and moves are recounted from their
-//! definition (§2.4) and compared with `RunStats`,
+//! definition (§2.4), guard evaluations from the refresh set's (the
+//! union of `N[u]` over a step's movers; `N[u]` for each injected
+//! node), and all are compared with `RunStats`,
 //! `last_step_completed_round` and `rounds_now`. A twin simulator with
 //! a no-op trace sink steps in lockstep and must agree on everything,
 //! since the traced and the untraced step are two instantiations of one
@@ -126,10 +128,11 @@ impl<A: Algorithm> ShadowGuards<'_, A> {
         }
     }
 
-    /// Counts the last step's moves and advances the round by the
-    /// definition: the movers and the processes no longer `enabled`
-    /// leave the front; an empty front completes the round, and the
-    /// next one starts from the processes enabled now.
+    /// Counts the last step's moves and guard evaluations (one per
+    /// node of the movers' closed neighbourhoods) and advances the
+    /// round by the definition: the movers and the processes no longer
+    /// `enabled` leave the front; an empty front completes the round,
+    /// and the next one starts from the processes enabled now.
     fn count(&mut self, sim: &Simulator<'_, A>, enabled: Vec<NodeId>) {
         let (n, rules) = (self.config.len(), sim.algorithm().rule_count());
         let stats = &mut self.stats;
@@ -144,6 +147,14 @@ impl<A: Algorithm> ShadowGuards<'_, A> {
             stats.moves_per_process[u.index()] += 1;
             stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
         }
+        let mut refreshed: Vec<NodeId> = sim
+            .last_activated()
+            .iter()
+            .flat_map(|&(u, _)| std::iter::once(u).chain(sim.graph().neighbors(u).iter().copied()))
+            .collect();
+        refreshed.sort_unstable();
+        refreshed.dedup();
+        stats.guard_evals += refreshed.len() as u64;
         self.front
             .retain(|u| enabled.contains(u) && sim.last_activated().iter().all(|m| m.0 != *u));
         let completed = self.front.is_empty();
@@ -237,6 +248,7 @@ where
         {
             sim.inject(u, donor[u.index()].clone());
             shadow.twin.inject(u, donor[u.index()].clone());
+            shadow.stats.guard_evals += 1 + g.degree(u) as u64;
         }
         // A fault restarts the round from the configuration it left.
         shadow.front = shadow.check(&sim);
@@ -296,10 +308,10 @@ proptest! {
 
     /// The incremental masks, enabled set and legitimacy count equal a
     /// from-scratch recomputation after every step, every step is the
-    /// composite-atomicity transition of its moves, the move and round
-    /// counters equal their definition, and a traced twin steps
-    /// identically, for every standard label's algorithm × daemon ×
-    /// intra-run thread count.
+    /// composite-atomicity transition of its moves, the move, round
+    /// and guard-evaluation counters equal their definition, and a
+    /// traced twin steps identically, for every standard label's
+    /// algorithm × daemon × intra-run thread count.
     #[test]
     fn incremental_guards_match_a_full_recompute(
         n in 2usize..=64,
