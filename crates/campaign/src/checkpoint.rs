@@ -84,14 +84,18 @@ impl CheckpointWriter {
     }
 
     /// Appends one finished scenario and flushes, so the line is
-    /// durable before the next scenario can complete.
+    /// durable before the next scenario can complete. The line is
+    /// rendered before the lock is taken: workers appending at once
+    /// wait only for each other's write and flush.
     pub fn append(&self, fp: Fingerprint, rec: &ScenarioRecord) -> std::io::Result<()> {
-        let line = Json::obj([
+        let mut line = Json::obj([
             ("fingerprint", Json::str(fp.to_string())),
             ("record", rec.to_json()),
-        ]);
+        ])
+        .to_string();
+        line.push('\n');
         let mut w = self.inner.lock().unwrap();
-        writeln!(w, "{line}")?;
+        w.write_all(line.as_bytes())?;
         w.flush()
     }
 }

@@ -7,6 +7,8 @@
 //! the campaign records, the checkpoint journal and the experiment
 //! harness's `BENCH_`-style result files.
 
+use std::fmt::Write as _;
+
 use crate::runner::ScenarioRecord;
 
 /// The JSON value the writers render (the parser's [`Value`] type;
@@ -60,8 +62,7 @@ impl ScenarioRecord {
 pub fn jsonl(records: &[ScenarioRecord]) -> String {
     let mut out = String::new();
     for rec in records {
-        out.push_str(&rec.to_json().to_string());
-        out.push('\n');
+        let _ = writeln!(out, "{}", rec.to_json());
     }
     out
 }

@@ -17,30 +17,14 @@ use crate::{Graph, NodeId};
 /// assert_eq!(metrics::bfs_distances(&g, NodeId(0)), vec![0, 1, 2, 3]);
 /// ```
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
-    let n = g.node_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::with_capacity(n);
-    dist[src.index()] = 0;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        for &v in g.neighbors(u) {
-            if dist[v.index()] == u32::MAX {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    debug_assert!(
-        dist.iter().all(|&d| d != u32::MAX),
-        "graph must be connected"
-    );
-    dist
+    let mut bfs = Bfs::new(g);
+    bfs.run(g, src);
+    bfs.dist
 }
 
 /// Eccentricity of `u`: its maximum BFS distance to any node.
 pub fn eccentricity(g: &Graph, u: NodeId) -> u32 {
-    bfs_distances(g, u).into_iter().max().unwrap_or(0)
+    Bfs::new(g).eccentricity(g, u)
 }
 
 /// Diameter `D`: the maximum eccentricity, via all-pairs BFS (`O(n·m)`).
@@ -53,12 +37,60 @@ pub fn eccentricity(g: &Graph, u: NodeId) -> u32 {
 /// assert_eq!(metrics::diameter(&generators::complete(8)), 1);
 /// ```
 pub fn diameter(g: &Graph) -> u32 {
-    g.nodes().map(|u| eccentricity(g, u)).max().unwrap_or(0)
+    let mut bfs = Bfs::new(g);
+    g.nodes().map(|u| bfs.eccentricity(g, u)).max().unwrap_or(0)
 }
 
 /// Radius: the minimum eccentricity.
 pub fn radius(g: &Graph) -> u32 {
-    g.nodes().map(|u| eccentricity(g, u)).min().unwrap_or(0)
+    let mut bfs = Bfs::new(g);
+    g.nodes().map(|u| bfs.eccentricity(g, u)).min().unwrap_or(0)
+}
+
+/// One distance vector and one queue, reused by every BFS of an
+/// all-pairs pass: [`diameter`] allocates twice, not twice per node.
+struct Bfs {
+    dist: Vec<u32>,
+    queue: Vec<NodeId>,
+}
+
+impl Bfs {
+    fn new(g: &Graph) -> Bfs {
+        let n = g.node_count();
+        Bfs {
+            dist: vec![u32::MAX; n],
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// Fills `dist` with the hop distances from `src`.
+    fn run(&mut self, g: &Graph, src: NodeId) {
+        let Bfs { dist, queue } = self;
+        dist.fill(u32::MAX);
+        queue.clear();
+        dist[src.index()] = 0;
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u.index()];
+            for &v in g.neighbors(u) {
+                if dist[v.index()] == u32::MAX {
+                    dist[v.index()] = du + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        debug_assert!(
+            dist.iter().all(|&d| d != u32::MAX),
+            "graph must be connected"
+        );
+    }
+
+    fn eccentricity(&mut self, g: &Graph, u: NodeId) -> u32 {
+        self.run(g, u);
+        self.dist.iter().copied().max().unwrap_or(0)
+    }
 }
 
 /// Average degree `2m / n`.

@@ -8,7 +8,7 @@
 //! `ssr_campaign::output::Json`, what the campaign records, the
 //! checkpoint journal and the experiment result files are rendered
 //! from. The remaining hand-rolled emitters (metrics snapshots, trace
-//! lines, `ANALYSIS.json`) share its string escaper,
+//! lines, `ANALYSIS.json`) share its string escaper through
 //! [`crate::metrics::json_string`].
 //!
 //! Integers are preserved exactly: a numeric token without `.`/`e`
@@ -144,40 +144,113 @@ impl Value {
 impl fmt::Display for Value {
     /// Compact, deterministic JSON: no whitespace, object members in
     /// insertion order, floats in Rust's shortest round-trip form
-    /// (`null` when not finite), strings escaped by
-    /// [`crate::metrics::json_string`]. Campaign records are rendered
-    /// here, so the campaign golden files pin this layout.
+    /// (`null` when not finite), keys and strings escaped by the one
+    /// escaper that [`crate::metrics::json_string`] wraps. Campaign
+    /// records are rendered here, so the campaign golden files pin
+    /// this layout.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl Value {
+    /// Renders straight into `out`: integers, literals and punctuation
+    /// are plain `write_str`s and strings go through one escaper, so a
+    /// record costs no allocation and no formatting pass per token.
+    fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::U64(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::F64(v) if v.is_finite() => write!(f, "{v}"),
-            Value::F64(_) => write!(f, "null"),
-            Value::Str(s) => write!(f, "{}", crate::metrics::json_string(s)),
+            Value::Null => out.write_str("null"),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::U64(v) => write_u64(out, *v),
+            Value::I64(v) => {
+                if *v < 0 {
+                    out.write_char('-')?;
+                }
+                write_u64(out, v.unsigned_abs())
+            }
+            Value::F64(v) if v.is_finite() => write!(out, "{v}"),
+            Value::F64(_) => out.write_str("null"),
+            Value::Str(s) => write_string(out, s),
             Value::Arr(items) => {
-                write!(f, "[")?;
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.write_char(',')?;
                     }
-                    write!(f, "{item}")?;
+                    item.write_to(out)?;
                 }
-                write!(f, "]")
+                out.write_char(']')
             }
             Value::Obj(members) => {
-                write!(f, "{{")?;
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.write_char(',')?;
                     }
-                    write!(f, "{}:{v}", crate::metrics::json_string(k))?;
+                    write_string(out, k)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                write!(f, "}}")
+                out.write_char('}')
             }
         }
     }
+}
+
+/// Writes `v` in decimal, as `{v}` would, from a stack buffer.
+fn write_u64(out: &mut impl fmt::Write, mut v: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"))
+}
+
+/// Writes `s` as a JSON string literal, quotes included: `"` and `\`
+/// backslash-escaped, `\n`/`\r`/`\t` by name, every other control
+/// character as `\u00xx`, everything else verbatim. The workspace's
+/// one JSON string escaper: [`Value`]'s rendering calls it directly,
+/// and [`crate::metrics::json_string`] wraps it for the hand-rolled
+/// writers (metrics, traces, progress, `ANALYSIS.json`).
+pub(crate) fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.write_char('"')?;
+    // Every byte that needs escaping is ASCII, so each run between two
+    // of them ends on a char boundary and goes out in one piece.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            _ => {
+                let code = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                out.write_str(std::str::from_utf8(&code).expect("hex digits are ASCII"))
+            }
+        }?;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Parses one complete JSON document (trailing whitespace allowed,
@@ -582,6 +655,16 @@ mod tests {
         assert!(matches!(v, Value::F64(z) if z == 0.0 && z.is_sign_negative()));
         assert_eq!(v.to_string(), "-0");
         assert_eq!(parse("-1"), Ok(Value::I64(-1)));
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        for v in [0, 9, 10, 99, 100, u64::MAX] {
+            assert_eq!(Value::U64(v).to_string(), v.to_string());
+        }
+        for v in [-1, -10, i64::MIN, i64::MAX, 0] {
+            assert_eq!(Value::I64(v).to_string(), v.to_string());
+        }
     }
 
     #[test]

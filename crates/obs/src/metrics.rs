@@ -237,6 +237,13 @@ impl MetricsSet {
         }
     }
 
+    /// Stores `h` under histogram key `key`, replacing whatever was
+    /// there: how [`crate::pipeline::PipelineMetrics`] hands over the
+    /// histograms it folded in place.
+    pub(crate) fn insert_histogram(&mut self, key: &str, h: Histogram) {
+        self.metrics.insert(key.to_string(), Metric::Histogram(h));
+    }
+
     /// The value of counter `key`, if present.
     pub fn counter_value(&self, key: &str) -> Option<u64> {
         match self.metrics.get(key)? {
@@ -343,7 +350,8 @@ impl MetricsSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:", json_string(key));
+            let _ = crate::json::write_string(&mut s, key);
+            s.push(':');
             match m {
                 Metric::Counter(c) => {
                     let _ = write!(s, "{{\"type\":\"counter\",\"value\":{c}}}");
@@ -423,27 +431,13 @@ impl MetricsSnapshot {
     }
 }
 
-/// Escapes `s` as a JSON string literal, quotes included: the
-/// workspace's one JSON string escaper, behind
-/// [`crate::json::Value`]'s rendering and every hand-rolled writer
+/// Escapes `s` as a JSON string literal, quotes included, through
+/// the workspace's one JSON string escaper (the one behind
+/// [`crate::json::Value`]'s rendering): for the hand-rolled writers
 /// (metrics, traces, progress, `ANALYSIS.json`).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    crate::json::write_string(&mut out, s).expect("writing to a String cannot fail");
     out
 }
 

@@ -9,9 +9,9 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 
-use ssr_runtime::trace::{TraceEvent, TraceSink};
+use ssr_runtime::trace::{TraceEvent, TracePhase, TraceSink};
 
-use crate::metrics::MetricsSet;
+use crate::metrics::{Histogram, MetricsSet};
 use crate::trace::JsonlSink;
 
 /// Folds [`TraceEvent`]s into a [`MetricsSet`] as they stream by.
@@ -25,6 +25,12 @@ use crate::trace::JsonlSink;
 /// * `kernel.{apply,guards}.par_steps` / `.seq_steps` — counters
 ///   splitting each parallelizable phase by whether the installed
 ///   kernels engaged (intra-thread utilization).
+///
+/// Events fold into fixed slots — no key lookup or allocation per
+/// event — and [`PipelineMetrics::into_metrics`] names them once. A
+/// key is present exactly when an event fed it, as if every event had
+/// been folded into the set by key: an all-cache-hit sweep registers
+/// no `pipeline.steps`.
 ///
 /// # Examples
 ///
@@ -41,8 +47,20 @@ use crate::trace::JsonlSink;
 /// ```
 #[derive(Debug, Default)]
 pub struct PipelineMetrics {
-    metrics: MetricsSet,
     timing: bool,
+    /// One value per `StepStarted`, so its count is `pipeline.steps`.
+    enabled_set: Histogram,
+    /// One value per `MovesApplied`; `pipeline.moves` is present iff
+    /// it is non-empty (a step may apply zero moves).
+    moves_per_step: Histogram,
+    moves: u64,
+    rounds: u64,
+    runs: u64,
+    /// Indexed by [`TracePhase`] in pipeline order.
+    phase_nanos: [Histogram; 3],
+    /// `[par_steps, seq_steps]` per [`TracePhase`]; select's are
+    /// counted but never reported (it is sequential by design).
+    kernel_steps: [[u64; 2]; 3],
 }
 
 impl PipelineMetrics {
@@ -50,58 +68,77 @@ impl PipelineMetrics {
     /// [`PipelineMetrics::without_timing`] for deterministic folds.
     pub fn new() -> Self {
         PipelineMetrics {
-            metrics: MetricsSet::new(),
             timing: true,
+            ..PipelineMetrics::default()
         }
     }
 
     /// A deterministic variant: no clock reads, so the folded metrics
     /// are a pure function of the seeded run.
     pub fn without_timing() -> Self {
-        PipelineMetrics {
-            metrics: MetricsSet::new(),
-            timing: false,
-        }
+        PipelineMetrics::default()
     }
 
     /// Consumes the sink into its metrics.
     pub fn into_metrics(self) -> MetricsSet {
-        self.metrics
+        let mut m = MetricsSet::new();
+        let steps = self.enabled_set.count();
+        if steps > 0 {
+            m.inc("pipeline.steps", steps);
+            m.insert_histogram("pipeline.enabled_set", self.enabled_set);
+        }
+        if self.moves_per_step.count() > 0 {
+            m.inc("pipeline.moves", self.moves);
+            m.insert_histogram("pipeline.moves_per_step", self.moves_per_step);
+        }
+        for (key, n) in [
+            ("pipeline.rounds", self.rounds),
+            ("pipeline.runs", self.runs),
+        ] {
+            if n > 0 {
+                m.inc(key, n);
+            }
+        }
+        for ((phase, nanos), [par, seq]) in TracePhase::ALL
+            .into_iter()
+            .zip(self.phase_nanos)
+            .zip(self.kernel_steps)
+        {
+            if nanos.count() > 0 {
+                m.insert_histogram(&format!("phase.{phase}.nanos"), nanos);
+            }
+            if phase == TracePhase::Select {
+                continue;
+            }
+            for (kind, n) in [("par_steps", par), ("seq_steps", seq)] {
+                if n > 0 {
+                    m.inc(&format!("kernel.{phase}.{kind}"), n);
+                }
+            }
+        }
+        m
     }
 }
 
 impl TraceSink for PipelineMetrics {
     fn record(&mut self, event: &TraceEvent) {
-        match event {
+        match *event {
             TraceEvent::StepStarted { enabled, .. } => {
-                self.metrics.inc("pipeline.steps", 1);
-                self.metrics
-                    .observe("pipeline.enabled_set", *enabled as u64);
+                self.enabled_set.observe(u64::from(enabled));
             }
             TraceEvent::PhaseTimed {
                 phase, nanos, par, ..
             } => {
-                self.metrics
-                    .observe(&format!("phase.{phase}.nanos"), *nanos);
-                // Select is sequential by design; utilization split
-                // only makes sense for the parallelizable phases.
-                if phase.as_str() != "select" {
-                    let kind = if *par { "par_steps" } else { "seq_steps" };
-                    self.metrics.inc(&format!("kernel.{phase}.{kind}"), 1);
-                }
+                self.phase_nanos[phase as usize].observe(nanos);
+                self.kernel_steps[phase as usize][usize::from(!par)] += 1;
             }
             TraceEvent::MovesApplied { moves, .. } => {
-                self.metrics.inc("pipeline.moves", *moves as u64);
-                self.metrics
-                    .observe("pipeline.moves_per_step", *moves as u64);
+                self.moves += u64::from(moves);
+                self.moves_per_step.observe(u64::from(moves));
             }
             TraceEvent::EnabledSetSize { .. } => {}
-            TraceEvent::RoundCompleted { .. } => {
-                self.metrics.inc("pipeline.rounds", 1);
-            }
-            TraceEvent::RunEnded { .. } => {
-                self.metrics.inc("pipeline.runs", 1);
-            }
+            TraceEvent::RoundCompleted { .. } => self.rounds += 1,
+            TraceEvent::RunEnded { .. } => self.runs += 1,
         }
     }
 
@@ -191,7 +228,6 @@ impl TraceSink for CompositeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssr_runtime::trace::TracePhase;
     use ssr_runtime::TerminationReason;
 
     #[test]

@@ -9,6 +9,9 @@
 //!   float is finite and non-integral and every `I64` is negative: the
 //!   parser's canonical forms (an integer token is `U64` unless it is
 //!   negative, a float token is `F64`).
+//! * The renderer, which writes straight into its output, gives the
+//!   bytes of [`reference`]: a slow renderer that formats every token
+//!   and escapes every string into a `String` of its own, char by char.
 //!
 //! The vendored proptest samples primitive ranges only, so the trees
 //! are derived from a seeded [`Xoshiro256StarStar`] inside each case.
@@ -16,6 +19,7 @@
 use proptest::prelude::*;
 
 use ssr_obs::json::{parse, Value};
+use ssr_obs::metrics::json_string;
 use ssr_runtime::rng::Xoshiro256StarStar;
 
 /// Characters that stress the escaper and the UTF-8 path.
@@ -67,6 +71,49 @@ fn value(rng: &mut Xoshiro256StarStar, depth: usize, canonical: bool) -> Value {
     }
 }
 
+/// The slow oracle for `Value`'s `Display`: one `format!` per token
+/// and one escaped `String` per key and string.
+fn reference(v: &Value) -> String {
+    match v {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => format!("{b}"),
+        Value::U64(n) => format!("{n}"),
+        Value::I64(n) => format!("{n}"),
+        Value::F64(f) if f.is_finite() => format!("{f}"),
+        Value::F64(_) => "null".to_string(),
+        Value::Str(s) => reference_string(s),
+        Value::Arr(items) => {
+            let items: Vec<String> = items.iter().map(reference).collect();
+            format!("[{}]", items.join(","))
+        }
+        Value::Obj(members) => {
+            let members: Vec<String> = members
+                .iter()
+                .map(|(k, v)| format!("{}:{}", reference_string(k), reference(v)))
+                .collect();
+            format!("{{{}}}", members.join(","))
+        }
+    }
+}
+
+/// The slow oracle for the string escaper, char by char.
+fn reference_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 proptest! {
     #[test]
     fn rendering_is_stable_through_the_parser(seed in 0u64..u64::MAX) {
@@ -86,6 +133,17 @@ proptest! {
             let v = value(&mut rng, 4, true);
             let text = v.to_string();
             prop_assert_eq!(parse(&text), Ok(v), "{}", text);
+        }
+    }
+
+    #[test]
+    fn rendering_matches_the_reference_renderer(seed in 0u64..u64::MAX) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        for _ in 0..16 {
+            let v = value(&mut rng, 4, false);
+            prop_assert_eq!(v.to_string(), reference(&v));
+            let s = string(&mut rng);
+            prop_assert_eq!(json_string(&s), reference_string(&s));
         }
     }
 }

@@ -2,15 +2,20 @@
 //! any seeded run, enabling trace or metrics channels must leave the
 //! run's results byte-identical to the bare path — at one *and* four
 //! intra-run threads — and two traces of the same seeded run must be
-//! byte-identical to each other.
+//! byte-identical to each other. And the fixed-slot
+//! [`PipelineMetrics`] fold gives the snapshot bytes of a slow
+//! reference fold that updates the registry by key on every event.
 
 use proptest::prelude::*;
 use ssr_graph::{generators, Graph};
+use ssr_obs::metrics::MetricsSet;
 use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::trace::JsonlSink;
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::trace::TraceSink;
-use ssr_runtime::{Algorithm, Daemon, NodeId, RuleId, RuleMask, Simulator, StateView};
+use ssr_runtime::trace::{TraceEvent, TracePhase, TraceSink};
+use ssr_runtime::{
+    Algorithm, Daemon, NodeId, RuleId, RuleMask, Simulator, StateView, TerminationReason,
+};
 
 /// Toy convergence workload with multi-move synchronous steps: every
 /// node below the maximum of its neighborhood adopts that maximum.
@@ -99,6 +104,112 @@ fn trace_bytes(sink: Box<dyn TraceSink>) -> Vec<u8> {
         .and_then(|a| a.downcast_mut::<JsonlSink<Vec<u8>>>())
         .expect("sink is the JsonlSink we installed");
     std::mem::replace(jsonl, JsonlSink::new(Vec::new())).into_writer()
+}
+
+/// The slow oracle for [`PipelineMetrics`]: every event updates the
+/// registry by key, each key created by the first event that feeds it.
+fn reference_fold(events: &[TraceEvent]) -> MetricsSet {
+    let mut m = MetricsSet::new();
+    for event in events {
+        match event {
+            TraceEvent::StepStarted { enabled, .. } => {
+                m.inc("pipeline.steps", 1);
+                m.observe("pipeline.enabled_set", *enabled as u64);
+            }
+            TraceEvent::PhaseTimed {
+                phase, nanos, par, ..
+            } => {
+                m.observe(&format!("phase.{phase}.nanos"), *nanos);
+                if *phase != TracePhase::Select {
+                    let kind = if *par { "par_steps" } else { "seq_steps" };
+                    m.inc(&format!("kernel.{phase}.{kind}"), 1);
+                }
+            }
+            TraceEvent::MovesApplied { moves, .. } => {
+                m.inc("pipeline.moves", *moves as u64);
+                m.observe("pipeline.moves_per_step", *moves as u64);
+            }
+            TraceEvent::EnabledSetSize { .. } => {}
+            TraceEvent::RoundCompleted { .. } => m.inc("pipeline.rounds", 1),
+            TraceEvent::RunEnded { .. } => m.inc("pipeline.runs", 1),
+        }
+    }
+    m
+}
+
+/// A random event stream: empty one time in four, `PhaseTimed` events
+/// (any phase, par or seq) only when `timed`, small and large sizes and
+/// durations (zero-move steps and 0-ns phases included).
+fn event_stream(rng: &mut Xoshiro256StarStar, timed: bool) -> Vec<TraceEvent> {
+    let len = if rng.index(4) == 0 { 0 } else { rng.index(48) };
+    let size = |rng: &mut Xoshiro256StarStar| match rng.index(3) {
+        0 => 0,
+        1 => rng.below(8) as u32,
+        _ => rng.next_u64() as u32,
+    };
+    let mut events = Vec::with_capacity(len);
+    for step in 0..len as u64 {
+        let event = match rng.index(if timed { 7 } else { 5 }) {
+            0 => TraceEvent::StepStarted {
+                step,
+                enabled: size(rng),
+            },
+            1 => TraceEvent::MovesApplied {
+                step,
+                moves: size(rng),
+            },
+            2 => TraceEvent::EnabledSetSize {
+                step,
+                enabled: size(rng),
+            },
+            3 => TraceEvent::RoundCompleted { step, rounds: step },
+            4 => TraceEvent::RunEnded {
+                steps: step,
+                moves: step,
+                rounds: step,
+                reason: TerminationReason::Terminal,
+            },
+            _ => TraceEvent::PhaseTimed {
+                step,
+                phase: *rng.choose(&TracePhase::ALL),
+                nanos: if rng.chance(0.25) {
+                    0
+                } else {
+                    rng.next_u64() >> rng.index(64)
+                },
+                par: rng.chance(0.5),
+            },
+        };
+        events.push(event);
+    }
+    events
+}
+
+proptest! {
+    /// Fixed slots and the per-event keyed fold give the same snapshot
+    /// bytes: same keys present, same counts, same histograms.
+    #[test]
+    fn fixed_slot_fold_matches_the_keyed_fold(seed in 0u64..u64::MAX) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        for _ in 0..16 {
+            let timed = rng.chance(0.5);
+            let events = event_stream(&mut rng, timed);
+            let mut pm = if timed {
+                PipelineMetrics::new()
+            } else {
+                PipelineMetrics::without_timing()
+            };
+            for event in &events {
+                pm.record(event);
+            }
+            prop_assert_eq!(
+                pm.into_metrics().snapshot().to_json(),
+                reference_fold(&events).snapshot().to_json(),
+                "{:?}",
+                events
+            );
+        }
+    }
 }
 
 proptest! {

@@ -393,7 +393,7 @@ fn phases_section(art: &Artifacts) -> String {
         return empty_figure(
             "chart-phases",
             "Per-phase time breakdown",
-            "needs BENCH_SCALE.json (bench-scale-v2)",
+            "needs BENCH_SCALE.json (bench-scale-v3)",
         );
     };
     let mut tops: Vec<&str> = scale.runs.iter().map(|r| r.topology.as_str()).collect();
@@ -472,7 +472,7 @@ fn scaling_section(art: &Artifacts) -> String {
         return empty_figure(
             "chart-scaling",
             "Thread scaling",
-            "needs BENCH_SCALE.json (bench-scale-v2)",
+            "needs BENCH_SCALE.json (bench-scale-v3)",
         );
     };
     let mut keys: Vec<(String, u64)> = scale

@@ -7,6 +7,7 @@
 //! is deliberately not implemented: every response closes the
 //! connection, which makes draining trivial to reason about.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -145,8 +146,8 @@ pub fn respond_text(stream: &mut TcpStream, status: u16, msg: &str) {
     respond(stream, status, "text/plain; charset=utf-8", body.as_bytes());
 }
 
-/// A chunked `text/event-stream` writer: call [`SseWriter::event`] per
-/// payload line, then [`SseWriter::finish`]. Any transport error turns
+/// A chunked `text/event-stream` writer: call [`SseWriter::events`]
+/// per batch of payload lines, then [`SseWriter::finish`]. Any transport error turns
 /// the writer inert — callers just notice [`SseWriter::is_dead`] and
 /// stop producing.
 pub struct SseWriter<'s> {
@@ -180,11 +181,20 @@ impl<'s> SseWriter<'s> {
         }
     }
 
-    /// Sends one SSE event (`data: <payload>\n\n`) as one chunk.
-    pub fn event(&mut self, payload: &str) {
-        let data = format!("data: {payload}\n\n");
-        let chunk = format!("{:x}\r\n{data}\r\n", data.len());
-        self.raw(chunk.as_bytes());
+    /// Sends each payload as one SSE event (`data: <payload>\n\n`)
+    /// in a chunk of its own, the whole batch in one write: a batch of
+    /// progress lines costs one syscall, not one per line. An empty
+    /// batch writes nothing.
+    pub fn events(&mut self, payloads: &[String]) {
+        if payloads.is_empty() {
+            return;
+        }
+        let mut batch = String::new();
+        for payload in payloads {
+            let data_len = "data: \n\n".len() + payload.len();
+            let _ = write!(batch, "{data_len:x}\r\ndata: {payload}\n\n\r\n");
+        }
+        self.raw(batch.as_bytes());
     }
 
     /// Sends the terminating zero-length chunk.

@@ -3,9 +3,11 @@
 //!
 //! A [`Job`] is shared between the HTTP handlers (status, SSE,
 //! downloads) and the orchestrator thread (execution), so its mutable
-//! half sits behind one mutex. Artifacts (JSONL, CSV, the rendered
-//! HTML report) are produced once and stored as strings — serving them
-//! twice yields byte-identical responses by construction.
+//! half sits behind one mutex. A finished job stores its records once,
+//! as JSONL, with its metrics snapshot; the CSV and the rendered HTML
+//! report are derived from those on first request and memoized as
+//! strings — serving any artifact twice yields byte-identical
+//! responses by construction.
 
 use std::sync::{Arc, Mutex};
 
@@ -42,9 +44,10 @@ impl JobPhase {
 pub struct JobOutcome {
     /// Current phase (`Queued` at rest thanks to `Default`).
     phase: Option<JobPhase>,
-    /// Records as JSONL, once done.
+    /// Records as JSONL, once done: their one stored form.
     pub jsonl: Option<String>,
-    /// Records as CSV, once done.
+    /// Records as CSV, derived from `jsonl` (memoized on first
+    /// request).
     pub csv: Option<String>,
     /// Rendered HTML report (memoized on first request).
     pub report: Option<String>,

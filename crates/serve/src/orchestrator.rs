@@ -104,15 +104,20 @@ pub fn run_job<'scope>(
     });
     match engine.join() {
         Ok(SweepReport { records, metrics }) => {
+            // Rendered before the job's lock is taken, so status and
+            // artifact readers never wait on it. The JSONL is the one
+            // stored form of the records; the CSV and the report are
+            // derived from it on first request (`server.rs`).
+            let jsonl = output::jsonl(&records);
+            let metrics_json = metrics.snapshot().to_json();
             let counter = |key: &str| metrics.counter_value(key).unwrap_or(0);
             job.with_outcome(|out| {
                 out.cache_hits = counter("campaign.cache_hits");
                 out.cache_misses = counter("campaign.cache_misses");
                 out.sim_steps = counter("pipeline.steps");
                 out.failed = counter("campaign.failed");
-                out.jsonl = Some(output::jsonl(&records));
-                out.csv = Some(output::csv(&records));
-                out.metrics_json = Some(metrics.snapshot().to_json());
+                out.jsonl = Some(jsonl);
+                out.metrics_json = Some(metrics_json);
             });
             job.set_phase(JobPhase::Done);
         }

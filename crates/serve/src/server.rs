@@ -17,9 +17,9 @@
 //! | `GET /campaigns/<job>` | one job's status JSON |
 //! | `GET /campaigns/<job>/events` | live `text/event-stream` of progress lines |
 //! | `GET /campaigns/<job>/records.jsonl` | the records, JSONL (`409` until done) |
-//! | `GET /campaigns/<job>/records.csv` | the records, CSV (`409` until done) |
+//! | `GET /campaigns/<job>/records.csv` | the records, CSV, derived from the JSONL (memoized; `409` until done) |
 //! | `GET /campaigns/<job>/metrics` | merged `ssr-metrics-v1` snapshot (`409` until done) |
-//! | `GET /campaigns/<job>/report` | self-contained `ssr-report` HTML (`409` until done) |
+//! | `GET /campaigns/<job>/report` | self-contained `ssr-report` HTML (memoized; `409` until done) |
 //! | `POST /shutdown` | `200`, then drain and exit |
 
 use std::net::{TcpListener, TcpStream};
@@ -28,10 +28,12 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use ssr_campaign::{checkpoint, output, ScenarioRecord};
+use ssr_obs::json;
 use ssr_report::Artifacts;
 
 use crate::http::{self, Request, SseWriter};
-use crate::jobs::{Job, JobBoard, JobPhase};
+use crate::jobs::{Job, JobBoard, JobOutcome, JobPhase};
 use crate::orchestrator::{self, Store};
 use crate::spec;
 
@@ -218,9 +220,21 @@ fn job_route(stream: &mut TcpStream, path: &str, shared: &Shared) {
         "records.jsonl" => {
             serve_artifact(stream, &job, "application/x-ndjson", |o| o.jsonl.clone())
         }
-        "records.csv" => serve_artifact(stream, &job, "text/csv; charset=utf-8", |o| o.csv.clone()),
+        "records.csv" => serve_derived(
+            stream,
+            &job,
+            "text/csv; charset=utf-8",
+            |o| &mut o.csv,
+            |jsonl, _| csv_of(jsonl),
+        ),
         "metrics" => serve_artifact(stream, &job, "application/json", |o| o.metrics_json.clone()),
-        "report" => serve_report(stream, &job),
+        "report" => serve_derived(
+            stream,
+            &job,
+            "text/html; charset=utf-8",
+            |o| &mut o.report,
+            |jsonl, metrics_json| report_of(&job, jsonl, metrics_json),
+        ),
         _ => http::respond_text(stream, 404, &format!("no endpoint {endpoint:?}")),
     }
 }
@@ -232,9 +246,7 @@ fn stream_events(stream: &mut TcpStream, job: &Job) {
     loop {
         let (events, next) = bus.events_since(cursor, Duration::from_millis(250));
         cursor = next;
-        for event in &events {
-            sse.event(event);
-        }
+        sse.events(&events);
         if sse.is_dead() {
             return; // client went away; nothing left to say
         }
@@ -254,7 +266,7 @@ fn serve_artifact(
     stream: &mut TcpStream,
     job: &Job,
     content_type: &str,
-    pick: impl Fn(&mut crate::jobs::JobOutcome) -> Option<String>,
+    pick: impl Fn(&mut JobOutcome) -> Option<String>,
 ) {
     match job.with_outcome(pick) {
         Some(body) => http::respond(stream, 200, content_type, body.as_bytes()),
@@ -262,14 +274,19 @@ fn serve_artifact(
     }
 }
 
-/// Renders (memoizing) the HTML report for a finished job: its records
-/// plus the merged metrics snapshot, through the same
-/// [`ssr_report::render`] path the offline `report` binary uses — so a
-/// served report is byte-identical to one rendered from downloaded
-/// artifacts.
-fn serve_report(stream: &mut TcpStream, job: &Job) {
-    if let Some(html) = job.with_outcome(|o| o.report.clone()) {
-        http::respond(stream, 200, "text/html; charset=utf-8", html.as_bytes());
+/// Serves an artifact derived from a finished job's stored JSONL and
+/// metrics snapshot: `derive` runs on the first request, outside the
+/// job's lock, and its result is memoized in `slot`, so later requests
+/// get the same bytes without rework.
+fn serve_derived(
+    stream: &mut TcpStream,
+    job: &Job,
+    content_type: &str,
+    slot: fn(&mut JobOutcome) -> &mut Option<String>,
+    derive: impl FnOnce(&str, &str) -> Result<String, String>,
+) {
+    if let Some(body) = job.with_outcome(|o| slot(o).clone()) {
+        http::respond(stream, 200, content_type, body.as_bytes());
         return;
     }
     let inputs = job.with_outcome(|o| o.jsonl.clone().zip(o.metrics_json.clone()));
@@ -277,15 +294,33 @@ fn serve_report(stream: &mut TcpStream, job: &Job) {
         http::respond_text(stream, 409, "campaign not finished");
         return;
     };
-    let mut art = Artifacts::default();
-    let build = art
-        .push_campaign_jsonl(&format!("{}.jsonl", job.id), &jsonl)
-        .and_then(|()| art.push_metrics_json(&format!("{}-metrics.json", job.id), &metrics_json));
-    if let Err(e) = build {
-        http::respond_text(stream, 500, &format!("cannot assemble report: {e}"));
-        return;
+    match derive(&jsonl, &metrics_json) {
+        Ok(body) => {
+            job.with_outcome(|o| *slot(o) = Some(body.clone()));
+            http::respond(stream, 200, content_type, body.as_bytes());
+        }
+        Err(e) => http::respond_text(stream, 500, &e),
     }
-    let html = ssr_report::render(&art);
-    job.with_outcome(|o| o.report = Some(html.clone()));
-    http::respond(stream, 200, "text/html; charset=utf-8", html.as_bytes());
+}
+
+/// The CSV of a job's records, read back from its JSONL through the
+/// checkpoint journal's record reader: the bytes [`output::csv`] gives
+/// for the records the engine returned.
+fn csv_of(jsonl: &str) -> Result<String, String> {
+    let records: Vec<ScenarioRecord> = json::parse_jsonl(jsonl)
+        .and_then(|lines| lines.iter().map(checkpoint::record_from_json).collect())
+        .map_err(|e| format!("cannot read the stored records: {e}"))?;
+    Ok(output::csv(&records))
+}
+
+/// The HTML report of a finished job: its records plus the merged
+/// metrics snapshot, through the same [`ssr_report::render`] path the
+/// offline `report` binary uses — so a served report is byte-identical
+/// to one rendered from downloaded artifacts.
+fn report_of(job: &Job, jsonl: &str, metrics_json: &str) -> Result<String, String> {
+    let mut art = Artifacts::default();
+    art.push_campaign_jsonl(&format!("{}.jsonl", job.id), jsonl)
+        .and_then(|()| art.push_metrics_json(&format!("{}-metrics.json", job.id), metrics_json))
+        .map_err(|e| format!("cannot assemble report: {e}"))?;
+    Ok(ssr_report::render(&art))
 }

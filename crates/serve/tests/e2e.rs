@@ -6,8 +6,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use ssr_campaign::checkpoint::record_from_json;
+use ssr_campaign::{output, ScenarioRecord, Sweep};
+use ssr_obs::json;
 use ssr_serve::http::MAX_HEAD;
-use ssr_serve::{Server, ServerConfig};
+use ssr_serve::{spec, Server, ServerConfig};
 
 const SPEC: &str = r#"{"schema":"ssr-campaign-spec/v1","id":"e2e",
     "topologies":["ring","star"],"sizes":[6],
@@ -104,9 +107,24 @@ fn the_whole_surface_works_over_tcp() {
     assert_eq!(status, 200);
     let cold_jsonl = body_of(&jsonl_raw).to_string();
     assert_eq!(cold_jsonl.lines().count(), 4);
+    // The CSV is derived from the stored JSONL on first request: it
+    // must be the CSV of the records the JSONL holds, and of the
+    // records the engine returns for the same spec, and a second
+    // request must return the memoized bytes.
     let (status, csv_raw) = request(addr, "GET", &format!("/campaigns/{job}/records.csv"), "");
     assert_eq!(status, 200);
-    assert!(body_of(&csv_raw).starts_with("campaign,"));
+    let csv = body_of(&csv_raw).to_string();
+    let parsed: Vec<ScenarioRecord> = json::parse_jsonl(&cold_jsonl)
+        .unwrap()
+        .iter()
+        .map(|v| record_from_json(v).unwrap())
+        .collect();
+    assert_eq!(csv, output::csv(&parsed));
+    let (_, campaign) = spec::parse(SPEC).unwrap();
+    assert_eq!(csv, output::csv(&Sweep::of(&campaign).run()));
+    let (status, csv_again) = request(addr, "GET", &format!("/campaigns/{job}/records.csv"), "");
+    assert_eq!(status, 200);
+    assert_eq!(body_of(&csv_again), csv);
 
     // The SSE stream replays the finished bus and terminates.
     let (status, sse) = request(addr, "GET", &format!("/campaigns/{job}/events"), "");
