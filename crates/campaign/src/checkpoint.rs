@@ -4,9 +4,10 @@
 //! Layout: a header line `{"schema":"ssr-checkpoint/v1"}` followed by
 //! one line per finished scenario,
 //! `{"fingerprint":"<32 hex>","record":{...}}`, where the record
-//! object is exactly [`ScenarioRecord::to_json`]. The writer appends
-//! and flushes line-atomically under a mutex, so a crash can tear at
-//! most the final line.
+//! object is exactly what [`ScenarioRecord::write_json`] writes (a
+//! campaign JSONL line). The writer appends and flushes
+//! line-atomically under a mutex, so a crash can tear at most the
+//! final line.
 //!
 //! Reading comes in two strengths. [`load`] is the *resume* path: it
 //! tolerates a torn final line (the expected wound of a kill) but
@@ -28,7 +29,6 @@ use ssr_runtime::fingerprint::Fingerprint;
 use ssr_runtime::{TerminationReason, Verdict};
 
 use crate::cache::RecordCache;
-use crate::output::Json;
 use crate::runner::ScenarioRecord;
 
 /// The schema tag of the checkpoint journal.
@@ -85,22 +85,22 @@ impl CheckpointWriter {
 
     /// Appends one finished scenario and flushes, so the line is
     /// durable before the next scenario can complete. The line is
-    /// rendered before the lock is taken: workers appending at once
-    /// wait only for each other's write and flush.
+    /// written straight into one `String` before the lock is taken:
+    /// workers appending at once wait only for each other's write and
+    /// flush.
     pub fn append(&self, fp: Fingerprint, rec: &ScenarioRecord) -> std::io::Result<()> {
-        let mut line = Json::obj([
-            ("fingerprint", Json::str(fp.to_string())),
-            ("record", rec.to_json()),
-        ])
-        .to_string();
-        line.push('\n');
+        // The fingerprint's 32 hex digits need no escaping.
+        let mut line = format!("{{\"fingerprint\":\"{fp}\",\"record\":");
+        rec.write_json(&mut line);
+        line.push_str("}\n");
         let mut w = self.inner.lock().unwrap();
         w.write_all(line.as_bytes())?;
         w.flush()
     }
 }
 
-/// Parses one [`ScenarioRecord::to_json`] object back into a record.
+/// Parses one record object, as [`ScenarioRecord::write_json`] writes
+/// it, back into a record.
 pub fn record_from_json(v: &Value) -> Result<ScenarioRecord, String> {
     let what = "record";
     let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
@@ -264,7 +264,9 @@ mod tests {
                 r
             },
         ] {
-            let v = json::parse(&r.to_json().to_string()).unwrap();
+            let mut line = String::new();
+            r.write_json(&mut line);
+            let v = json::parse(&line).unwrap();
             assert_eq!(record_from_json(&v).unwrap(), r);
         }
     }

@@ -1,13 +1,17 @@
 //! Structured-result writers (JSONL / CSV / JSON values).
 //!
-//! The build is offline, so instead of serde the records render
-//! through [`Json`] — the workspace's one JSON value type,
+//! The build is offline, so there is no serde. A record writes its
+//! JSON object straight into its output ([`ScenarioRecord::write_json`]),
+//! which fixes the byte layout of the campaign JSONL and of the
+//! checkpoint journal's records. Everything else renders through
+//! [`Json`] — the workspace's one JSON value type,
 //! [`ssr_obs::json::Value`], whose deterministic `Display` (insertion
-//! ordered keys, shortest round-trip floats) fixes the byte layout of
-//! the campaign records, the checkpoint journal and the experiment
-//! harness's `BENCH_`-style result files.
+//! ordered keys, shortest round-trip floats) fixes the layout of the
+//! experiment harness's `BENCH_`-style result files. Both share one
+//! string escaper, `ssr_obs::json::write_string`, and give the same
+//! bytes for a record.
 
-use std::fmt::Write as _;
+use ssr_obs::json::{write_string, write_u64};
 
 use crate::runner::ScenarioRecord;
 
@@ -17,52 +21,83 @@ use crate::runner::ScenarioRecord;
 /// [`Value`]: ssr_obs::json::Value
 pub use ssr_obs::json::Value as Json;
 
-fn opt_u64(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::U64)
+impl ScenarioRecord {
+    /// Writes the record as one JSON object (one JSONL line's worth,
+    /// without the newline) straight into `out`: keys are literals,
+    /// strings go through the one JSON escaper and integers through
+    /// `write_u64`, so a record costs no `Value` and no allocation.
+    /// The keys come in field order and an absent reason or bound is
+    /// `null`; `checkpoint::record_from_json` reads the object back.
+    pub fn write_json(&self, out: &mut String) {
+        put_str(out, "{\"campaign\":", &self.campaign);
+        put_u64(out, ",\"index\":", self.index as u64);
+        put_str(out, ",\"topology\":", &self.topology);
+        put_u64(out, ",\"n\":", self.n as u64);
+        put_u64(out, ",\"nodes\":", self.nodes);
+        put_u64(out, ",\"edges\":", self.edges);
+        put_u64(out, ",\"max_degree\":", self.max_degree);
+        put_u64(out, ",\"diameter\":", self.diameter);
+        put_str(out, ",\"algorithm\":", &self.algorithm);
+        put_str(out, ",\"daemon\":", &self.daemon);
+        put_str(out, ",\"init\":", &self.init);
+        put_u64(out, ",\"trial\":", self.trial);
+        put_u64(out, ",\"seed\":", self.seed);
+        put_bool(out, ",\"reached\":", self.reached);
+        put_bool(out, ",\"terminal\":", self.terminal);
+        match self.reason {
+            Some(r) => put_str(out, ",\"reason\":", r.as_str()),
+            None => out.push_str(",\"reason\":null"),
+        }
+        put_u64(out, ",\"steps\":", self.steps);
+        put_u64(out, ",\"moves\":", self.moves);
+        put_u64(out, ",\"rounds\":", self.rounds);
+        put_u64(
+            out,
+            ",\"max_moves_per_process\":",
+            self.max_moves_per_process,
+        );
+        put_opt(out, ",\"bound_rounds\":", self.bound_rounds);
+        put_opt(out, ",\"bound_moves\":", self.bound_moves);
+        put_str(out, ",\"verdict\":", self.verdict.as_str());
+        out.push('}');
+    }
 }
 
-impl ScenarioRecord {
-    /// The record as a JSON object (one JSONL line's worth).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("campaign", Json::str(&self.campaign)),
-            ("index", Json::U64(self.index as u64)),
-            ("topology", Json::str(&self.topology)),
-            ("n", Json::U64(self.n as u64)),
-            ("nodes", Json::U64(self.nodes)),
-            ("edges", Json::U64(self.edges)),
-            ("max_degree", Json::U64(self.max_degree)),
-            ("diameter", Json::U64(self.diameter)),
-            ("algorithm", Json::str(&self.algorithm)),
-            ("daemon", Json::str(&self.daemon)),
-            ("init", Json::str(&self.init)),
-            ("trial", Json::U64(self.trial)),
-            ("seed", Json::U64(self.seed)),
-            ("reached", Json::Bool(self.reached)),
-            ("terminal", Json::Bool(self.terminal)),
-            (
-                "reason",
-                self.reason.map_or(Json::Null, |r| Json::str(r.to_string())),
-            ),
-            ("steps", Json::U64(self.steps)),
-            ("moves", Json::U64(self.moves)),
-            ("rounds", Json::U64(self.rounds)),
-            (
-                "max_moves_per_process",
-                Json::U64(self.max_moves_per_process),
-            ),
-            ("bound_rounds", opt_u64(self.bound_rounds)),
-            ("bound_moves", opt_u64(self.bound_moves)),
-            ("verdict", Json::str(self.verdict.to_string())),
-        ])
+// The record writer's members: `key` is the literal that precedes the
+// value, punctuation included (`,"n":`). Writing into a `String`
+// cannot fail, so the `fmt::Result`s are dropped.
+
+fn put_str(out: &mut String, key: &str, v: &str) {
+    out.push_str(key);
+    let _ = write_string(out, v);
+}
+
+fn put_u64(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    let _ = write_u64(out, v);
+}
+
+fn put_opt(out: &mut String, key: &str, v: Option<u64>) {
+    match v {
+        Some(v) => put_u64(out, key, v),
+        None => {
+            out.push_str(key);
+            out.push_str("null");
+        }
     }
+}
+
+fn put_bool(out: &mut String, key: &str, v: bool) {
+    out.push_str(key);
+    out.push_str(if v { "true" } else { "false" });
 }
 
 /// Serializes records as JSON Lines (one object per line, grid order).
 pub fn jsonl(records: &[ScenarioRecord]) -> String {
     let mut out = String::new();
     for rec in records {
-        let _ = writeln!(out, "{}", rec.to_json());
+        rec.write_json(&mut out);
+        out.push('\n');
     }
     out
 }

@@ -1,6 +1,7 @@
 //! The immutable [`Graph`] type and [`NodeId`] handle.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a process (node) in the communication graph.
 ///
@@ -76,7 +77,7 @@ impl fmt::Display for NodeId {
 /// assert!(g.are_neighbors(NodeId(0), NodeId(1)));
 /// assert!(!g.are_neighbors(NodeId(0), NodeId(2)));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Graph {
     /// `offsets[u] .. offsets[u + 1]` indexes `nbrs` for node `u`.
     offsets: Vec<u32>,
@@ -84,7 +85,21 @@ pub struct Graph {
     nbrs: Vec<NodeId>,
     /// Number of undirected edges `m`.
     edge_count: usize,
+    /// The diameter, once [`crate::metrics::diameter`] has computed
+    /// it: a function of the adjacency, so equality and `Debug`
+    /// ignore it.
+    pub(crate) diameter: OnceLock<u32>,
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.offsets == other.offsets
+            && self.nbrs == other.nbrs
+            && self.edge_count == other.edge_count
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     pub(crate) fn from_parts(offsets: Vec<u32>, nbrs: Vec<NodeId>, edge_count: usize) -> Self {
@@ -92,6 +107,7 @@ impl Graph {
             offsets,
             nbrs,
             edge_count,
+            diameter: OnceLock::new(),
         }
     }
 

@@ -27,7 +27,9 @@ pub fn eccentricity(g: &Graph, u: NodeId) -> u32 {
     Bfs::new(g).eccentricity(g, u)
 }
 
-/// Diameter `D`: the maximum eccentricity, via all-pairs BFS (`O(n·m)`).
+/// Diameter `D`: the maximum eccentricity, via all-pairs BFS (`O(n·m)`)
+/// on the first call for a graph and memoized on it, so a record's
+/// skeleton and its family's bounds share one pass.
 ///
 /// # Examples
 ///
@@ -37,8 +39,10 @@ pub fn eccentricity(g: &Graph, u: NodeId) -> u32 {
 /// assert_eq!(metrics::diameter(&generators::complete(8)), 1);
 /// ```
 pub fn diameter(g: &Graph) -> u32 {
-    let mut bfs = Bfs::new(g);
-    g.nodes().map(|u| bfs.eccentricity(g, u)).max().unwrap_or(0)
+    *g.diameter.get_or_init(|| {
+        let mut bfs = Bfs::new(g);
+        g.nodes().map(|u| bfs.eccentricity(g, u)).max().unwrap_or(0)
+    })
 }
 
 /// Radius: the minimum eccentricity.
@@ -206,6 +210,17 @@ mod tests {
         let g = generators::path(5);
         assert_eq!(radius(&g), 2);
         assert_eq!(diameter(&g), 4);
+    }
+
+    #[test]
+    fn the_memoized_diameter_is_invisible() {
+        let g = generators::ring(9);
+        let fresh = g.clone();
+        assert_eq!(diameter(&g), 4);
+        assert_eq!((g.diameter.get(), fresh.diameter.get()), (Some(&4), None));
+        assert_eq!(g, fresh);
+        assert_eq!(format!("{g:?}"), format!("{fresh:?}"));
+        assert_eq!(diameter(&g.clone()), 4);
     }
 
     #[test]

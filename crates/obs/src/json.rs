@@ -5,11 +5,12 @@
 //! [`Value`] is what every reader parses into — `ssr-report`'s typed
 //! readers, the `ssr-analyze` validator, checkpoint replay, the
 //! service's campaign specs — and, re-exported as
-//! `ssr_campaign::output::Json`, what the campaign records, the
-//! checkpoint journal and the experiment result files are rendered
-//! from. The remaining hand-rolled emitters (metrics snapshots, trace
-//! lines, `ANALYSIS.json`) share its string escaper through
-//! [`crate::metrics::json_string`].
+//! `ssr_campaign::output::Json`, what the experiment result files are
+//! rendered from. The hand-rolled emitters share its string escaper,
+//! [`write_string`]: the campaign records and the checkpoint journal
+//! (`ScenarioRecord::write_json`, which also writes its integers with
+//! [`write_u64`]) call it directly, and the metrics snapshots, trace
+//! lines and `ANALYSIS.json` through [`crate::metrics::json_string`].
 //!
 //! Integers are preserved exactly: a numeric token without `.`/`e`
 //! parses into [`Value::U64`]/[`Value::I64`], so 64-bit seeds and
@@ -145,9 +146,10 @@ impl fmt::Display for Value {
     /// Compact, deterministic JSON: no whitespace, object members in
     /// insertion order, floats in Rust's shortest round-trip form
     /// (`null` when not finite), keys and strings escaped by the one
-    /// escaper that [`crate::metrics::json_string`] wraps. Campaign
-    /// records are rendered here, so the campaign golden files pin
-    /// this layout.
+    /// escaper that [`crate::metrics::json_string`] wraps. The
+    /// campaign record writer produces this layout's bytes without
+    /// building a `Value`; a property test in `ssr-campaign` holds the
+    /// two to the same bytes.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write_to(f)
     }
@@ -198,7 +200,8 @@ impl Value {
 }
 
 /// Writes `v` in decimal, as `{v}` would, from a stack buffer.
-fn write_u64(out: &mut impl fmt::Write, mut v: u64) -> fmt::Result {
+/// [`Value`]'s rendering and the campaign record writer call it.
+pub fn write_u64(out: &mut impl fmt::Write, mut v: u64) -> fmt::Result {
     let mut buf = [0u8; 20];
     let mut start = buf.len();
     loop {
@@ -215,10 +218,11 @@ fn write_u64(out: &mut impl fmt::Write, mut v: u64) -> fmt::Result {
 /// Writes `s` as a JSON string literal, quotes included: `"` and `\`
 /// backslash-escaped, `\n`/`\r`/`\t` by name, every other control
 /// character as `\u00xx`, everything else verbatim. The workspace's
-/// one JSON string escaper: [`Value`]'s rendering calls it directly,
-/// and [`crate::metrics::json_string`] wraps it for the hand-rolled
-/// writers (metrics, traces, progress, `ANALYSIS.json`).
-pub(crate) fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+/// one JSON string escaper: [`Value`]'s rendering and the campaign
+/// record writer call it directly, and [`crate::metrics::json_string`]
+/// wraps it for the hand-rolled writers (metrics, traces, progress,
+/// `ANALYSIS.json`).
+pub fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.write_char('"')?;
     // Every byte that needs escaping is ASCII, so each run between two

@@ -207,9 +207,16 @@ struct BusState {
 
 /// A cloneable, in-memory progress event bus: the campaign side writes
 /// through the [`Progress`] impl, any number of readers poll
-/// [`ProgressBus::events_since`] — which blocks on a condvar until new
-/// events arrive — and stream them on (this is what feeds
-/// `ssr-serve`'s `text/event-stream` endpoint).
+/// [`ProgressBus::events_since`] — which blocks on a condvar — and
+/// stream them on (this is what feeds `ssr-serve`'s
+/// `text/event-stream` endpoint).
+///
+/// Only `begin` and `finish` wake a waiting reader. An item event
+/// reaches a reader that is already waiting when its timeout runs out
+/// or with the `end` event, and a reader that polls after it gets it
+/// at once. So a job shorter than the reader's timeout streams in two
+/// batches instead of one wake per scenario; the events and their
+/// order are the same either way.
 ///
 /// Events are the `ssr-progress-v1` lines, one JSON object each and a
 /// deterministic function of the campaign:
@@ -257,15 +264,17 @@ impl ProgressBus {
         }
     }
 
-    /// Applies one event to the counters, appends the line `event`
-    /// renders from them, and wakes the readers.
-    fn push(&self, event: impl FnOnce(&mut BusSnapshot) -> String) {
+    /// Applies one event to the counters and appends the line `event`
+    /// renders from them; wakes the waiting readers when `wake`.
+    fn push(&self, wake: bool, event: impl FnOnce(&mut BusSnapshot) -> String) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock().unwrap();
         let line = event(&mut st.snap);
         st.events.push(line);
         st.snap.events = st.events.len();
-        cvar.notify_all();
+        if wake {
+            cvar.notify_all();
+        }
     }
 
     /// The current counters.
@@ -275,9 +284,11 @@ impl ProgressBus {
 
     /// Event lines recorded after cursor `from`, plus the new cursor.
     ///
-    /// Blocks up to `timeout` waiting for news; returns early (and
-    /// possibly empty) once the bus is finished, so streaming readers
-    /// terminate promptly at campaign end.
+    /// Returns at once when there are such lines or the bus is
+    /// finished. Otherwise blocks until `begin` or `finish` wakes it or
+    /// `timeout` runs out (an item event does not wake it), so a
+    /// streaming reader gets a job's items in batches and terminates
+    /// promptly at campaign end.
     pub fn events_since(&self, from: usize, timeout: Duration) -> (Vec<String>, usize) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock().unwrap();
@@ -310,7 +321,7 @@ impl Default for ProgressBus {
 
 impl Progress for ProgressBus {
     fn begin(&mut self, total: usize) {
-        self.push(|snap| {
+        self.push(true, |snap| {
             snap.total = total;
             snap.done = 0;
             snap.failed = 0;
@@ -320,7 +331,7 @@ impl Progress for ProgressBus {
     }
 
     fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-        self.push(|snap| {
+        self.push(false, |snap| {
             snap.done += 1;
             if !ok {
                 snap.failed += 1;
@@ -335,7 +346,7 @@ impl Progress for ProgressBus {
     }
 
     fn finish(&mut self) {
-        self.push(|snap| {
+        self.push(true, |snap| {
             snap.finished = true;
             format!(
                 "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{}}}",
@@ -380,6 +391,7 @@ mod tests {
     fn bus_streams_events_to_a_blocking_reader() {
         let mut bus = ProgressBus::new();
         let reader = bus.clone();
+        let (polled, polls) = std::sync::mpsc::channel();
         let t = std::thread::spawn(move || {
             let mut cursor = 0;
             let mut lines = Vec::new();
@@ -387,16 +399,30 @@ mod tests {
                 let (events, next) = reader.events_since(cursor, Duration::from_secs(10));
                 cursor = next;
                 lines.extend(events);
+                let _ = polled.send(cursor);
                 if reader.snapshot().finished && cursor == reader.snapshot().events {
                     return lines;
                 }
             }
         });
         bus.begin(2);
+        // `begin` wakes the reader (or it polls after it); once it has
+        // the line, the items follow without waking it.
+        while polls.recv().unwrap() == 0 {}
         bus.item_done(0, "a", true);
         bus.item_done(1, "b", false);
+        // Give the reader time to block again, so that only `finish`
+        // can release it before its 10-s timeout. Had it not blocked
+        // yet, it returns at once: the bound holds either way.
+        std::thread::sleep(Duration::from_millis(50));
+        let finished = Instant::now();
         bus.finish();
         let lines = t.join().unwrap();
+        let waited = finished.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the reader returned {waited:?} after finish"
+        );
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "{\"progress\":\"begin\",\"total\":2}");
         assert_eq!(

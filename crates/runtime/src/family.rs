@@ -184,17 +184,21 @@ impl Verdict {
     pub fn ok(&self) -> bool {
         !matches!(self, Verdict::Fail)
     }
-}
 
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The verdict's name, as records spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Verdict::Pass => "pass",
             Verdict::Fail => "fail",
             Verdict::NoBound => "no-bound",
             Verdict::Skip => "skip",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -98,14 +98,20 @@ pub enum TerminationReason {
     CapExhausted,
 }
 
-impl fmt::Display for TerminationReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl TerminationReason {
+    /// The reason's name, as records and traces spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
             TerminationReason::Terminal => "terminal",
             TerminationReason::PredicateMet => "predicate-met",
             TerminationReason::CapExhausted => "cap-exhausted",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for TerminationReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

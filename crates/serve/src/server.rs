@@ -244,6 +244,8 @@ fn stream_events(stream: &mut TcpStream, job: &Job) {
     let mut sse = SseWriter::begin(stream);
     let mut cursor = 0usize;
     loop {
+        // The bus wakes this reader on begin and finish only: a job's
+        // items go out in one batch per 250-ms poll, or with the end.
         let (events, next) = bus.events_since(cursor, Duration::from_millis(250));
         cursor = next;
         sse.events(&events);

@@ -88,11 +88,13 @@ fn the_whole_surface_works_over_tcp() {
     assert_eq!(status, 400);
     assert!(body_of(&raw).contains("schema"));
 
-    // Cold submission.
+    // Cold submission, its progress followed live from the start.
     let (status, raw) = request(addr, "POST", "/campaigns", SPEC);
     assert_eq!(status, 201, "{raw}");
     let job = "0001-e2e";
     assert!(body_of(&raw).contains(job));
+    let (status, live) = request(addr, "GET", &format!("/campaigns/{job}/events"), "");
+    assert_eq!(status, 200);
     let cold = wait_done(addr, job);
     assert_eq!(u64_field(&cold, "scenarios"), 4);
     assert_eq!(u64_field(&cold, "done"), 4);
@@ -136,6 +138,28 @@ fn the_whole_surface_works_over_tcp() {
     );
     assert!(sse.contains("\"progress\":\"end\""), "{sse}");
     assert!(sse.trim_end().ends_with("0"), "chunked terminator: {sse:?}");
+    // The live stream, batched as the bus woke its reader, carries the
+    // same chunks: begin, every item once, then end.
+    assert_eq!(body_of(&live), body_of(&sse));
+    let events: Vec<&str> = sse
+        .lines()
+        .filter_map(|l| l.strip_prefix("data: "))
+        .collect();
+    assert_eq!(events.len(), 6, "{sse}");
+    assert_eq!(events[0], "{\"progress\":\"begin\",\"total\":4}");
+    let mut indices: Vec<u64> = events[1..5]
+        .iter()
+        .map(|e| {
+            assert!(e.starts_with("{\"progress\":\"item\","), "{e}");
+            u64_field(e, "index")
+        })
+        .collect();
+    indices.sort_unstable();
+    assert_eq!(indices, [0, 1, 2, 3]);
+    assert!(
+        events[5].starts_with("{\"progress\":\"end\",\"done\":4,"),
+        "{sse}"
+    );
 
     // The report carries the full chart-anchor inventory.
     let (status, report) = request(addr, "GET", &format!("/campaigns/{job}/report"), "");
