@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use ssr_campaign::{families, AlgorithmSpec, InitPlan, PresetSpec, Scenario, TopologySpec};
 use ssr_explore::campaign::{explore_scenario, stochastic_max, ScenarioExploreOptions};
 use ssr_explore::{explore, ExploreOptions};
-use ssr_runtime::{Daemon, Execution, TerminationReason};
+use ssr_runtime::{Daemon, Simulator, TerminationReason};
 
 fn tiny_topology(idx: u8) -> TopologySpec {
     match idx % 5 {
@@ -207,10 +207,9 @@ fn witness_is_a_reachable_stochastic_upper_bound() {
     for daemon in Daemon::all_strategies() {
         for seed in 0..5u64 {
             let verify = Sdr::new(Agreement::new(2));
-            let out = Execution::of(&g, Sdr::new(Agreement::new(2)))
-                .init(inits[w.init].clone())
-                .daemon(daemon.clone())
-                .seed(seed)
+            let algo = Sdr::new(Agreement::new(2));
+            let out = Simulator::new(&g, algo, inits[w.init].clone(), daemon.clone(), seed)
+                .execution()
                 .cap(1_000_000)
                 .until(move |gr, st| verify.is_normal_config(gr, st))
                 .run();

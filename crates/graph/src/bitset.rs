@@ -120,14 +120,9 @@ impl Bitset {
         })
     }
 
-    /// The backing words (for memory accounting and bulk scans).
+    /// The backing words (for bulk scans).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Heap bytes held by the backing storage.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 

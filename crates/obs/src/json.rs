@@ -125,11 +125,6 @@ impl Value {
         }
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",

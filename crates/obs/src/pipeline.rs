@@ -211,7 +211,6 @@ impl TraceSink for CompositeSink {
         self.metrics
             .as_ref()
             .is_some_and(|m| m.wants_phase_timing())
-            || self.file.as_ref().is_some_and(|f| f.wants_phase_timing())
     }
 
     fn flush(&mut self) {

@@ -13,8 +13,8 @@
 //! {"event":"run-ended","steps":10,"moves":12,"rounds":3,"reason":"terminal"}
 //! ```
 //!
-//! Without phase timing (the default), a trace is a pure function of
-//! the seeded run: two traces of the same run are byte-identical.
+//! Without phase timing, a trace is a pure function of the seeded run:
+//! two traces of the same run are byte-identical.
 
 use std::any::Any;
 use std::fmt::Write as _;
@@ -110,11 +110,13 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
 /// A sink writing one JSON line per event to any buffered writer —
 /// files via [`JsonlSink::create`], or an owned `Vec<u8>` for tests.
 ///
-/// Without phase timing (the default), output is deterministic: two
-/// traces of the same seeded run are byte-identical.
+/// It does not ask for phase timing, so two traces of the same seeded
+/// run are byte-identical, unless it shares a [`CompositeSink`] with
+/// timed metrics, which adds `phase-timed` lines.
+///
+/// [`CompositeSink`]: crate::CompositeSink
 pub struct JsonlSink<W: Write + Send> {
     writer: W,
-    timing: bool,
     lines: u64,
 }
 
@@ -128,19 +130,7 @@ impl JsonlSink<BufWriter<File>> {
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps `writer` (supply your own buffering).
     pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer,
-            timing: false,
-            lines: 0,
-        }
-    }
-
-    /// Opts into per-phase wall-time events (nondeterministic values —
-    /// the trace stops being byte-comparable across runs).
-    #[must_use]
-    pub fn with_phase_timing(mut self, timing: bool) -> Self {
-        self.timing = timing;
-        self
+        JsonlSink { writer, lines: 0 }
     }
 
     /// Lines written so far.
@@ -161,10 +151,6 @@ impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
         // in the CLI layer surfaces persistent failures.
         let _ = writeln!(self.writer, "{}", event_to_json(event));
         self.lines += 1;
-    }
-
-    fn wants_phase_timing(&self) -> bool {
-        self.timing
     }
 
     fn flush(&mut self) {

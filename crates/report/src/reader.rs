@@ -1,7 +1,7 @@
 //! Typed readers for the artifacts the stack writes: campaign
 //! JSONL/CSV, `ssr-metrics-v1` snapshots, trace JSONL (`DESIGN.md`
 //! §10), `BENCH_RESULTS.json` (`ssr-bench-results/v1`), and
-//! `BENCH_SCALE.json` (`bench-scale-v2`/`-v3`).
+//! `BENCH_SCALE.json` (`bench-scale-v3`).
 //!
 //! Every reader is the exact inverse of a hand-rolled writer elsewhere
 //! in the workspace, built on the shared recursive-descent parser in
@@ -492,10 +492,10 @@ pub fn parse_bench_results(text: &str) -> Result<BenchResultsDoc, String> {
 }
 
 // ---------------------------------------------------------------------
-// BENCH_SCALE.json (bench-scale-v2 / v3)
+// BENCH_SCALE.json (bench-scale-v3)
 // ---------------------------------------------------------------------
 
-/// One measured cell of a `bench-scale-v2`/`-v3` sweep.
+/// One measured cell of a `bench-scale-v3` sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleRun {
     /// Topology (`ring` / `torus`).
@@ -537,7 +537,7 @@ impl ScaleRun {
     }
 }
 
-/// A parsed `bench-scale-v2`/`-v3` document.
+/// A parsed `bench-scale-v3` document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleDoc {
     /// Whether this was a `--smoke` run.
@@ -546,11 +546,10 @@ pub struct ScaleDoc {
     pub runs: Vec<ScaleRun>,
 }
 
-/// Parses (and thereby validates) a `BENCH_SCALE.json` document.
-/// Keys are read by name, so `bench-scale-v2` (which also carries the
-/// retired `conflict_classes_avg` and `soa_heap_bytes`) and
-/// `bench-scale-v3` read alike. Rejects the retired `bench-scale-v1`
-/// schema by name.
+/// Parses (and thereby validates) a `bench-scale-v3` document, the
+/// `BENCH_SCALE.json` the `scale` bin writes. Rejects every other
+/// schema by name, the retired `bench-scale-v1` with a pointer to the
+/// `scale` bin.
 pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
     let root = json::parse(text)?;
     let schema = json::str_field(&root, "schema", "document")?;
@@ -561,7 +560,7 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
                 .to_string(),
         );
     }
-    if schema != "bench-scale-v2" && schema != "bench-scale-v3" {
+    if schema != "bench-scale-v3" {
         return Err(format!("schema is `{schema}`, expected `bench-scale-v3`"));
     }
     let mut runs = Vec::new();
@@ -669,12 +668,12 @@ mod tests {
     }
 
     #[test]
-    fn scale_v2_parses() {
+    fn scale_v3_parses() {
         let doc = parse_scale_json(
-            "{\"schema\": \"bench-scale-v2\", \"smoke\": true, \"runs\": [\
+            "{\"schema\": \"bench-scale-v3\", \"smoke\": true, \"runs\": [\
              {\"topology\":\"ring\",\"n\":100,\"threads\":2,\"steps\":5,\"moves\":9,\
              \"rounds\":5,\"seconds\":0.5,\"steps_per_sec\":10.0,\"moves_per_sec\":18.0,\
-             \"converged\":true,\"conflict_classes_avg\":2.00,\"soa_heap_bytes\":1024,\
+             \"converged\":true,\
              \"phase_nanos\":{\"select\":1,\"apply\":2,\"guards\":3},\
              \"kernel_par_steps\":{\"apply\":4,\"guards\":5}}]}",
         )

@@ -21,16 +21,16 @@ use ssr_runtime::{Daemon, TerminationReason};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/report.html");
 
-/// A static `bench-scale-v2` slice: two topologies at two thread
+/// A static `bench-scale-v3` slice: two topologies at two thread
 /// counts, enough to exercise the phase and scaling sections.
 const SCALE_JSON: &str = r#"{
-  "schema": "bench-scale-v2",
+  "schema": "bench-scale-v3",
   "smoke": true,
   "runs": [
-    {"topology":"ring","n":1000,"threads":1,"steps":11,"moves":2894,"rounds":11,"seconds":0.000377,"steps_per_sec":29201.0,"moves_per_sec":7682506.0,"converged":true,"conflict_classes_avg":2.00,"soa_heap_bytes":9216,"phase_nanos":{"select":7783,"apply":75238,"guards":273879},"kernel_par_steps":{"apply":0,"guards":0}},
-    {"topology":"ring","n":1000,"threads":4,"steps":11,"moves":2894,"rounds":11,"seconds":0.000318,"steps_per_sec":34582.7,"moves_per_sec":9098397.2,"converged":true,"conflict_classes_avg":2.00,"soa_heap_bytes":9216,"phase_nanos":{"select":7038,"apply":44996,"guards":252129},"kernel_par_steps":{"apply":0,"guards":2}},
-    {"topology":"torus","n":1024,"threads":1,"steps":13,"moves":31870,"rounds":10,"seconds":0.004,"steps_per_sec":3250.0,"moves_per_sec":7967500.0,"converged":true,"conflict_classes_avg":2.80,"soa_heap_bytes":20480,"phase_nanos":{"select":20000,"apply":900000,"guards":2800000},"kernel_par_steps":{"apply":0,"guards":0}},
-    {"topology":"torus","n":1024,"threads":4,"steps":13,"moves":31870,"rounds":10,"seconds":0.003,"steps_per_sec":4333.3,"moves_per_sec":10623333.3,"converged":true,"conflict_classes_avg":2.80,"soa_heap_bytes":20480,"phase_nanos":{"select":18000,"apply":600000,"guards":2100000},"kernel_par_steps":{"apply":3,"guards":5}}
+    {"topology":"ring","n":1000,"threads":1,"steps":11,"moves":2894,"rounds":11,"seconds":0.000377,"steps_per_sec":29201.0,"moves_per_sec":7682506.0,"converged":true,"phase_nanos":{"select":7783,"apply":75238,"guards":273879},"kernel_par_steps":{"apply":0,"guards":0}},
+    {"topology":"ring","n":1000,"threads":4,"steps":11,"moves":2894,"rounds":11,"seconds":0.000318,"steps_per_sec":34582.7,"moves_per_sec":9098397.2,"converged":true,"phase_nanos":{"select":7038,"apply":44996,"guards":252129},"kernel_par_steps":{"apply":0,"guards":2}},
+    {"topology":"torus","n":1024,"threads":1,"steps":13,"moves":31870,"rounds":10,"seconds":0.004,"steps_per_sec":3250.0,"moves_per_sec":7967500.0,"converged":true,"phase_nanos":{"select":20000,"apply":900000,"guards":2800000},"kernel_par_steps":{"apply":0,"guards":0}},
+    {"topology":"torus","n":1024,"threads":4,"steps":13,"moves":31870,"rounds":10,"seconds":0.003,"steps_per_sec":4333.3,"moves_per_sec":10623333.3,"converged":true,"phase_nanos":{"select":18000,"apply":600000,"guards":2100000},"kernel_par_steps":{"apply":3,"guards":5}}
   ]
 }
 "#;

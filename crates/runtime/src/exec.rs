@@ -1,24 +1,25 @@
-//! The execution/observer API: composable trajectory probes and the
-//! fluent [`Execution`] builder — the one public way to drive a run to
-//! completion.
+//! The execution/observer API: [`Simulator::execution`] builds an
+//! [`Execution`], the one way to drive a run to completion, and
+//! [`Observer`]s watch it.
 //!
 //! The paper's claims are *trajectory* properties (alive-root
 //! monotonicity, per-segment rule grammars, liveness windows), so
 //! measurement must see every step without owning the loop. An
-//! [`Observer`] is a passive probe with hooks for each execution event;
-//! an [`Execution`] wires any number of observers into the canonical
-//! run loop. Workloads become "write an observer", never "fork the
-//! loop", and the loop itself exists exactly once.
+//! [`Observer`] is a passive probe with two hooks, one after each step
+//! and one when the run ends; an [`Execution`] wires observers into
+//! the canonical run loop. Workloads become "write an observer", never
+//! "fork the loop", and the loop itself exists exactly once.
 //!
 //! # Examples
 //!
-//! A one-shot run with a custom probe:
+//! The caller owns the simulator, so a run can stop at a predicate, be
+//! resumed with a probe attached, and leave its counters readable:
 //!
 //! ```
 //! use ssr_graph::generators;
 //! use ssr_runtime::{
-//!     Algorithm, Daemon, Execution, NodeId, Observer, RuleId, RuleMask, Simulator, StateView,
-//!     StepOutcome, TerminationReason,
+//!     Algorithm, Daemon, NodeId, Observer, RuleId, RuleMask, Simulator, StateView, StepOutcome,
+//!     TerminationReason,
 //! };
 //!
 //! /// Toy flood: a node with a `true` neighbor becomes `true`.
@@ -48,223 +49,94 @@
 //! let g = generators::path(5);
 //! let mut init = vec![false; 5];
 //! init[0] = true;
+//! let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 42);
+//! let half = sim.execution().until(|_, states| states[2]).run();
+//! assert!(half.reached && half.steps_used == 2);
+//!
 //! let mut peak = PeakActivation::default();
-//! let out = Execution::of(&g, Flood)
-//!     .init(init)
-//!     .daemon(Daemon::Synchronous)
-//!     .seed(42)
-//!     .cap(1_000)
-//!     .observe(&mut peak)
-//!     .run();
+//! let out = sim.execution().cap(1_000).observe(&mut peak).run();
 //! assert!(out.terminal);
 //! assert_eq!(out.reason, TerminationReason::Terminal);
 //! assert_eq!(peak.0, 1, "a path flood activates one process per step");
-//! ```
-//!
-//! Resuming an existing simulator (fault injection, warm-up phases):
-//!
-//! ```
-//! # use ssr_graph::generators;
-//! # use ssr_runtime::{Algorithm, Daemon, NodeId, RuleId, RuleMask, Simulator, StateView};
-//! # struct Flood;
-//! # impl Algorithm for Flood {
-//! #     type State = bool;
-//! #     fn rule_count(&self) -> usize { 1 }
-//! #     fn rule_name(&self, _: RuleId) -> &'static str { "flood" }
-//! #     fn enabled_mask<V: StateView<bool>>(&self, u: NodeId, view: &V) -> RuleMask {
-//! #         let infected = view.graph().neighbors(u).iter().any(|&v| *view.state(v));
-//! #         RuleMask::from_bool(!*view.state(u) && infected)
-//! #     }
-//! #     fn apply<V: StateView<bool>>(&self, _: NodeId, _: &V, _: RuleId) -> bool { true }
-//! # }
-//! let g = generators::path(4);
-//! let mut sim = Simulator::new(&g, Flood, vec![true, false, false, false], Daemon::Central, 1);
-//! let out = sim.execution().cap(10_000).until(|_, states| states[2]).run();
-//! assert!(out.reached && out.steps_used == 2);
-//! assert_eq!(sim.stats().moves, 2); // the simulator stays accessible
+//! assert_eq!(sim.stats().moves, 4); // both runs counted
 //! ```
 
-use ssr_graph::{Graph, NodeId};
+use ssr_graph::Graph;
 
-use crate::algorithm::{Algorithm, RuleId};
-use crate::daemon::Daemon;
+use crate::algorithm::Algorithm;
 use crate::simulator::{RunOutcome, Simulator, StepOutcome, TerminationReason};
-use crate::step::par::ParHooks;
 
 /// A passive probe attached to an execution.
 ///
-/// Every hook has an empty default body, so an observer implements only
-/// the events it cares about; the compiler inlines unused hooks away
-/// (the no-op path costs nothing, pinned by the `exec_overhead` bench
-/// in `ssr-bench`). Hooks receive the simulator *after* the event, so
-/// `sim.states()` is the post-step configuration and
-/// [`Simulator::last_activated`] names the moves that produced it.
+/// Both hooks have an empty default body, so an observer implements
+/// only the one it needs; the compiler inlines the other away (the
+/// no-op path costs nothing, pinned by the `exec_overhead` bench in
+/// `ssr-bench`). Hooks receive the simulator *after* the event: in
+/// [`Observer::on_step`], `sim.states()` is the post-step
+/// configuration, [`Simulator::last_activated`] names the moves that
+/// produced it, and [`Simulator::last_step_completed_round`] says
+/// whether it completed a round.
 ///
-/// Observers compose: tuples run left to right, and
-/// `Vec<Box<dyn Observer<A>>>` runs in order — see the table of
-/// combinator impls below. `&mut O` forwards to `O`, so a probe can be
-/// lent to an [`Execution`] and read back afterwards.
+/// `&mut O` forwards to `O`, so a probe can be lent to an
+/// [`Execution`] and read back afterwards, and a pair `(O1, O2)` runs
+/// both, left to right; [`Execution::observe`] builds the pairs.
 ///
 /// # Examples
 ///
 /// ```
 /// use ssr_runtime::{Algorithm, Observer, Simulator, StepOutcome};
 ///
-/// /// Counts completed rounds through the hook alone.
+/// /// Counts completed rounds.
 /// #[derive(Default)]
 /// struct RoundCounter(u64);
 /// impl<A: Algorithm> Observer<A> for RoundCounter {
-///     fn on_round_complete(&mut self, _sim: &Simulator<'_, A>) {
-///         self.0 += 1;
+///     fn on_step(&mut self, sim: &Simulator<'_, A>, _outcome: &StepOutcome) {
+///         self.0 += u64::from(sim.last_step_completed_round());
 ///     }
 /// }
 /// ```
 pub trait Observer<A: Algorithm> {
-    /// Called after every successful step (never for a no-op step on a
-    /// terminal configuration).
+    /// Called after every step that moved (never for the no-op step on
+    /// a terminal configuration).
     fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
         let _ = (sim, outcome);
     }
 
-    /// Called once per `(process, rule)` move of a step, before that
-    /// step's [`Observer::on_step`].
-    fn on_move(&mut self, sim: &Simulator<'_, A>, u: NodeId, rule: RuleId) {
-        let _ = (sim, u, rule);
-    }
-
-    /// Called after a step that completed a round (§2.4
-    /// neutralization-based rounds), following `on_step`.
-    fn on_round_complete(&mut self, sim: &Simulator<'_, A>) {
-        let _ = sim;
-    }
-
-    /// Called (at most once per run) when the run ends on a terminal
-    /// configuration — no rule enabled anywhere — whatever stopped the
-    /// run: an observed terminal step, a predicate hit, or the budget
-    /// running out right as the system went silent.
-    fn on_terminal(&mut self, sim: &Simulator<'_, A>) {
-        let _ = sim;
-    }
-
     /// Called exactly once when the run finishes, whatever the
-    /// [`TerminationReason`] — the place to sample the final
-    /// configuration.
+    /// [`TerminationReason`]: the place to sample the final
+    /// configuration (`outcome.terminal` says whether it is terminal).
     fn on_run_end(&mut self, sim: &Simulator<'_, A>, outcome: &RunOutcome) {
         let _ = (sim, outcome);
     }
 }
 
-/// The zero-cost default observer: every hook is a no-op.
+/// The zero-cost default observer: both hooks are no-ops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoObserver;
 
 impl<A: Algorithm> Observer<A> for NoObserver {}
-
-impl<A: Algorithm> Observer<A> for () {}
 
 /// Forwarding impl: lend a probe with `&mut` and read it afterwards.
 impl<A: Algorithm, O: Observer<A> + ?Sized> Observer<A> for &mut O {
     fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
         (**self).on_step(sim, outcome);
     }
-    fn on_move(&mut self, sim: &Simulator<'_, A>, u: NodeId, rule: RuleId) {
-        (**self).on_move(sim, u, rule);
-    }
-    fn on_round_complete(&mut self, sim: &Simulator<'_, A>) {
-        (**self).on_round_complete(sim);
-    }
-    fn on_terminal(&mut self, sim: &Simulator<'_, A>) {
-        (**self).on_terminal(sim);
-    }
     fn on_run_end(&mut self, sim: &Simulator<'_, A>, outcome: &RunOutcome) {
         (**self).on_run_end(sim, outcome);
     }
 }
 
-impl<A: Algorithm, O: Observer<A> + ?Sized> Observer<A> for Box<O> {
+/// Pair combinator: both hooks run left to right.
+impl<A: Algorithm, O1: Observer<A>, O2: Observer<A>> Observer<A> for (O1, O2) {
     fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
-        (**self).on_step(sim, outcome);
-    }
-    fn on_move(&mut self, sim: &Simulator<'_, A>, u: NodeId, rule: RuleId) {
-        (**self).on_move(sim, u, rule);
-    }
-    fn on_round_complete(&mut self, sim: &Simulator<'_, A>) {
-        (**self).on_round_complete(sim);
-    }
-    fn on_terminal(&mut self, sim: &Simulator<'_, A>) {
-        (**self).on_terminal(sim);
+        self.0.on_step(sim, outcome);
+        self.1.on_step(sim, outcome);
     }
     fn on_run_end(&mut self, sim: &Simulator<'_, A>, outcome: &RunOutcome) {
-        (**self).on_run_end(sim, outcome);
+        self.0.on_run_end(sim, outcome);
+        self.1.on_run_end(sim, outcome);
     }
 }
-
-/// A dynamically-sized observer set, run in order.
-impl<A: Algorithm, O: Observer<A> + ?Sized> Observer<A> for Vec<Box<O>> {
-    fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
-        for o in self {
-            o.on_step(sim, outcome);
-        }
-    }
-    fn on_move(&mut self, sim: &Simulator<'_, A>, u: NodeId, rule: RuleId) {
-        for o in self {
-            o.on_move(sim, u, rule);
-        }
-    }
-    fn on_round_complete(&mut self, sim: &Simulator<'_, A>) {
-        for o in self {
-            o.on_round_complete(sim);
-        }
-    }
-    fn on_terminal(&mut self, sim: &Simulator<'_, A>) {
-        for o in self {
-            o.on_terminal(sim);
-        }
-    }
-    fn on_run_end(&mut self, sim: &Simulator<'_, A>, outcome: &RunOutcome) {
-        for o in self {
-            o.on_run_end(sim, outcome);
-        }
-    }
-}
-
-macro_rules! impl_observer_tuple {
-    ($($name:ident),+) => {
-        /// Tuple combinator: hooks run left to right.
-        impl<A: Algorithm, $($name: Observer<A>),+> Observer<A> for ($($name,)+) {
-            fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
-                #[allow(non_snake_case)]
-                let ($($name,)+) = self;
-                $($name.on_step(sim, outcome);)+
-            }
-            fn on_move(&mut self, sim: &Simulator<'_, A>, u: NodeId, rule: RuleId) {
-                #[allow(non_snake_case)]
-                let ($($name,)+) = self;
-                $($name.on_move(sim, u, rule);)+
-            }
-            fn on_round_complete(&mut self, sim: &Simulator<'_, A>) {
-                #[allow(non_snake_case)]
-                let ($($name,)+) = self;
-                $($name.on_round_complete(sim);)+
-            }
-            fn on_terminal(&mut self, sim: &Simulator<'_, A>) {
-                #[allow(non_snake_case)]
-                let ($($name,)+) = self;
-                $($name.on_terminal(sim);)+
-            }
-            fn on_run_end(&mut self, sim: &Simulator<'_, A>, outcome: &RunOutcome) {
-                #[allow(non_snake_case)]
-                let ($($name,)+) = self;
-                $($name.on_run_end(sim, outcome);)+
-            }
-        }
-    };
-}
-
-impl_observer_tuple!(O1);
-impl_observer_tuple!(O1, O2);
-impl_observer_tuple!(O1, O2, O3);
-impl_observer_tuple!(O1, O2, O3, O4);
 
 /// The stop predicate type used when [`Execution::until`] was never
 /// called (the `fn` pointer is never invoked — it only fixes the
@@ -280,12 +152,8 @@ pub type NoPredicate<A> = fn(&Graph, &[<A as Algorithm>::State]) -> bool;
 /// (what [`Execution::until_legitimate`] builds) reads the simulator's
 /// count of failing legitimacy terms, which the guard phase keeps.
 pub trait StopCondition<A: Algorithm> {
-    /// Whether the run stops before its first step, on `sim`'s current
-    /// configuration.
-    fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool;
-
-    /// Whether the run stops after the step `sim` has just taken.
-    fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool;
+    /// Whether the run stops on `sim`'s current configuration.
+    fn holds(&mut self, sim: &Simulator<'_, A>) -> bool;
 }
 
 impl<A, P> StopCondition<A> for P
@@ -293,11 +161,7 @@ where
     A: Algorithm,
     P: FnMut(&Graph, &[A::State]) -> bool,
 {
-    fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool {
-        self(sim.graph(), sim.states())
-    }
-
-    fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool {
+    fn holds(&mut self, sim: &Simulator<'_, A>) -> bool {
         self(sim.graph(), sim.states())
     }
 }
@@ -320,218 +184,56 @@ pub struct Legitimate;
 
 impl<A: Algorithm> StopCondition<A> for Legitimate {
     #[inline]
-    fn holds_at_start(&mut self, sim: &Simulator<'_, A>) -> bool {
-        sim.is_legitimate()
-    }
-
-    #[inline]
-    fn holds_after_step(&mut self, sim: &Simulator<'_, A>) -> bool {
+    fn holds(&mut self, sim: &Simulator<'_, A>) -> bool {
         sim.is_legitimate()
     }
 }
 
-/// Where an [`Execution`] gets its simulator from.
-enum Source<'e, 'g, A: Algorithm> {
-    /// Build a fresh simulator from the collected parameters.
-    Fresh {
-        graph: &'g Graph,
-        algo: A,
-        init: Option<Vec<A::State>>,
-        daemon: Daemon,
-        seed: u64,
-        random_rule_choice: bool,
-    },
-    /// Drive a simulator the caller already owns.
-    Resumed(&'e mut Simulator<'g, A>),
-}
-
-/// Fluent builder for driving a run to completion.
+/// A run over a simulator the caller owns: built by
+/// [`Simulator::execution`], configured fluently, driven by
+/// [`Execution::run`].
 ///
-/// Two entry points share one run loop:
-///
-/// * [`Execution::of`] builds a fresh [`Simulator`] from the collected
-///   parameters ([`init`](Execution::init) is mandatory,
-///   [`daemon`](Execution::daemon) defaults to
-///   [`Daemon::Synchronous`], [`seed`](Execution::seed) to `0`,
-///   [`cap`](Execution::cap) to `u64::MAX`);
-/// * [`Simulator::execution`] resumes a simulator the caller already
-///   owns — for warm-up phases, fault injection between runs, or
-///   reading stats and states afterwards.
-///
-/// The run stops at the first of: a terminal configuration, the stop
-/// condition holding (set with [`until`](Execution::until) or
+/// The run stops at the first of: the stop condition holding (set with
+/// [`until`](Execution::until) or
 /// [`until_legitimate`](Execution::until_legitimate); checked on the
-/// initial configuration too), or the step [`cap`](Execution::cap)
-/// running out — reported in [`RunOutcome::reason`]. Attach any number
-/// of probes with [`observe`](Execution::observe).
+/// initial configuration too), a terminal configuration, or the step
+/// [`cap`](Execution::cap) running out — reported in
+/// [`RunOutcome::reason`]. Attach any number of probes with
+/// [`observe`](Execution::observe).
 ///
 /// # Examples
 ///
-/// See the [module documentation](self) for a fresh run with a custom
-/// observer and a resumed run; [`RunReport`] for keeping the simulator
-/// after a fresh run.
+/// See the [module documentation](self).
 pub struct Execution<'e, 'g, A: Algorithm, O = NoObserver, S = NoPredicate<A>> {
-    source: Source<'e, 'g, A>,
+    sim: &'e mut Simulator<'g, A>,
     cap: u64,
     observer: O,
     stop: Option<S>,
-    /// `Some(hooks)` when [`Execution::intra_threads`] was called: the
-    /// pre-built kernels to install (inner `None` = explicit sequential).
-    intra: Option<Option<ParHooks<A>>>,
 }
 
-/// Outcome of [`Execution::run_report`]: the [`RunOutcome`] plus the
-/// finished simulator, for callers that need final states or counters.
-///
-/// # Examples
-///
-/// ```
-/// # use ssr_graph::generators;
-/// # use ssr_runtime::{Algorithm, Daemon, Execution, NodeId, RuleId, RuleMask, StateView};
-/// # struct Flood;
-/// # impl Algorithm for Flood {
-/// #     type State = bool;
-/// #     fn rule_count(&self) -> usize { 1 }
-/// #     fn rule_name(&self, _: RuleId) -> &'static str { "flood" }
-/// #     fn enabled_mask<V: StateView<bool>>(&self, u: NodeId, view: &V) -> RuleMask {
-/// #         let infected = view.graph().neighbors(u).iter().any(|&v| *view.state(v));
-/// #         RuleMask::from_bool(!*view.state(u) && infected)
-/// #     }
-/// #     fn apply<V: StateView<bool>>(&self, _: NodeId, _: &V, _: RuleId) -> bool { true }
-/// # }
-/// let g = generators::path(3);
-/// let report = Execution::of(&g, Flood)
-///     .init(vec![true, false, false])
-///     .daemon(Daemon::Synchronous)
-///     .run_report();
-/// assert!(report.outcome.terminal);
-/// assert_eq!(report.sim.stats().moves, 2);
-/// ```
-pub struct RunReport<'g, A: Algorithm> {
-    /// How and where the run ended.
-    pub outcome: RunOutcome,
-    /// The simulator in its final state.
-    pub sim: Simulator<'g, A>,
-}
-
-impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
-    /// Starts a fresh execution over `graph` running `algo`.
+impl<'g, A: Algorithm> Simulator<'g, A> {
+    /// Starts an [`Execution`] over this simulator: the one way to
+    /// drive it to completion, with observers and a stop condition.
+    /// The step budget defaults to unbounded. Run it again to resume
+    /// (warm-up phases, fault injection between runs).
     ///
-    /// The initial configuration must be supplied with
-    /// [`Execution::init`] before [`run`](Execution::run).
-    pub fn of(graph: &'g Graph, algo: A) -> Self {
+    /// # Examples
+    ///
+    /// See the [`crate::exec`] module documentation.
+    pub fn execution<'e>(&'e mut self) -> Execution<'e, 'g, A> {
         Execution {
-            source: Source::Fresh {
-                graph,
-                algo,
-                init: None,
-                daemon: Daemon::Synchronous,
-                seed: 0,
-                random_rule_choice: false,
-            },
+            sim: self,
             cap: u64::MAX,
             observer: NoObserver,
             stop: None,
-            intra: None,
-        }
-    }
-
-    /// Resumes `sim` — the builder form of [`Simulator::execution`].
-    pub fn resume(sim: &'e mut Simulator<'g, A>) -> Self {
-        Execution {
-            source: Source::Resumed(sim),
-            cap: u64::MAX,
-            observer: NoObserver,
-            stop: None,
-            intra: None,
         }
     }
 }
 
 impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
-    fn fresh_mut(&mut self, what: &str) -> &mut Source<'e, 'g, A> {
-        assert!(
-            matches!(self.source, Source::Fresh { .. }),
-            "{what} can only be set on a fresh execution (`Execution::of`); \
-             a resumed execution inherits the simulator's configuration"
-        );
-        &mut self.source
-    }
-
-    /// Sets the initial configuration (mandatory for fresh executions).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a resumed execution.
-    pub fn init(mut self, init: Vec<A::State>) -> Self {
-        let Source::Fresh { init: slot, .. } = self.fresh_mut("the initial configuration") else {
-            unreachable!()
-        };
-        *slot = Some(init);
-        self
-    }
-
-    /// Sets the daemon (default: [`Daemon::Synchronous`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a resumed execution.
-    pub fn daemon(mut self, daemon: Daemon) -> Self {
-        let Source::Fresh { daemon: slot, .. } = self.fresh_mut("the daemon") else {
-            unreachable!()
-        };
-        *slot = daemon;
-        self
-    }
-
-    /// Sets the simulator seed (default: `0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a resumed execution.
-    pub fn seed(mut self, seed: u64) -> Self {
-        let Source::Fresh { seed: slot, .. } = self.fresh_mut("the seed") else {
-            unreachable!()
-        };
-        *slot = seed;
-        self
-    }
-
-    /// Enables uniformly random rule choice among a process's enabled
-    /// rules (see [`Simulator::set_random_rule_choice`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a resumed execution.
-    pub fn random_rule_choice(mut self, random: bool) -> Self {
-        let Source::Fresh {
-            random_rule_choice: slot,
-            ..
-        } = self.fresh_mut("random rule choice")
-        else {
-            unreachable!()
-        };
-        *slot = random;
-        self
-    }
-
     /// Sets the step budget (default: unbounded).
     pub fn cap(mut self, cap: u64) -> Self {
         self.cap = cap;
-        self
-    }
-
-    /// Runs the step pipeline's apply and guard kernels on `threads`
-    /// pool workers (1 or 0 = sequential; the default). Works
-    /// on fresh and resumed executions alike, and is byte-identical to
-    /// sequential at any thread count — see
-    /// [`Simulator::set_intra_threads`].
-    pub fn intra_threads(mut self, threads: usize) -> Self
-    where
-        A: Sync,
-        A::State: Send + Sync,
-    {
-        self.intra = Some(crate::step::par::hooks::<A>(threads));
         self
     }
 
@@ -539,11 +241,10 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
     /// observer sees every event (earlier attachments fire first).
     pub fn observe<O2: Observer<A>>(self, observer: O2) -> Execution<'e, 'g, A, (O, O2), S> {
         Execution {
-            source: self.source,
+            sim: self.sim,
             cap: self.cap,
             observer: (self.observer, observer),
             stop: self.stop,
-            intra: self.intra,
         }
     }
 
@@ -621,204 +322,84 @@ impl<'e, 'g, A: Algorithm, O, S> Execution<'e, 'g, A, O, S> {
 
     fn stop_when<S2>(self, stop: S2) -> Execution<'e, 'g, A, O, S2> {
         Execution {
-            source: self.source,
+            sim: self.sim,
             cap: self.cap,
             observer: self.observer,
             stop: Some(stop),
-            intra: self.intra,
         }
     }
 }
 
-impl<'e, 'g, A, O, S> Execution<'e, 'g, A, O, S>
+impl<A, O, S> Execution<'_, '_, A, O, S>
 where
     A: Algorithm,
     O: Observer<A>,
     S: StopCondition<A>,
 {
-    fn build(source: Source<'e, 'g, A>) -> Simulator<'g, A> {
-        let Source::Fresh {
-            graph,
-            algo,
-            init,
-            daemon,
-            seed,
-            random_rule_choice,
-        } = source
-        else {
-            unreachable!("build is only called on fresh sources")
-        };
-        let init = init.expect(
-            "Execution::of(..) needs an initial configuration: call .init(states) before .run()",
-        );
-        let mut sim = Simulator::new(graph, algo, init, daemon, seed);
-        sim.set_random_rule_choice(random_rule_choice);
-        sim
-    }
-
     /// Drives the run and returns how it ended.
     ///
-    /// On a fresh execution the simulator is dropped afterwards — use
-    /// [`Execution::run_report`] (or build the [`Simulator`] yourself
-    /// and resume it) when final states or counters are needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is a fresh execution and [`Execution::init`] was
-    /// never called.
+    /// The canonical run loop: each pass asks the stop condition, then
+    /// the budget, then steps the simulator, and the loop leaves with
+    /// `(reached, reason)`. Whatever ended the run, the [`RunOutcome`]
+    /// is built, the trace's run-ended event emitted and
+    /// [`Observer::on_run_end`] called in one place, after the loop.
+    /// The step sequence, RNG draws and counters are those of the
+    /// classic `run_until`/`run_to_termination`, so migrated callers
+    /// reproduce their numbers byte for byte.
     pub fn run(self) -> RunOutcome {
         let Execution {
-            source,
+            sim,
             cap,
             mut observer,
             mut stop,
-            intra,
         } = self;
-        match source {
-            Source::Resumed(sim) => {
-                if let Some(hooks) = intra {
-                    sim.install_par(hooks);
-                }
-                drive(sim, cap, &mut observer, stop.as_mut())
+        let mut steps_used = 0u64;
+        let (reached, reason) = loop {
+            if stop.as_mut().is_some_and(|s| s.holds(sim)) {
+                break (true, TerminationReason::PredicateMet);
             }
-            fresh @ Source::Fresh { .. } => {
-                let mut sim = Self::build(fresh);
-                if let Some(hooks) = intra {
-                    sim.install_par(hooks);
-                }
-                drive(&mut sim, cap, &mut observer, stop.as_mut())
+            if steps_used >= cap {
+                // `reached` keeps the classic semantics: a predicate
+                // run that exhausts its budget failed; a plain
+                // termination run reached its target iff the final
+                // configuration is terminal, also when the last
+                // in-budget step made it so.
+                let terminal = sim.is_terminal();
+                let reason = if terminal {
+                    TerminationReason::Terminal
+                } else {
+                    TerminationReason::CapExhausted
+                };
+                break (stop.is_none() && terminal, reason);
             }
-        }
-    }
-
-    /// Like [`Execution::run`], but hands back the finished simulator
-    /// too.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a resumed execution (the caller already owns the
-    /// simulator) and if [`Execution::init`] was never called.
-    pub fn run_report(self) -> RunReport<'g, A> {
-        let Execution {
-            source,
-            cap,
-            mut observer,
-            mut stop,
-            intra,
-        } = self;
-        assert!(
-            matches!(source, Source::Fresh { .. }),
-            "run_report is for fresh executions; a resumed execution's caller \
-             already owns the simulator — use run() instead"
-        );
-        let mut sim = Self::build(source);
-        if let Some(hooks) = intra {
-            sim.install_par(hooks);
-        }
-        let outcome = drive(&mut sim, cap, &mut observer, stop.as_mut());
-        RunReport { outcome, sim }
-    }
-}
-
-/// The canonical run loop: steps `sim` until the stop condition holds,
-/// the configuration is terminal, or `cap` steps elapse, firing
-/// observer hooks along the way. Semantics match the classic
-/// `run_until`/`run_to_termination` exactly (same step sequence, same
-/// RNG draws, same counters) so migrated callers reproduce their
-/// pre-observer numbers byte for byte.
-pub(crate) fn drive<A, O, S>(
-    sim: &mut Simulator<'_, A>,
-    cap: u64,
-    observer: &mut O,
-    mut stop: Option<&mut S>,
-) -> RunOutcome
-where
-    A: Algorithm,
-    O: Observer<A> + ?Sized,
-    S: StopCondition<A> + ?Sized,
-{
-    let outcome = |sim: &Simulator<'_, A>, reached, steps_used, reason| RunOutcome {
-        reached,
-        terminal: sim.is_terminal(),
-        steps_used,
-        moves_at_hit: sim.stats().moves,
-        rounds_at_hit: sim.rounds_now(),
-        reason,
-    };
-    let mut steps_used = 0u64;
-    if let Some(s) = stop.as_mut() {
-        if s.holds_at_start(sim) {
-            if sim.is_terminal() {
-                observer.on_terminal(sim);
-            }
-            let out = outcome(sim, true, steps_used, TerminationReason::PredicateMet);
-            sim.emit_run_ended(&out);
-            observer.on_run_end(sim, &out);
-            return out;
-        }
-    }
-    loop {
-        if steps_used >= cap {
-            // `reached` keeps the classic semantics: a predicate run
-            // that exhausts its budget failed; a plain termination run
-            // "reached" iff the final configuration happens to be
-            // terminal. A configuration that went terminal on the very
-            // last in-budget step still fires `on_terminal`.
-            let reached = stop.is_none() && sim.is_terminal();
-            let reason = if sim.is_terminal() {
-                observer.on_terminal(sim);
-                TerminationReason::Terminal
-            } else {
-                TerminationReason::CapExhausted
-            };
-            let out = outcome(sim, reached, steps_used, reason);
-            sim.emit_run_ended(&out);
-            observer.on_run_end(sim, &out);
-            return out;
-        }
-        match sim.step() {
-            StepOutcome::Terminal => {
-                observer.on_terminal(sim);
-                let out = outcome(sim, stop.is_none(), steps_used, TerminationReason::Terminal);
-                sim.emit_run_ended(&out);
-                observer.on_run_end(sim, &out);
-                return out;
-            }
-            StepOutcome::Progress { activated } => {
-                steps_used += 1;
-                for i in 0..sim.last_activated().len() {
-                    let (u, rule) = sim.last_activated()[i];
-                    observer.on_move(sim, u, rule);
-                }
-                let step_outcome = StepOutcome::Progress { activated };
-                observer.on_step(sim, &step_outcome);
-                if sim.last_step_completed_round() {
-                    observer.on_round_complete(sim);
-                }
-                if let Some(s) = stop.as_mut() {
-                    if s.holds_after_step(sim) {
-                        // The hook contract is about the configuration,
-                        // not the stop cause: a predicate hit on a
-                        // terminal configuration still reports it.
-                        if sim.is_terminal() {
-                            observer.on_terminal(sim);
-                        }
-                        let out = outcome(sim, true, steps_used, TerminationReason::PredicateMet);
-                        sim.emit_run_ended(&out);
-                        observer.on_run_end(sim, &out);
-                        return out;
-                    }
+            match sim.step() {
+                StepOutcome::Terminal => break (stop.is_none(), TerminationReason::Terminal),
+                progress => {
+                    steps_used += 1;
+                    observer.on_step(sim, &progress);
                 }
             }
-        }
+        };
+        let out = RunOutcome {
+            reached,
+            terminal: sim.is_terminal(),
+            steps_used,
+            moves_at_hit: sim.stats().moves,
+            rounds_at_hit: sim.rounds_now(),
+            reason,
+        };
+        sim.emit_run_ended(&out);
+        observer.on_run_end(sim, &out);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{RuleMask, StateView};
-    use ssr_graph::generators;
+    use crate::algorithm::{RuleId, RuleMask, StateView};
+    use crate::daemon::Daemon;
+    use ssr_graph::{generators, NodeId};
 
     /// Flood of `true` along edges (terminates, diameter-bound rounds).
     struct Flood;
@@ -846,24 +427,32 @@ mod tests {
         init
     }
 
-    /// Records every hook invocation, for ordering assertions.
+    /// A flood on a path under the synchronous daemon: one move and
+    /// one round per step.
+    fn flood_sim(g: &Graph, init: Vec<bool>, seed: u64) -> Simulator<'_, Flood> {
+        Simulator::new(g, Flood, init, Daemon::Synchronous, seed)
+    }
+
+    /// Records every event the two hooks expose, for ordering
+    /// assertions: each step's moves, the step, and a completed round;
+    /// at the end, a terminal configuration and the reason.
     #[derive(Default)]
     struct EventLog(Vec<String>);
 
     impl<A: Algorithm> Observer<A> for EventLog {
-        fn on_step(&mut self, _sim: &Simulator<'_, A>, outcome: &StepOutcome) {
+        fn on_step(&mut self, sim: &Simulator<'_, A>, outcome: &StepOutcome) {
+            for (u, rule) in sim.last_activated() {
+                self.0.push(format!("move:{u:?}:{rule:?}"));
+            }
             self.0.push(format!("step:{outcome:?}"));
-        }
-        fn on_move(&mut self, _sim: &Simulator<'_, A>, u: NodeId, rule: RuleId) {
-            self.0.push(format!("move:{u:?}:{rule:?}"));
-        }
-        fn on_round_complete(&mut self, _sim: &Simulator<'_, A>) {
-            self.0.push("round".into());
-        }
-        fn on_terminal(&mut self, _sim: &Simulator<'_, A>) {
-            self.0.push("terminal".into());
+            if sim.last_step_completed_round() {
+                self.0.push("round".into());
+            }
         }
         fn on_run_end(&mut self, _sim: &Simulator<'_, A>, outcome: &RunOutcome) {
+            if outcome.terminal {
+                self.0.push("terminal".into());
+            }
             self.0.push(format!("end:{:?}", outcome.reason));
         }
     }
@@ -871,11 +460,8 @@ mod tests {
     #[test]
     fn fresh_run_reaches_terminal() {
         let g = generators::path(4);
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(4))
-            .daemon(Daemon::Synchronous)
-            .seed(7)
-            .run();
+        let mut sim = flood_sim(&g, flood_init(4), 7);
+        let out = sim.execution().run();
         assert!(out.terminal && out.reached);
         assert_eq!(out.reason, TerminationReason::Terminal);
         assert_eq!(out.steps_used, 3);
@@ -884,10 +470,8 @@ mod tests {
     #[test]
     fn predicate_checked_on_initial_configuration() {
         let g = generators::path(3);
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(3))
-            .until(|_, states| states[0])
-            .run();
+        let mut sim = flood_sim(&g, flood_init(3), 0);
+        let out = sim.execution().until(|_, states| states[0]).run();
         assert!(out.reached);
         assert_eq!(out.steps_used, 0);
         assert_eq!(out.reason, TerminationReason::PredicateMet);
@@ -896,26 +480,74 @@ mod tests {
     #[test]
     fn cap_exhaustion_is_reported() {
         let g = generators::path(6);
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(6))
-            .daemon(Daemon::Synchronous)
-            .cap(2)
-            .until(|_, states| states[5])
-            .run();
+        let mut sim = flood_sim(&g, flood_init(6), 0);
+        let out = sim.execution().cap(2).until(|_, states| states[5]).run();
         assert!(!out.reached && !out.terminal);
         assert_eq!(out.reason, TerminationReason::CapExhausted);
         assert_eq!(out.steps_used, 2);
+    }
+
+    /// Every way a run ends goes through the one exit: each row checks
+    /// the outcome and that `on_run_end` saw exactly that outcome,
+    /// once.
+    #[test]
+    fn every_exit_reports_its_outcome_once() {
+        use TerminationReason::{CapExhausted, PredicateMet, Terminal};
+
+        /// Keeps every outcome `on_run_end` was called with.
+        #[derive(Default)]
+        struct Ends(Vec<RunOutcome>);
+        impl<A: Algorithm> Observer<A> for Ends {
+            fn on_run_end(&mut self, _sim: &Simulator<'_, A>, outcome: &RunOutcome) {
+                self.0.push(outcome.clone());
+            }
+        }
+
+        const NEVER: usize = usize::MAX;
+        // (case, path length, nodes initially true, cap, seed, stop
+        // once this node is true (`None`: no stop condition; `NEVER`:
+        // one that never holds), expected (reached, terminal, reason,
+        // steps_used)).
+        #[rustfmt::skip]
+        let rows = [
+            ("stop holds at start, live", 3, 1, u64::MAX, 0, Some(0), (true, false, PredicateMet, 0)),
+            ("stop holds at start, terminal", 2, 2, u64::MAX, 0, Some(0), (true, true, PredicateMet, 0)),
+            ("cap runs out while live", 6, 1, 2, 0, Some(5), (false, false, CapExhausted, 2)),
+            ("cap runs out while live, no stop", 5, 1, 2, 0, None, (false, false, CapExhausted, 2)),
+            ("cap lands on termination", 4, 1, 3, 0, None, (true, true, Terminal, 3)),
+            ("cap lands on termination, with stop", 4, 1, 3, 0, Some(NEVER), (false, true, Terminal, 3)),
+            ("cap zero on a terminal configuration", 2, 2, 0, 0, None, (true, true, Terminal, 0)),
+            ("terminal step", 4, 1, u64::MAX, 7, None, (true, true, Terminal, 3)),
+            ("terminal step, with stop", 4, 1, u64::MAX, 0, Some(NEVER), (false, true, Terminal, 3)),
+            ("terminal at start", 2, 2, u64::MAX, 0, None, (true, true, Terminal, 0)),
+            ("stop holds after a step, live", 6, 1, u64::MAX, 0, Some(2), (true, false, PredicateMet, 2)),
+            ("stop holds after a step, terminal", 3, 1, u64::MAX, 0, Some(2), (true, true, PredicateMet, 2)),
+        ];
+        for (case, n, set, cap, seed, until, expect) in rows {
+            let g = generators::path(n);
+            let mut init = vec![false; n];
+            init[..set].fill(true);
+            let mut sim = flood_sim(&g, init, seed);
+            let mut ends = Ends::default();
+            let exec = sim.execution().cap(cap).observe(&mut ends);
+            let out = match until {
+                Some(i) => exec
+                    .until(move |_, s: &[bool]| s.get(i) == Some(&true))
+                    .run(),
+                None => exec.run(),
+            };
+            let got = (out.reached, out.terminal, out.reason, out.steps_used);
+            assert_eq!(got, expect, "{case}");
+            assert_eq!(ends.0, [out], "{case}: one on_run_end, with the outcome");
+        }
     }
 
     #[test]
     fn hooks_fire_in_order() {
         let g = generators::path(3);
         let mut log = EventLog::default();
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(3))
-            .daemon(Daemon::Synchronous)
-            .observe(&mut log)
-            .run();
+        let mut sim = flood_sim(&g, flood_init(3), 0);
+        let out = sim.execution().observe(&mut log).run();
         assert!(out.terminal);
         assert_eq!(
             log.0,
@@ -937,15 +569,17 @@ mod tests {
         let g = generators::path(4);
         let mut a = EventLog::default();
         let mut b = EventLog::default();
-        let boxed: Vec<Box<dyn Observer<Flood>>> = vec![Box::new(EventLog::default())];
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(4))
-            .daemon(Daemon::Synchronous)
+        let mut erased = EventLog::default();
+        let dynamic: &mut dyn Observer<Flood> = &mut erased;
+        let mut sim = flood_sim(&g, flood_init(4), 0);
+        let out = sim
+            .execution()
             .observe((&mut a, &mut b))
-            .observe(boxed)
+            .observe(dynamic)
             .run();
         assert!(out.terminal);
         assert_eq!(a.0, b.0);
+        assert_eq!(a.0, erased.0);
         assert!(!a.0.is_empty());
     }
 
@@ -963,78 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn run_report_hands_back_the_simulator() {
-        let g = generators::path(3);
-        let report = Execution::of(&g, Flood)
-            .init(flood_init(3))
-            .daemon(Daemon::Synchronous)
-            .run_report();
-        assert!(report.outcome.terminal);
-        assert!(report.sim.states().iter().all(|&b| b));
-    }
-
-    #[test]
-    #[should_panic(expected = "initial configuration")]
-    fn fresh_run_requires_init() {
-        let g = generators::path(3);
-        let _ = Execution::of(&g, Flood).run();
-    }
-
-    #[test]
-    #[should_panic(expected = "fresh execution")]
-    fn resumed_execution_rejects_daemon_override() {
-        let g = generators::path(3);
-        let mut sim = Simulator::new(&g, Flood, flood_init(3), Daemon::Central, 0);
-        let _ = sim.execution().daemon(Daemon::Synchronous);
-    }
-
-    #[test]
-    #[should_panic(expected = "run_report is for fresh executions")]
-    fn resumed_execution_rejects_run_report() {
-        let g = generators::path(3);
-        let mut sim = Simulator::new(&g, Flood, flood_init(3), Daemon::Central, 0);
-        let _ = sim.execution().run_report();
-    }
-
-    #[test]
-    fn on_terminal_fires_when_predicate_hits_a_terminal_configuration() {
-        // The step satisfying the predicate is also the one that makes
-        // the configuration terminal: both events must be reported.
-        let g = generators::path(3);
-        let mut log = EventLog::default();
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(3))
-            .daemon(Daemon::Synchronous)
-            .observe(&mut log)
-            .until(|_, states| states[2])
-            .run();
-        assert!(out.reached && out.terminal);
-        assert_eq!(out.reason, TerminationReason::PredicateMet);
-        assert_eq!(log.0.iter().filter(|e| *e == "terminal").count(), 1);
-    }
-
-    #[test]
-    fn on_terminal_fires_when_cap_lands_exactly_on_termination() {
-        // Flood on path(4) terminates after exactly 3 steps: with
-        // cap(3) the loop exits through the budget check, but the
-        // terminal event must still reach observers.
-        let g = generators::path(4);
-        let mut log = EventLog::default();
-        let out = Execution::of(&g, Flood)
-            .init(flood_init(4))
-            .daemon(Daemon::Synchronous)
-            .cap(3)
-            .observe(&mut log)
-            .run();
-        assert!(out.terminal && out.reached);
-        assert_eq!(out.reason, TerminationReason::Terminal);
-        assert_eq!(log.0.iter().filter(|e| *e == "terminal").count(), 1);
-    }
-
-    #[test]
     fn intra_threads_preserves_observer_event_order() {
-        // The staged pipeline must fire on_move/on_step/on_round_complete
-        // in the exact sequential order at any thread count.
+        // The staged pipeline must leave the moves, steps and rounds
+        // the observer sees in the exact sequential order at any
+        // thread count.
         let g = generators::random_connected(20, 30, 3);
         let run = |threads: usize| {
             let mut log = EventLog::default();
@@ -1042,12 +608,8 @@ mod tests {
             init[0] = true;
             let mut sim = Simulator::new(&g, Flood, init, Daemon::RandomSubset { p: 0.6 }, 13);
             sim.set_par_threshold(0); // engage kernels even on tiny steps
-            let out = sim
-                .execution()
-                .intra_threads(threads)
-                .cap(10_000)
-                .observe(&mut log)
-                .run();
+            sim.set_intra_threads(threads);
+            let out = sim.execution().cap(10_000).observe(&mut log).run();
             assert!(out.terminal);
             log.0
         };

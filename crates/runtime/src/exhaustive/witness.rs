@@ -4,16 +4,17 @@
 //! A [`Witness`] is plain data — the initial configuration's index and
 //! the per-step activation sets — plus the exact moves/steps/rounds
 //! the explorer accounted for it. [`Witness::replay`] drives the trace
-//! back through [`Execution`] with [`Daemon::Script`], so any
-//! [`Observer`](crate::Observer) can watch the worst-case run,
-//! and the resulting [`RunOutcome`] must reproduce the explorer's
-//! numbers byte for byte (that cross-check is pinned by the property
-//! tests: the simulator's round accounting and the explorer's
-//! front-product DP are independent implementations of §2.4).
+//! back through [`Execution`](crate::Execution) with
+//! [`Daemon::Script`], so any [`Observer`](crate::Observer) can watch
+//! the worst-case run, and the resulting [`RunOutcome`] must reproduce
+//! the explorer's numbers byte for byte (that cross-check is pinned by
+//! the property tests: the simulator's round accounting and the
+//! explorer's front-product DP are independent implementations of
+//! §2.4).
 
 use std::sync::Arc;
 
-use crate::{Algorithm, Daemon, Execution, Observer, RunOutcome};
+use crate::{Algorithm, Daemon, Observer, RunOutcome, Simulator};
 use ssr_graph::{Graph, NodeId};
 
 /// A replayable schedule achieving an exact worst case.
@@ -40,9 +41,10 @@ impl Witness {
         }
     }
 
-    /// Replays the witness through a fresh [`Execution`]: same
-    /// algorithm, the witness's initial configuration, the scripted
-    /// daemon, capped at the schedule length, stopping at `legit`.
+    /// Replays the witness through the [`Execution`](crate::Execution)
+    /// of a fresh simulator: same algorithm, the witness's initial
+    /// configuration, the scripted daemon (seed 0), capped at the
+    /// schedule length, stopping at `legit`.
     ///
     /// Observers attach like on any run via [`Witness::replay_with`].
     pub fn replay<A, P>(&self, graph: &Graph, algo: A, init: Vec<A::State>, legit: P) -> RunOutcome
@@ -67,9 +69,8 @@ impl Witness {
         P: FnMut(&Graph, &[A::State]) -> bool,
         O: Observer<A>,
     {
-        Execution::of(graph, algo)
-            .init(init)
-            .daemon(self.daemon())
+        Simulator::new(graph, algo, init, self.daemon(), 0)
+            .execution()
             .cap(self.steps)
             .observe(observer)
             .until(legit)

@@ -748,12 +748,8 @@ impl<F: TypedFamily> Family for F {
         if let Some(sink) = bridge.0.as_mut().and_then(|p| p.make_trace_sink()) {
             sim.set_trace_sink(sink);
         }
-        let out = F::TARGET.run(
-            sim.execution()
-                .cap(budget.cap)
-                .intra_threads(budget.intra_threads)
-                .observe(&mut bridge),
-        );
+        sim.set_intra_threads(budget.intra_threads);
+        let out = F::TARGET.run(sim.execution().cap(budget.cap).observe(&mut bridge));
         if let (Some(sink), Some(probe)) = (sim.take_trace_sink(), bridge.0.as_deref_mut()) {
             probe.collect_trace_sink(sink);
         }
@@ -855,13 +851,10 @@ impl<F: TypedFamily> ExploreFamily for F {
         for init in self.seed_set(graph, &algo, scenario_seed, samples) {
             for daemon in Daemon::all_strategies() {
                 for _ in 0..trials {
-                    let out = F::TARGET.run(
-                        Execution::of(graph, algo.clone())
-                            .init(init.clone())
-                            .daemon(daemon.clone())
-                            .seed(splitmix64(&mut seed_state))
-                            .cap(cap),
-                    );
+                    let seed = splitmix64(&mut seed_state);
+                    let mut sim =
+                        Simulator::new(graph, algo.clone(), init.clone(), daemon.clone(), seed);
+                    let out = F::TARGET.run(sim.execution().cap(cap));
                     max.runs += 1;
                     max.all_reached &= out.reached;
                     if out.reached {

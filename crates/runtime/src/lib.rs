@@ -22,10 +22,12 @@
 //! executions, so measured times are existential lower bounds that the
 //! paper's universal upper bounds must dominate.
 //!
-//! Runs are driven through the [`exec`] module: an [`Execution`] builder
-//! owns the one canonical run loop, and [`Observer`]s plug trajectory
-//! probes (segment tracking, liveness windows, verification sampling)
-//! into it without forking the loop.
+//! Runs are driven through the [`exec`] module: [`Simulator::execution`]
+//! builds an [`Execution`], whose [`run`](Execution::run) is the one
+//! canonical run loop, and [`Observer`]s plug trajectory probes
+//! (segment tracking, liveness windows, verification sampling) into it
+//! through two hooks, after each step and at the run's end, without
+//! forking the loop.
 //!
 //! Each node's guard evaluation ([`Algorithm::guard`]) returns its
 //! enabled rules together with the node-local term of the algorithm's
@@ -45,9 +47,8 @@
 //!
 //! Within one run, the [`step`](crate::Simulator::step) pipeline can
 //! additionally fan its apply and guard kernels out over the
-//! [`pool::par_map`] worker pool ([`Simulator::set_intra_threads`] /
-//! [`Execution::intra_threads`], `ExecBudget::with_intra_threads` for
-//! families). Intra-run parallelism is **deterministic by
+//! [`pool::par_map`] worker pool ([`Simulator::set_intra_threads`], or
+//! `ExecBudget::with_intra_threads` for families). Intra-run parallelism is **deterministic by
 //! construction**: all daemon and rule-choice RNG draws happen in the
 //! sequential select phase, kernels only read the frozen pre-step
 //! configuration, and results merge in a fixed order — so a run is
@@ -108,9 +109,7 @@ pub use analysis::{
     RuleStats, Severity, TrackedView,
 };
 pub use daemon::Daemon;
-pub use exec::{
-    Execution, Legitimate, NoObserver, NoPredicate, Observer, RunReport, StopCondition,
-};
+pub use exec::{Execution, Legitimate, NoObserver, NoPredicate, Observer, StopCondition};
 pub use family::{
     AlgorithmSpec, Amount, Bounds, ExecBudget, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
     FamilyRunOutcome, InitPlan, RunSeeds, Target, TypedFamily, Verdict,

@@ -8,7 +8,6 @@ use ssr_graph::{Graph, NodeId};
 
 use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
 use crate::daemon::Daemon;
-use crate::exec::Execution;
 use crate::rng::Xoshiro256StarStar;
 use crate::step;
 use crate::step::guards::{EnabledSet, RefreshWalk};
@@ -274,12 +273,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         A: Sync,
         A::State: Send + Sync,
     {
-        self.install_par(step::par::hooks::<A>(threads));
-    }
-
-    /// The configured intra-run worker count (1 = sequential).
-    pub fn intra_threads(&self) -> usize {
-        self.par.map_or(1, |h| h.threads)
+        self.par = step::par::hooks::<A>(threads);
     }
 
     /// Minimum number of moves in a step before the installed parallel
@@ -287,12 +281,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// path runs. Set 0 to force the parallel path (tests).
     pub fn set_par_threshold(&mut self, threshold: usize) {
         self.par_threshold = threshold;
-    }
-
-    /// Installs pre-built kernels without `Sync` bounds (the bounds
-    /// were paid when the hooks were built).
-    pub(crate) fn install_par(&mut self, hooks: Option<ParHooks<A>>) {
-        self.par = hooks;
     }
 
     /// Installs a [`TraceSink`]: every subsequent step emits the typed
@@ -569,8 +557,8 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         StepOutcome::Progress { activated }
     }
 
-    /// Emits [`TraceEvent::RunEnded`] and flushes the sink; called by
-    /// the `exec` driver at each of its return sites.
+    /// Emits [`TraceEvent::RunEnded`] and flushes the sink; called once
+    /// by [`crate::Execution::run`], after its loop.
     pub(crate) fn emit_run_ended(&mut self, out: &RunOutcome) {
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(&TraceEvent::RunEnded {
@@ -588,17 +576,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// right after [`Simulator::reset_stats`].
     pub fn last_step_completed_round(&self) -> bool {
         self.round_just_completed
-    }
-
-    /// Starts a resumed [`Execution`] over this simulator: the fluent
-    /// way to drive it to completion with observers and a stop
-    /// predicate.
-    ///
-    /// # Examples
-    ///
-    /// See the [`crate::exec`] module documentation.
-    pub fn execution<'e>(&'e mut self) -> Execution<'e, 'g, A> {
-        Execution::resume(self)
     }
 
     // ---- internals ----

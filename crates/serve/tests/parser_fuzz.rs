@@ -35,7 +35,7 @@ const SPEC: &str = r#"{"schema":"ssr-campaign-spec/v1","id":"fuzz",
     "inits":["arbitrary","tear(n/2)","corrupt(2)"],
     "trials":2,"step_cap":500000,"seed":7,"intra_threads":[1,2]}"#;
 
-const SCALE: &str = include_str!("../../report/tests/golden/bench-scale-v2.json");
+const SCALE: &str = include_str!("../../report/tests/golden/bench-scale-v3.json");
 
 /// Replacement bytes for the single-byte mutations: JSON's structure,
 /// the starts of numbers and escapes, and a byte that is never UTF-8.

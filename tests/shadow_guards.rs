@@ -217,10 +217,10 @@ where
         let mut sim = Simulator::new(g, algo.clone(), arbitrary(d.seed), d.daemon.clone(), d.seed);
         // Engage the parallel kernels even on these small graphs.
         sim.set_par_threshold(0);
+        sim.set_intra_threads(d.threads);
         sim
     };
     let (mut sim, mut twin) = (new_sim(), new_sim());
-    twin.set_intra_threads(d.threads);
     twin.set_trace_sink(Box::new(NoTrace));
     let mut shadow = ShadowGuards {
         config: Vec::new(),
@@ -233,11 +233,7 @@ where
     };
     shadow.front = shadow.check(&sim);
     let segment = |sim: &mut Simulator<'_, A>, shadow: &mut ShadowGuards<'_, A>| {
-        sim.execution()
-            .cap(STEPS)
-            .intra_threads(d.threads)
-            .observe(shadow)
-            .run();
+        sim.execution().cap(STEPS).observe(shadow).run();
     };
     segment(&mut sim, &mut shadow);
     if d.inject {

@@ -48,8 +48,9 @@ fn differential<A, P>(
         let mut sim = Simulator::new(g, algo.clone(), start.to_vec(), d.daemon.clone(), d.seed);
         // Engage the parallel kernels even on these small graphs.
         sim.set_par_threshold(0);
+        sim.set_intra_threads(d.threads);
         if let Some(steps) = d.resume_after {
-            sim.execution().cap(steps).intra_threads(d.threads).run();
+            sim.execution().cap(steps).run();
             for u in g
                 .nodes()
                 .filter(|u| (u.index() as u64 + d.seed).is_multiple_of(3))
@@ -57,7 +58,7 @@ fn differential<A, P>(
                 sim.inject(u, donor[u.index()].clone());
             }
         }
-        let exec = sim.execution().cap(d.cap).intra_threads(d.threads);
+        let exec = sim.execution().cap(d.cap);
         let out = if incremental {
             exec.until_legitimate().run()
         } else {
