@@ -543,6 +543,40 @@ mod tests {
     }
 
     #[test]
+    fn on_terminal_fires_when_predicate_hits_a_terminal_configuration() {
+        // The step satisfying the predicate is also the one that makes
+        // the configuration terminal: the end must report both.
+        let g = generators::path(3);
+        let mut log = EventLog::default();
+        let mut sim = flood_sim(&g, flood_init(3), 0);
+        let out = sim
+            .execution()
+            .observe(&mut log)
+            .until(|_, states| states[2])
+            .run();
+        assert!(out.reached && out.terminal);
+        assert_eq!(out.reason, TerminationReason::PredicateMet);
+        assert_eq!(log.0.iter().filter(|e| *e == "terminal").count(), 1);
+        assert_eq!(log.0.last().map(String::as_str), Some("end:PredicateMet"));
+    }
+
+    #[test]
+    fn on_terminal_fires_when_cap_lands_exactly_on_termination() {
+        // Flood on path(4) terminates after exactly 3 steps: with
+        // cap(3) the loop exits through the budget check, but the
+        // terminal configuration must still reach observers.
+        let g = generators::path(4);
+        let mut log = EventLog::default();
+        let mut sim = flood_sim(&g, flood_init(4), 0);
+        let out = sim.execution().cap(3).observe(&mut log).run();
+        assert!(out.terminal && out.reached);
+        assert_eq!(out.reason, TerminationReason::Terminal);
+        assert_eq!(out.steps_used, 3);
+        assert_eq!(log.0.iter().filter(|e| *e == "terminal").count(), 1);
+        assert_eq!(log.0.last().map(String::as_str), Some("end:Terminal"));
+    }
+
+    #[test]
     fn hooks_fire_in_order() {
         let g = generators::path(3);
         let mut log = EventLog::default();
