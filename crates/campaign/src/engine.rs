@@ -41,7 +41,7 @@ use crate::cache::RecordCache;
 use crate::checkpoint::CheckpointWriter;
 use crate::grid::Campaign;
 use crate::obs::{scenario_label, trace_path, ObsProbe};
-use crate::runner::{self, ScenarioRecord};
+use crate::runner::{self, GraphSlot, ScenarioRecord};
 use crate::scenario::Scenario;
 
 /// A configured run of one campaign; see the [module docs](self).
@@ -168,7 +168,8 @@ impl<'a> Sweep<'a> {
         let trace_dir = self.trace_dir.take();
         let campaign = self.campaign;
         let id = campaign.id();
-        let (records, metrics) = self.drive(|sc, mut local| {
+        let (records, metrics) = self.drive(|sc, worker| {
+            let (mut local, graphs) = (worker.metrics.as_mut(), &mut worker.graphs);
             let fp = cache.map(|_| sc.fingerprint());
             let cached = cache.zip(fp).and_then(|(cache, fp)| cache.lookup(fp, &sc));
             let hit = cached.is_some();
@@ -179,9 +180,9 @@ impl<'a> Sweep<'a> {
                     let rec = if local.is_some() || trace_dir.is_some() {
                         let path = trace_dir.as_deref().map(|dir| trace_path(dir, index));
                         let mut probe = ObsProbe::new(local.as_deref_mut(), path, timed);
-                        runner::run_scenario_probed(registry, sc, Some(&mut probe))
+                        runner::run_scenario_probed(registry, sc, Some(&mut probe), graphs)
                     } else {
-                        runner::run_scenario_in(registry, sc)
+                        runner::run_scenario_probed(registry, sc, None, graphs)
                     };
                     if let Some((cache, fp)) = cache.zip(fp) {
                         cache.insert(fp, &rec);
@@ -229,12 +230,12 @@ impl<'a> Sweep<'a> {
     }
 
     /// The one pool pass behind [`Sweep::run_report`] and
-    /// [`Sweep::map`]: `work` maps a scenario (and the worker's
-    /// metrics, when on) to its result and whether it went ok.
+    /// [`Sweep::map`]: `work` maps a scenario (and the state of the
+    /// worker running it) to its result and whether it went ok.
     fn drive<R, W>(self, work: W) -> (Vec<R>, MetricsSet)
     where
         R: Send,
-        W: Fn(Scenario, Option<&mut MetricsSet>) -> (R, bool) + Sync,
+        W: Fn(Scenario, &mut Worker) -> (R, bool) + Sync,
     {
         let Sweep {
             campaign,
@@ -251,31 +252,42 @@ impl<'a> Sweep<'a> {
             campaign.len(),
             threads,
             1,
-            |w| (w, metrics.map(|_| MetricsSet::new())),
-            |(w, local), i| {
+            |id| Worker {
+                id,
+                metrics: metrics.map(|_| MetricsSet::new()),
+                graphs: GraphSlot::default(),
+            },
+            |worker, i| {
                 let sc = campaign.scenario(i);
                 let Some(progress) = &progress else {
-                    return work(sc, local.as_mut()).0;
+                    return work(sc, worker).0;
                 };
                 let label = scenario_label(&sc);
                 let lock = || progress.lock().expect("progress lock poisoned");
-                lock().item_started(*w, i, &label);
-                let (result, ok) = work(sc, local.as_mut());
+                lock().item_started(worker.id, i, &label);
+                let (result, ok) = work(sc, worker);
                 lock().item_done(i, &label, ok);
                 result
             },
         );
         let mut merged = MetricsSet::new();
-        for (_, local) in &workers {
-            if let Some(local) = local {
-                merged.merge(local);
-            }
+        for local in workers.iter().filter_map(|w| w.metrics.as_ref()) {
+            merged.merge(local);
         }
         if let Some(p) = progress {
             p.into_inner().expect("progress lock poisoned").finish();
         }
         (results, merged)
     }
+}
+
+/// One pool worker's state, threaded through every scenario it runs:
+/// its id (for progress), its metrics when they are on, and the graph
+/// it built last.
+struct Worker {
+    id: usize,
+    metrics: Option<MetricsSet>,
+    graphs: GraphSlot,
 }
 
 /// `Sweep::of(campaign).threads(threads).registry(registry).run()`,

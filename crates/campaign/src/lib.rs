@@ -59,7 +59,7 @@ pub use cache::RecordCache;
 pub use checkpoint::CheckpointWriter;
 pub use engine::{Sweep, SweepReport};
 pub use grid::Campaign;
-pub use runner::{run_scenario, run_scenario_in, run_scenario_probed, ScenarioRecord, Verdict};
+pub use runner::{run_scenario, run_scenario_in, ScenarioRecord, Verdict};
 pub use scenario::{AlgorithmSpec, Amount, InitPlan, Params, PresetSpec, Scenario, TopologySpec};
 
 #[cfg(test)]

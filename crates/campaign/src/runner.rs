@@ -13,7 +13,10 @@
 //! `Family::run`.
 //! [`run_scenario_in`] is the same body against a caller-supplied
 //! registry, which is how user-registered families run campaigns
-//! without touching any workspace crate.
+//! without touching any workspace crate. [`Sweep`](crate::Sweep) runs
+//! the body through [`run_scenario_probed`] with each worker's
+//! [`GraphSlot`], so a run of scenarios on one seed-free topology and
+//! size builds its graph, and computes its diameter, once.
 //!
 //! Custom probes (segment tracking, liveness windows, alliance
 //! verification columns) belong to *callers*: run a campaign through
@@ -30,7 +33,7 @@ use ssr_runtime::family::{ExecBudget, FamilyProbe, FamilyRegistry, FamilyRunOutc
 use ssr_runtime::TerminationReason;
 
 use crate::families;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, TopologySpec};
 
 // Historical home of this type; the runner still re-exports it.
 pub use ssr_runtime::family::Verdict;
@@ -136,6 +139,34 @@ impl ScenarioRecord {
     }
 }
 
+/// A campaign worker's last-built graph, keyed on the topology and
+/// size that built it.
+///
+/// A topology that does not draw from the seed
+/// ([`TopologySpec::uses_seed`]) builds the same graph for every
+/// scenario of one size, so the slot hands the graph it holds to the
+/// next such scenario, with its memoized diameter. A seeded topology
+/// builds afresh every time. The slot holds at most one graph: it is
+/// emptied before the next one is built.
+#[derive(Default)]
+pub(crate) struct GraphSlot(Option<(TopologySpec, usize, Graph)>);
+
+impl GraphSlot {
+    /// The graph of `sc`, built from `seed` unless the slot already
+    /// holds the seed-free graph of its topology and size.
+    fn graph(&mut self, sc: &Scenario, seed: u64) -> &Graph {
+        let reusable = !sc.topology.uses_seed()
+            && matches!(&self.0, Some((t, n, _)) if *t == sc.topology && *n == sc.n);
+        if !reusable {
+            // The old graph goes before the next one is built.
+            self.0 = None;
+            self.0 = Some((sc.topology, sc.n, sc.topology.build(sc.n, seed)));
+        }
+        let (_, _, g) = self.0.as_ref().expect("the slot was just filled");
+        g
+    }
+}
+
 /// Runs one scenario to completion against the standard family
 /// registry and checks the applicable paper bound. Pure: the record
 /// depends only on the scenario (never on which thread runs it or
@@ -149,30 +180,33 @@ pub fn run_scenario(sc: Scenario) -> ScenarioRecord {
 /// own `run`. Unresolvable or non-instantiable scenarios come back
 /// with [`Verdict::Skip`].
 pub fn run_scenario_in(registry: &FamilyRegistry, sc: Scenario) -> ScenarioRecord {
-    run_scenario_probed(registry, sc, None)
+    run_scenario_probed(registry, sc, None, &mut GraphSlot::default())
 }
 
 /// [`run_scenario_in`] with a [`FamilyProbe`] threaded through to the
 /// family's measured execution — how the observability layer
 /// ([`crate::obs`]) attaches trace sinks and metrics without touching
-/// the record. The record is identical to the probe-less run: probes
-/// observe, they never steer.
-pub fn run_scenario_probed(
+/// the record — and the graph taken from `graphs`. The record is
+/// identical to the probe-less run on a fresh graph: probes observe,
+/// they never steer, and the slot reuses only graphs that the seed
+/// does not shape.
+pub(crate) fn run_scenario_probed(
     registry: &FamilyRegistry,
     sc: Scenario,
     probe: Option<&mut dyn FamilyProbe>,
+    graphs: &mut GraphSlot,
 ) -> ScenarioRecord {
     let [graph_seed, init_seed, sim_seed, fault_seed] = sc.seeds::<4>();
-    let g = sc.topology.build(sc.n, graph_seed);
-    let mut rec = ScenarioRecord::skeleton(&sc, &g);
+    let g = graphs.graph(&sc, graph_seed);
+    let mut rec = ScenarioRecord::skeleton(&sc, g);
     let Some(family) = registry.resolve(&sc.algorithm) else {
         return rec; // Verdict::Skip
     };
-    if !family.instantiable(&g) {
+    if !family.instantiable(g) {
         return rec; // Verdict::Skip
     }
     let out = family.run(
-        &g,
+        g,
         &sc.init,
         &sc.daemon,
         RunSeeds {

@@ -111,10 +111,34 @@ impl TopologySpec {
             .map(|per_mille| TopologySpec::Gnp { per_mille })
     }
 
+    /// Whether [`TopologySpec::build`] draws from its seed. The random
+    /// families do; every other topology is a function of `n` alone,
+    /// so a campaign worker builds it once for a run of scenarios of
+    /// the same size and reuses it.
+    pub fn uses_seed(&self) -> bool {
+        match self {
+            TopologySpec::RandTree
+            | TopologySpec::RandSparse
+            | TopologySpec::RandDense
+            | TopologySpec::Gnp { .. } => true,
+            TopologySpec::Ring
+            | TopologySpec::Path
+            | TopologySpec::Star
+            | TopologySpec::Grid
+            | TopologySpec::Torus
+            | TopologySpec::Complete
+            | TopologySpec::Hypercube
+            | TopologySpec::Lollipop
+            | TopologySpec::Caterpillar
+            | TopologySpec::Wheel => false,
+        }
+    }
+
     /// Builds the concrete graph for nominal size `n`.
     ///
-    /// `seed` only matters for the random families; deterministic
-    /// topologies ignore it.
+    /// `seed` only matters for the random families
+    /// ([`TopologySpec::uses_seed`]); deterministic topologies ignore
+    /// it.
     pub fn build(&self, n: usize, seed: u64) -> Graph {
         let side = ((n as f64).sqrt().round() as usize).max(2);
         match self {
@@ -289,6 +313,39 @@ mod tests {
             let h = spec.build(12, 7);
             assert_eq!(g.node_count(), h.node_count(), "{spec:?} not deterministic");
             assert_eq!(g.edge_count(), h.edge_count(), "{spec:?} not deterministic");
+        }
+    }
+
+    #[test]
+    fn uses_seed_says_which_builds_depend_on_the_seed() {
+        for spec in [
+            TopologySpec::Ring,
+            TopologySpec::Path,
+            TopologySpec::Star,
+            TopologySpec::RandTree,
+            TopologySpec::RandSparse,
+            TopologySpec::RandDense,
+            TopologySpec::Grid,
+            TopologySpec::Torus,
+            TopologySpec::Complete,
+            TopologySpec::Hypercube,
+            TopologySpec::Lollipop,
+            TopologySpec::Caterpillar,
+            TopologySpec::Wheel,
+            TopologySpec::Gnp { per_mille: 300 },
+        ] {
+            for n in [5, 8, 16] {
+                let base = spec.build(n, 0);
+                let same = (1..=8).all(|seed| spec.build(n, seed) == base);
+                // At n = 5, `RandDense`'s 2n extra edges fill K₅, the
+                // one graph every seed builds.
+                let saturated = base.edge_count() == n * (n - 1) / 2;
+                if spec.uses_seed() {
+                    assert!(!same || saturated, "{spec:?} at n={n} ignores its seed");
+                } else {
+                    assert!(same, "{spec:?} at n={n} draws from its seed");
+                }
+            }
         }
     }
 

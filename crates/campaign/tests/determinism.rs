@@ -1,8 +1,12 @@
 //! The engine's determinism contract: running any campaign with 1
-//! thread and with 4 threads yields identical serialized results.
+//! thread and with 4 threads yields identical serialized results, and
+//! every record equals the one its scenario gives when run alone on a
+//! graph of its own.
 
 use proptest::prelude::*;
-use ssr_campaign::{families, output, Amount, Campaign, InitPlan, Sweep, TopologySpec};
+use ssr_campaign::{
+    families, output, run_scenario, Amount, Campaign, InitPlan, Sweep, TopologySpec,
+};
 use ssr_runtime::Daemon;
 
 proptest! {
@@ -40,6 +44,53 @@ proptest! {
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(output::jsonl(&sequential), output::jsonl(&parallel));
         prop_assert_eq!(output::csv(&sequential), output::csv(&parallel));
+    }
+}
+
+proptest! {
+    /// The slow oracle for the workers' graph reuse: every record a
+    /// sweep returns, at 1 and at 4 threads, equals `run_scenario` of
+    /// its scenario — which builds a fresh graph — with the campaign id
+    /// stamped. The grids interleave seed-free topologies (whose graph
+    /// a worker reuses) with seeded ones (whose graph it must not),
+    /// and every cell has several scenarios, so a seeded topology that
+    /// claimed to ignore its seed would run on a stale graph.
+    #[test]
+    fn every_record_equals_its_scenario_run_on_a_fresh_graph(
+        master_seed in 0u64..10_000,
+        order in 0usize..4,
+        small in 5usize..8,
+        large in 8usize..11,
+        trials in 2u64..4,
+    ) {
+        let mut topologies = vec![
+            TopologySpec::Ring,
+            TopologySpec::RandTree,
+            TopologySpec::Path,
+            TopologySpec::Gnp { per_mille: 400 },
+            TopologySpec::Star,
+        ];
+        topologies.rotate_left(order);
+        let campaign = Campaign::new("prop-fresh-graph")
+            .topologies(topologies)
+            .sizes(vec![small, large])
+            .algorithms(vec![families::unison_sdr(), families::sdr_agreement(4)])
+            .daemons(vec![Daemon::Central])
+            .trials(trials)
+            .step_cap(500_000)
+            .seed(master_seed);
+        let oracle: Vec<_> = campaign
+            .scenarios()
+            .map(|sc| {
+                let mut rec = run_scenario(sc);
+                rec.campaign = campaign.id().to_string();
+                rec
+            })
+            .collect();
+        for threads in [1, 4] {
+            let swept = Sweep::of(&campaign).threads(threads).run();
+            prop_assert_eq!(&swept, &oracle, "threads={}", threads);
+        }
     }
 }
 

@@ -10,8 +10,10 @@
 //!    [`JsonlSink`] writer (schema: `DESIGN.md` §10),
 //!    [`PipelineMetrics`], which folds the stream into the metrics
 //!    registry, and [`CompositeSink`], which fans out to both. With no
-//!    sink installed the pipeline's cost is one never-taken branch per
-//!    phase — pinned by the `obs_overhead` bench.
+//!    sink installed, `Simulator::step` checks for a sink once per step
+//!    and runs an untraced instantiation of the pipeline, which has no
+//!    per-phase branch, emit or clock read; the `obs_overhead` bench
+//!    holds a traced no-op sink to within 1.5× of it.
 //!
 //! 2. **Metrics** — [`MetricsSet`] holds
 //!    counters, gauges, and power-of-two-bucket histograms; sets are

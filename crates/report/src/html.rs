@@ -45,9 +45,10 @@ pub struct Artifacts {
 impl Artifacts {
     /// Parses `text` as campaign JSONL and adds it under `name`,
     /// keeping `campaigns` sorted by name — the in-memory counterpart
-    /// of [`load_dir`] finding a `.jsonl` record file, used by the
-    /// campaign service to render reports straight from its
-    /// content-addressed store.
+    /// of [`load_dir`] finding a `.jsonl` record file. The campaign
+    /// service does not call it (it builds the rows from its stored
+    /// records); the repository benchmark does, to assemble a served
+    /// job's report from its downloaded JSONL.
     pub fn push_campaign_jsonl(&mut self, name: &str, text: &str) -> Result<(), String> {
         let rows = reader::parse_campaign_jsonl(text).map_err(|e| format!("{name}: {e}"))?;
         self.campaigns.push((name.to_string(), rows));

@@ -1,18 +1,19 @@
 //! The job board: every submitted campaign, queued → running → done,
-//! with its live event bus and memoized artifacts.
+//! with its live event bus and stored outcome.
 //!
 //! A [`Job`] is shared between the HTTP handlers (status, SSE,
 //! downloads) and the orchestrator thread (execution), so its mutable
 //! half sits behind one mutex. A finished job stores its records once,
-//! as JSONL, with its metrics snapshot; the CSV and the rendered HTML
-//! report are derived from those on first request and memoized as
-//! strings — serving any artifact twice yields byte-identical
-//! responses by construction.
+//! as the typed records the sweep returned (behind an [`Arc`]), next
+//! to its metrics snapshot. Every artifact — JSONL, CSV, HTML report —
+//! is rendered from those per request, outside the lock, and nothing
+//! rendered is kept: rendering is a pure function of the stored
+//! records, so serving an artifact twice yields the same bytes.
 
 use std::sync::{Arc, Mutex};
 
 use ssr_campaign::output::Json;
-use ssr_campaign::Campaign;
+use ssr_campaign::{Campaign, ScenarioRecord};
 use ssr_obs::progress::ProgressBus;
 
 /// Where a job is in its life cycle.
@@ -44,13 +45,9 @@ impl JobPhase {
 pub struct JobOutcome {
     /// Current phase (`Queued` at rest thanks to `Default`).
     phase: Option<JobPhase>,
-    /// Records as JSONL, once done: their one stored form.
-    pub jsonl: Option<String>,
-    /// Records as CSV, derived from `jsonl` (memoized on first
-    /// request).
-    pub csv: Option<String>,
-    /// Rendered HTML report (memoized on first request).
-    pub report: Option<String>,
+    /// The records in grid order, once done: their one stored form,
+    /// shared with the handlers that render them.
+    pub records: Option<Arc<Vec<ScenarioRecord>>>,
     /// Merged metrics snapshot as `ssr-metrics-v1` JSON, once done.
     pub metrics_json: Option<String>,
     /// Scenarios served from the content-addressed store.

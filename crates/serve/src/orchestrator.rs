@@ -13,7 +13,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::Scope;
 
-use ssr_campaign::{checkpoint, output, CheckpointWriter, RecordCache, Sweep, SweepReport};
+use ssr_campaign::{checkpoint, CheckpointWriter, RecordCache, Sweep, SweepReport};
 use ssr_obs::progress::{Progress, ProgressBus};
 
 use crate::jobs::{Job, JobPhase};
@@ -104,11 +104,12 @@ pub fn run_job<'scope>(
     });
     match engine.join() {
         Ok(SweepReport { records, metrics }) => {
-            // Rendered before the job's lock is taken, so status and
-            // artifact readers never wait on it. The JSONL is the one
-            // stored form of the records; the CSV and the report are
-            // derived from it on first request (`server.rs`).
-            let jsonl = output::jsonl(&records);
+            // The records are stored as the sweep returned them, moved
+            // into an `Arc`: the lane renders none of the artifacts,
+            // each request renders its own (`server.rs`). The snapshot
+            // is rendered before the job's lock is taken, so status and
+            // artifact readers never wait on it.
+            let records = Arc::new(records);
             let metrics_json = metrics.snapshot().to_json();
             let counter = |key: &str| metrics.counter_value(key).unwrap_or(0);
             job.with_outcome(|out| {
@@ -116,7 +117,7 @@ pub fn run_job<'scope>(
                 out.cache_misses = counter("campaign.cache_misses");
                 out.sim_steps = counter("pipeline.steps");
                 out.failed = counter("campaign.failed");
-                out.jsonl = Some(jsonl);
+                out.records = Some(records);
                 out.metrics_json = Some(metrics_json);
             });
             job.set_phase(JobPhase::Done);
@@ -159,7 +160,7 @@ pub fn queue() -> (Sender<Arc<Job>>, Receiver<Arc<Job>>) {
 mod tests {
     use super::*;
     use crate::jobs::JobBoard;
-    use ssr_campaign::{Campaign, TopologySpec};
+    use ssr_campaign::{output, Campaign, TopologySpec};
     use ssr_runtime::Daemon;
 
     fn tiny(id: &str) -> Campaign {
@@ -184,10 +185,10 @@ mod tests {
         });
         assert_eq!(first.phase(), JobPhase::Done);
         assert_eq!(second.phase(), JobPhase::Done);
-        let (jsonl1, hits1, steps1) =
-            first.with_outcome(|o| (o.jsonl.clone().unwrap(), o.cache_hits, o.sim_steps));
-        let (jsonl2, hits2, steps2) =
-            second.with_outcome(|o| (o.jsonl.clone().unwrap(), o.cache_hits, o.sim_steps));
+        let (records1, hits1, steps1) =
+            first.with_outcome(|o| (o.records.clone().unwrap(), o.cache_hits, o.sim_steps));
+        let (records2, hits2, steps2) =
+            second.with_outcome(|o| (o.records.clone().unwrap(), o.cache_hits, o.sim_steps));
         assert_eq!(hits1, 0, "cold run misses everything");
         assert!(steps1 > 0, "cold run actually simulates");
         assert_eq!(
@@ -196,7 +197,12 @@ mod tests {
             "warm run hits everything"
         );
         assert_eq!(steps2, 0, "warm run never touches the simulator");
-        assert_eq!(jsonl1, jsonl2, "artifacts are byte-identical");
+        assert_eq!(records1, records2, "the stored records are identical");
+        assert_eq!(
+            output::jsonl(&records1),
+            output::jsonl(&records2),
+            "artifacts are byte-identical"
+        );
     }
 
     #[test]
@@ -225,7 +231,7 @@ mod tests {
         let board = JobBoard::new();
         let cold = board.submit("t", tiny("t"));
         std::thread::scope(|scope| run_job(scope, &cold, &store, 2));
-        let cold_jsonl = cold.with_outcome(|o| o.jsonl.clone().unwrap());
+        let cold_records = cold.with_outcome(|o| o.records.clone().unwrap());
         drop(store);
 
         // Second life: boot replays, the same sweep is all hits.
@@ -233,11 +239,12 @@ mod tests {
         assert_eq!(store.replayed, cold.campaign.len());
         let warm = board.submit("t", tiny("t"));
         std::thread::scope(|scope| run_job(scope, &warm, &store, 2));
-        let (warm_jsonl, hits, steps) =
-            warm.with_outcome(|o| (o.jsonl.clone().unwrap(), o.cache_hits, o.sim_steps));
+        let (warm_records, hits, steps) =
+            warm.with_outcome(|o| (o.records.clone().unwrap(), o.cache_hits, o.sim_steps));
         assert_eq!(hits, warm.campaign.len() as u64);
         assert_eq!(steps, 0);
-        assert_eq!(warm_jsonl, cold_jsonl);
+        assert_eq!(warm_records, cold_records);
+        assert_eq!(output::jsonl(&warm_records), output::jsonl(&cold_records));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -16,11 +16,16 @@
 //! | `GET /campaigns` | listing of every job's status |
 //! | `GET /campaigns/<job>` | one job's status JSON |
 //! | `GET /campaigns/<job>/events` | live `text/event-stream` of progress lines |
-//! | `GET /campaigns/<job>/records.jsonl` | the records, JSONL (`409` until done) |
-//! | `GET /campaigns/<job>/records.csv` | the records, CSV, derived from the JSONL (memoized; `409` until done) |
+//! | `GET /campaigns/<job>/records.jsonl` | the records, JSONL, rendered from the stored records (`409` until done) |
+//! | `GET /campaigns/<job>/records.csv` | the records, CSV, rendered from the stored records (`409` until done) |
 //! | `GET /campaigns/<job>/metrics` | merged `ssr-metrics-v1` snapshot (`409` until done) |
-//! | `GET /campaigns/<job>/report` | self-contained `ssr-report` HTML (memoized; `409` until done) |
+//! | `GET /campaigns/<job>/report` | self-contained `ssr-report` HTML, rendered from the stored records and snapshot (`409` until done) |
 //! | `POST /shutdown` | `200`, then drain and exit |
+//!
+//! A finished job stores its typed records and its metrics snapshot
+//! ([`crate::jobs`]). Each artifact route takes what it needs out of
+//! the job's lock — a clone of the records' `Arc` or of the snapshot
+//! — and renders outside it, per request, with nothing memoized.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,8 +33,8 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ssr_campaign::{checkpoint, output, ScenarioRecord};
-use ssr_obs::json;
+use ssr_campaign::{output, ScenarioRecord};
+use ssr_report::reader::CampaignRow;
 use ssr_report::Artifacts;
 
 use crate::http::{self, Request, SseWriter};
@@ -217,23 +222,33 @@ fn job_route(stream: &mut TcpStream, path: &str, shared: &Shared) {
     match endpoint {
         "" => http::respond_json(stream, 200, &job.status_json()),
         "events" => stream_events(stream, &job),
-        "records.jsonl" => {
-            serve_artifact(stream, &job, "application/x-ndjson", |o| o.jsonl.clone())
-        }
-        "records.csv" => serve_derived(
+        "records.jsonl" => serve_artifact(
+            stream,
+            &job,
+            "application/x-ndjson",
+            |o| o.records.clone(),
+            |records| Ok(output::jsonl(&records)),
+        ),
+        "records.csv" => serve_artifact(
             stream,
             &job,
             "text/csv; charset=utf-8",
-            |o| &mut o.csv,
-            |jsonl, _| csv_of(jsonl),
+            |o| o.records.clone(),
+            |records| Ok(output::csv(&records)),
         ),
-        "metrics" => serve_artifact(stream, &job, "application/json", |o| o.metrics_json.clone()),
-        "report" => serve_derived(
+        "metrics" => serve_artifact(
+            stream,
+            &job,
+            "application/json",
+            |o| o.metrics_json.clone(),
+            Ok,
+        ),
+        "report" => serve_artifact(
             stream,
             &job,
             "text/html; charset=utf-8",
-            |o| &mut o.report,
-            |jsonl, metrics_json| report_of(&job, jsonl, metrics_json),
+            |o| o.records.clone().zip(o.metrics_json.clone()),
+            |(records, metrics_json)| report_of(&job.id, &records, &metrics_json),
         ),
         _ => http::respond_text(stream, 404, &format!("no endpoint {endpoint:?}")),
     }
@@ -264,65 +279,147 @@ fn stream_events(stream: &mut TcpStream, job: &Job) {
     sse.finish();
 }
 
-fn serve_artifact(
+/// Serves an artifact of a finished job: `pick` clones its inputs out
+/// of the job's outcome under the lock (`None` until the job is done,
+/// a `409`), and `render` makes the body from them outside it.
+fn serve_artifact<T>(
     stream: &mut TcpStream,
     job: &Job,
     content_type: &str,
-    pick: impl Fn(&mut JobOutcome) -> Option<String>,
+    pick: impl FnOnce(&mut JobOutcome) -> Option<T>,
+    render: impl FnOnce(T) -> Result<String, String>,
 ) {
-    match job.with_outcome(pick) {
-        Some(body) => http::respond(stream, 200, content_type, body.as_bytes()),
-        None => http::respond_text(stream, 409, "campaign not finished"),
-    }
-}
-
-/// Serves an artifact derived from a finished job's stored JSONL and
-/// metrics snapshot: `derive` runs on the first request, outside the
-/// job's lock, and its result is memoized in `slot`, so later requests
-/// get the same bytes without rework.
-fn serve_derived(
-    stream: &mut TcpStream,
-    job: &Job,
-    content_type: &str,
-    slot: fn(&mut JobOutcome) -> &mut Option<String>,
-    derive: impl FnOnce(&str, &str) -> Result<String, String>,
-) {
-    if let Some(body) = job.with_outcome(|o| slot(o).clone()) {
-        http::respond(stream, 200, content_type, body.as_bytes());
-        return;
-    }
-    let inputs = job.with_outcome(|o| o.jsonl.clone().zip(o.metrics_json.clone()));
-    let Some((jsonl, metrics_json)) = inputs else {
+    let Some(inputs) = job.with_outcome(pick) else {
         http::respond_text(stream, 409, "campaign not finished");
         return;
     };
-    match derive(&jsonl, &metrics_json) {
-        Ok(body) => {
-            job.with_outcome(|o| *slot(o) = Some(body.clone()));
-            http::respond(stream, 200, content_type, body.as_bytes());
-        }
+    match render(inputs) {
+        Ok(body) => http::respond(stream, 200, content_type, body.as_bytes()),
         Err(e) => http::respond_text(stream, 500, &e),
     }
 }
 
-/// The CSV of a job's records, read back from its JSONL through the
-/// checkpoint journal's record reader: the bytes [`output::csv`] gives
-/// for the records the engine returned.
-fn csv_of(jsonl: &str) -> Result<String, String> {
-    let records: Vec<ScenarioRecord> = json::parse_jsonl(jsonl)
-        .and_then(|lines| lines.iter().map(checkpoint::record_from_json).collect())
-        .map_err(|e| format!("cannot read the stored records: {e}"))?;
-    Ok(output::csv(&records))
-}
-
 /// The HTML report of a finished job: its records plus the merged
 /// metrics snapshot, through the same [`ssr_report::render`] path the
-/// offline `report` binary uses — so a served report is byte-identical
-/// to one rendered from downloaded artifacts.
-fn report_of(job: &Job, jsonl: &str, metrics_json: &str) -> Result<String, String> {
+/// offline `report` binary uses, under the file names a download would
+/// give them (`<job>.jsonl`, `<job>-metrics.json`) — so a served report
+/// is byte-identical to one rendered from downloaded artifacts.
+fn report_of(
+    job_id: &str,
+    records: &[ScenarioRecord],
+    metrics_json: &str,
+) -> Result<String, String> {
     let mut art = Artifacts::default();
-    art.push_campaign_jsonl(&format!("{}.jsonl", job.id), jsonl)
-        .and_then(|()| art.push_metrics_json(&format!("{}-metrics.json", job.id), metrics_json))
+    art.campaigns.push((
+        format!("{job_id}.jsonl"),
+        records.iter().map(campaign_row).collect(),
+    ));
+    art.push_metrics_json(&format!("{job_id}-metrics.json"), metrics_json)
         .map_err(|e| format!("cannot assemble report: {e}"))?;
     Ok(ssr_report::render(&art))
+}
+
+/// A record as the report reads it: the row
+/// `ssr_report::reader::parse_campaign_jsonl` gives for the record's
+/// JSONL line, built without the text in between.
+fn campaign_row(rec: &ScenarioRecord) -> CampaignRow {
+    CampaignRow {
+        campaign: rec.campaign.clone(),
+        index: rec.index as u64,
+        topology: rec.topology.clone(),
+        n: rec.n as u64,
+        nodes: rec.nodes,
+        edges: rec.edges,
+        max_degree: rec.max_degree,
+        diameter: rec.diameter,
+        algorithm: rec.algorithm.clone(),
+        daemon: rec.daemon.clone(),
+        init: rec.init.clone(),
+        trial: rec.trial,
+        seed: rec.seed,
+        reached: rec.reached,
+        terminal: rec.terminal,
+        reason: rec.reason.map(|r| r.as_str().to_string()),
+        steps: rec.steps,
+        moves: rec.moves,
+        rounds: rec.rounds,
+        max_moves_per_process: rec.max_moves_per_process,
+        bound_rounds: rec.bound_rounds,
+        bound_moves: rec.bound_moves,
+        verdict: rec.verdict.as_str().to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use ssr_campaign::Verdict;
+    use ssr_runtime::rng::Xoshiro256StarStar;
+    use ssr_runtime::TerminationReason;
+
+    /// A label with the characters that JSON escapes or that are not
+    /// ASCII, possibly empty.
+    fn label(rng: &mut Xoshiro256StarStar) -> String {
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '0', ':', '(', ')', ',', ' ', '"', '\\', '\n', '\t', '\u{1}', 'é', '∘',
+        ];
+        (0..rng.index(12)).map(|_| *rng.choose(ALPHABET)).collect()
+    }
+
+    fn bound(rng: &mut Xoshiro256StarStar) -> Option<u64> {
+        *rng.choose(&[None, Some(0), Some(u64::MAX)])
+    }
+
+    fn record(rng: &mut Xoshiro256StarStar) -> ScenarioRecord {
+        ScenarioRecord {
+            index: rng.index(1 << 20),
+            campaign: label(rng),
+            topology: label(rng),
+            n: rng.index(1 << 20),
+            nodes: rng.next_u64(),
+            edges: rng.next_u64(),
+            max_degree: rng.next_u64(),
+            diameter: rng.next_u64(),
+            algorithm: label(rng),
+            daemon: label(rng),
+            init: label(rng),
+            trial: rng.next_u64(),
+            seed: rng.next_u64(),
+            reached: rng.chance(0.5),
+            terminal: rng.chance(0.5),
+            reason: *rng.choose(&[
+                None,
+                Some(TerminationReason::Terminal),
+                Some(TerminationReason::PredicateMet),
+                Some(TerminationReason::CapExhausted),
+            ]),
+            steps: rng.next_u64(),
+            moves: rng.next_u64(),
+            rounds: rng.next_u64(),
+            max_moves_per_process: rng.next_u64(),
+            bound_rounds: bound(rng),
+            bound_moves: bound(rng),
+            verdict: *rng.choose(&[
+                Verdict::Pass,
+                Verdict::Fail,
+                Verdict::NoBound,
+                Verdict::Skip,
+            ]),
+        }
+    }
+
+    proptest! {
+        /// The served report reads the rows the offline report reads
+        /// from the downloaded JSONL.
+        #[test]
+        fn rows_equal_the_rows_parsed_from_the_jsonl(seed in 0u64..1_000_000, count in 0usize..12) {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let records: Vec<ScenarioRecord> = (0..count).map(|_| record(&mut rng)).collect();
+            let parsed = ssr_report::reader::parse_campaign_jsonl(&output::jsonl(&records))
+                .expect("the JSONL writer's output parses");
+            let rows: Vec<CampaignRow> = records.iter().map(campaign_row).collect();
+            prop_assert_eq!(rows, parsed);
+        }
+    }
 }

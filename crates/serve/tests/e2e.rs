@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use ssr_campaign::checkpoint::record_from_json;
 use ssr_campaign::{output, ScenarioRecord, Sweep};
 use ssr_obs::json;
+use ssr_report::Artifacts;
 use ssr_serve::http::MAX_HEAD;
 use ssr_serve::{spec, Server, ServerConfig};
 
@@ -109,10 +110,10 @@ fn the_whole_surface_works_over_tcp() {
     assert_eq!(status, 200);
     let cold_jsonl = body_of(&jsonl_raw).to_string();
     assert_eq!(cold_jsonl.lines().count(), 4);
-    // The CSV is derived from the stored JSONL on first request: it
+    // The CSV is rendered from the stored records on each request: it
     // must be the CSV of the records the JSONL holds, and of the
     // records the engine returns for the same spec, and a second
-    // request must return the memoized bytes.
+    // request must return the same bytes.
     let (status, csv_raw) = request(addr, "GET", &format!("/campaigns/{job}/records.csv"), "");
     assert_eq!(status, 200);
     let csv = body_of(&csv_raw).to_string();
@@ -170,6 +171,22 @@ fn the_whole_surface_works_over_tcp() {
             "missing {anchor}"
         );
     }
+    // It is the report the offline renderer makes from the downloaded
+    // JSONL and metrics snapshot, under the names a download gets, and
+    // a second request returns the same bytes.
+    let (status, metrics_raw) = request(addr, "GET", &format!("/campaigns/{job}/metrics"), "");
+    assert_eq!(status, 200);
+    let mut offline = Artifacts::default();
+    offline
+        .push_campaign_jsonl(&format!("{job}.jsonl"), &cold_jsonl)
+        .unwrap();
+    offline
+        .push_metrics_json(&format!("{job}-metrics.json"), body_of(&metrics_raw))
+        .unwrap();
+    assert_eq!(body_of(&report), ssr_report::render(&offline));
+    let (status, report_again) = request(addr, "GET", &format!("/campaigns/{job}/report"), "");
+    assert_eq!(status, 200);
+    assert_eq!(body_of(&report_again), body_of(&report));
 
     // Warm re-submission: all hits, zero simulator steps, identical bytes.
     let (status, _) = request(addr, "POST", "/campaigns", SPEC);
