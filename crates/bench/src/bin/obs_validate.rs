@@ -11,9 +11,13 @@
 //!
 //! `--kind` selects the schema (default `trace`):
 //!
-//! - `trace` — `.jsonl` event traces (`DESIGN.md` §10): every line a
-//!   known event carrying its required keys
-//! - `metrics` — `.json` snapshots with schema `ssr-metrics-v1`
+//! - `trace` — `.jsonl` event traces (`DESIGN.md` §10): every
+//!   non-blank line parses into a `TraceEvent`
+//!   (`ssr_obs::trace::parse_event`: a known event carrying its keys
+//!   with their types)
+//! - `metrics` — `.json` snapshots with schema `ssr-metrics-v1`: the
+//!   file parses into a `MetricsSnapshot`
+//!   (`ssr_obs::MetricsSnapshot::from_json`)
 //! - `checkpoint` — `.jsonl` resumable-sweep journals with schema
 //!   `ssr-checkpoint/v1` (`DESIGN.md` §13): header line plus one
 //!   fingerprinted record per line, strictly (a torn tail fails here
@@ -27,8 +31,8 @@
 
 use std::path::{Path, PathBuf};
 
-use ssr_obs::trace::validate_jsonl_line;
-use ssr_report::reader::parse_metrics_json;
+use ssr_obs::trace::parse_events;
+use ssr_obs::MetricsSnapshot;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
@@ -71,29 +75,16 @@ fn collect(path: &Path, ext: &str, out: &mut Vec<PathBuf>) -> std::io::Result<()
     Ok(())
 }
 
-/// Validates one file; returns the unit count (lines, or metrics).
+/// Validates one file; returns the unit count (events, metrics or
+/// records).
 fn validate_file(kind: Kind, path: &Path) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let count = match kind {
-        Kind::Trace => {
-            let mut lines = 0usize;
-            for (i, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                validate_jsonl_line(line)
-                    .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
-                lines += 1;
-            }
-            lines
-        }
-        Kind::Metrics => parse_metrics_json(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))?
-            .metrics
-            .len(),
-        Kind::Checkpoint => ssr_campaign::checkpoint::validate(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))?,
-    };
+        Kind::Trace => parse_events(&text).map(|events| events.len()),
+        Kind::Metrics => MetricsSnapshot::from_json(&text).map(|snap| snap.items().len()),
+        Kind::Checkpoint => ssr_campaign::checkpoint::validate(&text),
+    }
+    .map_err(|e| format!("{}: {e}", path.display()))?;
     if count == 0 {
         return Err(format!("{}: empty {} file", path.display(), kind.noun()));
     }

@@ -366,9 +366,7 @@ mod tests {
         assert!(snap.get("pipeline.steps").is_some());
         let trace = dir.join("direct").join("trace-00000.jsonl");
         let text = std::fs::read_to_string(&trace).unwrap();
-        for line in text.lines() {
-            ssr_obs::trace::validate_jsonl_line(line).unwrap();
-        }
+        assert!(!ssr_obs::trace::parse_events(&text).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -107,7 +107,7 @@ const CSV_HEADER: &str = "campaign,index,topology,n,nodes,edges,max_degree,diame
                           max_moves_per_process,bound_rounds,bound_moves,verdict";
 
 fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
+    if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
@@ -201,6 +201,11 @@ mod tests {
         assert!(lines.next().unwrap().starts_with("campaign,index,topology"));
         let row = lines.next().unwrap();
         assert!(row.contains("\"fga:domination(1,0)\""));
+        assert_eq!(
+            csv_field("a\rb"),
+            "\"a\rb\"",
+            "a bare CR is a line break to other readers"
+        );
         // Header and row have the same arity (quoted comma not split).
         let arity = |line: &str| {
             let mut in_quotes = false;

@@ -9,7 +9,8 @@ use ssr_campaign::{
     engine, families, Campaign, CheckpointWriter, RecordCache, Sweep, TopologySpec,
 };
 use ssr_obs::progress::{Progress, ProgressBus};
-use ssr_obs::trace::validate_jsonl_line;
+use ssr_obs::trace::parse_events;
+use ssr_obs::TraceEvent;
 use ssr_runtime::Daemon;
 
 fn tiny() -> Campaign {
@@ -47,19 +48,14 @@ fn obs_channels_do_not_change_records() {
         .run();
     assert_eq!(bare, observed, "obs channels must be read-only");
 
-    // Every scenario left a validating trace file behind.
+    // Every scenario left behind a trace file that parses.
     for i in 0..c.len() {
         let path = trace_path(&dir, i);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing trace {path:?}: {e}"));
-        for line in text.lines() {
-            validate_jsonl_line(line).unwrap_or_else(|err| panic!("{path:?}: {err}"));
-        }
+        let events = parse_events(&text).unwrap_or_else(|err| panic!("{path:?}: {err}"));
         assert!(
-            text.lines()
-                .last()
-                .unwrap()
-                .contains("\"event\":\"run-ended\""),
+            matches!(events.last(), Some(TraceEvent::RunEnded { .. })),
             "trace {path:?} must close with run-ended"
         );
     }

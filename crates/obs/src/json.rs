@@ -2,9 +2,10 @@
 //! and a deterministic renderer.
 //!
 //! The workspace is serde-free by policy (the build is offline).
-//! [`Value`] is what every reader parses into — `ssr-report`'s typed
-//! readers, the `ssr-analyze` validator, checkpoint replay, the
-//! service's campaign specs — and, re-exported as
+//! [`Value`] is what every reader parses into — the metrics-snapshot
+//! and trace readers here, `ssr-report`'s typed readers, the
+//! `ssr-analyze` validator, checkpoint replay, the service's campaign
+//! specs — and, re-exported as
 //! `ssr_campaign::output::Json`, what the experiment result files are
 //! rendered from. The hand-rolled emitters share its string escaper,
 //! [`write_string`]: the campaign records and the checkpoint journal
@@ -15,7 +16,7 @@
 //! Integers are preserved exactly: a numeric token without `.`/`e`
 //! parses into [`Value::U64`]/[`Value::I64`], so 64-bit seeds and
 //! nano counters survive a write→parse round trip bit-for-bit
-//! (pinned by proptests in `ssr-report`). Objects keep insertion
+//! (pinned by proptests here and in `ssr-report`). Objects keep insertion
 //! order, matching the deterministic key order of the writers.
 //!
 //! The parser takes outside input (the service parses every request

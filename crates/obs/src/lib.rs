@@ -7,7 +7,8 @@
 //! 1. **Tracing** — the runtime's [`TraceSink`] seam emits typed
 //!    events ([`TraceEvent`]) from inside the three-phase step
 //!    pipeline. This crate supplies the concrete sinks: a
-//!    [`JsonlSink`] writer (schema: `DESIGN.md` §10),
+//!    [`JsonlSink`] writer (schema: `DESIGN.md` §10, read back by
+//!    [`trace::parse_event`]),
 //!    [`PipelineMetrics`], which folds the stream into the metrics
 //!    registry, and [`CompositeSink`], which fans out to both. With no
 //!    sink installed, `Simulator::step` checks for a sink once per step
@@ -20,7 +21,8 @@
 //!    accumulated lock-free (by ownership, one per worker) and merged
 //!    once the workers return, into a snapshot that is
 //!    deterministic: sorted keys, byte-stable JSON
-//!    (`"schema":"ssr-metrics-v1"`), and a human table.
+//!    (`"schema":"ssr-metrics-v1"`, read back by
+//!    [`MetricsSnapshot::from_json`]), and a human table.
 //!
 //! 3. **Progress** — [`Progress`] reporters stream campaign
 //!    completion (done/total, ETA, per-worker state) to stderr

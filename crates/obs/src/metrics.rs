@@ -17,6 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{self, Value};
+
 /// Number of power-of-two histogram buckets: bucket 0 holds zeros,
 /// bucket `i ≥ 1` holds values of bit length `i` (`2^(i-1) ..= 2^i-1`).
 const BUCKETS: usize = 65;
@@ -118,6 +120,40 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (Self::bucket_le(i), c))
             .collect()
+    }
+
+    /// Rebuilds a histogram from its `ssr-metrics-v1` object `m`. Each
+    /// bound must be a bucket's upper edge, above the previous bound,
+    /// and the counts must sum to `count`; `count` 0 gives the default.
+    fn from_json(m: &Value, what: &str) -> Result<Histogram, String> {
+        let mut h = Histogram::default();
+        let (mut total, mut next) = (0u64, 0);
+        for pair in json::arr(json::field(m, "buckets", what)?, &format!("{what}.buckets"))? {
+            let (le, c) = match pair.as_arr() {
+                Some([le, c]) => le.as_u64().zip(c.as_u64()),
+                _ => None,
+            }
+            .ok_or_else(|| format!("{what}: a bucket is not an [upper_edge, count] pair"))?;
+            let b = Self::bucket_of(le);
+            if Self::bucket_le(b) != le || b < next {
+                return Err(format!("{what}: {le} is not a bucket edge above the last"));
+            }
+            h.buckets[b] = c;
+            next = b + 1;
+            total = total
+                .checked_add(c)
+                .ok_or_else(|| format!("{what}: counts overflow"))?;
+        }
+        h.count = json::u64_field(m, "count", what)?;
+        if total != h.count {
+            return Err(format!("{what}: the buckets hold {total} values"));
+        }
+        if h.count > 0 {
+            h.sum = json::u64_field(m, "sum", what)?;
+            h.min = json::u64_field(m, "min", what)?;
+            h.max = json::u64_field(m, "max", what)?;
+        }
+        Ok(h)
     }
 
     /// Adds `other` into `self` (elementwise; commutative).
@@ -341,6 +377,41 @@ impl MetricsSnapshot {
             .map(|i| &self.items[i].1)
     }
 
+    /// Parses an `ssr-metrics-v1` document: the inverse of
+    /// [`MetricsSnapshot::to_json`], so `from_json(&s.to_json())` is
+    /// `Ok(s)`. Histograms are rebuilt from their buckets, a bound that
+    /// is not a bucket's upper edge is an error, and keys come out
+    /// sorted, as [`MetricsSet::snapshot`] sorts them. A repeated key
+    /// is an error.
+    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
+        let root = json::parse(text)?;
+        let schema = json::str_field(&root, "schema", "document")?;
+        if schema != "ssr-metrics-v1" {
+            return Err(format!("schema is `{schema}`, expected `ssr-metrics-v1`"));
+        }
+        let members = json::field(&root, "metrics", "document")?;
+        let mut metrics = BTreeMap::new();
+        for (key, m) in json::obj(members, "document.metrics")? {
+            let what = format!("metrics[{key:?}]");
+            let metric = match json::str_field(m, "type", &what)?.as_str() {
+                "counter" => Metric::Counter(json::u64_field(m, "value", &what)?),
+                "gauge" => Metric::Gauge {
+                    min: json::u64_field(m, "min", &what)?,
+                    max: json::u64_field(m, "max", &what)?,
+                    last: json::u64_field(m, "last", &what)?,
+                },
+                "histogram" => Metric::Histogram(Histogram::from_json(m, &what)?),
+                other => return Err(format!("{what}: unknown type `{other}`")),
+            };
+            if metrics.insert(key.clone(), metric).is_some() {
+                return Err(format!("{what} appears twice"));
+            }
+        }
+        Ok(MetricsSnapshot {
+            items: metrics.into_iter().collect(),
+        })
+    }
+
     /// One JSON object: `{"schema":"ssr-metrics-v1","metrics":{...}}`.
     /// Hand-rolled (the workspace has no serde); key order is the
     /// sorted key order, so equal snapshots render equal bytes.
@@ -505,6 +576,32 @@ mod tests {
         let a = j1.find("a.first").unwrap();
         let z = j1.find("z.last").unwrap();
         assert!(a < z, "keys must be sorted");
+    }
+
+    #[test]
+    fn metrics_snapshot_parses() {
+        let mut m = MetricsSet::new();
+        m.insert_histogram("empty", Histogram::default());
+        m.gauge_set("g", 3);
+        m.observe("h", 5);
+        let snap = m.snapshot();
+        assert_eq!(MetricsSnapshot::from_json(&snap.to_json()), Ok(snap));
+        let doc = |body: &str| format!("{{\"schema\":\"ssr-metrics-v1\",\"metrics\":{{{body}}}}}");
+        let h = |buckets: &str| {
+            format!("\"h\":{{\"type\":\"histogram\",\"count\":2,\"sum\":4,\"min\":1,\"max\":3,\"buckets\":[{buckets}]}}")
+        };
+        let c = "\"c\":{\"type\":\"counter\",\"value\":1}";
+        assert!(MetricsSnapshot::from_json(&doc(&h("[1,1],[3,1]"))).is_ok());
+        for bad in [
+            h("[1,1],[2,1]"),   // 2 is no bucket's upper edge
+            h("[3,1],[1,1]"),   // bounds descend
+            h("[1,1]"),         // one value, count 2
+            format!("{c},{c}"), // a repeated key
+            c.replace("counter", "meter"),
+        ] {
+            assert!(MetricsSnapshot::from_json(&doc(&bad)).is_err(), "{bad}");
+        }
+        assert!(MetricsSnapshot::from_json("{\"schema\":\"nope\",\"metrics\":{}}").is_err());
     }
 
     #[test]

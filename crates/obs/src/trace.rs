@@ -1,5 +1,5 @@
-//! The JSONL [`TraceSink`] writer and the JSONL
-//! serialization/validation of the event schema.
+//! The JSONL [`TraceSink`] writer, and the event schema's one writer
+//! ([`event_to_json`]) and one reader ([`parse_event`], its inverse).
 //!
 //! The schema (documented normatively in `DESIGN.md` §10) is one JSON
 //! object per line with a mandatory `"event"` discriminator:
@@ -14,7 +14,10 @@
 //! ```
 //!
 //! Without phase timing, a trace is a pure function of the seeded run:
-//! two traces of the same run are byte-identical.
+//! two traces of the same run are byte-identical. A line parses when
+//! it is one of these events with its keys and their types; other keys
+//! are ignored, so the schema can grow a key without breaking readers
+//! of older traces.
 
 use std::any::Any;
 use std::fmt::Write as _;
@@ -22,8 +25,9 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use ssr_runtime::trace::{TraceEvent, TraceSink};
+use ssr_runtime::trace::{TraceEvent, TracePhase, TraceSink};
 
+use crate::json;
 use crate::metrics::json_string;
 
 /// Serializes one event as a single JSON line (no trailing newline).
@@ -71,40 +75,68 @@ pub fn event_to_json(event: &TraceEvent) -> String {
     s
 }
 
-/// The keys every serialized event of a given name must carry, beyond
-/// `"event"` itself — the normative half of the schema check.
-fn required_keys(event_name: &str) -> Option<&'static [&'static str]> {
-    Some(match event_name {
-        "step-started" | "enabled-set-size" => &["step", "enabled"],
-        "phase-timed" => &["step", "phase", "nanos", "par"],
-        "moves-applied" => &["step", "moves"],
-        "round-completed" => &["step", "rounds"],
-        "run-ended" => &["steps", "moves", "rounds", "reason"],
-        _ => return None,
+/// Parses one trace line: the inverse of [`event_to_json`], so
+/// `parse_event(&event_to_json(&e))` is `Ok(e)`. It is the schema
+/// check of `DESIGN.md` §10: the line must be a JSON object whose
+/// `"event"` names an event the writer emits, with that event's keys
+/// and their types. Other keys are ignored, so older `moves-applied`
+/// lines that still carry `"conflict_classes"` parse.
+pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
+    let v = json::parse(line).map_err(|e| format!("invalid JSON ({e})"))?;
+    let name = json::str_field(&v, "event", "trace line")?;
+    let what = format!("event {name:?}");
+    let int = |key: &str| json::u64_field(&v, key, &what);
+    let int32 = |key: &str| {
+        u32::try_from(int(key)?).map_err(|_| format!("{what}.{key} does not fit in 32 bits"))
+    };
+    let text = |key: &str| json::str_field(&v, key, &what);
+    Ok(match name.as_str() {
+        "step-started" => TraceEvent::StepStarted {
+            step: int("step")?,
+            enabled: int32("enabled")?,
+        },
+        "phase-timed" => TraceEvent::PhaseTimed {
+            step: int("step")?,
+            phase: {
+                let phase = text("phase")?;
+                TracePhase::ALL
+                    .into_iter()
+                    .find(|p| p.as_str() == phase)
+                    .ok_or_else(|| format!("{what}: unknown phase {phase:?}"))?
+            },
+            nanos: int("nanos")?,
+            par: json::bool_field(&v, "par", &what)?,
+        },
+        "moves-applied" => TraceEvent::MovesApplied {
+            step: int("step")?,
+            moves: int32("moves")?,
+        },
+        "enabled-set-size" => TraceEvent::EnabledSetSize {
+            step: int("step")?,
+            enabled: int32("enabled")?,
+        },
+        "round-completed" => TraceEvent::RoundCompleted {
+            step: int("step")?,
+            rounds: int("rounds")?,
+        },
+        "run-ended" => TraceEvent::RunEnded {
+            steps: int("steps")?,
+            moves: int("moves")?,
+            rounds: int("rounds")?,
+            reason: text("reason")?.parse()?,
+        },
+        _ => return Err(format!("unknown {what}")),
     })
 }
 
-/// Validates one JSONL trace line against the event schema: valid
-/// JSON object, known event name, every required key present. Parsing
-/// goes through the shared [`crate::json`] recursive-descent parser,
-/// so structurally broken lines are rejected, not just missing keys.
-pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
-    let value =
-        crate::json::parse(line.trim()).map_err(|e| format!("invalid JSON ({e}): {line:?}"))?;
-    if value.as_obj().is_none() {
-        return Err(format!("not a JSON object: {line:?}"));
-    }
-    let name = value
-        .get("event")
-        .and_then(crate::json::Value::as_str)
-        .ok_or_else(|| format!("missing \"event\" key: {line:?}"))?;
-    let keys = required_keys(name).ok_or_else(|| format!("unknown event {name:?} in: {line:?}"))?;
-    for key in keys {
-        if value.get(key).is_none() {
-            return Err(format!("event {name:?} is missing key {key:?}: {line:?}"));
-        }
-    }
-    Ok(())
+/// Parses a whole trace file with [`parse_event`], one event per
+/// non-blank line, with 1-based line numbers in errors.
+pub fn parse_events(text: &str) -> Result<Vec<TraceEvent>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| parse_event(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
 }
 
 /// A sink writing one JSON line per event to any buffered writer —
@@ -117,7 +149,6 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
 /// [`CompositeSink`]: crate::CompositeSink
 pub struct JsonlSink<W: Write + Send> {
     writer: W,
-    lines: u64,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -130,12 +161,7 @@ impl JsonlSink<BufWriter<File>> {
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps `writer` (supply your own buffering).
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer, lines: 0 }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
+        JsonlSink { writer }
     }
 
     /// Flushes and hands back the writer.
@@ -150,7 +176,6 @@ impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
         // I/O errors must not abort a measurement run; the final flush
         // in the CLI layer surfaces persistent failures.
         let _ = writeln!(self.writer, "{}", event_to_json(event));
-        self.lines += 1;
     }
 
     fn flush(&mut self) {
@@ -169,7 +194,6 @@ mod tests {
 
     #[test]
     fn every_event_serializes_and_validates() {
-        use ssr_runtime::trace::TracePhase;
         let events = [
             TraceEvent::StepStarted {
                 step: 0,
@@ -195,36 +219,50 @@ mod tests {
             },
         ];
         for e in &events {
-            let line = event_to_json(e);
-            validate_jsonl_line(&line).unwrap_or_else(|err| panic!("{err}"));
+            assert_eq!(parse_event(&event_to_json(e)), Ok(*e));
         }
     }
 
     #[test]
     fn validation_rejects_malformed_lines() {
-        assert!(validate_jsonl_line("not json").is_err());
-        assert!(validate_jsonl_line("{\"no\":\"event\"}").is_err());
-        assert!(validate_jsonl_line("{\"event\":\"mystery\"}").is_err());
-        assert!(validate_jsonl_line("{\"event\":\"step-started\",\"step\":1}").is_err());
+        for line in [
+            "not json",
+            "[1]",
+            "{\"no\":\"event\"}",
+            "{\"event\":\"mystery\"}",
+            "{\"event\":\"step-started\",\"step\":1}",
+            "{\"event\":\"step-started\",\"step\":1,\"enabled\":4294967296}",
+            "{\"event\":\"phase-timed\",\"step\":0,\"phase\":\"tea\",\"nanos\":1,\"par\":false}",
+            "{\"event\":\"run-ended\",\"steps\":1,\"moves\":1,\"rounds\":1,\"reason\":\"bored\"}",
+        ] {
+            assert!(parse_event(line).is_err(), "{line}");
+        }
+        let err = parse_events("\n{\"event\":\"mystery\"}\n").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
     }
 
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
+        let events = [
+            TraceEvent::StepStarted {
+                step: 0,
+                enabled: 1,
+            },
+            TraceEvent::EnabledSetSize {
+                step: 0,
+                enabled: 0,
+            },
+        ];
         let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&TraceEvent::StepStarted {
-            step: 0,
-            enabled: 1,
-        });
-        sink.record(&TraceEvent::EnabledSetSize {
-            step: 0,
-            enabled: 0,
-        });
-        assert_eq!(sink.lines(), 2);
-        let out = String::from_utf8(sink.into_writer()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for l in lines {
-            validate_jsonl_line(l).unwrap();
+        for e in &events {
+            sink.record(e);
         }
+        let out = String::from_utf8(sink.into_writer()).unwrap();
+        assert_eq!(out.lines().count(), 2);
+        // A blank line between events is skipped.
+        assert_eq!(
+            parse_events(&out.replace('\n', "\n\n")),
+            Ok(events.to_vec())
+        );
     }
 }

@@ -4,13 +4,15 @@
 //! intra-run threads — and two traces of the same seeded run must be
 //! byte-identical to each other. And the fixed-slot
 //! [`PipelineMetrics`] fold gives the snapshot bytes of a slow
-//! reference fold that updates the registry by key on every event.
+//! reference fold that updates the registry by key on every event;
+//! the same event streams and snapshots read back through
+//! [`parse_event`] and [`MetricsSnapshot::from_json`] as equal values.
 
 use proptest::prelude::*;
 use ssr_graph::{generators, Graph};
-use ssr_obs::metrics::MetricsSet;
+use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
 use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
-use ssr_obs::trace::JsonlSink;
+use ssr_obs::trace::{event_to_json, parse_event, JsonlSink};
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::trace::{TraceEvent, TracePhase, TraceSink};
 use ssr_runtime::{
@@ -137,9 +139,17 @@ fn reference_fold(events: &[TraceEvent]) -> MetricsSet {
     m
 }
 
+/// Every way a run can end.
+const REASONS: [TerminationReason; 3] = [
+    TerminationReason::Terminal,
+    TerminationReason::PredicateMet,
+    TerminationReason::CapExhausted,
+];
+
 /// A random event stream: empty one time in four, `PhaseTimed` events
-/// (any phase, par or seq) only when `timed`, small and large sizes and
-/// durations (zero-move steps and 0-ns phases included).
+/// (any phase, par or seq) only when `timed`, small and large sizes,
+/// step indices and durations (zero-move steps and 0-ns phases
+/// included), any [`TerminationReason`].
 fn event_stream(rng: &mut Xoshiro256StarStar, timed: bool) -> Vec<TraceEvent> {
     let len = if rng.index(4) == 0 { 0 } else { rng.index(48) };
     let size = |rng: &mut Xoshiro256StarStar| match rng.index(3) {
@@ -148,7 +158,8 @@ fn event_stream(rng: &mut Xoshiro256StarStar, timed: bool) -> Vec<TraceEvent> {
         _ => rng.next_u64() as u32,
     };
     let mut events = Vec::with_capacity(len);
-    for step in 0..len as u64 {
+    let first = rng.next_u64() >> 1;
+    for step in first..first + len as u64 {
         let event = match rng.index(if timed { 7 } else { 5 }) {
             0 => TraceEvent::StepStarted {
                 step,
@@ -167,7 +178,7 @@ fn event_stream(rng: &mut Xoshiro256StarStar, timed: bool) -> Vec<TraceEvent> {
                 steps: step,
                 moves: step,
                 rounds: step,
-                reason: TerminationReason::Terminal,
+                reason: *rng.choose(&REASONS),
             },
             _ => TraceEvent::PhaseTimed {
                 step,
@@ -208,6 +219,40 @@ proptest! {
                 "{:?}",
                 events
             );
+        }
+    }
+}
+
+proptest! {
+    /// Every event of those streams reads back as itself. Sixteen
+    /// timed streams per case meet every variant, phase, par flag and
+    /// termination reason.
+    #[test]
+    fn trace_events_round_trip(seed in 0u64..u64::MAX) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        for _ in 0..16 {
+            for event in event_stream(&mut rng, true) {
+                prop_assert_eq!(parse_event(&event_to_json(&event)), Ok(event));
+            }
+        }
+    }
+
+    /// The keyed fold's snapshots, with a gauge sampled at each
+    /// `EnabledSetSize`, read back as themselves.
+    #[test]
+    fn metrics_snapshot_round_trips(seed in 0u64..u64::MAX) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        for _ in 0..16 {
+            let timed = rng.chance(0.5);
+            let events = event_stream(&mut rng, timed);
+            let mut set = reference_fold(&events);
+            for event in &events {
+                if let TraceEvent::EnabledSetSize { enabled, .. } = event {
+                    set.gauge_set("pipeline.enabled", u64::from(*enabled));
+                }
+            }
+            let snap = set.snapshot();
+            prop_assert_eq!(MetricsSnapshot::from_json(&snap.to_json()), Ok(snap));
         }
     }
 }

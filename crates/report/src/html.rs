@@ -18,7 +18,10 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use crate::reader::{self, BenchResultsDoc, CampaignRow, MetricsDoc, ScaleDoc, TraceRow};
+use ssr_obs::trace::parse_events;
+use ssr_obs::{MetricsSnapshot, TraceEvent};
+
+use crate::reader::{self, BenchResultsDoc, CampaignRow, ScaleDoc};
 use crate::svg::{self, esc, fmt_num, HBar, Series, VBar};
 
 /// Timeline charts/tables cap at this many steps so a long run cannot
@@ -30,10 +33,10 @@ const TIMELINE_CAP: usize = 200;
 pub struct Artifacts {
     /// Campaign record sets, `(file name, rows)`, sorted by name.
     pub campaigns: Vec<(String, Vec<CampaignRow>)>,
-    /// Metrics snapshots, `(file name, doc)`, sorted by name.
-    pub metrics: Vec<(String, MetricsDoc)>,
-    /// Trace files, `(file name, rows)`, sorted by name.
-    pub traces: Vec<(String, Vec<TraceRow>)>,
+    /// Metrics snapshots, `(file name, snapshot)`, sorted by name.
+    pub metrics: Vec<(String, MetricsSnapshot)>,
+    /// Trace files, `(file name, events)`, sorted by name.
+    pub traces: Vec<(String, Vec<TraceEvent>)>,
     /// The `BENCH_RESULTS.json` document, if present.
     pub bench: Option<BenchResultsDoc>,
     /// The `BENCH_SCALE.json` document, if present.
@@ -44,11 +47,9 @@ pub struct Artifacts {
 
 impl Artifacts {
     /// Parses `text` as campaign JSONL and adds it under `name`,
-    /// keeping `campaigns` sorted by name — the in-memory counterpart
-    /// of [`load_dir`] finding a `.jsonl` record file. The campaign
-    /// service does not call it (it builds the rows from its stored
-    /// records); the repository benchmark does, to assemble a served
-    /// job's report from its downloaded JSONL.
+    /// keeping `campaigns` sorted by name, as [`load_dir`] does with a
+    /// `.jsonl` record file. The campaign service builds its rows from
+    /// its stored records instead.
     pub fn push_campaign_jsonl(&mut self, name: &str, text: &str) -> Result<(), String> {
         let rows = reader::parse_campaign_jsonl(text).map_err(|e| format!("{name}: {e}"))?;
         self.campaigns.push((name.to_string(), rows));
@@ -59,8 +60,8 @@ impl Artifacts {
     /// Parses `text` as a `ssr-metrics-v1` snapshot and adds it under
     /// `name`, keeping `metrics` sorted by name.
     pub fn push_metrics_json(&mut self, name: &str, text: &str) -> Result<(), String> {
-        let doc = reader::parse_metrics_json(text).map_err(|e| format!("{name}: {e}"))?;
-        self.metrics.push((name.to_string(), doc));
+        let snap = MetricsSnapshot::from_json(text).map_err(|e| format!("{name}: {e}"))?;
+        self.metrics.push((name.to_string(), snap));
         self.metrics.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(())
     }
@@ -110,22 +111,17 @@ pub fn load_dir(dir: &Path) -> Result<Artifacts, String> {
             "jsonl" => {
                 let first = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
                 if first.contains("\"event\"") {
-                    let rows =
-                        reader::parse_trace_jsonl(&text).map_err(|e| format!("{name}: {e}"))?;
-                    art.traces.push((name, rows));
+                    let events = parse_events(&text).map_err(|e| format!("{name}: {e}"))?;
+                    art.traces.push((name, events));
                 } else if first.contains("\"campaign\"") {
-                    let rows =
-                        reader::parse_campaign_jsonl(&text).map_err(|e| format!("{name}: {e}"))?;
-                    art.campaigns.push((name, rows));
+                    art.push_campaign_jsonl(&name, &text)?;
                 } else {
                     art.skipped.push(name);
                 }
             }
             "json" => {
                 if text.contains("ssr-metrics-v1") {
-                    let doc =
-                        reader::parse_metrics_json(&text).map_err(|e| format!("{name}: {e}"))?;
-                    art.metrics.push((name, doc));
+                    art.push_metrics_json(&name, &text)?;
                 } else if text.contains("ssr-bench-results/v1") {
                     art.bench = Some(
                         reader::parse_bench_results(&text).map_err(|e| format!("{name}: {e}"))?,
@@ -538,22 +534,20 @@ fn scaling_section(art: &Artifacts) -> String {
 /// Trace-derived run timeline: enabled-set size per step from the
 /// first trace file, with per-step moves in the tooltip.
 fn timeline_section(art: &Artifacts) -> String {
-    let Some((name, rows)) = art.traces.first() else {
+    let Some((name, events)) = art.traces.first() else {
         return empty_figure(
             "chart-timeline",
             "Run timeline",
             "needs a trace JSONL file (run with --trace)",
         );
     };
-    let mut steps: Vec<(u64, u64, u64)> = Vec::new(); // (step, enabled, moves)
-    for r in rows {
-        match r.event.as_str() {
-            "step-started" => {
-                steps.push((r.step.unwrap_or(0), r.enabled.unwrap_or(0), 0));
-            }
-            "moves-applied" => {
+    let mut steps: Vec<(u64, u32, u32)> = Vec::new(); // (step, enabled, moves)
+    for event in events {
+        match *event {
+            TraceEvent::StepStarted { step, enabled } => steps.push((step, enabled, 0)),
+            TraceEvent::MovesApplied { moves, .. } => {
                 if let Some(last) = steps.last_mut() {
-                    last.2 = r.moves.unwrap_or(0);
+                    last.2 = moves;
                 }
             }
             _ => {}
@@ -570,16 +564,20 @@ fn timeline_section(art: &Artifacts) -> String {
             series: 7,
         })
         .collect();
-    let ended = rows.iter().find(|r| r.event == "run-ended");
     let mut note = format!("{name} — enabled-set size per step");
-    if let Some(e) = ended {
+    let ended = events
+        .iter()
+        .find(|e| matches!(e, TraceEvent::RunEnded { .. }));
+    if let Some(TraceEvent::RunEnded {
+        steps,
+        moves,
+        rounds,
+        reason,
+    }) = ended
+    {
         let _ = write!(
             note,
-            " (run: {} steps, {} moves, {} rounds, {})",
-            e.steps.unwrap_or(0),
-            e.moves.unwrap_or(0),
-            e.rounds.unwrap_or(0),
-            e.reason.as_deref().unwrap_or("?"),
+            " (run: {steps} steps, {moves} moves, {rounds} rounds, {reason})"
         );
     }
     if total > TIMELINE_CAP {
@@ -613,20 +611,20 @@ fn inventory_section(art: &Artifacts) -> String {
             rows.len()
         );
     }
-    for (name, doc) in &art.metrics {
+    for (name, snap) in &art.metrics {
         let _ = write!(
             s,
             "<li>metrics <code>{}</code> — {} metrics</li>",
             esc(name),
-            doc.metrics.len()
+            snap.items().len()
         );
     }
-    for (name, rows) in &art.traces {
+    for (name, events) in &art.traces {
         let _ = write!(
             s,
             "<li>trace <code>{}</code> — {} events</li>",
             esc(name),
-            rows.len()
+            events.len()
         );
     }
     if let Some(b) = &art.bench {

@@ -4,11 +4,14 @@
 //! Everything else in the workspace *writes* artifacts — campaign
 //! JSONL/CSV ([`reader::parse_campaign_jsonl`]), `ssr-metrics-v1`
 //! snapshots, trace JSONL, `BENCH_RESULTS.json`, `BENCH_SCALE.json`.
-//! This crate closes the loop: typed readers built on the shared
-//! [`ssr_obs::json`] recursive-descent parser ([`reader`]), and a
-//! deterministic renderer turning one artifact directory into one
-//! self-contained HTML page with inline SVG charts ([`html`],
-//! [`svg`]).
+//! This crate closes the loop: a deterministic renderer turning one
+//! artifact directory into one self-contained HTML page with inline
+//! SVG charts ([`html`], [`svg`]). It reads metrics snapshots and
+//! traces with `ssr-obs`'s own readers, into the writers' types
+//! ([`ssr_obs::MetricsSnapshot::from_json`],
+//! [`ssr_obs::trace::parse_event`]), and the other artifacts with the
+//! typed readers of [`reader`], built on the shared [`ssr_obs::json`]
+//! recursive-descent parser.
 //!
 //! # Determinism
 //!

@@ -1,13 +1,16 @@
-//! Typed readers for the artifacts the stack writes: campaign
-//! JSONL/CSV, `ssr-metrics-v1` snapshots, trace JSONL (`DESIGN.md`
-//! §10), `BENCH_RESULTS.json` (`ssr-bench-results/v1`), and
-//! `BENCH_SCALE.json` (`bench-scale-v3`).
+//! Typed readers for the artifacts the stack writes that `ssr-obs`
+//! does not read itself: campaign JSONL/CSV, `BENCH_RESULTS.json`
+//! (`ssr-bench-results/v1`), and `BENCH_SCALE.json`
+//! (`bench-scale-v3`). `ssr-metrics-v1` snapshots and trace JSONL
+//! (`DESIGN.md` §10) are read next to their writers, into the writers'
+//! own types: `ssr_obs::MetricsSnapshot::from_json` and
+//! `ssr_obs::trace::parse_event`.
 //!
 //! Every reader is the exact inverse of a hand-rolled writer elsewhere
 //! in the workspace, built on the shared recursive-descent parser in
 //! [`ssr_obs::json`]; proptests in `tests/reader_roundtrip.rs` pin the
-//! round trips against the live writers. Readers validate as they
-//! parse — a file that parses is also schema-conformant.
+//! campaign round trips against the live writers. Readers validate as
+//! they parse — a file that parses is also schema-conformant.
 
 use ssr_obs::json::{self, Value};
 
@@ -120,76 +123,94 @@ pub fn parse_campaign_jsonl(text: &str) -> Result<Vec<CampaignRow>, String> {
         .collect()
 }
 
-/// The fixed campaign CSV header (`ssr_campaign::output::csv`).
-const CSV_COLUMNS: [&str; 23] = [
-    "campaign",
-    "index",
-    "topology",
-    "n",
-    "nodes",
-    "edges",
-    "max_degree",
-    "diameter",
-    "algorithm",
-    "daemon",
-    "init",
-    "trial",
-    "seed",
-    "reached",
-    "terminal",
-    "reason",
-    "steps",
-    "moves",
-    "rounds",
-    "max_moves_per_process",
-    "bound_rounds",
-    "bound_moves",
-    "verdict",
+/// How a campaign CSV field reads into the JSON value the JSONL writer
+/// gives the same column: an empty optional field is `null`.
+#[derive(Clone, Copy)]
+enum Cell {
+    Str,
+    Int,
+    Bool,
+    OptStr,
+    OptInt,
+}
+
+/// The fixed campaign CSV header (`ssr_campaign::output::csv`), with
+/// each column's [`Cell`].
+const CSV_COLUMNS: [(&str, Cell); 23] = [
+    ("campaign", Cell::Str),
+    ("index", Cell::Int),
+    ("topology", Cell::Str),
+    ("n", Cell::Int),
+    ("nodes", Cell::Int),
+    ("edges", Cell::Int),
+    ("max_degree", Cell::Int),
+    ("diameter", Cell::Int),
+    ("algorithm", Cell::Str),
+    ("daemon", Cell::Str),
+    ("init", Cell::Str),
+    ("trial", Cell::Int),
+    ("seed", Cell::Int),
+    ("reached", Cell::Bool),
+    ("terminal", Cell::Bool),
+    ("reason", Cell::OptStr),
+    ("steps", Cell::Int),
+    ("moves", Cell::Int),
+    ("rounds", Cell::Int),
+    ("max_moves_per_process", Cell::Int),
+    ("bound_rounds", Cell::OptInt),
+    ("bound_moves", Cell::OptInt),
+    ("verdict", Cell::Str),
 ];
 
-/// Splits one CSV record with RFC-4180 quoting (`""` escapes a quote
-/// inside a quoted field). The writer never emits embedded newlines
-/// in practice, so records are lines.
-fn split_csv(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
+/// Splits `text` into RFC-4180 records of fields: `""` escapes a
+/// quote inside a quoted field (the second `"` falls through as data),
+/// and a quoted field may hold `,`, `\n` and `\r`. A record ends at
+/// `\n` or `\r\n` outside quotes; any other `\r` is data.
+fn csv_records(text: &str) -> Vec<Vec<String>> {
+    let mut records = Vec::new();
+    let (mut record, mut field) = (Vec::new(), String::new());
+    let mut chars = text.chars().peekable();
     let mut in_quotes = false;
     while let Some(c) = chars.next() {
         match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    in_quotes = false;
-                }
+            '"' if !in_quotes => in_quotes = true,
+            '"' if chars.next_if_eq(&'"').is_none() => in_quotes = false,
+            ',' if !in_quotes => record.push(std::mem::take(&mut field)),
+            '\r' if !in_quotes && chars.peek() == Some(&'\n') => {}
+            '\n' if !in_quotes => {
+                record.push(std::mem::take(&mut field));
+                records.push(std::mem::take(&mut record));
             }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => fields.push(std::mem::take(&mut field)),
             c => field.push(c),
         }
     }
-    fields.push(field);
-    fields
+    if !field.is_empty() || !record.is_empty() {
+        record.push(field);
+        records.push(record);
+    }
+    records
 }
 
 /// Parses campaign CSV (the `ssr_campaign::output::csv` format,
-/// header required).
+/// header required). Each row becomes the object its JSONL line holds
+/// and is read like one. Blank records are skipped; errors count
+/// records from the header's 1.
 pub fn parse_campaign_csv(text: &str) -> Result<Vec<CampaignRow>, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or("empty CSV document")?;
-    let cols = split_csv(header);
-    if cols != CSV_COLUMNS {
+    let mut records = csv_records(text).into_iter().enumerate();
+    let (_, header) = records.next().ok_or("empty CSV document")?;
+    if !header
+        .iter()
+        .map(String::as_str)
+        .eq(CSV_COLUMNS.map(|(col, _)| col))
+    {
         return Err(format!("unexpected CSV header: {header:?}"));
     }
     let mut out = Vec::new();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
+    for (i, fields) in records {
+        if matches!(fields.as_slice(), [only] if only.trim().is_empty()) {
             continue;
         }
         let what = format!("row {}", i + 1);
-        let fields = split_csv(line);
         if fields.len() != CSV_COLUMNS.len() {
             return Err(format!(
                 "{what}: {} fields, expected {}",
@@ -197,222 +218,20 @@ pub fn parse_campaign_csv(text: &str) -> Result<Vec<CampaignRow>, String> {
                 CSV_COLUMNS.len()
             ));
         }
-        let u = |idx: usize| -> Result<u64, String> {
-            fields[idx]
-                .parse::<u64>()
-                .map_err(|_| format!("{what}: field {} is not an integer", CSV_COLUMNS[idx]))
-        };
-        let b = |idx: usize| -> Result<bool, String> {
-            fields[idx]
-                .parse::<bool>()
-                .map_err(|_| format!("{what}: field {} is not a boolean", CSV_COLUMNS[idx]))
-        };
-        let opt = |idx: usize| -> Result<Option<u64>, String> {
-            if fields[idx].is_empty() {
-                Ok(None)
-            } else {
-                u(idx).map(Some)
-            }
-        };
-        out.push(CampaignRow {
-            campaign: fields[0].clone(),
-            index: u(1)?,
-            topology: fields[2].clone(),
-            n: u(3)?,
-            nodes: u(4)?,
-            edges: u(5)?,
-            max_degree: u(6)?,
-            diameter: u(7)?,
-            algorithm: fields[8].clone(),
-            daemon: fields[9].clone(),
-            init: fields[10].clone(),
-            trial: u(11)?,
-            seed: u(12)?,
-            reached: b(13)?,
-            terminal: b(14)?,
-            reason: (!fields[15].is_empty()).then(|| fields[15].clone()),
-            steps: u(16)?,
-            moves: u(17)?,
-            rounds: u(18)?,
-            max_moves_per_process: u(19)?,
-            bound_rounds: opt(20)?,
-            bound_moves: opt(21)?,
-            verdict: fields[22].clone(),
-        });
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// ssr-metrics-v1
-// ---------------------------------------------------------------------
-
-/// One metric value from an `ssr-metrics-v1` snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// A counter.
-    Counter(u64),
-    /// A gauge with its extrema and last sample.
-    Gauge {
-        /// Smallest sampled value.
-        min: u64,
-        /// Largest sampled value.
-        max: u64,
-        /// Last sampled value.
-        last: u64,
-    },
-    /// A power-of-two-bucket histogram.
-    Histogram {
-        /// Number of recorded values.
-        count: u64,
-        /// Sum of recorded values.
-        sum: u64,
-        /// Smallest recorded value.
-        min: u64,
-        /// Largest recorded value.
-        max: u64,
-        /// Non-empty buckets as `(inclusive_upper_bound, count)`.
-        buckets: Vec<(u64, u64)>,
-    },
-}
-
-/// A parsed `ssr-metrics-v1` snapshot, keys in document (sorted)
-/// order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsDoc {
-    /// `(key, value)` pairs.
-    pub metrics: Vec<(String, MetricValue)>,
-}
-
-impl MetricsDoc {
-    /// The metric under `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&MetricValue> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Sum of histogram `key` (0 when absent or not a histogram).
-    pub fn histogram_sum(&self, key: &str) -> u64 {
-        match self.get(key) {
-            Some(MetricValue::Histogram { sum, .. }) => *sum,
-            _ => 0,
-        }
-    }
-}
-
-/// Parses (and thereby validates) an `ssr-metrics-v1` snapshot.
-pub fn parse_metrics_json(text: &str) -> Result<MetricsDoc, String> {
-    let root = json::parse(text)?;
-    let schema = json::str_field(&root, "schema", "document")?;
-    if schema != "ssr-metrics-v1" {
-        return Err(format!("schema is `{schema}`, expected `ssr-metrics-v1`"));
-    }
-    let metrics = json::field(&root, "metrics", "document")?;
-    let members = json::obj(metrics, "document.metrics")?;
-    let mut out = Vec::with_capacity(members.len());
-    for (key, m) in members {
-        let what = format!("metrics[{key:?}]");
-        let value = match json::str_field(m, "type", &what)?.as_str() {
-            "counter" => MetricValue::Counter(json::u64_field(m, "value", &what)?),
-            "gauge" => MetricValue::Gauge {
-                min: json::u64_field(m, "min", &what)?,
-                max: json::u64_field(m, "max", &what)?,
-                last: json::u64_field(m, "last", &what)?,
-            },
-            "histogram" => {
-                let mut buckets = Vec::new();
-                for (i, pair) in json::arr(
-                    json::field(m, "buckets", &what)?,
-                    &format!("{what}.buckets"),
-                )?
-                .iter()
-                .enumerate()
-                {
-                    let bwhat = format!("{what}.buckets[{i}]");
-                    let pair = json::arr(pair, &bwhat)?;
-                    if pair.len() != 2 {
-                        return Err(format!("{bwhat} must be a [upper_bound, count] pair"));
-                    }
-                    let le = pair[0]
-                        .as_u64()
-                        .ok_or_else(|| format!("{bwhat}[0] must be an unsigned integer"))?;
-                    let c = pair[1]
-                        .as_u64()
-                        .ok_or_else(|| format!("{bwhat}[1] must be an unsigned integer"))?;
-                    buckets.push((le, c));
+        let mut members = Vec::with_capacity(fields.len());
+        for ((col, cell), field) in CSV_COLUMNS.into_iter().zip(fields) {
+            let bad = |kind: &str| format!("{what}: field {col} is not {kind}");
+            let value = match cell {
+                Cell::OptStr | Cell::OptInt if field.is_empty() => Value::Null,
+                Cell::Int | Cell::OptInt => {
+                    Value::U64(field.parse().map_err(|_| bad("an integer"))?)
                 }
-                MetricValue::Histogram {
-                    count: json::u64_field(m, "count", &what)?,
-                    sum: json::u64_field(m, "sum", &what)?,
-                    min: json::u64_field(m, "min", &what)?,
-                    max: json::u64_field(m, "max", &what)?,
-                    buckets,
-                }
-            }
-            other => {
-                return Err(format!(
-                    "{what}.type `{other}` is not counter|gauge|histogram"
-                ))
-            }
-        };
-        out.push((key.clone(), value));
-    }
-    Ok(MetricsDoc { metrics: out })
-}
-
-// ---------------------------------------------------------------------
-// Trace JSONL (DESIGN.md §10)
-// ---------------------------------------------------------------------
-
-/// One trace event row (the union of the §10 event fields; absent
-/// fields are `None`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceRow {
-    /// Event discriminator (`step-started`, `moves-applied`, …).
-    pub event: String,
-    /// Step index, for per-step events.
-    pub step: Option<u64>,
-    /// Enabled-set size.
-    pub enabled: Option<u64>,
-    /// Moves applied this step (or total, for `run-ended`).
-    pub moves: Option<u64>,
-    /// Rounds completed (or total, for `run-ended`).
-    pub rounds: Option<u64>,
-    /// Total steps (for `run-ended`).
-    pub steps: Option<u64>,
-    /// Phase name (for `phase-timed`).
-    pub phase: Option<String>,
-    /// Phase wall time in nanoseconds (for `phase-timed`).
-    pub nanos: Option<u64>,
-    /// Termination reason (for `run-ended`).
-    pub reason: Option<String>,
-}
-
-/// Parses a trace JSONL file; every line is also validated against the
-/// §10 event schema via [`ssr_obs::trace::validate_jsonl_line`].
-pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceRow>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+                Cell::Bool => Value::Bool(field.parse().map_err(|_| bad("a boolean"))?),
+                Cell::Str | Cell::OptStr => Value::Str(field),
+            };
+            members.push((col.to_string(), value));
         }
-        ssr_obs::trace::validate_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let v = json::parse(line.trim()).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let opt = |key: &str| v.get(key).and_then(Value::as_u64);
-        out.push(TraceRow {
-            event: v
-                .get("event")
-                .and_then(Value::as_str)
-                .expect("validated above")
-                .to_string(),
-            step: opt("step"),
-            enabled: opt("enabled"),
-            moves: opt("moves"),
-            rounds: opt("rounds"),
-            steps: opt("steps"),
-            phase: v.get("phase").and_then(Value::as_str).map(str::to_string),
-            nanos: opt("nanos"),
-            reason: v.get("reason").and_then(Value::as_str).map(str::to_string),
-        });
+        out.push(campaign_row(&Value::Obj(members), &what)?);
     }
     Ok(out)
 }
@@ -624,39 +443,44 @@ mod tests {
         let text = "campaign,index,topology,n,nodes,edges,max_degree,diameter,algorithm,daemon,\
                     init,trial,seed,reached,terminal,reason,steps,moves,rounds,\
                     max_moves_per_process,bound_rounds,bound_moves,verdict\n\
-                    c,0,ring,8,8,8,2,4,\"fga:domination(1,0)\",central,arbitrary,1,7,true,true,,1,2,3,1,,,no-bound\n";
+                    \"c\r\n\"\"d\"\"\",0,ring,8,8,8,2,4,\"fga:domination(1,0)\",central,arbitrary,1,7,true,true,,1,2,3,1,,,no-bound\r\n";
         let rows = parse_campaign_csv(text).unwrap();
+        assert_eq!(rows[0].campaign, "c\r\n\"d\"");
         assert_eq!(rows[0].algorithm, "fga:domination(1,0)");
         assert_eq!(rows[0].reason, None);
         assert_eq!(rows[0].bound_rounds, None);
         assert_eq!(rows[0].verdict, "no-bound");
     }
 
-    #[test]
-    fn metrics_snapshot_parses() {
-        let doc = parse_metrics_json(
-            "{\"schema\":\"ssr-metrics-v1\",\"metrics\":{\
-             \"a\":{\"type\":\"counter\",\"value\":3},\
-             \"g\":{\"type\":\"gauge\",\"min\":1,\"max\":9,\"last\":4},\
-             \"h\":{\"type\":\"histogram\",\"count\":2,\"sum\":5,\"min\":2,\"max\":3,\
-             \"buckets\":[[3,2]]}}}",
-        )
-        .unwrap();
-        assert_eq!(doc.get("a"), Some(&MetricValue::Counter(3)));
-        assert_eq!(doc.histogram_sum("h"), 5);
-        assert!(parse_metrics_json("{\"schema\":\"nope\",\"metrics\":{}}").is_err());
-    }
-
+    /// The report reads trace JSONL through `ssr_obs::trace::parse_events`
+    /// (see `html::load_dir`), into the runtime's own `TraceEvent`s.
     #[test]
     fn trace_rows_parse_and_validate() {
-        let rows = parse_trace_jsonl(
+        use ssr_obs::trace::parse_events;
+        use ssr_obs::TraceEvent;
+        use ssr_runtime::TerminationReason;
+
+        let events = parse_events(
             "{\"event\":\"step-started\",\"step\":0,\"enabled\":3}\n\
              {\"event\":\"run-ended\",\"steps\":5,\"moves\":6,\"rounds\":2,\"reason\":\"terminal\"}\n",
         )
         .unwrap();
-        assert_eq!(rows[0].event, "step-started");
-        assert_eq!(rows[1].reason.as_deref(), Some("terminal"));
-        assert!(parse_trace_jsonl("{\"event\":\"mystery\"}\n").is_err());
+        assert_eq!(
+            events,
+            [
+                TraceEvent::StepStarted {
+                    step: 0,
+                    enabled: 3
+                },
+                TraceEvent::RunEnded {
+                    steps: 5,
+                    moves: 6,
+                    rounds: 2,
+                    reason: TerminationReason::Terminal,
+                },
+            ]
+        );
+        assert!(parse_events("{\"event\":\"mystery\"}\n").is_err());
     }
 
     #[test]

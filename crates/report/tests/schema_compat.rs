@@ -1,9 +1,10 @@
 //! The `bench-scale-v3` reader rejects every other schema by name,
 //! and `moves-applied` trace lines with the retired `conflict_classes`
-//! member still validate and read.
+//! member still parse, into the same event as the lines without it.
 
-use ssr_obs::trace::validate_jsonl_line;
-use ssr_report::reader::{parse_scale_json, parse_trace_jsonl};
+use ssr_obs::trace::parse_event;
+use ssr_obs::TraceEvent;
+use ssr_report::reader::parse_scale_json;
 
 /// A committed sweep, written as `bench-scale-v3`.
 const COMMITTED: &str = include_str!("golden/bench-scale-v3.json");
@@ -28,11 +29,9 @@ fn moves_applied_lines_validate_with_and_without_conflict_classes() {
     let old_null = r#"{"event":"moves-applied","step":4,"moves":2,"conflict_classes":null}"#;
     let old_count = r#"{"event":"moves-applied","step":4,"moves":2,"conflict_classes":3}"#;
     let new = r#"{"event":"moves-applied","step":4,"moves":2}"#;
+    let event = TraceEvent::MovesApplied { step: 4, moves: 2 };
     for line in [old_null, old_count, new] {
-        assert_eq!(validate_jsonl_line(line), Ok(()), "{line}");
+        assert_eq!(parse_event(line), Ok(event), "{line}");
     }
-    let rows = |line: &str| parse_trace_jsonl(&format!("{line}\n")).expect("trace parses");
-    assert_eq!(rows(old_null), rows(new));
-    assert_eq!(rows(old_count), rows(new));
-    assert!(validate_jsonl_line(r#"{"event":"moves-applied","step":4}"#).is_err());
+    assert!(parse_event(r#"{"event":"moves-applied","step":4}"#).is_err());
 }

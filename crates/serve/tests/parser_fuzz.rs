@@ -1,7 +1,9 @@
 //! Fuzzing the parsers that take outside input: the service's HTTP
 //! request reader (fed from byte slices, no socket), the JSON parser,
 //! the campaign spec the service accepts, checkpoint journals (audited
-//! and replayed), trace lines, and `BENCH_SCALE.json`.
+//! and replayed), and every reader that `report render DIR` feeds from
+//! files: campaign JSONL and CSV, metrics snapshots, trace lines,
+//! `BENCH_RESULTS.json` and `BENCH_SCALE.json`.
 //! Every call must return `Ok` or `Err` — never panic, never overflow
 //! the stack — and the valid documents the mutations start from must
 //! still parse.
@@ -19,10 +21,13 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use ssr_campaign::checkpoint::{self, CheckpointWriter};
-use ssr_campaign::{families, Campaign, Sweep, TopologySpec};
+use ssr_campaign::{families, output, Campaign, Sweep, TopologySpec};
 use ssr_obs::json;
-use ssr_obs::trace::{event_to_json, validate_jsonl_line};
-use ssr_report::reader::parse_scale_json;
+use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
+use ssr_obs::trace::{event_to_json, parse_events};
+use ssr_report::reader::{
+    parse_bench_results, parse_campaign_csv, parse_campaign_jsonl, parse_scale_json,
+};
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::trace::TraceEvent;
 use ssr_runtime::{Daemon, TerminationReason};
@@ -36,6 +41,10 @@ const SPEC: &str = r#"{"schema":"ssr-campaign-spec/v1","id":"fuzz",
     "trials":2,"step_cap":500000,"seed":7,"intra_threads":[1,2]}"#;
 
 const SCALE: &str = include_str!("../../report/tests/golden/bench-scale-v3.json");
+
+const BENCH: &str = r#"{"schema":"ssr-bench-results/v1","profile":"quick","selection":"all",
+    "all_pass":true,"groups":[{"id":"E1+E2","title":"t","sizes":[8,16],
+    "rounds":12,"moves":40,"bound":72,"verdict":"pass"}]}"#;
 
 /// Replacement bytes for the single-byte mutations: JSON's structure,
 /// the starts of numbers and escapes, and a byte that is never UTF-8.
@@ -56,7 +65,11 @@ fn feed_str_parsers(bytes: &[u8]) {
     let _ = json::parse(&text);
     let _ = spec::parse(&text);
     let _ = checkpoint::validate(&text);
-    let _ = validate_jsonl_line(&text);
+    let _ = parse_campaign_jsonl(&text);
+    let _ = parse_campaign_csv(&text);
+    let _ = MetricsSnapshot::from_json(&text);
+    let _ = parse_events(&text); // `parse_event`, line by line
+    let _ = parse_bench_results(&text);
     let _ = parse_scale_json(&text);
 }
 
@@ -131,7 +144,7 @@ fn prefixes_and_mutants(doc: &[u8], mut feed: impl FnMut(&[u8])) {
 /// escapes, numbers, literals and schema tags, multi-byte UTF-8, bytes
 /// that are never UTF-8, and raw random bytes.
 fn noise(rng: &mut Xoshiro256StarStar) -> Vec<u8> {
-    const PIECES: &[u8] = b"{|}|[|]|,|:|\"|\\|\\u|\\ud800|0|7|-|1e|e-3|.|+|true|fals|null| |\n|\"schema\"|\"ssr-campaign-spec/v1\"|\"ssr-checkpoint/v1\"|\"event\"|\"runs\"|\xc3\xa9|\xe2\x88\x98|\xff|\xc3|\x00";
+    const PIECES: &[u8] = b"{|}|[|]|,|:|\"|\\|\\u|\\ud800|0|7|-|1e|e-3|.|+|true|fals|null| |\n|\"schema\"|\"ssr-campaign-spec/v1\"|\"ssr-checkpoint/v1\"|\"ssr-metrics-v1\"|\"event\"|\"runs\"|\"buckets\"|campaign,|\xc3\xa9|\xe2\x88\x98|\xff|\xc3|\x00";
     let pieces: Vec<&[u8]> = PIECES.split(|&b| b == b'|').collect();
     let mut out = Vec::new();
     for _ in 0..rng.index(48) {
@@ -147,7 +160,9 @@ fn noise(rng: &mut Xoshiro256StarStar) -> Vec<u8> {
 /// The valid documents the prefix and mutation sweeps start from: a
 /// campaign spec, a POST of that spec (head plus body), a two-record
 /// checkpoint journal (written through a temp file named by `tag`, one
-/// per test) and two trace lines.
+/// per test), one of those records as campaign JSONL and as CSV, a
+/// metrics snapshot with a counter, a gauge and a histogram, two trace
+/// lines and a one-group bench-results document.
 fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
     let campaign = Campaign::new("fuzz")
         .topologies(vec![TopologySpec::Ring])
@@ -158,9 +173,14 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
         .seed(3);
     let journal = temp_path(tag);
     let _ = std::fs::remove_file(&journal);
+    let records = Sweep::of(&campaign).threads(1).run();
+    let mut metrics = MetricsSet::new();
+    metrics.inc("campaign.scenarios", 2);
+    metrics.gauge_set("pipeline.enabled", 5);
+    metrics.observe("pipeline.moves_per_step", 6);
     {
         let writer = CheckpointWriter::open(&journal).expect("open journal");
-        for (i, rec) in Sweep::of(&campaign).threads(1).run().iter().enumerate() {
+        for (i, rec) in records.iter().enumerate() {
             writer
                 .append(ssr_runtime::Fingerprint(i as u128 + 1), rec)
                 .expect("append");
@@ -189,7 +209,11 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
         ("spec", SPEC.as_bytes().to_vec()),
         ("http", post.into_bytes()),
         ("checkpoint", journal_bytes),
+        ("campaign-jsonl", output::jsonl(&records[..1]).into_bytes()),
+        ("campaign-csv", output::csv(&records[..1]).into_bytes()),
+        ("metrics", metrics.snapshot().to_json().into_bytes()),
         ("trace", trace.into_bytes()),
+        ("bench", BENCH.as_bytes().to_vec()),
     ]
 }
 
@@ -211,9 +235,12 @@ fn valid_documents_parse() {
     let mut journal = Journal::new("valid-load");
     journal.feed(text("checkpoint").as_bytes());
     assert_eq!(checkpoint::load(&journal.path).map(|e| e.len()), Ok(2));
-    for line in text("trace").lines() {
-        assert_eq!(validate_jsonl_line(line), Ok(()));
-    }
+    let rows = parse_campaign_jsonl(&text("campaign-jsonl")).expect("campaign JSONL");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(parse_campaign_csv(&text("campaign-csv")), Ok(rows));
+    assert!(MetricsSnapshot::from_json(&text("metrics")).is_ok());
+    assert_eq!(parse_events(&text("trace")).map(|e| e.len()), Ok(2));
+    assert!(parse_bench_results(&text("bench")).is_ok());
     assert!(parse_scale_json(SCALE).is_ok());
 }
 
