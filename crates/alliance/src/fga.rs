@@ -6,7 +6,7 @@ use std::fmt;
 use ssr_core::{ResetInput, Sdr};
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{RuleId, RuleMask, StateView};
+use ssr_runtime::{Guard, RuleId, RuleMask, StateView};
 
 /// `rule_Clr(u)`: leave the alliance (requires full approval).
 pub const RULE_CLR: RuleId = RuleId(0);
@@ -331,19 +331,88 @@ impl Fga {
         !self.p_to_quit(u, view) && view.state(u).ptr != self.best_ptr_stored(u, view)
     }
 
+    // ---- the one-scan kernel behind `guard` and `apply` ----
+
+    /// Everything FGA's rules read of N(u), gathered in one walk.
+    #[inline]
+    fn scan<V: StateView<FgaState>>(&self, u: NodeId, view: &V) -> Scan {
+        let mut scan = Scan {
+            in_all: 0,
+            all_scr_one: true,
+            all_ptr_u: true,
+            best_nbr: None,
+        };
+        for &v in view.graph().neighbors(u) {
+            let s = view.state(v);
+            scan.in_all += u32::from(s.col);
+            scan.all_scr_one &= s.scr == 1;
+            scan.all_ptr_u &= s.ptr == Some(u);
+            if s.can_q {
+                let id = self.id(v);
+                if scan.best_nbr.is_none_or(|(best, _)| id < best) {
+                    scan.best_nbr = Some((id, v));
+                }
+            }
+        }
+        scan
+    }
+
+    /// [`Fga::real_scr_with_col`] from a scan.
+    #[inline]
+    fn scan_scr(&self, u: NodeId, scan: &Scan, col: bool) -> i8 {
+        let need = if col {
+            self.g[u.index()]
+        } else {
+            self.f[u.index()]
+        };
+        // `Ordering` is `-1`, `0`, `1` as an `i8`: realScr's three values.
+        scan.in_all.cmp(&need) as i8
+    }
+
+    /// [`Fga::p_can_quit_with_col`] from a scan.
+    #[inline]
+    fn scan_can_quit(&self, u: NodeId, scan: &Scan, col: bool) -> bool {
+        col && scan.in_all >= self.f[u.index()] && scan.all_scr_one
+    }
+
+    /// [`Fga::best_ptr`] from a scan: `u` itself when it can quit and
+    /// has the smaller identifier, else the scan's candidate.
+    #[inline]
+    fn scan_best_ptr(&self, u: NodeId, scan: &Scan, scr: i8, can_q: bool) -> Option<NodeId> {
+        if scr <= 0 {
+            return None;
+        }
+        match scan.best_nbr {
+            Some((id, v)) if !can_q || id < self.id(u) => Some(v),
+            _ => can_q.then_some(u),
+        }
+    }
+
     /// `cmpVar(u)`-then-`bestPtr(u)` (the `upd(u)` macro), with an
     /// explicit membership bit.
-    fn upd(&self, u: NodeId, view: &impl StateView<FgaState>, col: bool) -> FgaState {
-        let scr = self.real_scr_with_col(u, view, col);
-        let can_q = self.p_can_quit_with_col(u, view, col);
-        let ptr = self.best_ptr(u, view, scr, can_q);
+    fn upd(&self, u: NodeId, scan: &Scan, col: bool) -> FgaState {
+        let scr = self.scan_scr(u, scan, col);
+        let can_q = self.scan_can_quit(u, scan, col);
         FgaState {
             col,
             scr,
             can_q,
-            ptr,
+            ptr: self.scan_best_ptr(u, scan, scr, can_q),
         }
     }
+}
+
+/// What FGA's guard and actions read of N(u) (see [`Fga::scan`]).
+struct Scan {
+    /// `#InAll(u)`.
+    in_all: u32,
+    /// `∀v ∈ N(u), scr_v = 1`.
+    all_scr_one: bool,
+    /// `∀v ∈ N(u), ptr_v = u`.
+    all_ptr_u: bool,
+    /// The neighbour with `canQ` of minimum identifier, with that
+    /// identifier: `bestPtr(u)`'s candidate other than `u` itself.
+    best_nbr: Option<(u64, NodeId)>,
 }
 
 impl ResetInput for Fga {
@@ -374,27 +443,29 @@ impl ResetInput for Fga {
             .with_if(RULE_Q, !to_quit && !upd_ptr && stale)
     }
 
+    /// The four actions, each from one scan of N(u).
     fn apply<V: StateView<FgaState>>(&self, u: NodeId, view: &V, rule: RuleId) -> FgaState {
         let s = *view.state(u);
+        let scan = self.scan(u, view);
         match rule {
             // col_u := false; upd(u)  (upd sees the new col).
-            RULE_CLR => self.upd(u, view, false),
+            RULE_CLR => self.upd(u, &scan, false),
             // ptr_u := ⊥; cmpVar(u).
             RULE_P1 => FgaState {
                 col: s.col,
-                scr: self.real_scr(u, view),
-                can_q: self.p_can_quit(u, view),
+                scr: self.scan_scr(u, &scan, s.col),
+                can_q: self.scan_can_quit(u, &scan, s.col),
                 ptr: None,
             },
             // upd(u).
-            RULE_P2 => self.upd(u, view, s.col),
+            RULE_P2 => self.upd(u, &scan, s.col),
             // cmpVar(u); if realScr(u) ≤ 0 then ptr_u := ⊥.
             _ => {
-                let scr = self.real_scr(u, view);
+                let scr = self.scan_scr(u, &scan, s.col);
                 FgaState {
                     col: s.col,
                     scr,
-                    can_q: self.p_can_quit(u, view),
+                    can_q: self.scan_can_quit(u, &scan, s.col),
                     ptr: if scr <= 0 { None } else { s.ptr },
                 }
             }
@@ -408,6 +479,37 @@ impl ResetInput for Fga {
             && ((s.scr == 1 && real == 1)
                 || s.ptr.is_none()
                 || s.ptr.is_some_and(|w| s.scr == 1 && !view.state(w).col))
+    }
+
+    /// `P_ICorrect(u)` and, under it, the four rules' guards, decided
+    /// from one scan of N(u) (plus `col` of `ptr_u`'s target) where
+    /// [`ResetInput::enabled_mask`] and [`ResetInput::p_icorrect`]
+    /// walk it once per predicate.
+    fn guard<V: StateView<FgaState>>(&self, u: NodeId, view: &V) -> Guard {
+        let s = *view.state(u);
+        let scan = self.scan(u, view);
+        let real = self.scan_scr(u, &scan, s.col);
+        let legit = real >= 0
+            && ((s.scr == 1 && real == 1)
+                || s.ptr.is_none_or(|w| s.scr == 1 && !view.state(w).col));
+        if !legit {
+            return Guard {
+                mask: RuleMask::NONE,
+                legit,
+            };
+        }
+        let can_quit = self.scan_can_quit(u, &scan, s.col);
+        let to_quit = can_quit && s.ptr == Some(u) && scan.all_ptr_u;
+        let upd_ptr = !to_quit && s.ptr != self.scan_best_ptr(u, &scan, s.scr, s.can_q);
+        let stale = s.scr != real || s.can_q != can_quit;
+        Guard {
+            mask: RuleMask::NONE
+                .with_if(RULE_CLR, to_quit)
+                .with_if(RULE_P1, upd_ptr && s.ptr.is_some())
+                .with_if(RULE_P2, upd_ptr && s.ptr.is_none())
+                .with_if(RULE_Q, !to_quit && !upd_ptr && stale),
+            legit,
+        }
     }
 
     fn p_reset(&self, _: NodeId, state: &FgaState) -> bool {

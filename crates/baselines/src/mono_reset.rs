@@ -198,13 +198,20 @@ impl<I: ResetInput> Algorithm for MonoReset<I> {
     /// The wave rules, the gated input rules, and the legitimacy term
     /// `idle ∧ P_ICorrect(u)` ([`MonoReset::is_normal_at`]).
     /// `P_ICorrect(u)` matters only to an idle process (a requesting
-    /// root triggers a wave regardless), so it is evaluated once, and
-    /// only there.
+    /// root triggers a wave regardless), so the input's one scan
+    /// ([`ResetInput::guard`]: `P_ICorrect(u)` and the input's rules
+    /// under it) runs once, and only there.
     fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
         let phase = self.phase(view, u);
         let is_root = u == self.root;
         let idle = phase == Phase::Idle;
-        let icorrect = idle && self.p_icorrect_at(u, view);
+        let input = if idle {
+            self.input
+                .guard(u, &ssr_runtime::MapView::new(view, inner_of))
+        } else {
+            Guard::default()
+        };
+        let icorrect = input.legit;
         // An idle process with an inconsistency to report, its own or
         // a child's.
         let report = idle && (!icorrect || self.child_requesting(u, view));
@@ -237,8 +244,7 @@ impl<I: ResetInput> Algorithm for MonoReset<I> {
                 .closed_neighborhood(u)
                 .all(|v| self.phase(view, v) == Phase::Idle)
         {
-            let iv = ssr_runtime::MapView::new(view, inner_of);
-            mask = RuleMask(self.input.enabled_mask(u, &iv).0 << MONO_RULES);
+            mask = RuleMask(input.mask.0 << MONO_RULES);
         }
         Guard {
             mask,

@@ -18,6 +18,9 @@
 //! cargo run -p ssr-bench --bin scale --release -- --report DIR # self-contained HTML report
 //! ```
 //!
+//! `--help` prints the usage line and exits 0; an unknown argument, or
+//! a flag without its value, prints it and exits 2 before any work.
+//!
 //! The workload is `Agreement ∘ SDR` from an adversarial
 //! configuration under the synchronous daemon (maximal per-step
 //! selections, so the apply/guard kernels see the largest possible
@@ -184,20 +187,68 @@ fn json_escape_free(r: &RunResult) -> String {
     )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let want_progress = args.iter().any(|a| a == "--progress");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+const USAGE: &str = "usage: scale [--smoke] [--out PATH] [--progress] [--metrics PATH] \
+                     [--trace DIR] [--report DIR]";
+
+/// The command line; see the module docs.
+struct Args {
+    smoke: bool,
+    want_progress: bool,
+    out: String,
+    metrics_out: Option<String>,
+    trace_dir: Option<String>,
+    report_dir: Option<String>,
+}
+
+/// Parses the flags. `Ok(None)` is `--help`; an unknown argument or a
+/// flag without its value is an error, so a misspelt flag never starts
+/// a sweep.
+fn parse_args() -> Result<Option<Args>, String> {
+    let mut args = Args {
+        smoke: false,
+        want_progress: false,
+        out: "BENCH_SCALE.json".into(),
+        metrics_out: None,
+        trace_dir: None,
+        report_dir: None,
     };
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_SCALE.json".into());
-    let metrics_out = flag_value("--metrics");
-    let trace_dir = flag_value("--trace");
-    let report_dir = flag_value("--report");
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--smoke" => args.smoke = true,
+            "--progress" => args.want_progress = true,
+            "--out" => args.out = value()?,
+            "--metrics" => args.metrics_out = Some(value()?),
+            "--trace" => args.trace_dir = Some(value()?),
+            "--report" => args.report_dir = Some(value()?),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Some(args))
+}
+
+fn main() {
+    let args = match parse_args() {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let Args {
+        smoke,
+        want_progress,
+        out,
+        metrics_out,
+        trace_dir,
+        report_dir,
+    } = args;
     if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir).expect("create --trace directory");
     }

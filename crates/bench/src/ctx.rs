@@ -22,7 +22,7 @@ use ssr_campaign::{
     checkpoint, Campaign, CheckpointWriter, RecordCache, Scenario, ScenarioRecord, Sweep,
 };
 use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
-use ssr_obs::pipeline::CompositeSink;
+use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::StderrProgress;
 use ssr_runtime::{Algorithm, FamilyProbe, Simulator};
 
@@ -228,10 +228,12 @@ impl ExpCtx {
         let trace = self
             .campaign_trace_dir(campaign_id)
             .map(|dir| trace_path(&dir, index));
-        let mut metrics = self.metrics.as_ref().map(|_| MetricsSet::new());
-        let out = run(&mut ObsProbe::new(metrics.as_mut(), trace, true));
-        if let (Some(folded), Some(agg)) = (metrics, &self.metrics) {
-            agg.lock().expect("metrics poisoned").merge(&folded);
+        let mut fold = self.metrics.as_ref().map(|_| PipelineMetrics::new());
+        let out = run(&mut ObsProbe::new(&mut fold, trace));
+        if let (Some(fold), Some(agg)) = (fold, &self.metrics) {
+            agg.lock()
+                .expect("metrics poisoned")
+                .merge(&fold.into_metrics());
         }
         out
     }

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ssr_obs::metrics::MetricsSet;
+use ssr_obs::pipeline::PipelineMetrics;
 use ssr_obs::progress::Progress;
 use ssr_runtime::family::FamilyRegistry;
 use ssr_runtime::pool::par_map;
@@ -164,12 +165,11 @@ impl<'a> Sweep<'a> {
     /// [`Sweep::run`], plus the merged metrics.
     pub fn run_report(mut self) -> SweepReport {
         let (registry, cache, journal) = (self.registry, self.cache, self.journal);
-        let timed = self.metrics.unwrap_or(false);
         let trace_dir = self.trace_dir.take();
         let campaign = self.campaign;
         let id = campaign.id();
         let (records, metrics) = self.drive(|sc, worker| {
-            let (mut local, graphs) = (worker.metrics.as_mut(), &mut worker.graphs);
+            let graphs = &mut worker.graphs;
             let fp = cache.map(|_| sc.fingerprint());
             let cached = cache.zip(fp).and_then(|(cache, fp)| cache.lookup(fp, &sc));
             let hit = cached.is_some();
@@ -177,9 +177,9 @@ impl<'a> Sweep<'a> {
                 Some(rec) => rec,
                 None => {
                     let index = sc.index;
-                    let rec = if local.is_some() || trace_dir.is_some() {
+                    let rec = if worker.fold.is_some() || trace_dir.is_some() {
                         let path = trace_dir.as_deref().map(|dir| trace_path(dir, index));
-                        let mut probe = ObsProbe::new(local.as_deref_mut(), path, timed);
+                        let mut probe = ObsProbe::new(&mut worker.fold, path);
                         runner::run_scenario_probed(registry, sc, Some(&mut probe), graphs)
                     } else {
                         runner::run_scenario_probed(registry, sc, None, graphs)
@@ -195,7 +195,7 @@ impl<'a> Sweep<'a> {
                     rec
                 }
             };
-            if let Some(m) = local {
+            if let Some(m) = worker.metrics.as_mut() {
                 m.inc("campaign.scenarios", 1);
                 if cache.is_some() {
                     let key = if hit {
@@ -255,6 +255,13 @@ impl<'a> Sweep<'a> {
             |id| Worker {
                 id,
                 metrics: metrics.map(|_| MetricsSet::new()),
+                fold: metrics.map(|timed| {
+                    if timed {
+                        PipelineMetrics::new()
+                    } else {
+                        PipelineMetrics::without_timing()
+                    }
+                }),
                 graphs: GraphSlot::default(),
             },
             |worker, i| {
@@ -270,9 +277,16 @@ impl<'a> Sweep<'a> {
                 result
             },
         );
+        // One fold per worker, named and merged once: the merge is
+        // commutative, so the snapshot is the per-scenario folds' sum.
         let mut merged = MetricsSet::new();
-        for local in workers.iter().filter_map(|w| w.metrics.as_ref()) {
-            merged.merge(local);
+        for worker in workers {
+            if let Some(local) = &worker.metrics {
+                merged.merge(local);
+            }
+            if let Some(fold) = worker.fold {
+                merged.merge(&fold.into_metrics());
+            }
         }
         if let Some(p) = progress {
             p.into_inner().expect("progress lock poisoned").finish();
@@ -282,11 +296,15 @@ impl<'a> Sweep<'a> {
 }
 
 /// One pool worker's state, threaded through every scenario it runs:
-/// its id (for progress), its metrics when they are on, and the graph
-/// it built last.
+/// its id (for progress), its metrics when they are on — the
+/// `campaign.*` counters and the one [`PipelineMetrics`] that every
+/// scenario it simulates folds into — and the graph it built last.
 struct Worker {
     id: usize,
     metrics: Option<MetricsSet>,
+    /// Moved into each simulated scenario's sink and back (see
+    /// [`ObsProbe`]).
+    fold: Option<PipelineMetrics>,
     graphs: GraphSlot,
 }
 

@@ -6,14 +6,14 @@
 //! Observability is strictly read-only with respect to results:
 //! records produced with any combination of channels on are identical
 //! to a bare sweep (pinned by `tests/obs_equivalence.rs`). Each worker
-//! folds its scenarios into a private [`MetricsSet`], merged once the
-//! pool returns, so the merged snapshot is deterministic across thread
-//! counts — counters and histograms are partition-independent sums.
+//! folds every scenario it simulates into one private
+//! [`PipelineMetrics`], named and merged once the pool returns, so the
+//! merged snapshot is deterministic across thread counts — counters
+//! and histograms are partition-independent sums.
 
 use std::path::{Path, PathBuf};
 
-use ssr_obs::metrics::MetricsSet;
-use ssr_obs::pipeline::CompositeSink;
+use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_runtime::family::FamilyProbe;
 use ssr_runtime::trace::TraceSink;
 
@@ -36,45 +36,33 @@ pub fn trace_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("trace-{index:05}.jsonl"))
 }
 
-/// The per-scenario [`FamilyProbe`]: opens a [`CompositeSink`] for the
-/// family's measured execution and folds what comes back into the
-/// worker-local metrics; custom runners that call `Family::run`
-/// themselves pass one too.
+/// The per-scenario [`FamilyProbe`]: moves the caller's fold into a
+/// [`CompositeSink`] for the family's measured execution, next to the
+/// scenario's trace file, and back out when the sink comes back;
+/// custom runners that call `Family::run` themselves pass one too.
 pub struct ObsProbe<'m> {
-    worker_metrics: Option<&'m mut MetricsSet>,
+    fold: &'m mut Option<PipelineMetrics>,
     trace_path: Option<PathBuf>,
-    phase_timing: bool,
 }
 
 impl<'m> ObsProbe<'m> {
-    /// A probe folding metrics into `worker_metrics` (with per-phase
-    /// wall time when `phase_timing`) and writing the JSONL trace to
-    /// `trace_path`; with neither, it installs nothing.
-    pub fn new(
-        worker_metrics: Option<&'m mut MetricsSet>,
-        trace_path: Option<PathBuf>,
-        phase_timing: bool,
-    ) -> Self {
-        ObsProbe {
-            worker_metrics,
-            trace_path,
-            phase_timing,
-        }
+    /// A probe adding the run's events to `fold` (none when it is
+    /// `None`) and writing its JSONL trace to `trace_path`; with
+    /// neither, it installs nothing. The fold keeps its own timing
+    /// choice.
+    pub fn new(fold: &'m mut Option<PipelineMetrics>, trace_path: Option<PathBuf>) -> Self {
+        ObsProbe { fold, trace_path }
     }
 }
 
 impl FamilyProbe for ObsProbe<'_> {
     fn make_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        let metrics = self.worker_metrics.is_some().then_some(self.phase_timing);
-        CompositeSink::open(metrics, self.trace_path.as_deref())
+        CompositeSink::with_fold(self.fold.take(), self.trace_path.as_deref())
     }
 
     fn collect_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        if let (Some(folded), Some(target)) = (
-            CompositeSink::drain(sink),
-            self.worker_metrics.as_deref_mut(),
-        ) {
-            target.merge(&folded);
+        if let Some(fold) = CompositeSink::into_fold(sink) {
+            *self.fold = Some(fold);
         }
     }
 }
@@ -106,23 +94,27 @@ mod tests {
 
     #[test]
     fn obs_probe_folds_metrics_through_the_sink_round_trip() {
-        let mut worker = MetricsSet::new();
-        let mut probe = ObsProbe::new(Some(&mut worker), None, false);
-        let mut sink = probe.make_trace_sink().expect("metrics channel is on");
-        assert!(!sink.wants_phase_timing(), "deterministic by default");
-        sink.record(&TraceEvent::StepStarted {
-            step: 0,
-            enabled: 2,
-        });
-        sink.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
-        probe.collect_trace_sink(sink);
-        assert_eq!(worker.counter_value("pipeline.steps"), Some(1));
-        assert_eq!(worker.counter_value("pipeline.moves"), Some(2));
+        let mut fold = Some(PipelineMetrics::without_timing());
+        for _ in 0..2 {
+            let mut probe = ObsProbe::new(&mut fold, None);
+            let mut sink = probe.make_trace_sink().expect("metrics channel is on");
+            assert!(!sink.wants_phase_timing(), "the fold's timing choice");
+            sink.record(&TraceEvent::StepStarted {
+                step: 0,
+                enabled: 2,
+            });
+            sink.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
+            probe.collect_trace_sink(sink);
+        }
+        let metrics = fold.expect("the fold came back").into_metrics();
+        assert_eq!(metrics.counter_value("pipeline.steps"), Some(2));
+        assert_eq!(metrics.counter_value("pipeline.moves"), Some(4));
     }
 
     #[test]
     fn probe_without_channels_installs_nothing() {
-        let mut probe = ObsProbe::new(None, None, false);
+        let mut fold = None;
+        let mut probe = ObsProbe::new(&mut fold, None);
         assert!(probe.make_trace_sink().is_none());
     }
 

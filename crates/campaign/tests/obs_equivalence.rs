@@ -1,17 +1,21 @@
 //! Observability never steers: campaign records with every obs channel
 //! enabled are identical to a bare run, and the merged metrics
-//! snapshot is deterministic across thread counts.
+//! snapshot is deterministic across thread counts and equal to a fold
+//! per scenario.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ssr_campaign::obs::trace_path;
 use ssr_campaign::{
-    engine, families, Campaign, CheckpointWriter, RecordCache, Sweep, TopologySpec,
+    engine, families, Campaign, CheckpointWriter, RecordCache, ScenarioRecord, Sweep, TopologySpec,
 };
+use ssr_obs::metrics::MetricsSet;
+use ssr_obs::pipeline::CompositeSink;
 use ssr_obs::progress::{Progress, ProgressBus};
 use ssr_obs::trace::parse_events;
 use ssr_obs::TraceEvent;
-use ssr_runtime::Daemon;
+use ssr_runtime::family::{ExecBudget, FamilyProbe, RunSeeds};
+use ssr_runtime::{Daemon, TraceSink};
 
 fn tiny() -> Campaign {
     Campaign::new("obs-equivalence")
@@ -106,6 +110,141 @@ fn merged_metrics_are_deterministic_across_thread_counts() {
     for threads in [2, 4] {
         assert_eq!(seq, snapshot_at(threads), "threads={threads}");
     }
+}
+
+/// A probe with a fold of its own for one scenario, merged into the
+/// total when its sink comes back.
+struct OwnFold<'m> {
+    total: &'m mut MetricsSet,
+    trace: Option<PathBuf>,
+}
+
+impl FamilyProbe for OwnFold<'_> {
+    fn make_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        CompositeSink::open(Some(false), self.trace.as_deref())
+    }
+
+    fn collect_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+        if let Some(folded) = CompositeSink::drain(sink) {
+            self.total.merge(&folded);
+        }
+    }
+}
+
+/// The untimed metrics snapshot of a sweep of `c`, made the way a sweep
+/// made it while each scenario had a fold of its own: every simulated
+/// scenario (those not in `hits`) folds into a `PipelineMetrics` that
+/// is named and merged into the total alone, next to its trace file in
+/// `trace_dir`. `cached` says whether the sweep had a cache; `bare` are
+/// its records.
+fn fold_per_scenario(
+    c: &Campaign,
+    bare: &[ScenarioRecord],
+    hits: &[bool],
+    cached: bool,
+    trace_dir: Option<&Path>,
+) -> String {
+    let registry = families::default_registry();
+    let mut total = MetricsSet::new();
+    for (i, rec) in bare.iter().enumerate() {
+        total.inc("campaign.scenarios", 1);
+        if cached {
+            let key = if hits[i] {
+                "campaign.cache_hits"
+            } else {
+                "campaign.cache_misses"
+            };
+            total.inc(key, 1);
+        }
+        if !rec.verdict.ok() {
+            total.inc("campaign.failed", 1);
+        }
+        if hits[i] {
+            continue;
+        }
+        let sc = c.scenario(i);
+        let [graph_seed, init, sim, fault] = sc.seeds::<4>();
+        let g = sc.topology.build(sc.n, graph_seed);
+        let family = registry.resolve(&sc.algorithm).expect("a standard family");
+        assert!(family.instantiable(&g));
+        let mut probe = OwnFold {
+            total: &mut total,
+            trace: trace_dir.map(|dir| trace_path(dir, i)),
+        };
+        family.run(
+            &g,
+            &sc.init,
+            &sc.daemon,
+            RunSeeds { init, sim, fault },
+            ExecBudget::steps(sc.step_cap).with_intra_threads(sc.intra_threads),
+            Some(&mut probe),
+        );
+    }
+    let json = total.snapshot().to_json();
+    assert!(json.contains("pipeline.steps"), "the reference folded runs");
+    json
+}
+
+/// A sweep worker folds every scenario it simulates into one
+/// `PipelineMetrics` and names it once; the snapshot must be the one a
+/// fold per scenario gives, in the served configuration (progress,
+/// metrics, a partly warm cache and its journal) and with traces, whose
+/// files must be the per-scenario sinks' bytes.
+#[test]
+fn one_fold_per_worker_equals_a_fold_per_scenario() {
+    let c = tiny();
+    let bare = Sweep::of(&c).threads(2).run();
+    // Every third scenario is cached, so each worker meets hits
+    // between the scenarios it simulates.
+    let hits: Vec<bool> = (0..c.len()).map(|i| i % 3 == 1).collect();
+    let dir = scratch_dir("fold");
+    for threads in [1, 4] {
+        let cache = RecordCache::new();
+        for (i, rec) in bare.iter().enumerate().filter(|&(i, _)| hits[i]) {
+            cache.insert(c.scenario(i).fingerprint(), rec);
+        }
+        let journal =
+            CheckpointWriter::open(&dir.join(format!("journal-{threads}.jsonl"))).unwrap();
+        let mut bus = ProgressBus::new();
+        let served = Sweep::of(&c)
+            .threads(threads)
+            .progress(&mut bus)
+            .metrics()
+            .cache(&cache, Some(&journal))
+            .run_report();
+        assert_eq!(served.records, bare);
+        assert_eq!(
+            served.metrics.snapshot().to_json(),
+            fold_per_scenario(&c, &bare, &hits, true, None),
+            "served, threads={threads}"
+        );
+
+        let swept = dir.join(format!("swept-{threads}"));
+        let expected = dir.join(format!("expected-{threads}"));
+        for d in [&swept, &expected] {
+            std::fs::create_dir_all(d).unwrap();
+        }
+        let traced = Sweep::of(&c)
+            .threads(threads)
+            .metrics()
+            .trace_dir(&swept)
+            .run_report();
+        let none = vec![false; c.len()];
+        assert_eq!(
+            traced.metrics.snapshot().to_json(),
+            fold_per_scenario(&c, &bare, &none, false, Some(&expected)),
+            "traced, threads={threads}"
+        );
+        for i in 0..c.len() {
+            let read = |d: &Path| std::fs::read(trace_path(d, i)).unwrap();
+            assert_eq!(
+                read(&swept),
+                read(&expected),
+                "trace {i}, threads={threads}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -22,13 +22,24 @@ use ssr_runtime::{Algorithm, Guard, RuleId, RuleMask, StateView};
 ///    * (2c) rules are disabled whenever `¬P_ICorrect(u) ∨ ¬P_Clean(u)`
 ///      — the composition enforces this by gating
 ///      [`ResetInput::enabled_mask`], so implementations write their
-///      guards *without* the gate;
+///      guards *without* the gate. [`ResetInput::guard`] is the
+///      `P_ICorrect` half of that gate, written once: [`Sdr`],
+///      [`Standalone`] and the mono-initiator baseline call it;
 ///    * (2d) if every member of `N[u]` satisfies `P_reset`, then
 ///      `P_ICorrect(u)` holds — semantic, checked by
 ///      [`crate::validate::check_requirements`];
 ///    * (2e) executing `reset(u)` establishes `P_reset(u)` — semantic,
 ///      checked likewise (the reset state is a constant per node here,
 ///      which is how both of the paper's instantiations behave).
+///
+/// Implement the definitions: [`ResetInput::enabled_mask`] and
+/// [`ResetInput::p_icorrect`] as the paper writes them, predicate by
+/// predicate. They are the specification the kernels are tested
+/// against. Override the provided [`ResetInput::guard`] only with a
+/// kernel that decides both from one scan of N(u), and add the input to
+/// `tests/guard_spec.rs`, which holds that kernel to the definitions.
+///
+/// [`Sdr`]: crate::Sdr
 pub trait ResetInput {
     /// Per-process state of the input algorithm.
     type State: Clone + PartialEq + std::fmt::Debug;
@@ -48,6 +59,28 @@ pub trait ResetInput {
 
     /// `P_ICorrect(u)`: `u`'s state is consistent with its neighbors'.
     fn p_icorrect<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> bool;
+
+    /// `P_ICorrect(u)` as the legitimacy term, and the input's rules
+    /// under it as the mask ([`RuleMask::NONE`] when it fails): the
+    /// input's half of the Requirement 2c gate. [`Standalone`] runs it
+    /// as its whole guard; [`Sdr`](crate::Sdr) runs it under
+    /// `P_Clean(u)`.
+    ///
+    /// The default evaluates [`ResetInput::p_icorrect`], then
+    /// [`ResetInput::enabled_mask`] only when it holds (see the trait
+    /// docs for overriding it).
+    #[inline]
+    fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
+        let legit = self.p_icorrect(u, view);
+        Guard {
+            mask: if legit {
+                self.enabled_mask(u, view)
+            } else {
+                RuleMask::NONE
+            },
+            legit,
+        }
+    }
 
     /// `P_reset(u)`: `u` is in the pre-defined initial state of `I`.
     fn p_reset(&self, u: NodeId, state: &Self::State) -> bool;
@@ -139,19 +172,11 @@ impl<I: ResetInput> Algorithm for Standalone<I> {
         self.guard(u, view).mask
     }
 
-    /// The input's rules under the `P_ICorrect(u)` gate; the
-    /// legitimacy term is that gate itself, evaluated once.
+    /// The input's rules under the `P_ICorrect(u)` gate, with that gate
+    /// as the legitimacy term: [`ResetInput::guard`].
     #[inline]
     fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
-        let legit = self.inner.p_icorrect(u, view);
-        Guard {
-            mask: if legit {
-                self.inner.enabled_mask(u, view)
-            } else {
-                RuleMask::NONE
-            },
-            legit,
-        }
+        self.inner.guard(u, view)
     }
 
     fn apply<V: StateView<Self::State>>(&self, u: NodeId, view: &V, rule: RuleId) -> Self::State {

@@ -275,14 +275,16 @@ impl<I: ResetInput> Algorithm for Sdr<I> {
     ///
     /// `st_u` picks the fold. Under `C`, it collects any-RB and any-RF
     /// neighbour: `P_RB` is any-RB, `P_R1` is `¬P_reset(u)` ∧ any-RF,
-    /// `P_Clean` is neither, and `P_ICorrect(u)` is evaluated only when
-    /// neither `P_RB` nor `P_R1` has decided the mask. Under `RB` or
-    /// `RF`, `P_Clean`, `P_RB` and `P_R1` are false and
-    /// `P_Up ≡ P_R2 ≡ ¬P_reset(u)`; when `P_reset(u)` holds, the fold
-    /// is the ∀-conjunct of `P_RF` or of `P_C` (`u`'s own conjunct of
-    /// `P_C` is `P_reset(u)`), reading `P_reset(v)` only for the
-    /// neighbours whose disjunct needs it. The `p_*` predicates are the
-    /// specification it is tested against.
+    /// and `P_Clean` is neither. With an RF neighbour and no `P_R1`,
+    /// `P_ICorrect(u)` alone decides between `rule_R` and waiting. When
+    /// `P_Clean` holds, the input scans N(u) once, through
+    /// [`ResetInput::guard`]: `P_ICorrect(u)` and the input's rules
+    /// under it. Under `RB` or `RF`, `P_Clean`, `P_RB` and `P_R1` are
+    /// false and `P_Up ≡ P_R2 ≡ ¬P_reset(u)`; when `P_reset(u)` holds,
+    /// the fold is the ∀-conjunct of `P_RF` or of `P_C` (`u`'s own
+    /// conjunct of `P_C` is `P_reset(u)`), reading `P_reset(v)` only
+    /// for the neighbours whose disjunct needs it. The `p_*` predicates
+    /// are the specification it is tested against.
     fn guard<V: StateView<Self::State>>(&self, u: NodeId, view: &V) -> Guard {
         // Every mask but the gate's: SDR's rules, outside the normal
         // configurations.
@@ -301,18 +303,21 @@ impl<I: ResetInput> Algorithm for Sdr<I> {
                 if any_rb {
                     return sdr(RuleMask::just(RULE_RB));
                 }
-                // P_R1, else ¬P_Correct (P_R2 is false under C).
-                if (any_rf && !reset) || !self.p_icorrect(u, view) {
-                    return sdr(RuleMask::just(RULE_R));
-                }
                 if any_rf {
-                    return sdr(RuleMask::NONE);
+                    // P_R1, else ¬P_Correct (P_R2 is false under C);
+                    // otherwise `u` waits for the wave to clean.
+                    let up = !reset || !self.p_icorrect(u, view);
+                    return sdr(RuleMask::NONE.with_if(RULE_R, up));
+                }
+                // P_Clean: the input's gate and rules, from one scan.
+                let input = self.input.guard(u, &MapView::new(view, inner_of));
+                if !input.legit {
+                    return sdr(RuleMask::just(RULE_R)); // ¬P_Correct
                 }
                 // P_Clean ∧ P_ICorrect: SDR is disabled (Remark 2) and
                 // the input's rules run.
-                let iv = MapView::new(view, inner_of);
                 Guard {
-                    mask: RuleMask(self.input.enabled_mask(u, &iv).0 << SDR_RULE_COUNT),
+                    mask: RuleMask(input.mask.0 << SDR_RULE_COUNT),
                     legit: true,
                 }
             }

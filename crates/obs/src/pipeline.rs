@@ -155,8 +155,11 @@ impl TraceSink for PipelineMetrics {
 /// a JSONL trace file, whichever are enabled. [`CompositeSink::open`]
 /// builds it for [`Simulator::set_trace_sink`] and
 /// [`CompositeSink::drain`] reads it back once
-/// [`Simulator::take_trace_sink`] returns it — the one pair every
-/// campaign, experiment and `scale` run goes through.
+/// [`Simulator::take_trace_sink`] returns it — the pair experiment and
+/// `scale` runs go through. A campaign worker, which folds every
+/// scenario it runs into one [`PipelineMetrics`], moves that fold in
+/// with [`CompositeSink::with_fold`] and back out with
+/// [`CompositeSink::into_fold`].
 ///
 /// [`Simulator::set_trace_sink`]: ssr_runtime::Simulator::set_trace_sink
 /// [`Simulator::take_trace_sink`]: ssr_runtime::Simulator::take_trace_sink
@@ -173,27 +176,45 @@ impl CompositeSink {
     /// trace file that cannot be created degrades to no trace:
     /// observability never fails a run.
     pub fn open(metrics: Option<bool>, trace: Option<&Path>) -> Option<Box<dyn TraceSink>> {
-        let metrics = metrics.map(|timed| {
+        let fold = metrics.map(|timed| {
             if timed {
                 PipelineMetrics::new()
             } else {
                 PipelineMetrics::without_timing()
             }
         });
-        let file = trace.and_then(|path| JsonlSink::create(path).ok());
-        if metrics.is_none() && file.is_none() {
-            return None;
-        }
-        Some(Box::new(CompositeSink { metrics, file }))
+        CompositeSink::with_fold(fold, trace)
     }
 
-    /// Flushes a sink taken back from a simulator and returns the
-    /// metrics it folded: `None` when it is not a [`CompositeSink`] or
-    /// its metrics channel was off.
-    pub fn drain(mut sink: Box<dyn TraceSink>) -> Option<MetricsSet> {
+    /// [`CompositeSink::open`] around an existing fold, which keeps its
+    /// timing choice and everything it folded before: the events of
+    /// this run are added to it.
+    pub fn with_fold(
+        fold: Option<PipelineMetrics>,
+        trace: Option<&Path>,
+    ) -> Option<Box<dyn TraceSink>> {
+        let file = trace.and_then(|path| JsonlSink::create(path).ok());
+        if fold.is_none() && file.is_none() {
+            return None;
+        }
+        Some(Box::new(CompositeSink {
+            metrics: fold,
+            file,
+        }))
+    }
+
+    /// Flushes a sink taken back from a simulator and returns its fold:
+    /// `None` when it is not a [`CompositeSink`] or its metrics channel
+    /// was off.
+    pub fn into_fold(mut sink: Box<dyn TraceSink>) -> Option<PipelineMetrics> {
         sink.flush();
         let composite = sink.as_any_mut()?.downcast_mut::<CompositeSink>()?;
-        composite.metrics.take().map(PipelineMetrics::into_metrics)
+        composite.metrics.take()
+    }
+
+    /// [`CompositeSink::into_fold`], named into its metrics.
+    pub fn drain(sink: Box<dyn TraceSink>) -> Option<MetricsSet> {
+        CompositeSink::into_fold(sink).map(PipelineMetrics::into_metrics)
     }
 }
 
@@ -301,5 +322,19 @@ mod tests {
         assert!(CompositeSink::drain(Box::new(PipelineMetrics::new())).is_none());
         let timed = CompositeSink::open(Some(true), None).unwrap();
         assert!(timed.wants_phase_timing());
+    }
+
+    #[test]
+    fn a_fold_carries_across_sinks() {
+        let mut fold = Some(PipelineMetrics::without_timing());
+        for moves in [2, 3] {
+            let mut sink = CompositeSink::with_fold(fold.take(), None).expect("metrics on");
+            assert!(!sink.wants_phase_timing(), "the fold's own choice");
+            sink.record(&TraceEvent::MovesApplied { step: 0, moves });
+            fold = CompositeSink::into_fold(sink);
+        }
+        let m = fold.expect("the fold came back").into_metrics();
+        assert_eq!(m.counter_value("pipeline.moves"), Some(5));
+        assert!(CompositeSink::with_fold(None, None).is_none());
     }
 }

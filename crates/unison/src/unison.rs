@@ -6,7 +6,7 @@ use std::fmt;
 use ssr_core::{ResetInput, Sdr};
 use ssr_graph::{Graph, NodeId};
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{RuleId, RuleMask, StateView};
+use ssr_runtime::{Guard, RuleId, RuleMask, StateView};
 
 /// `rule_U(u) : P_Clean(u) ∧ P_Up(u) → c_u := (c_u + 1) % K`
 ///
@@ -191,6 +191,28 @@ impl ResetInput for Unison {
             let cv = *view.state(v);
             ok & ((cv == cu) | (cv == next) | (cv == prev))
         })
+    }
+
+    /// `P_ICorrect(u)` and, under it, `rule_U`'s guard `P_Up(u)`, from
+    /// the one scan of N(u) that `CfgUnison::guard` makes: a neighbour
+    /// at `c_u` or `c_u + 1` keeps both predicates, one at `c_u − 1`
+    /// breaks `P_Up` only, and any other value breaks `P_ICorrect`.
+    /// Branch-free, as [`ResetInput::p_icorrect`] is.
+    #[inline]
+    fn guard<V: StateView<u64>>(&self, u: NodeId, view: &V) -> Guard {
+        let cu = *view.state(u);
+        let (next, prev) = (self.succ(cu), self.pred(cu));
+        let (mut up, mut correct) = (true, true);
+        for &v in view.graph().neighbors(u) {
+            let cv = *view.state(v);
+            let keeps_up = (cv == cu) | (cv == next);
+            up &= keeps_up;
+            correct &= keeps_up | (cv == prev);
+        }
+        Guard {
+            mask: RuleMask::NONE.with_if(RULE_U, correct & up),
+            legit: correct,
+        }
     }
 
     fn p_reset(&self, _: NodeId, state: &u64) -> bool {

@@ -9,9 +9,14 @@
 //!   disabled (Remark 2); `legit` is `is_normal_at`.
 //! * cfg-unison: `inc` on `P_ICorrect ∧ P_Up`, `reset` on
 //!   `¬P_ICorrect ∧ c_u ≠ 0`; `legit` is `spec::safety_holds_at`.
-//! * `Standalone<I>` (unison and every FGA preset): the input's rules
-//!   under `P_ICorrect`; `legit` is `P_ICorrect` (`safety_holds_at` for
-//!   unison).
+//! * `ResetInput::guard` of every registered input (unison, agreement,
+//!   the toy counter and every FGA preset), called directly and as the
+//!   whole guard of `Standalone<I>`: the input's `enabled_mask` under
+//!   `P_ICorrect`, with `legit` that gate. `Unison` and `Fga` override
+//!   it with one-scan kernels; `Fga`'s states draw `ptr_u` uniformly
+//!   over N[u] and ⊥, and its `enabled_mask` and `p_icorrect` stay
+//!   predicate by predicate, so the specification never calls the
+//!   kernel it checks.
 //! * mono-reset: the wave rules as the baseline defines them, on its BFS
 //!   tree rebuilt here; `legit` is `is_normal_at`.
 //!
@@ -23,6 +28,7 @@
 
 use proptest::prelude::*;
 use ssr_alliance::presets::PresetSpec;
+use ssr_alliance::FgaState;
 use ssr_analyze::analysis_suite;
 use ssr_baselines::{CfgUnison, MonoReset, MonoState, Phase, RULE_CFG_INC, RULE_CFG_RESET};
 use ssr_core::toys::{Agreement, BoundedCounter};
@@ -100,31 +106,46 @@ fn check_sdr<I: ResetInput>(input: I, g: &Graph, seed: u64) {
     }
 }
 
-/// `Standalone<I>`: the input's rules under `P_ICorrect`, which is
-/// also the legitimacy term.
-fn check_standalone<I: ResetInput>(input: I, g: &Graph, seed: u64) {
-    let algo = Standalone::new(input);
+/// `ResetInput::guard`, called directly and as `Standalone<I>`'s
+/// guard, against its definition, on configurations whose states
+/// `draw` picks.
+fn check_input<I: ResetInput + Clone>(
+    input: &I,
+    g: &Graph,
+    seed: u64,
+    draw: impl Fn(NodeId, &mut Xoshiro256StarStar) -> I::State,
+) {
+    let standalone = Standalone::new(input.clone());
     for i in 0..CONFIGS {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ i);
-        let states: Vec<I::State> = g
-            .nodes()
-            .map(|u| inner_state(algo.inner(), u, &mut rng))
-            .collect();
+        let mut rng =
+            Xoshiro256StarStar::seed_from_u64(seed ^ i.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let states: Vec<I::State> = g.nodes().map(|u| draw(u, &mut rng)).collect();
         let view = ConfigView::new(g, &states);
         for u in g.nodes() {
-            let legit = algo.inner().p_icorrect(u, &view);
+            let legit = input.p_icorrect(u, &view);
             let mask = if legit {
-                algo.inner().enabled_mask(u, &view)
+                input.enabled_mask(u, &view)
             } else {
                 RuleMask::NONE
             };
-            assert_eq!(
-                algo.guard(u, &view),
-                Guard { mask, legit },
-                "node {u:?} of {states:?}"
-            );
-            assert_eq!(algo.enabled_mask(u, &view), mask);
+            let spec = Guard { mask, legit };
+            assert_eq!(input.guard(u, &view), spec, "node {u:?} of {states:?}");
+            assert_eq!(standalone.guard(u, &view), spec, "node {u:?} of {states:?}");
+            assert_eq!(standalone.enabled_mask(u, &view), mask);
         }
+    }
+}
+
+/// An FGA state with `ptr_u` uniform over N[u] and ⊥, and the other
+/// variables leaning towards the values that enable `rule_Clr`
+/// (membership, full score), so full approval is drawn often.
+fn fga_state(g: &Graph, u: NodeId, rng: &mut Xoshiro256StarStar) -> FgaState {
+    let nbhd: Vec<NodeId> = g.closed_neighborhood(u).collect();
+    FgaState {
+        col: rng.below(4) != 0,
+        scr: [1, 1, 0, -1][rng.below(4) as usize],
+        can_q: rng.below(2) == 0,
+        ptr: nbhd.get(rng.below(nbhd.len() as u64 + 1) as usize).copied(),
     }
 }
 
@@ -259,14 +280,22 @@ fn check_mono_reset(g: &Graph, seed: u64) {
 
 /// Every checked algorithm on `g`.
 fn check_all(g: &Graph, seed: u64) {
-    check_sdr(Agreement::new(3), g, seed);
-    check_sdr(BoundedCounter::new(3), g, seed);
-    check_sdr(Unison::for_graph(g), g, seed);
-    check_standalone(Unison::for_graph(g), g, seed);
+    let agreement = Agreement::new(3);
+    check_input(&agreement, g, seed, |u, rng| {
+        inner_state(&agreement, u, rng)
+    });
+    let counter = BoundedCounter::new(3);
+    check_input(&counter, g, seed, |u, rng| inner_state(&counter, u, rng));
+    let unison = Unison::for_graph(g);
+    let period = unison.period();
+    check_input(&unison, g, seed, |_, rng| rng.below(period + 2));
+    check_sdr(agreement, g, seed);
+    check_sdr(counter, g, seed);
+    check_sdr(unison, g, seed);
     for preset in PresetSpec::all() {
         if let Some(fga) = preset.build(g) {
-            check_sdr(fga.clone(), g, seed);
-            check_standalone(fga, g, seed);
+            check_input(&fga, g, seed, |u, rng| fga_state(g, u, rng));
+            check_sdr(fga, g, seed);
         }
     }
     check_cfg_unison(g, (g.node_count() as u64 + 1).max(3), seed);
