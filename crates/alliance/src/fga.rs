@@ -434,7 +434,7 @@ impl ResetInput for Fga {
     fn enabled_mask<V: StateView<FgaState>>(&self, u: NodeId, view: &V) -> RuleMask {
         let s = view.state(u);
         let to_quit = self.p_to_quit(u, view);
-        let upd_ptr = !to_quit && s.ptr != self.best_ptr_stored(u, view);
+        let upd_ptr = self.p_upd_ptr(u, view);
         let stale = s.scr != self.real_scr(u, view) || s.can_q != self.p_can_quit(u, view);
         RuleMask::NONE
             .with_if(RULE_CLR, to_quit)

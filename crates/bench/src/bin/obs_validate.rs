@@ -16,8 +16,7 @@
 //!   (`ssr_obs::trace::parse_event`: a known event carrying its keys
 //!   with their types)
 //! - `metrics` — `.json` snapshots with schema `ssr-metrics-v1`: the
-//!   file parses into a `MetricsSnapshot`
-//!   (`ssr_obs::MetricsSnapshot::from_json`)
+//!   file parses into a `MetricsSet` (`ssr_obs::MetricsSet::from_json`)
 //! - `checkpoint` — `.jsonl` resumable-sweep journals with schema
 //!   `ssr-checkpoint/v1` (`DESIGN.md` §13): header line plus one
 //!   fingerprinted record per line, strictly (a torn tail fails here
@@ -32,7 +31,7 @@
 use std::path::{Path, PathBuf};
 
 use ssr_obs::trace::parse_events;
-use ssr_obs::MetricsSnapshot;
+use ssr_obs::MetricsSet;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
@@ -81,7 +80,7 @@ fn validate_file(kind: Kind, path: &Path) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let count = match kind {
         Kind::Trace => parse_events(&text).map(|events| events.len()),
-        Kind::Metrics => MetricsSnapshot::from_json(&text).map(|snap| snap.items().len()),
+        Kind::Metrics => MetricsSet::from_json(&text).map(|metrics| metrics.items().len()),
         Kind::Checkpoint => ssr_campaign::checkpoint::validate(&text),
     }
     .map_err(|e| format!("{}: {e}", path.display()))?;

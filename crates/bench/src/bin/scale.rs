@@ -55,7 +55,7 @@ use ssr_core::toys::Agreement;
 use ssr_core::Sdr;
 use ssr_graph::{generators, Graph};
 use ssr_obs::metrics::MetricsSet;
-use ssr_obs::pipeline::CompositeSink;
+use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::{Progress, StderrProgress};
 use ssr_runtime::{Daemon, RunStats, Simulator, StepOutcome, TraceSink};
 
@@ -143,12 +143,14 @@ fn run_cell(
     let (stats, fingerprint) = (sim.stats().clone(), sim.states().to_vec());
     drop(sim);
     let trace = trace_dir.map(|dir| format!("{dir}/trace-{topology}-{n}-t{threads}.jsonl"));
-    let sink = CompositeSink::open(Some(true), trace.as_deref().map(Path::new));
+    let fold = Some(PipelineMetrics::new());
+    let sink = CompositeSink::with_fold(fold, trace.as_deref().map(Path::new));
     let (_, _, mut traced) = run_once(g, threads, sink);
     let agree = traced.stats() == &stats && traced.states() == fingerprint;
     let metrics = traced
         .take_trace_sink()
-        .and_then(CompositeSink::drain)
+        .and_then(CompositeSink::into_fold)
+        .map(PipelineMetrics::into_metrics)
         .unwrap_or_default();
     let result = RunResult {
         topology,
@@ -340,10 +342,9 @@ fn main() {
         p.finish();
     }
 
-    let snapshot = merged.snapshot();
     if let Some(path) = &metrics_out {
-        std::fs::write(path, format!("{}\n", snapshot.to_json())).expect("write --metrics file");
-        eprint!("{}", snapshot.render_table());
+        std::fs::write(path, format!("{}\n", merged.to_json())).expect("write --metrics file");
+        eprint!("{}", merged.render_table());
         eprintln!("metrics written to {path}");
     }
 
@@ -360,11 +361,8 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create --report directory");
         let dir = std::path::Path::new(dir);
         std::fs::write(dir.join("BENCH_SCALE.json"), &doc).expect("write report scale copy");
-        std::fs::write(
-            dir.join("metrics.json"),
-            format!("{}\n", snapshot.to_json()),
-        )
-        .expect("write report metrics copy");
+        std::fs::write(dir.join("metrics.json"), format!("{}\n", merged.to_json()))
+            .expect("write report metrics copy");
         match ssr_report::load_dir(dir).map(|a| ssr_report::render(&a)) {
             Ok(html) => {
                 std::fs::write(dir.join("report.html"), html).expect("write report.html");

@@ -4,27 +4,24 @@
 //! `--trace`, `--report`, `--checkpoint`).
 //!
 //! Campaigns drain through one [`Sweep`] each, carrying whatever
-//! channels the context enables; custom runners that drive a
-//! [`Simulator`] directly attach the same trace and metrics channels
-//! with [`ExpCtx::attach`] / [`ExpCtx::collect`], and those that call
-//! `Family::run` pass the probe [`ExpCtx::probed`] lends them. The
-//! context is shared (`&ExpCtx`) across concurrently-running scenario
-//! closures, so the metrics aggregate merges under a mutex once per
-//! campaign or measured run, never per step. With no channel enabled
+//! channels the context enables, the custom runners of
+//! [`ExpCtx::run_with`] included: the sweep lends each of them the
+//! scenario's [`ObsProbe`], which they pass to `Family::run` or wrap
+//! around a simulator of their own. The context is shared (`&ExpCtx`),
+//! and its metrics aggregate merges each sweep's folds under a mutex
+//! once per campaign, never per scenario. With no channel enabled
 //! every method degrades to the bare sweep — experiments pay nothing
 //! for the seam.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ssr_campaign::obs::{trace_path, ObsProbe};
+use ssr_campaign::obs::ObsProbe;
 use ssr_campaign::{
     checkpoint, Campaign, CheckpointWriter, RecordCache, Scenario, ScenarioRecord, Sweep,
 };
-use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
-use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
+use ssr_obs::metrics::MetricsSet;
 use ssr_obs::progress::StderrProgress;
-use ssr_runtime::{Algorithm, FamilyProbe, Simulator};
 
 /// Execution context for one `experiments` invocation.
 pub struct ExpCtx {
@@ -95,7 +92,7 @@ impl ExpCtx {
     /// snapshot) under `dir` and renders `dir/report.html`. Only
     /// campaigns drained through [`ExpCtx::run`] appear — custom
     /// runners ([`ExpCtx::run_with`]) produce no [`ScenarioRecord`]s
-    /// to report.
+    /// to report, though their metrics and traces are kept.
     #[must_use]
     pub fn with_report_dir(mut self, dir: impl AsRef<Path>) -> Self {
         self.report_dir = Some(dir.as_ref().to_path_buf());
@@ -121,14 +118,6 @@ impl ExpCtx {
         self.store.as_ref().map(|(_, _, n)| *n)
     }
 
-    fn campaign_trace_dir(&self, campaign_id: &str) -> Option<PathBuf> {
-        let dir = self.trace_dir.as_ref()?.join(campaign_id);
-        // A directory that cannot be created degrades to "no traces":
-        // observability must never fail the harness.
-        std::fs::create_dir_all(&dir).ok()?;
-        Some(dir)
-    }
-
     /// Remembers `records` for the report channel (no-op when
     /// `--report` is off).
     fn note_report(&self, campaign_id: &str, records: &[ScenarioRecord]) {
@@ -141,14 +130,27 @@ impl ExpCtx {
         ));
     }
 
-    /// A sweep of `campaign` on this context's workers, reporting to
-    /// `progress` when `--progress` is on.
+    /// A sweep of `campaign` with every channel this context enables
+    /// but the checkpoint: its workers, progress to `progress`, the
+    /// timed metrics fold and traces under `dir/<campaign-id>/`.
     fn sweep<'a>(&self, campaign: &'a Campaign, progress: &'a mut StderrProgress) -> Sweep<'a> {
-        let sweep = Sweep::of(campaign).threads(self.threads);
+        let mut sweep = Sweep::of(campaign).threads(self.threads);
         if self.progress {
-            sweep.progress(progress)
-        } else {
-            sweep
+            sweep = sweep.progress(progress);
+        }
+        if self.metrics.is_some() {
+            sweep = sweep.timed_metrics();
+        }
+        if let Some(dir) = &self.trace_dir {
+            sweep = sweep.trace_dir(dir.join(campaign.id()));
+        }
+        sweep
+    }
+
+    /// Merges one sweep's metrics into the context aggregate.
+    fn merge_metrics(&self, metrics: &MetricsSet) {
+        if let Some(agg) = &self.metrics {
+            agg.lock().expect("metrics poisoned").merge(metrics);
         }
     }
 
@@ -157,93 +159,36 @@ impl ExpCtx {
     pub fn run(&self, campaign: &Campaign) -> Vec<ScenarioRecord> {
         let mut progress = StderrProgress::new();
         let mut sweep = self.sweep(campaign, &mut progress);
-        if self.metrics.is_some() {
-            sweep = sweep.timed_metrics();
-        }
-        if let Some(dir) = self.campaign_trace_dir(campaign.id()) {
-            sweep = sweep.trace_dir(dir);
-        }
         if let Some((cache, journal, _)) = &self.store {
             sweep = sweep.cache(cache, Some(journal));
         }
         let report = sweep.run_report();
-        if let Some(agg) = &self.metrics {
-            agg.lock().expect("metrics poisoned").merge(&report.metrics);
-        }
+        self.merge_metrics(&report.metrics);
         self.note_report(campaign.id(), &report.records);
         report.records
     }
 
-    /// Drains `campaign` through a custom runner, with progress when
-    /// it is on. Runners that drive a [`Simulator`] directly attach
-    /// the per-scenario trace/metrics channels with [`ExpCtx::attach`]
-    /// / [`ExpCtx::collect`].
+    /// Drains `campaign` through a custom runner ([`Sweep::map`]) with
+    /// the channels of [`ExpCtx::run`] but the checkpoint: the runner
+    /// reaches the metrics and trace channels through the
+    /// [`ObsProbe`] it is lent.
     pub fn run_with<R, F>(&self, campaign: &Campaign, runner: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(Scenario) -> R + Sync,
+        F: Fn(Scenario, &mut ObsProbe<'_>) -> R + Sync,
     {
         let mut progress = StderrProgress::new();
-        self.sweep(campaign, &mut progress).map(runner)
-    }
-
-    /// Installs this context's trace/metrics channels on a directly
-    /// driven simulator, for scenario `index` of `campaign_id`. Pair
-    /// with [`ExpCtx::collect`] after the measured execution.
-    pub fn attach<A: Algorithm>(
-        &self,
-        campaign_id: &str,
-        index: usize,
-        sim: &mut Simulator<'_, A>,
-    ) {
-        let trace = self
-            .campaign_trace_dir(campaign_id)
-            .map(|dir| trace_path(&dir, index));
-        let metrics = self.metrics.as_ref().map(|_| true);
-        if let Some(sink) = CompositeSink::open(metrics, trace.as_deref()) {
-            sim.set_trace_sink(sink);
-        }
-    }
-
-    /// Recovers the sink installed by [`ExpCtx::attach`] and folds its
-    /// metrics into the context aggregate. No-op when nothing was
-    /// attached.
-    pub fn collect<A: Algorithm>(&self, sim: &mut Simulator<'_, A>) {
-        let folded = sim.take_trace_sink().and_then(CompositeSink::drain);
-        if let (Some(folded), Some(agg)) = (folded, &self.metrics) {
-            agg.lock().expect("metrics poisoned").merge(&folded);
-        }
-    }
-
-    /// Runs `run` with this context's trace/metrics channels as the
-    /// [`FamilyProbe`] of scenario `index` of `campaign_id` — what a
-    /// custom runner hands to `Family::run`, as [`ExpCtx::attach`] /
-    /// [`ExpCtx::collect`] are for a directly driven simulator.
-    pub fn probed<R>(
-        &self,
-        campaign_id: &str,
-        index: usize,
-        run: impl FnOnce(&mut dyn FamilyProbe) -> R,
-    ) -> R {
-        let trace = self
-            .campaign_trace_dir(campaign_id)
-            .map(|dir| trace_path(&dir, index));
-        let mut fold = self.metrics.as_ref().map(|_| PipelineMetrics::new());
-        let out = run(&mut ObsProbe::new(&mut fold, trace));
-        if let (Some(fold), Some(agg)) = (fold, &self.metrics) {
-            agg.lock()
-                .expect("metrics poisoned")
-                .merge(&fold.into_metrics());
-        }
-        out
+        let report = self.sweep(campaign, &mut progress).map(runner);
+        self.merge_metrics(&report.metrics);
+        report.records
     }
 
     /// The merged metrics accumulated so far (`None` when `--metrics`
     /// is off).
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+    pub fn metrics_snapshot(&self) -> Option<MetricsSet> {
         self.metrics
             .as_ref()
-            .map(|m| m.lock().expect("metrics poisoned").snapshot())
+            .map(|m| m.lock().expect("metrics poisoned").clone())
     }
 
     /// Persists everything the report channel accumulated — one
@@ -307,17 +252,15 @@ mod tests {
         let ctx = ExpCtx::new(2).with_metrics();
         let records = ctx.run(&c);
         assert_eq!(records, Sweep::of(&c).threads(2).run());
-        let snap = ctx.metrics_snapshot().unwrap();
-        assert!(snap.get("pipeline.steps").is_some(), "{}", snap.to_json());
-        // A second campaign folds into the same aggregate.
-        let more = tiny("ctx-metrics-2");
-        ctx.run(&more);
-        let grown = ctx.metrics_snapshot().unwrap();
-        let steps = |s: &MetricsSnapshot| match s.get("pipeline.steps") {
-            Some(ssr_obs::metrics::Metric::Counter(v)) => *v,
-            other => panic!("unexpected {other:?}"),
+        let steps = || {
+            let snap = ctx.metrics_snapshot().unwrap();
+            snap.counter_value("pipeline.steps")
+                .unwrap_or_else(|| panic!("{}", snap.to_json()))
         };
-        assert!(steps(&grown) > steps(&snap));
+        let first = steps();
+        // A second campaign folds into the same aggregate.
+        ctx.run(&tiny("ctx-metrics-2"));
+        assert!(steps() > first);
     }
 
     #[test]
@@ -349,26 +292,41 @@ mod tests {
     }
 
     #[test]
-    fn attach_collect_round_trip_on_a_direct_simulator() {
+    fn run_with_folds_and_traces_a_direct_simulator() {
+        use ssr_campaign::obs::trace_path;
         use ssr_core::{toys::Agreement, Sdr};
-        use ssr_graph::generators;
+        use ssr_runtime::family::{collect_probe_sink, install_probe_sink};
+        use ssr_runtime::{Simulator, TraceEvent};
 
         let dir = std::env::temp_dir().join(format!("ssr-ctx-test-{}", std::process::id()));
-        let ctx = ExpCtx::new(1).with_metrics().with_trace_dir(&dir);
-        let g = generators::ring(8);
-        let algo = Sdr::new(Agreement::new(4));
-        let init = algo.arbitrary_config(&g, 1);
-        let mut sim = Simulator::new(&g, algo, init, Daemon::Central, 2);
-        ctx.attach("direct", 0, &mut sim);
-        assert!(sim.has_trace_sink());
-        sim.execution().cap(100_000).run();
-        ctx.collect(&mut sim);
-        assert!(!sim.has_trace_sink());
+        let ctx = ExpCtx::new(2).with_metrics().with_trace_dir(&dir);
+        let c = tiny("direct");
+        let steps = ctx.run_with(&c, |sc, probe| {
+            let g = sc.topology.build(sc.n, sc.seed);
+            let algo = Sdr::new(Agreement::new(4));
+            let init = algo.arbitrary_config(&g, sc.seed);
+            let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sc.seed);
+            install_probe_sink(probe, &mut sim);
+            sim.execution().cap(sc.step_cap).run();
+            collect_probe_sink(probe, &mut sim);
+            sim.stats().steps
+        });
         let snap = ctx.metrics_snapshot().unwrap();
-        assert!(snap.get("pipeline.steps").is_some());
-        let trace = dir.join("direct").join("trace-00000.jsonl");
-        let text = std::fs::read_to_string(&trace).unwrap();
-        assert!(!ssr_obs::trace::parse_events(&text).unwrap().is_empty());
+        assert_eq!(
+            snap.counter_value("pipeline.steps"),
+            Some(steps.iter().sum())
+        );
+        assert_eq!(snap.counter_value("pipeline.runs"), Some(c.len() as u64));
+        assert!(snap.histogram("phase.apply.nanos").is_some(), "timed");
+        assert_eq!(snap.counter_value("campaign.scenarios"), None);
+        for (i, &n) in steps.iter().enumerate() {
+            let text = std::fs::read_to_string(trace_path(&dir.join("direct"), i)).unwrap();
+            let events = ssr_obs::trace::parse_events(&text).unwrap();
+            assert!(
+                matches!(events.last(), Some(TraceEvent::RunEnded { steps, .. }) if *steps == n),
+                "trace {i} closes its run"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

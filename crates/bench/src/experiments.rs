@@ -19,6 +19,7 @@ use ssr_campaign::{
 };
 use ssr_core::{alive_roots, toys::Agreement, Sdr, SegmentObserver, Standalone};
 use ssr_explore::campaign::{explore_scenario, stochastic_max, ScenarioExploreOptions};
+use ssr_runtime::family::{collect_probe_sink, install_probe_sink};
 use ssr_runtime::report::{ratio, Table};
 use ssr_runtime::{Daemon, ExecBudget, FamilyRunOutcome, RunSeeds, Simulator, TerminationReason};
 use ssr_unison::{spec, unison_sdr, Unison};
@@ -224,7 +225,7 @@ pub fn e3_segments(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .trials(1)
         .step_cap(p.step_cap())
         .seed(0xE3_000);
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, obs| {
         let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
         let sdr = Sdr::new(Agreement::new(6));
@@ -232,9 +233,9 @@ pub fn e3_segments(p: Profile, ctx: &ExpCtx) -> ExpResult {
         let roots0 = alive_roots(&sdr, &g, &init).len();
         let mut probe = SegmentObserver::new(&sdr, &g, &init);
         let mut sim = Simulator::new(&g, sdr, init, sc.daemon.clone(), sim_seed);
-        ctx.attach("e3-segments", sc.index, &mut sim);
+        install_probe_sink(obs, &mut sim);
         sim.execution().cap(sc.step_cap).observe(&mut probe).run();
-        ctx.collect(&mut sim);
+        collect_probe_sink(obs, &mut sim);
         let report = probe.report();
         E3Row {
             topology: sc.topology.label(),
@@ -417,14 +418,14 @@ pub fn e6_unison_spec(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .trials(1)
         .step_cap(p.step_cap())
         .seed(0xE6_00);
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, obs| {
         let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
         let algo = unison_sdr(Unison::for_graph(&g));
         let init = algo.arbitrary_config(&g, init_seed);
         let check = unison_sdr(Unison::for_graph(&g));
         let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sim_seed);
-        ctx.attach("e6-unison-spec", sc.index, &mut sim);
+        install_probe_sink(obs, &mut sim);
         let out = sim
             .execution()
             .cap(sc.step_cap)
@@ -435,7 +436,7 @@ pub fn e6_unison_spec(p: Profile, ctx: &ExpCtx) -> ExpResult {
         let mut probe = spec::SpecObserver::watching(&sim);
         let window = 200 * g.node_count() as u64;
         sim.execution().cap(window).observe(&mut probe).run();
-        ctx.collect(&mut sim);
+        collect_probe_sink(obs, &mut sim);
         E6Row {
             topology: sc.topology.label(),
             n: sc.n,
@@ -513,7 +514,7 @@ pub fn e7_fga_standalone(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .trials(1)
         .step_cap(p.step_cap())
         .seed(0xE7_00);
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, obs| {
         let preset = sc
             .algorithm
             .params_str()
@@ -526,9 +527,9 @@ pub fn e7_fga_standalone(p: Profile, ctx: &ExpCtx) -> ExpResult {
         let alg = Standalone::new(fga);
         let init = alg.initial_config(&g);
         let mut sim = Simulator::new(&g, alg, init, sc.daemon.clone(), sim_seed);
-        ctx.attach("e7-fga-standalone", sc.index, &mut sim);
+        install_probe_sink(obs, &mut sim);
         let out = sim.execution().cap(sc.step_cap).observe(&mut probe).run();
-        ctx.collect(&mut sim);
+        collect_probe_sink(obs, &mut sim);
         let v = probe.into_verdict().expect("sampled at run end");
         Some(FgaRow {
             topology: sc.topology.label(),
@@ -621,7 +622,7 @@ pub fn e8_fga_sdr(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .trials(p.trials())
         .step_cap(p.step_cap())
         .seed(0xE8_00);
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, obs| {
         let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
         let fga = PresetSpec::Domination
@@ -631,9 +632,9 @@ pub fn e8_fga_sdr(p: Profile, ctx: &ExpCtx) -> ExpResult {
         let algo = fga_sdr(fga);
         let init = algo.arbitrary_config(&g, init_seed);
         let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sim_seed);
-        ctx.attach("e8-fga-sdr", sc.index, &mut sim);
+        install_probe_sink(obs, &mut sim);
         let out = sim.execution().cap(sc.step_cap).observe(&mut probe).run();
-        ctx.collect(&mut sim);
+        collect_probe_sink(obs, &mut sim);
         let v = probe.into_verdict().expect("sampled at run end");
         FgaRow {
             topology: sc.topology.label(),
@@ -758,7 +759,7 @@ pub fn e9_presets(p: Profile, ctx: &ExpCtx) -> ExpResult {
         rounds: u64,
         moves: u64,
     }
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, obs| {
         let preset = sc
             .algorithm
             .params_str()
@@ -771,9 +772,9 @@ pub fn e9_presets(p: Profile, ctx: &ExpCtx) -> ExpResult {
         let algo = fga_sdr(fga);
         let init = algo.arbitrary_config(&g, init_seed);
         let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sim_seed);
-        ctx.attach("e9-presets", sc.index, &mut sim);
+        install_probe_sink(obs, &mut sim);
         let out = sim.execution().cap(sc.step_cap).observe(&mut probe).run();
-        ctx.collect(&mut sim);
+        collect_probe_sink(obs, &mut sim);
         let v = probe.into_verdict().expect("sampled at run end");
         let classical = match preset {
             PresetSpec::Domination => verify::is_dominating_set(&g, &v.members),
@@ -857,7 +858,7 @@ pub fn e10_ablation(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .trials(1)
         .step_cap(p.step_cap())
         .seed(0xE10);
-    let records = ctx.run_with(&campaign, |mut sc| {
+    let records = ctx.run_with(&campaign, |mut sc, _| {
         if sc.algorithm == families::cfg_unison() {
             sc.step_cap = baseline_cap;
         }
@@ -981,7 +982,7 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
         .step_cap(p.step_cap())
         .seed(0xE11);
     let registry = families::default_registry();
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, obs| {
         let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
         let InitPlan::CorruptClocks { k } = sc.init else {
@@ -995,16 +996,9 @@ pub fn e11_faults(p: Profile, ctx: &ExpCtx) -> ExpResult {
             sim: sim_seed,
             fault: k + 7,
         };
-        let traces = match sc.algorithm.family.as_str() {
-            "unison-sdr" => "e11-faults-sdr",
-            "cfg-unison" => "e11-faults-cfg",
-            _ => "e11-faults-mono",
-        };
         let family = registry.resolve(&sc.algorithm).expect("a standard family");
-        let out = ctx.probed(traces, sc.index, |probe| {
-            let budget = ExecBudget::steps(sc.step_cap);
-            family.run(&g, &sc.init, &sc.daemon, seeds, budget, Some(probe))
-        });
+        let budget = ExecBudget::steps(sc.step_cap);
+        let out = family.run(&g, &sc.init, &sc.daemon, seeds, budget, Some(obs));
         E11Row {
             family: sc.algorithm.label(),
             k,
@@ -1096,7 +1090,7 @@ pub fn e13_exhaustive(p: Profile, ctx: &ExpCtx) -> ExpResult {
     // sequential (the determinism property of the explorer itself is
     // pinned by its own tests).
     let opts = ScenarioExploreOptions::default();
-    let rows = ctx.run_with(&campaign, |sc| {
+    let rows = ctx.run_with(&campaign, |sc, _| {
         let exact = explore_scenario(&sc, &opts)?;
         let stoch = stochastic_max(&sc, &opts)?;
         Some((exact, stoch))

@@ -42,7 +42,7 @@ fn render_writes_the_library_rendering() {
     std::fs::write(dir.join("campaign-cli.jsonl"), output::jsonl(&records)).expect("write");
     let mut metrics = MetricsSet::new();
     metrics.inc("pipeline.steps", 42);
-    let snapshot = format!("{}\n", metrics.snapshot().to_json());
+    let snapshot = format!("{}\n", metrics.to_json());
     std::fs::write(dir.join("metrics.json"), snapshot).expect("write metrics");
 
     let out = dir.join("out.html");

@@ -10,9 +10,9 @@
 //! [`cache`](Sweep::cache) with an optional checkpoint journal — then
 //! finish with [`run`](Sweep::run) (the records),
 //! [`run_report`](Sweep::run_report) (the records plus the merged
-//! metrics) or [`map`](Sweep::map) (a custom runner). Every channel is
-//! off by default, and a channel that is off does no work per
-//! scenario.
+//! metrics) or [`map`](Sweep::map) (a custom runner's results plus the
+//! merged metrics). Every channel is off by default, and a channel
+//! that is off does no work per scenario.
 //!
 //! # Determinism contract
 //!
@@ -80,10 +80,10 @@ pub struct Sweep<'a> {
     journal: Option<&'a CheckpointWriter>,
 }
 
-/// What [`Sweep::run_report`] returns.
-pub struct SweepReport {
-    /// The records, in grid order.
-    pub records: Vec<ScenarioRecord>,
+/// What [`Sweep::run_report`] and [`Sweep::map`] return.
+pub struct SweepReport<R = ScenarioRecord> {
+    /// The records (a custom runner's results), in grid order.
+    pub records: Vec<R>,
     /// The metrics merged across workers; empty unless
     /// [`Sweep::metrics`] or [`Sweep::timed_metrics`] was set.
     pub metrics: MetricsSet,
@@ -141,7 +141,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Writes one JSONL trace per simulated scenario into `dir`, named
-    /// by [`trace_path`].
+    /// by [`trace_path`]; the first trace creates `dir`.
     pub fn trace_dir(mut self, dir: impl AsRef<Path>) -> Self {
         self.trace_dir = Some(dir.as_ref().to_path_buf());
         self
@@ -166,9 +166,8 @@ impl<'a> Sweep<'a> {
     pub fn run_report(mut self) -> SweepReport {
         let (registry, cache, journal) = (self.registry, self.cache, self.journal);
         let trace_dir = self.trace_dir.take();
-        let campaign = self.campaign;
-        let id = campaign.id();
-        let (records, metrics) = self.drive(|sc, worker| {
+        let id = self.campaign.id();
+        self.drive(|sc, worker| {
             let graphs = &mut worker.graphs;
             let fp = cache.map(|_| sc.fingerprint());
             let cached = cache.zip(fp).and_then(|(cache, fp)| cache.lookup(fp, &sc));
@@ -212,27 +211,33 @@ impl<'a> Sweep<'a> {
             rec.campaign = id.to_string();
             let ok = rec.verdict.ok();
             (rec, ok)
-        });
-        SweepReport { records, metrics }
+        })
     }
 
     /// Runs every scenario through `runner` and returns its results in
-    /// grid order. Only the threads and progress apply: a custom
-    /// runner owns its simulators, so it attaches any trace sink
-    /// itself. The runner must be a pure function of the scenario for
-    /// the determinism contract to hold.
-    pub fn map<R, F>(self, runner: F) -> Vec<R>
+    /// grid order, with the metrics its simulations folded. The runner
+    /// gets the [`ObsProbe`] the default runner would: the worker's
+    /// metrics fold and the scenario's trace file, reached through
+    /// `Family::run` or a simulator of its own (see [`ObsProbe`]); a
+    /// runner that leaves it unused writes no trace. No `campaign.*`
+    /// counter is kept. The runner must be a pure function of the
+    /// scenario for the determinism contract to hold.
+    pub fn map<R, F>(mut self, runner: F) -> SweepReport<R>
     where
         R: Send,
-        F: Fn(Scenario) -> R + Sync,
+        F: Fn(Scenario, &mut ObsProbe<'_>) -> R + Sync,
     {
-        self.drive(|sc, _| (runner(sc), true)).0
+        let trace_dir = self.trace_dir.take();
+        self.drive(|sc, worker| {
+            let path = trace_dir.as_deref().map(|dir| trace_path(dir, sc.index));
+            (runner(sc, &mut ObsProbe::new(&mut worker.fold, path)), true)
+        })
     }
 
     /// The one pool pass behind [`Sweep::run_report`] and
     /// [`Sweep::map`]: `work` maps a scenario (and the state of the
     /// worker running it) to its result and whether it went ok.
-    fn drive<R, W>(self, work: W) -> (Vec<R>, MetricsSet)
+    fn drive<R, W>(self, work: W) -> SweepReport<R>
     where
         R: Send,
         W: Fn(Scenario, &mut Worker) -> (R, bool) + Sync,
@@ -248,7 +253,7 @@ impl<'a> Sweep<'a> {
             p.begin(campaign.len());
         }
         let progress = progress.map(Mutex::new);
-        let (results, workers) = par_map(
+        let (records, workers) = par_map(
             campaign.len(),
             threads,
             1,
@@ -291,7 +296,10 @@ impl<'a> Sweep<'a> {
         if let Some(p) = progress {
             p.into_inner().expect("progress lock poisoned").finish();
         }
-        (results, merged)
+        SweepReport {
+            records,
+            metrics: merged,
+        }
     }
 }
 
@@ -328,7 +336,10 @@ where
     R: Send,
     F: Fn(Scenario) -> R + Sync,
 {
-    Sweep::of(campaign).threads(threads).map(runner)
+    Sweep::of(campaign)
+        .threads(threads)
+        .map(|sc, _| runner(sc))
+        .records
 }
 
 #[cfg(test)]
@@ -387,7 +398,7 @@ mod tests {
     #[test]
     fn run_with_custom_runner_sees_every_scenario() {
         let c = tiny();
-        let indices = Sweep::of(&c).threads(4).map(|sc| sc.index);
+        let indices = Sweep::of(&c).threads(4).map(|sc, _| sc.index).records;
         assert_eq!(indices, (0..c.len()).collect::<Vec<_>>());
         assert_eq!(run_with(&c, 4, |sc| sc.index), indices);
     }

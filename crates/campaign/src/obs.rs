@@ -1,7 +1,7 @@
 //! The per-scenario side of a [`Sweep`](crate::engine::Sweep)'s
 //! observability channels: the progress label, the trace file name,
 //! and the [`FamilyProbe`] that hands a [`CompositeSink`] to each
-//! family's measured execution.
+//! measured execution, a family's or a custom runner's.
 //!
 //! Observability is strictly read-only with respect to results:
 //! records produced with any combination of channels on are identical
@@ -37,9 +37,15 @@ pub fn trace_path(dir: &Path, index: usize) -> PathBuf {
 }
 
 /// The per-scenario [`FamilyProbe`]: moves the caller's fold into a
-/// [`CompositeSink`] for the family's measured execution, next to the
-/// scenario's trace file, and back out when the sink comes back;
-/// custom runners that call `Family::run` themselves pass one too.
+/// [`CompositeSink`] for the measured execution, next to the
+/// scenario's trace file, and back out when the sink comes back. A
+/// sweep's default runner passes one to `Family::run` when metrics or
+/// traces are on; a custom runner of
+/// [`Sweep::map`](crate::engine::Sweep::map) is lent one for every
+/// scenario, and passes it to `Family::run` or wraps a simulator of
+/// its own in
+/// [`install_probe_sink`](ssr_runtime::family::install_probe_sink) and
+/// [`collect_probe_sink`](ssr_runtime::family::collect_probe_sink).
 pub struct ObsProbe<'m> {
     fold: &'m mut Option<PipelineMetrics>,
     trace_path: Option<PathBuf>,
@@ -57,6 +63,12 @@ impl<'m> ObsProbe<'m> {
 
 impl FamilyProbe for ObsProbe<'_> {
     fn make_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        // The first trace makes its directory, so a runner that traces
+        // nothing leaves none behind. One that cannot be made degrades
+        // to no trace: observability never fails a run.
+        if let Some(dir) = self.trace_path.as_deref().and_then(Path::parent) {
+            let _ = std::fs::create_dir_all(dir);
+        }
         CompositeSink::with_fold(self.fold.take(), self.trace_path.as_deref())
     }
 

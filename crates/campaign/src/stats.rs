@@ -84,13 +84,6 @@ pub struct GroupSummary {
     pub moves: Summary,
 }
 
-impl GroupSummary {
-    /// Whether no run in the group violated a bound.
-    pub fn all_ok(&self) -> bool {
-        self.failed == 0
-    }
-}
-
 /// Groups records by `key` and summarizes each group; groups come back
 /// sorted by key (deterministic regardless of record order).
 pub fn summarize_by(
@@ -166,9 +159,8 @@ mod tests {
         assert_eq!(groups[0].runs, 1);
         assert_eq!(groups[0].failed, 1);
         assert_eq!(groups[0].skipped, 1);
-        assert!(!groups[0].all_ok());
         assert_eq!(groups[1].key, "b");
         assert_eq!(groups[1].rounds.max, 10);
-        assert!(groups[1].all_ok());
+        assert_eq!(groups[1].failed, 0);
     }
 }

@@ -1,21 +1,25 @@
 //! Observability never steers: campaign records with every obs channel
 //! enabled are identical to a bare run, and the merged metrics
 //! snapshot is deterministic across thread counts and equal to a fold
-//! per scenario.
+//! per scenario, for the default runner and custom ones alike.
 
 use std::path::{Path, PathBuf};
 
 use ssr_campaign::obs::trace_path;
 use ssr_campaign::{
-    engine, families, Campaign, CheckpointWriter, RecordCache, ScenarioRecord, Sweep, TopologySpec,
+    engine, families, Campaign, CheckpointWriter, RecordCache, Scenario, ScenarioRecord, Sweep,
+    TopologySpec,
 };
+use ssr_core::{toys::Agreement, Sdr};
 use ssr_obs::metrics::MetricsSet;
-use ssr_obs::pipeline::CompositeSink;
+use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::{Progress, ProgressBus};
 use ssr_obs::trace::parse_events;
 use ssr_obs::TraceEvent;
-use ssr_runtime::family::{ExecBudget, FamilyProbe, RunSeeds};
-use ssr_runtime::{Daemon, TraceSink};
+use ssr_runtime::family::{
+    collect_probe_sink, install_probe_sink, ExecBudget, FamilyProbe, RunSeeds,
+};
+use ssr_runtime::{Daemon, Simulator, TraceSink};
 
 fn tiny() -> Campaign {
     Campaign::new("obs-equivalence")
@@ -101,7 +105,7 @@ fn merged_metrics_are_deterministic_across_thread_counts() {
     let c = tiny();
     let snapshot_at = |threads: usize| {
         let report = Sweep::of(&c).threads(threads).metrics().run_report();
-        report.metrics.snapshot().to_json()
+        report.metrics.to_json()
     };
     let seq = snapshot_at(1);
     assert!(seq.contains("\"schema\":\"ssr-metrics-v1\""));
@@ -121,35 +125,85 @@ struct OwnFold<'m> {
 
 impl FamilyProbe for OwnFold<'_> {
     fn make_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        CompositeSink::open(Some(false), self.trace.as_deref())
+        let fold = Some(PipelineMetrics::without_timing());
+        CompositeSink::with_fold(fold, self.trace.as_deref())
     }
 
     fn collect_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        if let Some(folded) = CompositeSink::drain(sink) {
-            self.total.merge(&folded);
+        if let Some(fold) = CompositeSink::into_fold(sink) {
+            self.total.merge(&fold.into_metrics());
         }
     }
 }
 
-/// The untimed metrics snapshot of a sweep of `c`, made the way a sweep
-/// made it while each scenario had a fold of its own: every simulated
-/// scenario (those not in `hits`) folds into a `PipelineMetrics` that
-/// is named and merged into the total alone, next to its trace file in
-/// `trace_dir`. `cached` says whether the sweep had a cache; `bare` are
-/// its records.
+/// How a runner simulates a scenario through a probe.
+type Runner = fn(&Scenario, &mut dyn FamilyProbe);
+
+/// The default runner's simulation: `sc`'s family, handed the probe.
+fn family_runner(sc: &Scenario, probe: &mut dyn FamilyProbe) {
+    let [graph_seed, init, sim, fault] = sc.seeds::<4>();
+    let g = sc.topology.build(sc.n, graph_seed);
+    let registry = families::default_registry();
+    let family = registry.resolve(&sc.algorithm).expect("a standard family");
+    assert!(family.instantiable(&g));
+    family.run(
+        &g,
+        &sc.init,
+        &sc.daemon,
+        RunSeeds { init, sim, fault },
+        ExecBudget::steps(sc.step_cap).with_intra_threads(sc.intra_threads),
+        Some(probe),
+    );
+}
+
+/// A runner's own simulator, SDR over agreement, with the probe's sink
+/// installed around its execution.
+fn simulator_runner(sc: &Scenario, probe: &mut dyn FamilyProbe) {
+    let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
+    let g = sc.topology.build(sc.n, graph_seed);
+    let algo = Sdr::new(Agreement::new(4));
+    let init = algo.arbitrary_config(&g, init_seed);
+    let mut sim = Simulator::new(&g, algo, init, sc.daemon.clone(), sim_seed);
+    install_probe_sink(probe, &mut sim);
+    sim.execution().cap(sc.step_cap).until_legitimate().run();
+    collect_probe_sink(probe, &mut sim);
+}
+
+/// The untimed pipeline metrics of a sweep of `c` through `run`, made
+/// the way a sweep made them while each scenario had a fold of its
+/// own: every simulated scenario (those not in `hits`) folds into a
+/// `PipelineMetrics` that is named and merged into the total alone,
+/// next to its trace file in `trace_dir`.
 fn fold_per_scenario(
     c: &Campaign,
-    bare: &[ScenarioRecord],
     hits: &[bool],
-    cached: bool,
     trace_dir: Option<&Path>,
-) -> String {
-    let registry = families::default_registry();
+    run: Runner,
+) -> MetricsSet {
     let mut total = MetricsSet::new();
-    for (i, rec) in bare.iter().enumerate() {
+    for i in (0..c.len()).filter(|&i| !hits[i]) {
+        let mut probe = OwnFold {
+            total: &mut total,
+            trace: trace_dir.map(|dir| trace_path(dir, i)),
+        };
+        run(&c.scenario(i), &mut probe);
+    }
+    assert!(
+        total.counter_value("pipeline.steps").is_some(),
+        "the reference folded runs"
+    );
+    total
+}
+
+/// The `campaign.*` counters the default runner keeps for `bare`'s
+/// records, of which those in `hits` were cache hits; `cached` says
+/// whether the sweep had a cache.
+fn campaign_counters(bare: &[ScenarioRecord], hits: &[bool], cached: bool) -> MetricsSet {
+    let mut total = MetricsSet::new();
+    for (rec, &hit) in bare.iter().zip(hits) {
         total.inc("campaign.scenarios", 1);
         if cached {
-            let key = if hits[i] {
+            let key = if hit {
                 "campaign.cache_hits"
             } else {
                 "campaign.cache_misses"
@@ -159,30 +213,16 @@ fn fold_per_scenario(
         if !rec.verdict.ok() {
             total.inc("campaign.failed", 1);
         }
-        if hits[i] {
-            continue;
-        }
-        let sc = c.scenario(i);
-        let [graph_seed, init, sim, fault] = sc.seeds::<4>();
-        let g = sc.topology.build(sc.n, graph_seed);
-        let family = registry.resolve(&sc.algorithm).expect("a standard family");
-        assert!(family.instantiable(&g));
-        let mut probe = OwnFold {
-            total: &mut total,
-            trace: trace_dir.map(|dir| trace_path(dir, i)),
-        };
-        family.run(
-            &g,
-            &sc.init,
-            &sc.daemon,
-            RunSeeds { init, sim, fault },
-            ExecBudget::steps(sc.step_cap).with_intra_threads(sc.intra_threads),
-            Some(&mut probe),
-        );
     }
-    let json = total.snapshot().to_json();
-    assert!(json.contains("pipeline.steps"), "the reference folded runs");
-    json
+    total
+}
+
+/// Both trace directories hold `c`'s files with the same bytes.
+fn assert_same_traces(c: &Campaign, swept: &Path, expected: &Path, what: &str) {
+    for i in 0..c.len() {
+        let read = |d: &Path| std::fs::read(trace_path(d, i)).unwrap();
+        assert_eq!(read(swept), read(expected), "trace {i}, {what}");
+    }
 }
 
 /// A sweep worker folds every scenario it simulates into one
@@ -213,9 +253,11 @@ fn one_fold_per_worker_equals_a_fold_per_scenario() {
             .cache(&cache, Some(&journal))
             .run_report();
         assert_eq!(served.records, bare);
+        let mut reference = campaign_counters(&bare, &hits, true);
+        reference.merge(&fold_per_scenario(&c, &hits, None, family_runner));
         assert_eq!(
-            served.metrics.snapshot().to_json(),
-            fold_per_scenario(&c, &bare, &hits, true, None),
+            served.metrics.to_json(),
+            reference.to_json(),
             "served, threads={threads}"
         );
 
@@ -230,18 +272,46 @@ fn one_fold_per_worker_equals_a_fold_per_scenario() {
             .trace_dir(&swept)
             .run_report();
         let none = vec![false; c.len()];
-        assert_eq!(
-            traced.metrics.snapshot().to_json(),
-            fold_per_scenario(&c, &bare, &none, false, Some(&expected)),
-            "traced, threads={threads}"
-        );
-        for i in 0..c.len() {
-            let read = |d: &Path| std::fs::read(trace_path(d, i)).unwrap();
+        let mut reference = campaign_counters(&bare, &none, false);
+        let folds = fold_per_scenario(&c, &none, Some(&expected), family_runner);
+        reference.merge(&folds);
+        let what = format!("traced, threads={threads}");
+        assert_eq!(traced.metrics.to_json(), reference.to_json(), "{what}");
+        assert_same_traces(&c, &swept, &expected, &what);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A custom runner gets the default runner's probe: the worker's fold
+/// and the scenario's trace file, in a directory the first trace
+/// creates. Handed to `Family::run` or installed around a simulator of
+/// the runner's own, it gives the metrics and trace bytes of a fold
+/// per scenario, with no `campaign.*` counter.
+#[test]
+fn map_runners_fold_and_trace_through_the_lent_probe() {
+    let c = tiny();
+    let none = vec![false; c.len()];
+    let dir = scratch_dir("map");
+    for (name, run) in [
+        ("family", family_runner as Runner),
+        ("simulator", simulator_runner),
+    ] {
+        for threads in [1, 4] {
+            let swept = dir.join(format!("{name}-swept-{threads}"));
+            let expected = dir.join(format!("{name}-expected-{threads}"));
+            std::fs::create_dir_all(&expected).unwrap();
+            let mapped = Sweep::of(&c)
+                .threads(threads)
+                .metrics()
+                .trace_dir(&swept)
+                .map(|sc, probe| run(&sc, probe));
+            let what = format!("{name} runner, threads={threads}");
             assert_eq!(
-                read(&swept),
-                read(&expected),
-                "trace {i}, threads={threads}"
+                mapped.metrics.to_json(),
+                fold_per_scenario(&c, &none, Some(&expected), run).to_json(),
+                "{what}"
             );
+            assert_same_traces(&c, &swept, &expected, &what);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -280,7 +350,7 @@ fn progress_sees_every_scenario_exactly_once() {
     Sweep::of(&c)
         .threads(3)
         .progress(&mut mapped)
-        .map(|sc| sc.index);
+        .map(|sc, _| sc.index);
     for mut p in [records, mapped] {
         assert_eq!(p.begun, Some(c.len()));
         assert!(p.finished);

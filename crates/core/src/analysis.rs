@@ -46,11 +46,6 @@ impl RuleKind {
             _ => RuleKind::Inner,
         }
     }
-
-    /// Whether this is one of SDR's four rules.
-    pub fn is_sdr(self) -> bool {
-        !matches!(self, RuleKind::Inner)
-    }
 }
 
 /// All alive roots (Definition 1) of a configuration.
@@ -454,8 +449,6 @@ mod tests {
         assert_eq!(RuleKind::of(RULE_C), RuleKind::Clean);
         assert_eq!(RuleKind::of(RULE_R), RuleKind::Root);
         assert_eq!(RuleKind::of(RuleId(4)), RuleKind::Inner);
-        assert!(RuleKind::of(RULE_R).is_sdr());
-        assert!(!RuleKind::of(RuleId(7)).is_sdr());
     }
 
     #[test]

@@ -95,25 +95,6 @@ pub fn complete(n: usize) -> Graph {
     must(b)
 }
 
-/// Complete bipartite graph `K_{a,b}` (left part `0..a`, right `a..a+b`).
-///
-/// # Panics
-///
-/// Panics if `a == 0` or `b == 0`.
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    assert!(
-        a > 0 && b > 0,
-        "complete_bipartite requires both parts nonempty"
-    );
-    let mut g = GraphBuilder::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g = g.edge(u as u32, (a + v) as u32);
-        }
-    }
-    must(g)
-}
-
 /// Balanced binary tree on `n` nodes (node `i` has parent `(i-1)/2`).
 ///
 /// # Panics
@@ -361,35 +342,6 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
     must(GraphBuilder::new(n).edges(edges))
 }
 
-/// The standard topology suite used by the experiment harness.
-///
-/// Returns `(label, graph)` pairs, sized around `n` nodes (exact size may
-/// differ for grids/hypercubes, which need composite node counts).
-pub fn standard_suite(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
-    let mut out: Vec<(&'static str, Graph)> = Vec::new();
-    if n >= 3 {
-        out.push(("ring", ring(n)));
-    }
-    out.push(("path", path(n)));
-    if n >= 2 {
-        out.push(("star", star(n)));
-    }
-    out.push(("complete", complete(n.min(64))));
-    out.push(("binary-tree", binary_tree(n)));
-    out.push(("random-tree", random_tree(n, seed)));
-    out.push(("random-sparse", random_connected(n, n / 2, seed)));
-    out.push(("caterpillar", caterpillar((n / 2).max(1), 1)));
-    if n >= 4 {
-        out.push(("wheel", wheel(n)));
-    }
-    let side = (n as f64).sqrt().round().max(2.0) as usize;
-    out.push(("grid", grid(side, side)));
-    if side >= 3 {
-        out.push(("torus", torus(side, side)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,14 +376,6 @@ mod tests {
         let g = complete(5);
         assert_eq!(g.edge_count(), 10);
         assert_eq!(metrics::diameter(&g), 1);
-    }
-
-    #[test]
-    fn complete_bipartite_shape() {
-        let g = complete_bipartite(2, 3);
-        assert_eq!(g.node_count(), 5);
-        assert_eq!(g.edge_count(), 6);
-        assert_eq!(metrics::diameter(&g), 2);
     }
 
     #[test]
@@ -524,14 +468,5 @@ mod tests {
         assert_eq!(g.node_count(), 40);
         let dense = gnp_connected(20, 0.9, 11);
         assert!(dense.edge_count() > 150);
-    }
-
-    #[test]
-    fn standard_suite_covers_families() {
-        let suite = standard_suite(16, 5);
-        assert!(suite.len() >= 8);
-        for (label, g) in &suite {
-            assert!(g.node_count() >= 4, "{label} too small");
-        }
     }
 }

@@ -17,7 +17,7 @@
 //!   experiment harness (rings, paths, stars, trees, grids, tori,
 //!   hypercubes, random connected graphs, …);
 //! * [`metrics`] — exact graph metrics (diameter, eccentricities,
-//!   degree statistics) computed by BFS;
+//!   radius) computed by BFS;
 //! * [`Bitset`] — the word-packed per-node flag set the step pipeline
 //!   in `ssr-runtime` keeps its round front in.
 //!

@@ -97,11 +97,6 @@ impl Bfs {
     }
 }
 
-/// Average degree `2m / n`.
-pub fn average_degree(g: &Graph) -> f64 {
-    2.0 * g.edge_count() as f64 / g.node_count() as f64
-}
-
 /// Summary of the quantities appearing in the paper's bounds.
 ///
 /// # Examples
@@ -135,61 +130,10 @@ impl GraphProfile {
     }
 }
 
-/// Renders the graph in Graphviz DOT format (for debugging and docs).
-///
-/// # Examples
-///
-/// ```
-/// use ssr_graph::{generators, metrics};
-/// let dot = metrics::to_dot(&generators::path(3), "p3");
-/// assert!(dot.contains("graph p3 {"));
-/// assert!(dot.contains("  0 -- 1;"));
-/// ```
-pub fn to_dot(g: &Graph, name: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    for u in g.nodes() {
-        let _ = writeln!(out, "  {u};");
-    }
-    for (u, v) in g.edges() {
-        let _ = writeln!(out, "  {u} -- {v};");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Histogram of node degrees: `hist[d]` = number of nodes of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for u in g.nodes() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn dot_export_contains_all_edges() {
-        let g = generators::ring(4);
-        let dot = to_dot(&g, "c4");
-        assert_eq!(dot.matches(" -- ").count(), 4);
-        assert!(dot.starts_with("graph c4 {"));
-        assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let g = generators::star(5);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist[1], 4); // leaves
-        assert_eq!(hist[4], 1); // hub
-        assert_eq!(hist.iter().sum::<usize>(), 5);
-    }
 
     #[test]
     fn bfs_on_star() {
@@ -228,13 +172,6 @@ mod tests {
         let g = crate::GraphBuilder::new(1).build().unwrap();
         assert_eq!(diameter(&g), 0);
         assert_eq!(radius(&g), 0);
-        assert_eq!(average_degree(&g), 0.0);
-    }
-
-    #[test]
-    fn average_degree_ring() {
-        let g = generators::ring(10);
-        assert!((average_degree(&g) - 2.0).abs() < 1e-12);
     }
 
     #[test]

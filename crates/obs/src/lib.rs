@@ -19,10 +19,9 @@
 //! 2. **Metrics** — [`MetricsSet`] holds
 //!    counters, gauges, and power-of-two-bucket histograms; sets are
 //!    accumulated lock-free (by ownership, one per worker) and merged
-//!    once the workers return, into a snapshot that is
-//!    deterministic: sorted keys, byte-stable JSON
-//!    (`"schema":"ssr-metrics-v1"`, read back by
-//!    [`MetricsSnapshot::from_json`]), and a human table.
+//!    once the workers return, into one set that is deterministic:
+//!    sorted keys, byte-stable JSON (`"schema":"ssr-metrics-v1"`, read
+//!    back by [`MetricsSet::from_json`]), and a human table.
 //!
 //! 3. **Progress** — [`Progress`] reporters stream campaign
 //!    completion (done/total, ETA, per-worker state) to stderr
@@ -44,7 +43,7 @@ pub mod progress;
 pub mod trace;
 
 pub use json::Value as JsonValue;
-pub use metrics::{Histogram, Metric, MetricsSet, MetricsSnapshot};
+pub use metrics::{Histogram, Metric, MetricsSet};
 pub use pipeline::{CompositeSink, PipelineMetrics};
 pub use progress::{BusSnapshot, Progress, ProgressBus, StderrProgress};
 pub use trace::JsonlSink;

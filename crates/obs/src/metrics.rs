@@ -1,14 +1,14 @@
 //! The metrics registry: counters, gauges, and fixed-bucket histograms
-//! with per-thread accumulation and a deterministic merged snapshot.
+//! with per-thread accumulation and a deterministic merged set.
 //!
 //! The design is lock-free by **ownership**, not by atomics: each
 //! worker thread owns a private [`MetricsSet`], and the caller merges
 //! the workers' sets once their work is done. Every merge operation
 //! is commutative and associative (counters add, gauges keep extrema,
-//! histogram buckets add), and snapshots sort keys, so a merged
-//! [`MetricsSnapshot`] has deterministic *structure* regardless of
-//! submission order — only wall-clock-derived values vary between
-//! runs, and those live under explicitly time-valued keys.
+//! histogram buckets add), and a set keeps its keys sorted, so a
+//! merged set has deterministic *structure* regardless of submission
+//! order — only wall-clock-derived values vary between runs, and those
+//! live under explicitly time-valued keys.
 //!
 //! Histograms use fixed power-of-two buckets (the value's bit length),
 //! so observing a value is a handful of integer ops and two slots of
@@ -196,12 +196,13 @@ impl Metric {
     }
 }
 
-/// A thread-owned bundle of named metrics.
+/// A thread-owned bundle of named metrics, with JSON and human-table
+/// renderings.
 ///
-/// Keys sort lexicographically in snapshots; dots conventionally
-/// namespace them (`pipeline.steps`, `phase.apply.nanos`). Mixing
-/// metric kinds under one key panics — that is a programming error,
-/// not data.
+/// Keys sort lexicographically, in [`MetricsSet::items`] and both
+/// renderings; dots conventionally namespace them (`pipeline.steps`,
+/// `phase.apply.nanos`). Mixing metric kinds under one key panics —
+/// that is a programming error, not data.
 ///
 /// # Examples
 ///
@@ -301,6 +302,11 @@ impl MetricsSet {
         self.metrics.get(key)
     }
 
+    /// The metrics, sorted by key.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = (&str, &Metric)> {
+        self.metrics.iter().map(|(key, m)| (key.as_str(), m))
+    }
+
     /// Whether no metric was ever touched.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
@@ -344,46 +350,12 @@ impl MetricsSet {
         }
     }
 
-    /// Freezes the set into a sorted snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            items: self
-                .metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
-}
-
-/// An immutable, key-sorted view of a merged [`MetricsSet`], with JSON
-/// and human-table renderings.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsSnapshot {
-    items: Vec<(String, Metric)>,
-}
-
-impl MetricsSnapshot {
-    /// The metrics, sorted by key.
-    pub fn items(&self) -> &[(String, Metric)] {
-        &self.items
-    }
-
-    /// The metric under `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&Metric> {
-        self.items
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| &self.items[i].1)
-    }
-
     /// Parses an `ssr-metrics-v1` document: the inverse of
-    /// [`MetricsSnapshot::to_json`], so `from_json(&s.to_json())` is
-    /// `Ok(s)`. Histograms are rebuilt from their buckets, a bound that
-    /// is not a bucket's upper edge is an error, and keys come out
-    /// sorted, as [`MetricsSet::snapshot`] sorts them. A repeated key
-    /// is an error.
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
+    /// [`MetricsSet::to_json`], so `from_json(&s.to_json())` is
+    /// `Ok(s)`. Histograms are rebuilt from their buckets, and a bound
+    /// that is not a bucket's upper edge is an error. A repeated key is
+    /// an error.
+    pub fn from_json(text: &str) -> Result<MetricsSet, String> {
         let root = json::parse(text)?;
         let schema = json::str_field(&root, "schema", "document")?;
         if schema != "ssr-metrics-v1" {
@@ -407,17 +379,15 @@ impl MetricsSnapshot {
                 return Err(format!("{what} appears twice"));
             }
         }
-        Ok(MetricsSnapshot {
-            items: metrics.into_iter().collect(),
-        })
+        Ok(MetricsSet { metrics })
     }
 
     /// One JSON object: `{"schema":"ssr-metrics-v1","metrics":{...}}`.
     /// Hand-rolled (the workspace has no serde); key order is the
-    /// sorted key order, so equal snapshots render equal bytes.
+    /// sorted key order, so equal sets render equal bytes.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\"schema\":\"ssr-metrics-v1\",\"metrics\":{");
-        for (i, (key, m)) in self.items.iter().enumerate() {
+        for (i, (key, m)) in self.items().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -458,13 +428,7 @@ impl MetricsSnapshot {
 
     /// A fixed-width human table, one metric per row.
     pub fn render_table(&self) -> String {
-        let key_w = self
-            .items
-            .iter()
-            .map(|(k, _)| k.len())
-            .max()
-            .unwrap_or(6)
-            .max(6);
+        let key_w = self.items().map(|(k, _)| k.len()).max().unwrap_or(6).max(6);
         let mut s = format!("{:<key_w$}  {:<9}  value\n", "metric", "type");
         let _ = writeln!(
             s,
@@ -473,7 +437,7 @@ impl MetricsSnapshot {
             "-".repeat(9),
             "-".repeat(30)
         );
-        for (key, m) in &self.items {
+        for (key, m) in self.items() {
             match m {
                 Metric::Counter(c) => {
                     let _ = writeln!(s, "{key:<key_w$}  {:<9}  {c}", "counter");
@@ -569,9 +533,12 @@ mod tests {
         m.inc("z.last", 1);
         m.inc("a.first", 2);
         m.observe("h", 7);
-        let j1 = m.snapshot().to_json();
-        let j2 = m.snapshot().to_json();
-        assert_eq!(j1, j2);
+        let mut reversed = MetricsSet::new();
+        reversed.observe("h", 7);
+        reversed.inc("a.first", 2);
+        reversed.inc("z.last", 1);
+        let j1 = m.to_json();
+        assert_eq!(j1, reversed.to_json());
         assert!(j1.starts_with("{\"schema\":\"ssr-metrics-v1\""));
         let a = j1.find("a.first").unwrap();
         let z = j1.find("z.last").unwrap();
@@ -584,14 +551,13 @@ mod tests {
         m.insert_histogram("empty", Histogram::default());
         m.gauge_set("g", 3);
         m.observe("h", 5);
-        let snap = m.snapshot();
-        assert_eq!(MetricsSnapshot::from_json(&snap.to_json()), Ok(snap));
+        assert_eq!(MetricsSet::from_json(&m.to_json()), Ok(m));
         let doc = |body: &str| format!("{{\"schema\":\"ssr-metrics-v1\",\"metrics\":{{{body}}}}}");
         let h = |buckets: &str| {
             format!("\"h\":{{\"type\":\"histogram\",\"count\":2,\"sum\":4,\"min\":1,\"max\":3,\"buckets\":[{buckets}]}}")
         };
         let c = "\"c\":{\"type\":\"counter\",\"value\":1}";
-        assert!(MetricsSnapshot::from_json(&doc(&h("[1,1],[3,1]"))).is_ok());
+        assert!(MetricsSet::from_json(&doc(&h("[1,1],[3,1]"))).is_ok());
         for bad in [
             h("[1,1],[2,1]"),   // 2 is no bucket's upper edge
             h("[3,1],[1,1]"),   // bounds descend
@@ -599,9 +565,9 @@ mod tests {
             format!("{c},{c}"), // a repeated key
             c.replace("counter", "meter"),
         ] {
-            assert!(MetricsSnapshot::from_json(&doc(&bad)).is_err(), "{bad}");
+            assert!(MetricsSet::from_json(&doc(&bad)).is_err(), "{bad}");
         }
-        assert!(MetricsSnapshot::from_json("{\"schema\":\"nope\",\"metrics\":{}}").is_err());
+        assert!(MetricsSet::from_json("{\"schema\":\"nope\",\"metrics\":{}}").is_err());
     }
 
     #[test]
@@ -610,7 +576,7 @@ mod tests {
         m.inc("c", 2);
         m.gauge_set("g", 5);
         m.observe("h", 3);
-        let t = m.snapshot().render_table();
+        let t = m.render_table();
         assert!(t.contains("counter") && t.contains("gauge") && t.contains("histogram"));
     }
 

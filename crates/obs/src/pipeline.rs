@@ -152,14 +152,13 @@ impl TraceSink for PipelineMetrics {
 }
 
 /// The standard composite: fans each event into a metrics fold and/or
-/// a JSONL trace file, whichever are enabled. [`CompositeSink::open`]
-/// builds it for [`Simulator::set_trace_sink`] and
-/// [`CompositeSink::drain`] reads it back once
-/// [`Simulator::take_trace_sink`] returns it — the pair experiment and
-/// `scale` runs go through. A campaign worker, which folds every
-/// scenario it runs into one [`PipelineMetrics`], moves that fold in
-/// with [`CompositeSink::with_fold`] and back out with
-/// [`CompositeSink::into_fold`].
+/// a JSONL trace file, whichever are enabled.
+/// [`CompositeSink::with_fold`] moves a fold in, for
+/// [`Simulator::set_trace_sink`], and [`CompositeSink::into_fold`]
+/// moves it back out once [`Simulator::take_trace_sink`] returns the
+/// sink. A campaign worker folds every scenario it simulates into one
+/// [`PipelineMetrics`] this way; `scale` gives each traced run a fresh
+/// one.
 ///
 /// [`Simulator::set_trace_sink`]: ssr_runtime::Simulator::set_trace_sink
 /// [`Simulator::take_trace_sink`]: ssr_runtime::Simulator::take_trace_sink
@@ -169,26 +168,12 @@ pub struct CompositeSink {
 }
 
 impl CompositeSink {
-    /// The sink for the enabled channels: a metrics fold when
-    /// `metrics` is `Some(timed)` (`timed` adds the wall-clock
-    /// `phase.*.nanos` histograms) and a JSONL trace file at `trace`.
-    /// `None` when no channel is on, so callers install nothing. A
-    /// trace file that cannot be created degrades to no trace:
-    /// observability never fails a run.
-    pub fn open(metrics: Option<bool>, trace: Option<&Path>) -> Option<Box<dyn TraceSink>> {
-        let fold = metrics.map(|timed| {
-            if timed {
-                PipelineMetrics::new()
-            } else {
-                PipelineMetrics::without_timing()
-            }
-        });
-        CompositeSink::with_fold(fold, trace)
-    }
-
-    /// [`CompositeSink::open`] around an existing fold, which keeps its
-    /// timing choice and everything it folded before: the events of
-    /// this run are added to it.
+    /// The sink for the enabled channels: `fold`, which keeps its
+    /// timing choice and everything it folded before (the events of
+    /// this run are added to it), and a JSONL trace file at `trace`.
+    /// `None` when neither is on, so callers install nothing. A trace
+    /// file that cannot be created degrades to no trace: observability
+    /// never fails a run.
     pub fn with_fold(
         fold: Option<PipelineMetrics>,
         trace: Option<&Path>,
@@ -210,11 +195,6 @@ impl CompositeSink {
         sink.flush();
         let composite = sink.as_any_mut()?.downcast_mut::<CompositeSink>()?;
         composite.metrics.take()
-    }
-
-    /// [`CompositeSink::into_fold`], named into its metrics.
-    pub fn drain(sink: Box<dyn TraceSink>) -> Option<MetricsSet> {
-        CompositeSink::into_fold(sink).map(PipelineMetrics::into_metrics)
     }
 }
 
@@ -307,20 +287,21 @@ mod tests {
     #[test]
     fn composite_sink_round_trips_through_the_erased_interface() {
         assert!(
-            CompositeSink::open(None, None).is_none(),
+            CompositeSink::with_fold(None, None).is_none(),
             "no channel, no sink"
         );
-        let mut boxed = CompositeSink::open(Some(false), None).expect("metrics channel on");
+        let fold = Some(PipelineMetrics::without_timing());
+        let mut boxed = CompositeSink::with_fold(fold, None).expect("metrics channel on");
         assert!(!boxed.wants_phase_timing());
         boxed.record(&TraceEvent::StepStarted {
             step: 0,
             enabled: 2,
         });
         boxed.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
-        let m = CompositeSink::drain(boxed).expect("metrics channel on");
-        assert_eq!(m.counter_value("pipeline.steps"), Some(1));
-        assert!(CompositeSink::drain(Box::new(PipelineMetrics::new())).is_none());
-        let timed = CompositeSink::open(Some(true), None).unwrap();
+        let m = CompositeSink::into_fold(boxed).expect("metrics channel on");
+        assert_eq!(m.into_metrics().counter_value("pipeline.steps"), Some(1));
+        assert!(CompositeSink::into_fold(Box::new(PipelineMetrics::new())).is_none());
+        let timed = CompositeSink::with_fold(Some(PipelineMetrics::new()), None).unwrap();
         assert!(timed.wants_phase_timing());
     }
 
@@ -335,6 +316,5 @@ mod tests {
         }
         let m = fold.expect("the fold came back").into_metrics();
         assert_eq!(m.counter_value("pipeline.moves"), Some(5));
-        assert!(CompositeSink::with_fold(None, None).is_none());
     }
 }

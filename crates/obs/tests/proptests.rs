@@ -6,11 +6,11 @@
 //! [`PipelineMetrics`] fold gives the snapshot bytes of a slow
 //! reference fold that updates the registry by key on every event;
 //! the same event streams and snapshots read back through
-//! [`parse_event`] and [`MetricsSnapshot::from_json`] as equal values.
+//! [`parse_event`] and [`MetricsSet::from_json`] as equal values.
 
 use proptest::prelude::*;
 use ssr_graph::{generators, Graph};
-use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
+use ssr_obs::metrics::MetricsSet;
 use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::trace::{event_to_json, parse_event, JsonlSink};
 use ssr_runtime::rng::Xoshiro256StarStar;
@@ -214,8 +214,8 @@ proptest! {
                 pm.record(event);
             }
             prop_assert_eq!(
-                pm.into_metrics().snapshot().to_json(),
-                reference_fold(&events).snapshot().to_json(),
+                pm.into_metrics().to_json(),
+                reference_fold(&events).to_json(),
                 "{:?}",
                 events
             );
@@ -251,8 +251,7 @@ proptest! {
                     set.gauge_set("pipeline.enabled", u64::from(*enabled));
                 }
             }
-            let snap = set.snapshot();
-            prop_assert_eq!(MetricsSnapshot::from_json(&snap.to_json()), Ok(snap));
+            prop_assert_eq!(MetricsSet::from_json(&set.to_json()), Ok(set));
         }
     }
 }
@@ -336,11 +335,11 @@ proptest! {
                 &init,
                 Daemon::Synchronous,
                 threads,
-                CompositeSink::open(Some(false), None),
+                CompositeSink::with_fold(Some(PipelineMetrics::without_timing()), None),
             );
-            let metrics = CompositeSink::drain(sink.expect("sink survives the run"))
+            let fold = CompositeSink::into_fold(sink.expect("sink survives the run"))
                 .expect("composite sink carries metrics");
-            snapshots.push(metrics.snapshot().to_json());
+            snapshots.push(fold.into_metrics().to_json());
         }
         prop_assert!(snapshots[0].contains("pipeline.steps"));
         prop_assert_eq!(&snapshots[0], &snapshots[1]);

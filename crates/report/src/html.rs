@@ -19,7 +19,7 @@ use std::fs;
 use std::path::Path;
 
 use ssr_obs::trace::parse_events;
-use ssr_obs::{MetricsSnapshot, TraceEvent};
+use ssr_obs::{MetricsSet, TraceEvent};
 
 use crate::reader::{self, BenchResultsDoc, CampaignRow, ScaleDoc};
 use crate::svg::{self, esc, fmt_num, HBar, Series, VBar};
@@ -33,8 +33,8 @@ const TIMELINE_CAP: usize = 200;
 pub struct Artifacts {
     /// Campaign record sets, `(file name, rows)`, sorted by name.
     pub campaigns: Vec<(String, Vec<CampaignRow>)>,
-    /// Metrics snapshots, `(file name, snapshot)`, sorted by name.
-    pub metrics: Vec<(String, MetricsSnapshot)>,
+    /// Metrics snapshots, `(file name, metrics)`, sorted by name.
+    pub metrics: Vec<(String, MetricsSet)>,
     /// Trace files, `(file name, events)`, sorted by name.
     pub traces: Vec<(String, Vec<TraceEvent>)>,
     /// The `BENCH_RESULTS.json` document, if present.
@@ -60,7 +60,7 @@ impl Artifacts {
     /// Parses `text` as a `ssr-metrics-v1` snapshot and adds it under
     /// `name`, keeping `metrics` sorted by name.
     pub fn push_metrics_json(&mut self, name: &str, text: &str) -> Result<(), String> {
-        let snap = MetricsSnapshot::from_json(text).map_err(|e| format!("{name}: {e}"))?;
+        let snap = MetricsSet::from_json(text).map_err(|e| format!("{name}: {e}"))?;
         self.metrics.push((name.to_string(), snap));
         self.metrics.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(())

@@ -8,7 +8,7 @@
 //! artifact directory into one self-contained HTML page with inline
 //! SVG charts ([`html`], [`svg`]). It reads metrics snapshots and
 //! traces with `ssr-obs`'s own readers, into the writers' types
-//! ([`ssr_obs::MetricsSnapshot::from_json`],
+//! ([`ssr_obs::MetricsSet::from_json`],
 //! [`ssr_obs::trace::parse_event`]), and the other artifacts with the
 //! typed readers of [`reader`], built on the shared [`ssr_obs::json`]
 //! recursive-descent parser.

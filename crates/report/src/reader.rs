@@ -3,7 +3,7 @@
 //! (`ssr-bench-results/v1`), and `BENCH_SCALE.json`
 //! (`bench-scale-v3`). `ssr-metrics-v1` snapshots and trace JSONL
 //! (`DESIGN.md` §10) are read next to their writers, into the writers'
-//! own types: `ssr_obs::MetricsSnapshot::from_json` and
+//! own types: `ssr_obs::MetricsSet::from_json` and
 //! `ssr_obs::trace::parse_event`.
 //!
 //! Every reader is the exact inverse of a hand-rolled writer elsewhere

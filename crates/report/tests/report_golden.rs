@@ -63,11 +63,8 @@ fn build_artifact_dir(dir: &Path, threads: usize) {
     for v in [3, 5, 8, 8, 13, 21, 34] {
         set.observe("pipeline.conflict_classes", v);
     }
-    std::fs::write(
-        dir.join("metrics.json"),
-        format!("{}\n", set.snapshot().to_json()),
-    )
-    .expect("write metrics");
+    std::fs::write(dir.join("metrics.json"), format!("{}\n", set.to_json()))
+        .expect("write metrics");
 
     let events = [
         TraceEvent::StepStarted {

@@ -369,6 +369,25 @@ pub trait FamilyProbe {
     }
 }
 
+/// Installs the trace sink `probe` makes, if any, on `sim`: the first
+/// half of the pair [`Family::run`] wraps its measured execution in,
+/// for runners that drive a [`Simulator`] themselves. Everything `sim`
+/// executes until [`collect_probe_sink`] reaches the sink.
+pub fn install_probe_sink<A: Algorithm>(probe: &mut dyn FamilyProbe, sim: &mut Simulator<'_, A>) {
+    if let Some(sink) = probe.make_trace_sink() {
+        sim.set_trace_sink(sink);
+    }
+}
+
+/// Hands the sink [`install_probe_sink`] installed on `sim` back to
+/// `probe` ([`FamilyProbe::collect_trace_sink`]); nothing when `sim`
+/// holds none.
+pub fn collect_probe_sink<A: Algorithm>(probe: &mut dyn FamilyProbe, sim: &mut Simulator<'_, A>) {
+    if let Some(sink) = sim.take_trace_sink() {
+        probe.collect_trace_sink(sink);
+    }
+}
+
 /// Bridges an optional erased [`FamilyProbe`] onto the typed
 /// [`Observer`] hooks — the adapter the generic [`Family::run`] of
 /// every [`TypedFamily`] attaches to the measured execution.
@@ -745,13 +764,13 @@ impl<F: TypedFamily> Family for F {
         // The probe's trace sink records the measured run alone, after
         // any warm-up phase of `start`.
         let mut bridge = ProbeBridge(probe);
-        if let Some(sink) = bridge.0.as_mut().and_then(|p| p.make_trace_sink()) {
-            sim.set_trace_sink(sink);
+        if let Some(probe) = bridge.0.as_deref_mut() {
+            install_probe_sink(probe, &mut sim);
         }
         sim.set_intra_threads(budget.intra_threads);
         let out = F::TARGET.run(sim.execution().cap(budget.cap).observe(&mut bridge));
-        if let (Some(sink), Some(probe)) = (sim.take_trace_sink(), bridge.0.as_deref_mut()) {
-            probe.collect_trace_sink(sink);
+        if let Some(probe) = bridge.0.as_deref_mut() {
+            collect_probe_sink(probe, &mut sim);
         }
         let bounds = self.paper_bounds(graph);
         let within = |bound: Option<u64>, value| bound.is_none_or(|b| value <= b);

@@ -300,11 +300,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.trace.take()
     }
 
-    /// Whether a trace sink is currently installed.
-    pub fn has_trace_sink(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// The communication graph.
     pub fn graph(&self) -> &Graph {
         self.graph
@@ -830,17 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_per_process_moves() {
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        sim.execution().cap(100).run();
-        assert_eq!(sim.stats().moves_per_process, vec![0, 1, 1, 1]);
-        assert_eq!(sim.stats().moves_per_rule, vec![3]);
-        assert_eq!(sim.stats().max_moves_per_process(), 1);
-        assert_eq!(sim.stats().moves_of(NodeId(2), RuleId(0), 1), 1);
-    }
-
-    #[test]
     fn per_node_stats_allocate_lazily() {
         let (init, g) = flood_path(3);
         let sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
@@ -1116,23 +1100,6 @@ mod tests {
                 "a phase was billed the sink's time: {nanos:?}"
             );
         }
-    }
-
-    #[test]
-    fn tracing_does_not_change_execution() {
-        let g = generators::random_connected(24, 36, 5);
-        let mut init = vec![false; 24];
-        init[0] = true;
-        let run = |traced: bool| {
-            let mut sim =
-                Simulator::new(&g, Flood, init.clone(), Daemon::RandomSubset { p: 0.5 }, 11);
-            if traced {
-                sim.set_trace_sink(Box::new(crate::trace::NoTrace));
-            }
-            sim.execution().cap(10_000).run();
-            (sim.stats().clone(), sim.states().to_vec())
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -106,11 +106,11 @@ pub fn run_job<'scope>(
         Ok(SweepReport { records, metrics }) => {
             // The records are stored as the sweep returned them, moved
             // into an `Arc`: the lane renders none of the artifacts,
-            // each request renders its own (`server.rs`). The snapshot
-            // is rendered before the job's lock is taken, so status and
-            // artifact readers never wait on it.
+            // each request renders its own (`server.rs`). The metrics
+            // are rendered before the job's lock is taken, so status and
+            // artifact readers never wait on them.
             let records = Arc::new(records);
-            let metrics_json = metrics.snapshot().to_json();
+            let metrics_json = metrics.to_json();
             let counter = |key: &str| metrics.counter_value(key).unwrap_or(0);
             job.with_outcome(|out| {
                 out.cache_hits = counter("campaign.cache_hits");

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use ssr_campaign::checkpoint::{self, CheckpointWriter};
 use ssr_campaign::{families, output, Campaign, Sweep, TopologySpec};
 use ssr_obs::json;
-use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
+use ssr_obs::metrics::MetricsSet;
 use ssr_obs::trace::{event_to_json, parse_events};
 use ssr_report::reader::{
     parse_bench_results, parse_campaign_csv, parse_campaign_jsonl, parse_scale_json,
@@ -67,7 +67,7 @@ fn feed_str_parsers(bytes: &[u8]) {
     let _ = checkpoint::validate(&text);
     let _ = parse_campaign_jsonl(&text);
     let _ = parse_campaign_csv(&text);
-    let _ = MetricsSnapshot::from_json(&text);
+    let _ = MetricsSet::from_json(&text);
     let _ = parse_events(&text); // `parse_event`, line by line
     let _ = parse_bench_results(&text);
     let _ = parse_scale_json(&text);
@@ -211,7 +211,7 @@ fn valid_documents(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
         ("checkpoint", journal_bytes),
         ("campaign-jsonl", output::jsonl(&records[..1]).into_bytes()),
         ("campaign-csv", output::csv(&records[..1]).into_bytes()),
-        ("metrics", metrics.snapshot().to_json().into_bytes()),
+        ("metrics", metrics.to_json().into_bytes()),
         ("trace", trace.into_bytes()),
         ("bench", BENCH.as_bytes().to_vec()),
     ]
@@ -238,7 +238,7 @@ fn valid_documents_parse() {
     let rows = parse_campaign_jsonl(&text("campaign-jsonl")).expect("campaign JSONL");
     assert_eq!(rows.len(), 1);
     assert_eq!(parse_campaign_csv(&text("campaign-csv")), Ok(rows));
-    assert!(MetricsSnapshot::from_json(&text("metrics")).is_ok());
+    assert!(MetricsSet::from_json(&text("metrics")).is_ok());
     assert_eq!(parse_events(&text("trace")).map(|e| e.len()), Ok(2));
     assert!(parse_bench_results(&text("bench")).is_ok());
     assert!(parse_scale_json(SCALE).is_ok());

@@ -246,18 +246,6 @@ pub fn lemma20_move_bound(diameter: u64) -> u64 {
     3 * diameter
 }
 
-/// The move bound shown in \[23\] for Boulinier et al.'s parametric
-/// unison \[11\]: `O(D·n³ + α·n²)`. We take the safe parameter
-/// `α = n − 2` (always legal since the longest chordless cycle is at
-/// most `n`), giving `D·n³ + (n−2)·n²` as the comparison curve for E5.
-/// It is \[11\]'s curve, not a bound on `ssr_baselines::CfgUnison`:
-/// that algorithm resets to 0 without the tail of α extra clock values
-/// the curve charges for, and is not self-stabilizing under the unfair
-/// daemon.
-pub fn baseline_move_curve(n: u64, diameter: u64) -> u64 {
-    diameter * n * n * n + n.saturating_sub(2) * n * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,14 +301,5 @@ mod tests {
         assert!(theorem6_move_bound(10, 3) < theorem6_move_bound(20, 3));
         assert!(theorem7_round_bound(7) == 21);
         assert_eq!(lemma20_move_bound(4), 12);
-    }
-
-    #[test]
-    fn baseline_grows_faster_than_sdr_unison() {
-        // The entire point of E5: the [11]-style bound is Θ(n) worse.
-        for n in [8u64, 16, 32, 64] {
-            let d = n / 2;
-            assert!(baseline_move_curve(n, d) > theorem6_move_bound(n, d));
-        }
     }
 }

@@ -148,7 +148,7 @@ fn main() {
         peak_activated: usize,
         rounds: u64,
     }
-    let rows = Sweep::of(&probe_campaign).threads(threads).map(|sc| {
+    let rows = Sweep::of(&probe_campaign).threads(threads).map(|sc, _| {
         let [graph_seed, init_seed, sim_seed, _] = sc.seeds::<4>();
         let g = sc.topology.build(sc.n, graph_seed);
         let algo = unison_sdr(Unison::for_graph(&g));
@@ -178,7 +178,7 @@ fn main() {
         "peak activated",
         "worst rounds",
     ]);
-    for pair in rows.chunks(2) {
+    for pair in rows.records.chunks(2) {
         // trials is the fastest-varying axis: each chunk is one cell.
         contention.row_vec(vec![
             pair[0].topology.clone(),
